@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-race race bench bench-serve bench-ingest bench-obs bench-gate examples experiments paper clean checkpoint-fault serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
+.PHONY: all build vet fmt-check test benchmark-test test-race race bench bench-serve bench-ingest bench-obs bench-gate examples experiments paper clean checkpoint-fault serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
 
 all: build vet test
 
@@ -10,8 +10,18 @@ build:
 vet:
 	$(GO) vet ./...
 
+# gofmt gate: any file gofmt would rewrite fails the build.
+fmt-check:
+	@out="$$(gofmt -l .)"; if [ -n "$$out" ]; then echo "gofmt needed on:"; echo "$$out"; exit 1; fi
+
 test:
 	$(GO) test ./...
+
+# benchmark/ is its own module (replace implicate => ../), so the root
+# build never compiles it: a changed coord/obs/client signature would break
+# the repo benchmark silently without this.
+benchmark-test:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 
 test-race:
 	$(GO) test -race ./...

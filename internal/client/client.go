@@ -36,7 +36,6 @@
 package client
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -342,17 +341,7 @@ func EncodeBatch(schema *stream.Schema, tuples []stream.Tuple) ([]byte, error) {
 	if schema == nil {
 		return nil, errors.New("client: ingest requires a schema")
 	}
-	var buf bytes.Buffer
-	w := stream.NewBinaryWriter(&buf, schema)
-	for _, t := range tuples {
-		if err := w.Write(t); err != nil {
-			return nil, err
-		}
-	}
-	if err := w.Flush(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
+	return stream.EncodeBinaryBatch(schema, tuples)
 }
 
 // IngestBatch sends tuples to the server, absorbing backpressure replies

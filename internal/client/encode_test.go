@@ -1,0 +1,167 @@
+package client
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"implicate/internal/proto"
+	"implicate/internal/stream"
+)
+
+// writerBytes is the reference encoding: a stream.BinaryWriter fed the
+// tuples and flushed.
+func writerBytes(schema *stream.Schema, tuples []stream.Tuple) ([]byte, error) {
+	var buf bytes.Buffer
+	w := stream.NewBinaryWriter(&buf, schema)
+	for _, t := range tuples {
+		if err := w.Write(t); err != nil {
+			return nil, err
+		}
+	}
+	if err := w.Flush(); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
+}
+
+// TestEncodeBatchMatchesWriter: for random schemas and tuples — empty
+// batches, empty values, values long enough for multi-byte length prefixes,
+// the odd reserved byte or wrong arity — EncodeBatch returns the writer's
+// bytes, or the writer's error.
+func TestEncodeBatchMatchesWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	value := func() string {
+		switch rng.Intn(8) {
+		case 0:
+			return ""
+		case 1:
+			return string(bytes.Repeat([]byte{byte('a' + rng.Intn(26))}, 100+rng.Intn(300)))
+		}
+		b := make([]byte, 1+rng.Intn(12))
+		for i := range b {
+			b[i] = byte(rng.Intn(256))
+			if b[i] == stream.KeySep && rng.Intn(50) != 0 {
+				b[i] = '_'
+			}
+		}
+		return string(b)
+	}
+	for iter := 0; iter < 300; iter++ {
+		names := make([]string, 1+rng.Intn(5))
+		for i := range names {
+			names[i] = fmt.Sprintf("attr%d_%d", i, rng.Intn(1000))
+		}
+		schema, err := stream.NewSchema(names...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tuples := make([]stream.Tuple, rng.Intn(40))
+		for i := range tuples {
+			arity := len(names)
+			if rng.Intn(200) == 0 {
+				arity++
+			}
+			tuples[i] = make(stream.Tuple, arity)
+			for j := range tuples[i] {
+				tuples[i][j] = value()
+			}
+		}
+		want, wantErr := writerBytes(schema, tuples)
+		got, gotErr := EncodeBatch(schema, tuples)
+		if (gotErr == nil) != (wantErr == nil) || (gotErr != nil && gotErr.Error() != wantErr.Error()) {
+			t.Fatalf("iter %d: EncodeBatch error %v, writer error %v", iter, gotErr, wantErr)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("iter %d: EncodeBatch bytes differ from the writer's\n got %x\nwant %x", iter, got, want)
+		}
+	}
+}
+
+func benchTuples(n int) []stream.Tuple {
+	ts := make([]stream.Tuple, n)
+	for i := range ts {
+		ts[i] = stream.Tuple{fmt.Sprintf("src-%d", i%997), fmt.Sprintf("dst-%d", i%13)}
+	}
+	return ts
+}
+
+// TestEncodeBatchAllocs pins the encoder at one exactly-sized buffer per
+// call (two allowed), at the small-frame and the large-frame batch size.
+func TestEncodeBatchAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
+	}
+	schema := testSchema(t)
+	for _, n := range []int{32, 1000} {
+		tuples := benchTuples(n)
+		allocs := testing.AllocsPerRun(50, func() {
+			if _, err := EncodeBatch(schema, tuples); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 2 {
+			t.Errorf("EncodeBatch of %d tuples: %.1f allocs per call, want <= 2", n, allocs)
+		}
+	}
+}
+
+var encodeSink []byte
+
+func BenchmarkEncodeBatch(b *testing.B) {
+	schema, err := stream.NewSchema("A", "B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, n := range []int{32, 1000} {
+		tuples := benchTuples(n)
+		b.Run(fmt.Sprint(n), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if encodeSink, err = EncodeBatch(schema, tuples); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/tuple")
+		})
+	}
+}
+
+// TestABI pins the bytes of the formats an ingest crosses: fixed input,
+// golden output. A change here is a wire-format change — every deployed
+// peer and every journaled batch disagrees with the new build.
+func TestABI(t *testing.T) {
+	schema := testSchema(t) // A, B
+	batch, err := EncodeBatch(schema, []stream.Tuple{{"a1", "b1"}, {"", "b"}, {"a3", ""}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := func(f proto.Frame) []byte {
+		out, err := proto.AppendFrame(nil, f)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return out
+	}
+	for _, tc := range []struct {
+		name string
+		got  []byte
+		want string
+	}{
+		{"IMPB header", stream.BinaryHeader(schema), "IMPB\x01\x02\x01A\x01B"},
+		{"IMPB 3-record batch", batch, "IMPB\x01\x02\x01A\x01B" + "\x02a1\x02b1" + "\x00\x01b" + "\x02a3\x00"},
+		{"TIngest frame", frame(proto.Frame{Type: proto.TIngest, ID: 7, Payload: batch}),
+			"\x25\x00\x00\x00" + "\x01\x01" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xea\xc0\x6a\xc3" + string(batch)},
+		{"TIngest frame, traced", frame(proto.Frame{Type: proto.TIngest, ID: 7, TC: proto.TraceContext{Trace: 0x0102, Parent: 0x0304}, Payload: batch}),
+			"\x35\x00\x00\x00" + "\x81\x01" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\x96\x4c\x15\x5c" +
+				"\x02\x01\x00\x00\x00\x00\x00\x00" + "\x04\x03\x00\x00\x00\x00\x00\x00" + string(batch)},
+		{"IngestAck", proto.IngestAck{Tuples: 3}.Encode(), "\x03\x00\x00\x00\x00\x00\x00\x00"},
+		{"IngestAck frame", frame(proto.Frame{Type: proto.TOK, ID: 7, Payload: proto.IngestAck{Tuples: 3}.Encode()}),
+			"\x16\x00\x00\x00" + "\x01\x10" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xe3\x35\x6c\x57" + "\x03\x00\x00\x00\x00\x00\x00\x00"},
+	} {
+		if string(tc.got) != tc.want {
+			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)
+		}
+	}
+}

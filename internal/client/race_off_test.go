@@ -1,0 +1,7 @@
+//go:build !race
+
+package client
+
+// raceEnabled reports whether the race detector instruments this build;
+// alloc pins are meaningless under its bookkeeping allocations.
+const raceEnabled = false

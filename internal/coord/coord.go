@@ -21,6 +21,7 @@
 package coord
 
 import (
+	"bytes"
 	"fmt"
 	"sync"
 	"time"
@@ -60,7 +61,7 @@ type Config struct {
 	// imps.PartitionedAdder satisfies it. Nil selects the fixed-seed xhash
 	// router, which every identically-configured coordinator shares.
 	Partitioner Partitioner
-	// FlushTuples is the per-leaf batch size: routed tuples are buffered
+	// FlushTuples is the per-leaf batch size: routed tuples are staged
 	// until a leaf's buffer holds this many, then journaled and delivered
 	// as one batch. Default 512.
 	FlushTuples int
@@ -129,9 +130,23 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Coordinator fronts a leaf fleet. Create with New; Ingest and Flush are
-// single-producer (callers serialize them — the wire front-end does);
-// Query, Snapshot and Status are safe concurrently with ingest.
+// maxPendingBatches bounds each leaf's pending journal — batches journaled
+// but not yet delivered. Ingest blocks on it, so a front-end that outruns a
+// leaf waits for the leaf instead of moving the leaf's queue into
+// coordinator memory.
+const maxPendingBatches = 64
+
+// staged is one leaf's batch in the making: a complete wire-format stream
+// (header, then the records routed here so far) that is journaled as-is
+// once it holds FlushTuples tuples.
+type staged struct {
+	buf []byte // reused across batches; the journal keeps an exact-size copy
+	n   int64  // tuples in buf
+}
+
+// Coordinator fronts a leaf fleet. Create with New. Ingest and Flush
+// serialize on one lock; Query, Snapshot and Status are safe concurrently
+// with ingest.
 type Coordinator struct {
 	cfg     Config
 	queries []query.Query // parsed and normalized statement templates
@@ -145,10 +160,15 @@ type Coordinator struct {
 	// front-end RPC latency. Leaf-side counters live on each leaf.
 	tel telemetry.Set
 
-	// mu guards the router buffers and key scratch on the ingest path.
-	mu   sync.Mutex
-	pend [][]stream.Tuple // per-leaf buffered tuples, not yet journaled
-	key  []byte
+	hdr   []byte // stream.BinaryHeader(cfg.Schema): every ingest payload and journal entry starts with it
+	arity int
+
+	// mu guards the staging buffers and the router scratch on the ingest
+	// path.
+	mu    sync.Mutex
+	stage []staged // per-leaf, not yet journaled
+	key   []byte
+	spans []stream.Span
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -210,7 +230,7 @@ func New(cfg Config) (*Coordinator, error) {
 		return nil, err
 	}
 	co.rt = rt
-	co.pend = make([][]stream.Tuple, len(cfg.Leaves))
+	co.initStaging()
 	for i, spec := range cfg.Leaves {
 		lf, err := newLeaf(co, i, spec)
 		if err != nil {
@@ -231,49 +251,112 @@ func New(cfg Config) (*Coordinator, error) {
 
 func (co *Coordinator) logf(format string, args ...any) { co.cfg.Logf(format, args...) }
 
-// Ingest routes a batch of tuples into the per-leaf buffers, journaling
-// each buffer as it fills. Tuples are retained until journaled; callers
-// may reuse the slice but not the tuples it holds.
+// initStaging sizes the ingest-path state from cfg.Schema and cfg.Leaves.
+func (co *Coordinator) initStaging() {
+	co.hdr = stream.BinaryHeader(co.cfg.Schema)
+	co.arity = co.cfg.Schema.Len()
+	co.spans = make([]stream.Span, co.arity)
+	co.stage = make([]staged, len(co.cfg.Leaves))
+	for i := range co.stage {
+		co.stage[i].buf = append([]byte(nil), co.hdr...)
+	}
+}
+
+// Ingest routes a batch of tuples into the per-leaf staging buffers,
+// journaling each buffer as it fills. The whole batch is checked first: one
+// tuple of the wrong arity, or with the reserved key separator in a value,
+// refuses all of it before anything is routed or counted. Ingest blocks
+// while a destination leaf's pending journal is full (maxPendingBatches);
+// it returns an error if the coordinator closes or that leaf turns out
+// unrecoverable while it waits. The tuples are copied, not retained.
 func (co *Coordinator) Ingest(tuples []stream.Tuple) error {
+	for i, t := range tuples {
+		if err := stream.CheckTuple(t, co.arity); err != nil {
+			return fmt.Errorf("coord: tuple %d of %d refused, none routed: %w", i, len(tuples), err)
+		}
+	}
 	co.tel.AddBatch()
 	co.tel.AddTuples(int64(len(tuples)))
 	co.mu.Lock()
 	defer co.mu.Unlock()
 	for _, t := range tuples {
-		idx, key := co.rt.leafOf(t, co.key)
-		co.key = key
-		co.pend[idx] = append(co.pend[idx], t)
-		if len(co.pend[idx]) >= co.cfg.FlushTuples {
-			if err := co.journalLocked(idx); err != nil {
-				return err
-			}
+		co.key = co.rt.proj.AppendKey(co.key[:0], t)
+		idx := co.rt.leafOf(co.key)
+		co.stage[idx].buf = stream.AppendBinaryRecord(co.stage[idx].buf, t)
+		if err := co.stagedLocked(idx); err != nil {
+			return err
 		}
 	}
 	return nil
 }
 
-// journalLocked encodes leaf idx's buffer and hands it to the leaf's
-// journal. Must hold co.mu.
-func (co *Coordinator) journalLocked(idx int) error {
-	if len(co.pend[idx]) == 0 {
+// ingestEncoded is Ingest for a batch still in its wire encoding (the
+// front-end's path): the header is compared, the whole record region
+// validated, then each record's bytes are routed and copied into its leaf's
+// staging buffer without ever becoming a stream.Tuple. It returns the
+// number of tuples routed.
+func (co *Coordinator) ingestEncoded(payload []byte) (int64, error) {
+	if !bytes.HasPrefix(payload, co.hdr) {
+		return 0, fmt.Errorf("batch header does not match the coordinator schema %v", co.cfg.Schema.Names())
+	}
+	recs := payload[len(co.hdr):]
+	n, err := stream.ValidateBinaryRecords(recs, co.arity)
+	if err != nil {
+		return 0, err
+	}
+	co.tel.AddBatch()
+	co.tel.AddTuples(int64(n))
+	co.mu.Lock()
+	defer co.mu.Unlock()
+	for off := 0; off < len(recs); {
+		end := stream.RecordSpans(recs, off, co.spans)
+		co.key = co.rt.proj.AppendKeySpans(co.key[:0], recs, co.spans)
+		idx := co.rt.leafOf(co.key)
+		co.stage[idx].buf = append(co.stage[idx].buf, recs[off:end]...)
+		if err := co.stagedLocked(idx); err != nil {
+			return 0, err
+		}
+		off = end
+	}
+	return int64(n), nil
+}
+
+// stagedLocked accounts for one record just appended to leaf idx's staging
+// buffer, journaling the buffer when it reaches FlushTuples. Must hold
+// co.mu.
+func (co *Coordinator) stagedLocked(idx int) error {
+	st := &co.stage[idx]
+	if st.n++; st.n < int64(co.cfg.FlushTuples) {
 		return nil
 	}
-	payload, err := client.EncodeBatch(co.cfg.Schema, co.pend[idx])
-	if err != nil {
-		return fmt.Errorf("coord: encode batch for leaf %s: %w", co.leaves[idx].name, err)
+	return co.journalLocked(idx)
+}
+
+// journalLocked hands leaf idx's staged batch to the leaf's journal as an
+// exact-size copy (journal entries are retained; they carry no slack) and
+// resets the staging buffer to the bare header. Must hold co.mu.
+func (co *Coordinator) journalLocked(idx int) error {
+	st := &co.stage[idx]
+	if st.n == 0 {
+		return nil
 	}
-	co.leaves[idx].append(payload, int64(len(co.pend[idx])))
-	co.pend[idx] = co.pend[idx][:0]
+	payload := make([]byte, len(st.buf))
+	copy(payload, st.buf)
+	if err := co.leaves[idx].append(payload, st.n); err != nil {
+		return err
+	}
+	st.buf, st.n = st.buf[:len(co.hdr)], 0
 	return nil
 }
 
-// Flush journals every buffered tuple and blocks until the whole fleet has
+// Flush journals every staged tuple and blocks until the whole fleet has
 // applied everything routed to it — acknowledgements only confirm
-// enqueueing, so this is the one call after which a merge fan-in reflects
-// every ingested tuple.
+// journaling, so this is the one call after which a merge fan-in reflects
+// every ingested tuple. The journaling step waits on the pending bound like
+// Ingest does; DrainTimeout bounds the drain after it.
 func (co *Coordinator) Flush() error {
 	co.mu.Lock()
-	for idx := range co.pend {
+	for idx := range co.stage {
 		if err := co.journalLocked(idx); err != nil {
 			co.mu.Unlock()
 			return err
@@ -517,9 +600,10 @@ func (co *Coordinator) eachUpLeaf(fn func(i int, lf *leaf, cl *client.Client)) {
 	wg.Wait()
 }
 
-// Close stops the probers and feeders and closes every leaf client.
-// Buffered tuples not yet journaled and journaled batches not yet delivered
-// are NOT flushed — call Flush first for a clean handoff.
+// Close stops the probers and feeders and closes every leaf client; an
+// Ingest blocked on a full pending journal returns an error. Staged tuples
+// not yet journaled and journaled batches not yet delivered are NOT flushed
+// — call Flush first for a clean handoff.
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		close(co.stop)

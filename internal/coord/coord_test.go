@@ -53,6 +53,10 @@ type fleet struct {
 	// cross-node trace tests run on.
 	traceSpans int
 
+	// stall, when non-nil, runs at the top of the restart hook — a test
+	// blocks in it to hold a leaf down.
+	stall func(name string)
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -116,6 +120,9 @@ func (f *fleet) start(name string) string {
 // from its latest checkpoint (fresh when it never checkpointed) and listen
 // on a NEW port — recovery must not depend on the address surviving.
 func (f *fleet) restart(name string) (string, error) {
+	if f.stall != nil {
+		f.stall(name)
+	}
 	f.mu.Lock()
 	old := f.servers[name]
 	f.mu.Unlock()

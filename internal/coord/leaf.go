@@ -35,7 +35,7 @@ import (
 
 // entry is one journaled batch.
 type entry struct {
-	payload []byte // client.EncodeBatch form, the bytes the wire carries
+	payload []byte // a complete binary batch (client.EncodeBatch form), the bytes the wire carries
 	n       int64  // tuples in the batch
 	off     int64  // cumulative tuples routed to this leaf before it
 }
@@ -65,7 +65,7 @@ type leaf struct {
 	idx  int
 
 	mu        sync.Mutex
-	cond      *sync.Cond // signals the feeder: new work, state change, close
+	cond      *sync.Cond // signals the feeder (new work, state change, close) and a blocked append (delivery, fatal, close)
 	addr      string     // current dial address; may change across recovery
 	cl        *client.Client
 	boot      uint64 // admitted server incarnation; every send is fenced to it
@@ -102,14 +102,28 @@ func newLeaf(co *Coordinator, idx int, spec LeafSpec) (*leaf, error) {
 	return lf, nil
 }
 
-// append journals one encoded batch and wakes the feeder. The payload must
-// not be modified afterwards — retransmission reads it uncopied.
-func (lf *leaf) append(payload []byte, n int64) {
+// append journals one encoded batch and wakes the feeder, first waiting
+// until fewer than maxPendingBatches entries are pending — the feeder wakes
+// it after every delivery. It refuses, journaling nothing, once the
+// coordinator is closed or the leaf is sticky-fatal: nothing appended then
+// would ever be delivered. The payload must not be modified afterwards —
+// retransmission reads it uncopied.
+func (lf *leaf) append(payload []byte, n int64) error {
 	lf.mu.Lock()
+	defer lf.mu.Unlock()
+	for !lf.closed && lf.fatal == nil && len(lf.journal)-lf.nextSend >= maxPendingBatches {
+		lf.cond.Wait()
+	}
+	if lf.fatal != nil {
+		return lf.fatal
+	}
+	if lf.closed {
+		return fmt.Errorf("coord: leaf %s: coordinator closed", lf.name)
+	}
 	lf.journal = append(lf.journal, entry{payload: payload, n: n, off: lf.journaled})
 	lf.journaled += n
 	lf.cond.Broadcast()
-	lf.mu.Unlock()
+	return nil
 }
 
 // markDown flags a live leaf for recovery and wakes the feeder to run it.
@@ -174,6 +188,7 @@ func (lf *leaf) run() {
 		lf.mu.Lock()
 		lf.nextSend++
 		lf.acked = e.off + e.n
+		lf.cond.Broadcast() // room in the pending journal
 		lf.mu.Unlock()
 	}
 }

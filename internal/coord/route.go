@@ -100,9 +100,8 @@ func newRouteTable(schema *stream.Schema, attrs []string, part Partitioner, part
 	return rt, nil
 }
 
-// leafOf routes one tuple: the leaf index that must ingest it, plus the
-// reusable key scratch.
-func (rt *routeTable) leafOf(t stream.Tuple, scratch []byte) (int, []byte) {
-	key := rt.proj.AppendKey(scratch[:0], t)
-	return rt.owner[rt.part.IngestPartition(key, rt.parts)], key
+// leafOf routes one encoded route key (proj.AppendKey form, built from a
+// tuple or from a raw record's spans): the leaf index that must ingest it.
+func (rt *routeTable) leafOf(key []byte) int {
+	return rt.owner[rt.part.IngestPartition(key, rt.parts)]
 }

@@ -25,8 +25,8 @@ type ILC struct {
 	width      int64
 	n          int64
 
-	as      map[string]*ilcEntry
-	pairs   map[string]map[string]*entry
+	as    map[string]*ilcEntry
+	pairs map[string]map[string]*entry
 }
 
 type ilcEntry struct {

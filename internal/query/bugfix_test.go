@@ -95,8 +95,8 @@ type noAvgEstimator struct {
 	inner *exact.Counter
 }
 
-func (n noAvgEstimator) Add(a, b string)            { n.inner.Add(a, b) }
-func (n noAvgEstimator) ImplicationCount() float64  { return n.inner.ImplicationCount() }
+func (n noAvgEstimator) Add(a, b string)           { n.inner.Add(a, b) }
+func (n noAvgEstimator) ImplicationCount() float64 { return n.inner.ImplicationCount() }
 func (n noAvgEstimator) NonImplicationCount() float64 {
 	return n.inner.NonImplicationCount()
 }

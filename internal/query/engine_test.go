@@ -220,8 +220,8 @@ func TestSketchBackend(t *testing.T) {
 // compare the engine's two ingest routes.
 type stringOnlyEstimator struct{ est imps.Estimator }
 
-func (w stringOnlyEstimator) Add(a, b string)             { w.est.Add(a, b) }
-func (w stringOnlyEstimator) ImplicationCount() float64   { return w.est.ImplicationCount() }
+func (w stringOnlyEstimator) Add(a, b string)           { w.est.Add(a, b) }
+func (w stringOnlyEstimator) ImplicationCount() float64 { return w.est.ImplicationCount() }
 func (w stringOnlyEstimator) NonImplicationCount() float64 {
 	return w.est.NonImplicationCount()
 }

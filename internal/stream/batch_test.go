@@ -157,3 +157,98 @@ func BenchmarkBinaryReaderNextBatch(b *testing.B) {
 		}
 	}
 }
+
+// TestValidateBinaryRecords pins what the wire-side validator adds to the
+// decoder's structural pass: over-long length prefixes are refused, and the
+// key separator inside a value, and only there — 0x1f as a length prefix is
+// a 31-byte value.
+func TestValidateBinaryRecords(t *testing.T) {
+	schema := MustSchema("A", "B")
+	long := string(bytes.Repeat([]byte("v"), int(KeySep))) // length prefix == KeySep
+	_, good := encodeBinary(t, schema, []Tuple{{"a", long}, {"", ""}, {long, "b"}})
+	if n, err := ValidateBinaryRecords(good, 2); err != nil || n != 3 {
+		t.Fatalf("valid region: n=%d err=%v, want 3 tuples", n, err)
+	}
+	if n, err := ValidateBinaryRecords(nil, 2); err != nil || n != 0 {
+		t.Fatalf("empty region: n=%d err=%v", n, err)
+	}
+	poison := AppendBinaryRecord(append([]byte(nil), good...), Tuple{"a1", "x\x1fy"})
+	if _, err := ValidateBinaryRecords(poison, 2); err == nil {
+		t.Error("key separator inside a value accepted")
+	}
+	if _, err := DecodeBinaryRecords(poison, 2, 10); err != nil {
+		t.Errorf("the serving decoder's admission changed: %v", err)
+	}
+	for name, bad := range map[string][]byte{
+		"mid-record":              good[:len(good)-2],
+		"truncated":               append(append([]byte(nil), good...), 5, 'x'),
+		"bad length":              {0x80},
+		"over-long length prefix": {0x81, 0x00, 'a', 0x00},
+	} {
+		if _, err := ValidateBinaryRecords(bad, 2); err == nil {
+			t.Errorf("%s: accepted", name)
+		}
+	}
+	if _, err := ValidateBinaryRecords(good, 0); err == nil {
+		t.Error("arity 0 accepted")
+	}
+}
+
+// TestRecordSpansMatchDecode walks a validated region record by record and
+// requires the spans, the re-framed record bytes and the route key to agree
+// with the decoded tuples.
+func TestRecordSpansMatchDecode(t *testing.T) {
+	schema := MustSchema("A", "B", "C")
+	tuples := []Tuple{{"a", "", "ccc"}, {"", "", ""}, {string(bytes.Repeat([]byte("k"), 300)), "b", "c"}}
+	_, recs := encodeBinary(t, schema, tuples)
+	if _, err := ValidateBinaryRecords(recs, 3); err != nil {
+		t.Fatal(err)
+	}
+	for _, attrs := range [][]string{{"B"}, {"C", "A"}} {
+		proj := schema.MustProj(attrs...)
+		spans := make([]Span, 3)
+		off := 0
+		for i, tu := range tuples {
+			end := RecordSpans(recs, off, spans)
+			for j, sp := range spans {
+				if got := string(recs[sp.Off:sp.End]); got != tu[j] {
+					t.Fatalf("tuple %d value %d: span reads %q, want %q", i, j, got, tu[j])
+				}
+			}
+			if want := AppendBinaryRecord(nil, tu); !bytes.Equal(recs[off:end], want) {
+				t.Fatalf("tuple %d: record bytes %x, want %x", i, recs[off:end], want)
+			}
+			if got, want := proj.AppendKeySpans(nil, recs, spans), proj.AppendKey(nil, tu); !bytes.Equal(got, want) {
+				t.Fatalf("tuple %d proj %v: key %q, want %q", i, attrs, got, want)
+			}
+			off = end
+		}
+		if off != len(recs) {
+			t.Fatalf("walk ended at %d of %d bytes", off, len(recs))
+		}
+	}
+}
+
+// TestEncodeBinaryBatch: the append encoder's bytes are the writer's, in a
+// buffer of exactly that size, and a batch with one bad tuple is refused
+// whole.
+func TestEncodeBinaryBatch(t *testing.T) {
+	schema := MustSchema("A", "B")
+	tuples := []Tuple{{"x", "y"}, {"", ""}, {"long-value", ""}}
+	full, _ := encodeBinary(t, schema, tuples)
+	got, err := EncodeBinaryBatch(schema, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, full) {
+		t.Fatalf("encoded batch %x, want %x", got, full)
+	}
+	if cap(got) != len(got) {
+		t.Errorf("cap %d for %d bytes, want exact", cap(got), len(got))
+	}
+	for _, bad := range [][]Tuple{{{"x", "y"}, {"only-one"}}, {{"a\x1fb", "c"}}} {
+		if out, err := EncodeBinaryBatch(schema, bad); err == nil || out != nil {
+			t.Errorf("bad batch %q: out %q err %v, want refusal", bad, out, err)
+		}
+	}
+}

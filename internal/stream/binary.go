@@ -76,15 +76,10 @@ func (w *BinaryWriter) Write(t Tuple) error {
 			return err
 		}
 	}
-	if len(t) != w.schema.Len() {
-		return fmt.Errorf("stream: tuple arity %d does not match schema arity %d", len(t), w.schema.Len())
+	if err := CheckTuple(t, w.schema.Len()); err != nil {
+		return err
 	}
 	for _, v := range t {
-		for i := 0; i < len(v); i++ {
-			if v[i] == KeySep {
-				return fmt.Errorf("stream: value %q contains the reserved key separator", v)
-			}
-		}
 		if err := w.str(v); err != nil {
 			return err
 		}

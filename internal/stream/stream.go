@@ -150,6 +150,19 @@ func (p Proj) AppendKey(dst []byte, t Tuple) []byte {
 	return dst
 }
 
+// AppendKeySpans is AppendKey over an undecoded record: value i of the
+// record is data[spans[i].Off:spans[i].End] (see RecordSpans). The appended
+// bytes equal AppendKey's for the decoded tuple.
+func (p Proj) AppendKeySpans(dst, data []byte, spans []Span) []byte {
+	for k, i := range p.idx {
+		if k > 0 {
+			dst = append(dst, KeySep)
+		}
+		dst = append(dst, data[spans[i].Off:spans[i].End]...)
+	}
+	return dst
+}
+
 // Values returns the projected attribute values.
 func (p Proj) Values(t Tuple) []string {
 	out := make([]string, len(p.idx))
