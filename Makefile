@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test benchmark-test test-race race bench bench-serve bench-ingest bench-obs bench-gate examples experiments paper clean checkpoint-fault serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
+.PHONY: all build vet fmt-check test benchmark-test test-race race bench bench-serve bench-obs bench-gate loc examples experiments paper clean checkpoint-fault serve-smoke serve-soak obs-smoke cluster-smoke tenant-smoke fleet-obs-smoke
 
 all: build vet test
 
@@ -104,11 +104,6 @@ bench-serve:
 bench-gate:
 	$(GO) run ./cmd/impbench -exp serve -workers 1,4 -procs 1,4 -tenants 2 -gate BENCH_serve.json
 
-# Library-level ingest throughput (serial vs mutex vs sharded) at
-# GOMAXPROCS 1 and 4, recorded in BENCH_ingest.json.
-bench-ingest:
-	$(GO) run ./cmd/impbench -exp ingest -procs 1,4 -json BENCH_ingest.json
-
 # Observability overhead: the serve harness with the full observability
 # layer off and on (tracer in every layer + a live /metrics scraper),
 # recording the throughput delta in BENCH_obs.json. -leaves adds the fleet
@@ -117,6 +112,16 @@ bench-ingest:
 # instrumentation must stay within a few percent.
 bench-obs:
 	$(GO) run ./cmd/impbench -exp obs -procs 1,4 -leaves 3 -json BENCH_obs.json
+
+# Non-test Go lines per package (cmd/x, examples/x, internal/x, the root
+# package) and in total, excluding the benchmark module. The total is the
+# tracked number: a PR that simplifies must bring it down.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './benchmark/*' ! -path './.bench_build/*' \
+		-exec wc -l {} + | awk '$$2 != "total" { \
+			n = split($$2, d, "/"); k = n > 3 ? d[2] "/" d[3] : (n > 2 ? d[2] : "."); \
+			lines[k] += $$1; all += $$1 } \
+		END { for (k in lines) printf "%7d %s\n", lines[k], k; printf "%7d total\n", all }' | sort -k2
 
 examples:
 	$(GO) run ./examples/quickstart

@@ -233,11 +233,11 @@ func BenchmarkAddNIPSHashedFastPath(b *testing.B) {
 // floor). Speedups need real cores; on a single-core runner the sharded
 // variants measure pure synchronization overhead instead.
 
-func benchPairs() []implicate.Pair {
+func benchPairs() []implicate.HashedPair {
 	d := gen.MustDatasetOne(gen.DatasetOneConfig{CardA: 20000, Count: 10000, C: 2, Seed: 9})
-	pairs := make([]implicate.Pair, len(d.Pairs))
+	pairs := make([]implicate.HashedPair, len(d.Pairs))
 	for i, p := range d.Pairs {
-		pairs[i] = implicate.Pair{A: gen.Key(p.A), B: gen.Key(p.B)}
+		pairs[i] = implicate.HashedPair{A: gen.Key(p.A), B: gen.Key(p.B)}
 	}
 	return pairs
 }
@@ -295,50 +295,13 @@ func BenchmarkParallelIngest(b *testing.B) {
 	}
 }
 
-// BenchmarkAddBatch measures the batched ingest paths; one iteration is one
-// 256-tuple batch.
-func BenchmarkAddBatch(b *testing.B) {
+// BenchmarkAddHashedPairs measures the batched ingest contract the way a
+// planner drives it — hash each key once, then AddHashedPairs; one iteration
+// is one 256-tuple batch.
+func BenchmarkAddHashedPairs(b *testing.B) {
 	pairs := benchPairs()
 	cond := benchConditions()
 	const batch = 256
-
-	nextBatch := func(i int) []implicate.Pair {
-		off := (i * batch) % (len(pairs) - batch)
-		return pairs[off : off+batch]
-	}
-	b.Run("sketch", func(b *testing.B) {
-		sk, _ := implicate.NewSketch(cond, implicate.Options{Seed: 1})
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sk.AddBatch(nextBatch(i))
-		}
-		reportTuplesPerSec(b, int64(b.N)*batch)
-	})
-	b.Run("sketch-prehashed", func(b *testing.B) {
-		sk, _ := implicate.NewSketch(cond, implicate.Options{Seed: 1})
-		hashed := make([]implicate.HashedPair, len(pairs))
-		for i, p := range pairs {
-			hashed[i] = sk.HashPair(p.A, p.B)
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			off := (i * batch) % (len(hashed) - batch)
-			sk.AddHashedBatch(hashed[off : off+batch])
-		}
-		reportTuplesPerSec(b, int64(b.N)*batch)
-	})
-	b.Run("mutex", func(b *testing.B) {
-		sk, _ := implicate.NewSketch(cond, implicate.Options{Seed: 1})
-		sync := implicate.Synchronized(sk)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sync.AddBatch(nextBatch(i))
-		}
-		reportTuplesPerSec(b, int64(b.N)*batch)
-	})
 	for _, n := range []int{1, 4} {
 		b.Run(fmt.Sprintf("sharded-%d", n), func(b *testing.B) {
 			ss, err := implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, n)
@@ -348,7 +311,12 @@ func BenchmarkAddBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				ss.AddBatch(nextBatch(i))
+				off := (i * batch) % (len(pairs) - batch)
+				part := pairs[off : off+batch]
+				for j := range part {
+					part[j].AH, part[j].BH = ss.HashPairKeys(part[j].A, part[j].B)
+				}
+				ss.AddHashedPairs(part)
 			}
 			reportTuplesPerSec(b, int64(b.N)*batch)
 		})

@@ -18,7 +18,6 @@ type config struct {
 	runs       int
 	seed       int64
 	cards      string
-	parallel   int
 	jsonOut    string
 	workers    string
 	procs      string
@@ -34,15 +33,14 @@ func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("impbench", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.exp, "exp", "all",
-		"experiment: fig4, fig5, fig6, fig7a, fig7b, table3, table4, table5, ablations, ingest, serve, obs, all")
+		"experiment: fig4, fig5, fig6, fig7a, fig7b, table3, table4, table5, ablations, serve, obs, all")
 	fs.BoolVar(&cfg.paper, "paper", false, "use the paper's full-scale configuration")
 	fs.IntVar(&cfg.runs, "runs", 0, "override repetitions per point")
 	fs.Int64Var(&cfg.seed, "seed", 1, "experiment seed")
 	fs.StringVar(&cfg.cards, "cards", "", "override the Dataset One |A| sweep (comma-separated)")
-	fs.IntVar(&cfg.parallel, "parallel", 0, "ingest producers (default GOMAXPROCS)")
-	fs.StringVar(&cfg.jsonOut, "json", "", "also write the ingest/serve rows as JSON to this file (last selected experiment wins)")
+	fs.StringVar(&cfg.jsonOut, "json", "", "also write the serve/obs rows as JSON to this file (last selected experiment wins)")
 	fs.StringVar(&cfg.workers, "workers", "", "override the serve experiment's pool-size sweep (comma-separated)")
-	fs.StringVar(&cfg.procs, "procs", "", "GOMAXPROCS sweep for ingest/serve/obs (comma-separated; default: current setting)")
+	fs.StringVar(&cfg.procs, "procs", "", "GOMAXPROCS sweep for serve/obs (comma-separated; default: current setting)")
 	fs.StringVar(&cfg.transports, "transports", "", "serve experiment transports (comma-separated from tcp,udp; default both)")
 	fs.IntVar(&cfg.window, "window", 0, "serve experiment per-producer pipelining window in batches (default 16)")
 	fs.IntVar(&cfg.leaves, "leaves", 0, "serve/obs fleet mode: a coordinator fronting N leaf servers (serve: replaces the transport sweep; obs: adds fleet rows after the single-server pair); 0: single server")
@@ -231,44 +229,10 @@ func run(cfg *config, w io.Writer) error {
 		}
 	}
 
-	if want("ingest") {
-		ran = true
-		icfg := experiments.IngestConfig{
-			Tuples:    500_000,
-			Producers: cfg.parallel,
-			Procs:     procs,
-			Seed:      cfg.seed,
-		}
-		if cfg.paper {
-			icfg.Tuples = 5_000_000
-		}
-		start := time.Now()
-		rows, err := experiments.RunIngest(icfg)
-		if err != nil {
-			return err
-		}
-		experiments.PrintIngest(w, icfg, rows)
-		fmt.Fprintf(w, "(%v)\n\n", time.Since(start).Round(time.Millisecond))
-		if cfg.jsonOut != "" {
-			f, err := os.Create(cfg.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteIngestJSON(f, icfg, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-
 	if want("serve") {
 		ran = true
 		scfg := experiments.ServeConfig{
 			Seed:           cfg.seed,
-			Producers:      cfg.parallel,
 			Procs:          procs,
 			Window:         cfg.window,
 			Leaves:         cfg.leaves,
@@ -324,7 +288,7 @@ func run(cfg *config, w io.Writer) error {
 
 	if want("obs") {
 		ran = true
-		ocfg := experiments.ObsConfig{Seed: cfg.seed, Producers: cfg.parallel, Procs: procs, Leaves: cfg.leaves}
+		ocfg := experiments.ObsConfig{Seed: cfg.seed, Procs: procs, Leaves: cfg.leaves}
 		if cfg.paper {
 			ocfg.Tuples = 2_000_000
 		}

@@ -1,9 +1,6 @@
 package main
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 )
@@ -50,44 +47,6 @@ func TestRunSmallFigure(t *testing.T) {
 	}
 	if !strings.Contains(out.String(), "Table 4") || !strings.Contains(out.String(), "(paper)") {
 		t.Fatalf("output malformed:\n%s", out.String())
-	}
-}
-
-func TestRunIngest(t *testing.T) {
-	if testing.Short() {
-		t.Skip("experiment run too slow for -short")
-	}
-	jsonPath := filepath.Join(t.TempDir(), "ingest.json")
-	var out strings.Builder
-	if err := run(&config{exp: "ingest", seed: 1, parallel: 2, jsonOut: jsonPath}, &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"Ingestion throughput", "serial", "mutex", "sharded-4"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("output missing %q", want)
-		}
-	}
-	data, err := os.ReadFile(jsonPath)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var report struct {
-		Producers int `json:"producers"`
-		Rows      []struct {
-			Variant      string  `json:"variant"`
-			TuplesPerSec float64 `json:"tuples_per_sec"`
-		} `json:"rows"`
-	}
-	if err := json.Unmarshal(data, &report); err != nil {
-		t.Fatal(err)
-	}
-	if report.Producers != 2 || len(report.Rows) < 6 {
-		t.Fatalf("json report = %+v", report)
-	}
-	for _, r := range report.Rows {
-		if r.TuplesPerSec <= 0 {
-			t.Errorf("variant %s reported %g tuples/s", r.Variant, r.TuplesPerSec)
-		}
 	}
 }
 

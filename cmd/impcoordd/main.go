@@ -1,5 +1,5 @@
 // Command impcoordd coordinates a fleet of impserved leaves: the managed
-// form of the paper's §2 aggregation tree (DESIGN.md §13). It speaks the
+// form of the paper's §2 aggregation tree (DESIGN.md §12). It speaks the
 // same wire protocol an impserved leaf does, so producers and queriers
 // need no fleet awareness — IngestBatch frames are routed to exactly one
 // leaf through a stable partition table, Query and Snapshot answer from

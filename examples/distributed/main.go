@@ -1,5 +1,5 @@
 // Distributed runs the sensor-network aggregation setting of §2 over a real
-// network, managed by the coordinator subsystem (DESIGN.md §13): eight leaf
+// network, managed by the coordinator subsystem (DESIGN.md §12): eight leaf
 // nodes are impserved instances on loopback TCP, fronted by a Coordinator
 // that consistent-hash-routes every tuple to exactly one leaf, journals and
 // delivers batches in order, and answers the global implication query by

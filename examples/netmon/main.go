@@ -65,14 +65,14 @@ func main() {
 
 	fmt.Println("netmon: windowed count of sources hammering ≤3 destinations (≥15 pkts/window)")
 	alerted := false
-	capture := make([]implicate.Pair, 0, tuples)
+	capture := make([]implicate.HashedPair, 0, tuples)
 	for g.Tuples() < tuples {
 		t, err := g.Next()
 		if err != nil {
 			log.Fatal(err)
 		}
 		a, b := src.Key(t), dst.Key(t)
-		capture = append(capture, implicate.Pair{A: a, B: b})
+		capture = append(capture, implicate.HashedPair{A: a, B: b})
 		sliding.Add(a, b)
 		if g.Tuples()%25_000 == 0 {
 			hot := sliding.ImplicationCount()
@@ -92,10 +92,10 @@ func main() {
 		flashStart, sliding.MemEntries(), sliding.Estimators())
 
 	// Forensic pass: after the trigger, re-analyze the attack segment of the
-	// recorded capture on all cores at once. Producers split the segment and
-	// feed one ShardedSketch in batches; each batch touches each shard's lock
-	// at most once, so the pass scales with GOMAXPROCS instead of serializing
-	// on a single sketch mutex.
+	// recorded capture on all cores at once. Producers split the segment,
+	// hash their own tuples outside any lock, and feed one ShardedSketch in
+	// batches; each batch touches each shard's lock at most once, so the pass
+	// scales with GOMAXPROCS instead of serializing on a single sketch mutex.
 	workers := runtime.GOMAXPROCS(0)
 	ss, err := implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, 0)
 	if err != nil {
@@ -112,11 +112,14 @@ func main() {
 			end = len(segment)
 		}
 		wg.Add(1)
-		go func(part []implicate.Pair) {
+		go func(part []implicate.HashedPair) {
 			defer wg.Done()
 			for len(part) > 0 {
 				n := min(batch, len(part))
-				ss.AddBatch(part[:n])
+				for i := range part[:n] {
+					part[i].AH, part[i].BH = ss.HashPairKeys(part[i].A, part[i].B)
+				}
+				ss.AddHashedPairs(part[:n])
 				part = part[n:]
 			}
 		}(segment[off:end])

@@ -43,11 +43,14 @@ func startFake(t *testing.T, handle func(f proto.Frame) proto.Frame) *fakeServer
 				defer fs.wg.Done()
 				defer c.Close()
 				var wmu sync.Mutex
+				fr := proto.NewFrameReader(c)
 				for {
-					f, err := proto.ReadFrame(c)
+					f, err := fr.Next()
 					if err != nil {
 						return
 					}
+					// Handlers run on their own goroutines, past the next read.
+					f.Payload = append([]byte(nil), f.Payload...)
 					if f.Type == proto.TBoot {
 						// The dial handshake; scripted handlers only see the
 						// RPCs under test.
@@ -242,8 +245,9 @@ func TestQueryRedialsDeadConnection(t *testing.T) {
 			mu.Unlock()
 			go func() {
 				defer c.Close()
+				fr := proto.NewFrameReader(c)
 				for {
-					f, err := proto.ReadFrame(c)
+					f, err := fr.Next()
 					if err != nil {
 						return
 					}
@@ -335,8 +339,9 @@ func TestFencedCallsRefuseNewIncarnation(t *testing.T) {
 			mu.Unlock()
 			go func() {
 				defer c.Close()
+				fr := proto.NewFrameReader(c)
 				for {
-					f, err := proto.ReadFrame(c)
+					f, err := fr.Next()
 					if err != nil {
 						return
 					}

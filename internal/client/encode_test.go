@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"implicate/internal/proto"
+	"implicate/internal/raceflag"
 	"implicate/internal/stream"
 )
 
@@ -90,7 +91,7 @@ func benchTuples(n int) []stream.Tuple {
 // TestEncodeBatchAllocs pins the encoder at one exactly-sized buffer per
 // call (two allowed), at the small-frame and the large-frame batch size.
 func TestEncodeBatchAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
 	}
 	schema := testSchema(t)

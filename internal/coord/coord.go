@@ -1,5 +1,5 @@
 // Package coord is the fleet coordinator: the managed form of the paper's
-// §2 two-level aggregation tree (DESIGN.md §13). A Coordinator fronts N
+// §2 two-level aggregation tree (DESIGN.md §12). A Coordinator fronts N
 // impserved leaves, routes every ingested tuple to exactly one leaf through
 // an immutable partition table (route.go), journals and delivers batches in
 // order per leaf (leaf.go), tracks liveness with health probes, recovers a
@@ -57,9 +57,9 @@ type Config struct {
 	// VirtualPartitions sizes the route table; a power of two >= the fleet
 	// size. Default 64.
 	VirtualPartitions int
-	// Partitioner overrides the key→partition mapping; any
-	// imps.PartitionedAdder satisfies it. Nil selects the fixed-seed xhash
-	// router, which every identically-configured coordinator shares.
+	// Partitioner overrides the key→partition mapping. Nil selects the
+	// fixed-seed xhash router, which every identically-configured
+	// coordinator shares.
 	Partitioner Partitioner
 	// FlushTuples is the per-leaf batch size: routed tuples are staged
 	// until a leaf's buffer holds this many, then journaled and delivered

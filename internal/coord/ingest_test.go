@@ -12,6 +12,7 @@ import (
 
 	"implicate/internal/client"
 	"implicate/internal/proto"
+	"implicate/internal/raceflag"
 	"implicate/internal/stream"
 	"implicate/internal/xhash"
 )
@@ -451,7 +452,7 @@ func TestBlockedIngestWakes(t *testing.T) {
 // entry copies (one per FlushTuples routed), the ack payload and amortized
 // journal-slice growth; a per-tuple allocation overshoots it a hundredfold.
 func TestFrontendIngestAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
 	}
 	schema := fleetSchema(t)

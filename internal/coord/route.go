@@ -1,14 +1,14 @@
-// Partition routing for the coordinator (DESIGN.md §13): tuple → route key
+// Partition routing for the coordinator (DESIGN.md §12): tuple → route key
 // → virtual partition → leaf.
 //
 // The route key is the template statement's A-projection (A attributes plus
 // GROUP BY, the same key its estimators hash), so all tuples of one itemset
 // land on one leaf and every leaf's sketch sees a disjoint key population.
-// Keys map to a fixed power-of-two number of virtual partitions through the
-// imps.PartitionedAdder IngestPartition contract — the same stable
-// key→partition mapping the in-process pipeline plans with — and virtual
-// partitions map to leaves by rendezvous hashing over the stable leaf
-// names, so growing the fleet moves only the partitions the new leaf wins.
+// Keys map to a fixed power-of-two number of virtual partitions through a
+// Partitioner — a stable key→partition function, like the one the
+// in-process pipeline plans with — and virtual partitions map to leaves by
+// rendezvous hashing over the stable leaf names, so growing the fleet moves
+// only the partitions the new leaf wins.
 //
 // The table is immutable after construction, and deliberately blind to
 // liveness: a dead leaf keeps its partitions, and its traffic queues in its
@@ -26,10 +26,11 @@ import (
 )
 
 // Partitioner maps an encoded route key to one of n partitions, n a power
-// of two >= 1, with the imps.PartitionedAdder IngestPartition contract:
-// every key maps to exactly one partition for a given n. Any
-// imps.PartitionedAdder satisfies it; the default is an xhash router with a
-// fixed seed, so two coordinators configured alike route alike.
+// of two >= 1: every key maps to exactly one partition for a given n, and
+// the mapping is a pure function of the key. The router works on the raw
+// wire bytes, so the key is a byte slice it may reuse after the call. The
+// default is an xhash router with a fixed seed, so two coordinators
+// configured alike route alike.
 type Partitioner interface {
 	IngestPartition(a []byte, n int) int
 }

@@ -20,8 +20,8 @@ import (
 // path: shard s owns the bitmaps whose index is congruent to s modulo n, and
 // a tuple's shard is a mask of its hash. Each shard guards its sub-sketch
 // with its own mutex; concurrent producers contend only when their tuples
-// hash to the same shard, and the batched Add paths take each shard lock
-// once per batch rather than once per tuple.
+// hash to the same shard, and AddHashedPairs takes each shard lock once per
+// batch rather than once per tuple.
 //
 // A ShardedSketch is numerically identical to a single Sketch built with the
 // same conditions, options and seed: routing, ranks and per-bitmap cell
@@ -130,12 +130,6 @@ func (ss *ShardedSketch) Add(a, b string) {
 	ss.AddHashed(ss.ahash.Sum(a), ss.bhash.Sum(b))
 }
 
-// AddBytes observes a tuple whose itemsets are encoded as byte slices,
-// avoiding the string conversion allocations of Add.
-func (ss *ShardedSketch) AddBytes(a, b []byte) {
-	ss.AddHashed(ss.ahash.SumBytes(a), ss.bhash.SumBytes(b))
-}
-
 // AddIDs observes a tuple whose itemsets are identified by integers, the
 // fast path for synthetic workloads.
 func (ss *ShardedSketch) AddIDs(a, b uint64) {
@@ -155,67 +149,17 @@ func (ss *ShardedSketch) AddHashed(ah, bh uint64) {
 	sh.mu.Unlock()
 }
 
-// AddHashedBatch observes a batch of pre-hashed tuples, taking each shard
-// lock at most once for the whole batch. This is the preferred high-volume
-// ingest path: the per-tuple cost is a hash mask and Algorithm 1 itself,
-// with lock traffic amortized across the batch.
-func (ss *ShardedSketch) AddHashedBatch(batch []HashedPair) {
-	if len(ss.shards) == 1 {
-		sh := &ss.shards[0]
-		sh.mu.Lock()
-		sh.sk.AddHashedBatch(batch)
-		sh.mu.Unlock()
-		return
-	}
-	for si := range ss.shards {
-		sh := &ss.shards[si]
-		locked := false
-		for i := range batch {
-			if int(batch[i].AH&ss.shardMask) != si {
-				continue
-			}
-			if !locked {
-				sh.mu.Lock()
-				locked = true
-			}
-			bm, rank := ss.router.Route(batch[i].AH)
-			if rank >= Levels {
-				rank = Levels - 1
-			}
-			sh.sk.addRouted(bm>>ss.shardShift, rank, batch[i].AH, batch[i].BH)
-		}
-		if locked {
-			sh.mu.Unlock()
-		}
-	}
+// HashPairKeys implements imps.HashedPartitionedAdder: the planner computes
+// this sketch's own seeded hashes once and forwards them through the plan
+// IR, so the ingest path never re-hashes a key. Producer goroutines can hash
+// their tuples without any lock.
+func (ss *ShardedSketch) HashPairKeys(a, b string) (ah, bh uint64) {
+	return ss.ahash.Sum(a), ss.bhash.Sum(b)
 }
 
-// batchChunk is the number of tuples hashed onto the stack at a time by the
-// string-keyed batch path; it bounds per-call stack use at 2 KiB while
-// amortizing shard lock traffic ~64×.
-const batchChunk = 128
-
-// AddBatch observes a batch of encoded itemset pairs. Keys are hashed into a
-// stack-resident chunk and handed to AddHashedBatch, so the path allocates
-// nothing regardless of batch size.
-func (ss *ShardedSketch) AddBatch(pairs []imps.Pair) {
-	var chunk [batchChunk]HashedPair
-	for len(pairs) > 0 {
-		n := len(pairs)
-		if n > batchChunk {
-			n = batchChunk
-		}
-		for i := 0; i < n; i++ {
-			chunk[i] = HashedPair{AH: ss.ahash.Sum(pairs[i].A), BH: ss.bhash.Sum(pairs[i].B)}
-		}
-		ss.AddHashedBatch(chunk[:n])
-		pairs = pairs[n:]
-	}
-}
-
-// IngestPartition implements imps.PartitionedAdder: it maps an encoded
-// A-itemset key to the ingest partition that must observe it when the
-// caller splits a batch across n concurrent workers.
+// IngestPartitionHashed maps a pre-hashed A key to the ingest partition that
+// must observe it when the caller splits a batch across n concurrent
+// workers.
 //
 // The partition is the low bits of the A-hash — the same bits the
 // stochastic-averaging router uses to pick the tuple's bitmap and this
@@ -232,39 +176,6 @@ func (ss *ShardedSketch) AddBatch(pairs []imps.Pair) {
 // The partition of a key does not depend on the worker count beyond the
 // clamp: partition p under 2n splits into {p, p+n} under n's refinement,
 // so any power-of-two pool size yields the same per-shard order.
-func (ss *ShardedSketch) IngestPartition(a []byte, n int) int {
-	if n > len(ss.shards) {
-		n = len(ss.shards)
-	}
-	return int(ss.ahash.SumBytes(a) & uint64(n-1))
-}
-
-// IngestPartitionString implements imps.StringPartitioner; see
-// IngestPartition.
-func (ss *ShardedSketch) IngestPartitionString(a string, n int) int {
-	if n > len(ss.shards) {
-		n = len(ss.shards)
-	}
-	return int(ss.ahash.Sum(a) & uint64(n-1))
-}
-
-// HashPair pre-hashes one encoded itemset pair for AddHashedBatch. Producer
-// goroutines can hash their tuples without any lock and hand the sketch
-// ready-routed batches.
-func (ss *ShardedSketch) HashPair(a, b string) HashedPair {
-	return HashedPair{AH: ss.ahash.Sum(a), BH: ss.bhash.Sum(b)}
-}
-
-// HashPairKeys implements imps.HashedPartitionedAdder: the planner computes
-// this sketch's own seeded hashes once and forwards them through the plan
-// IR, so the ingest path never re-hashes a key.
-func (ss *ShardedSketch) HashPairKeys(a, b string) (ah, bh uint64) {
-	return ss.ahash.Sum(a), ss.bhash.Sum(b)
-}
-
-// IngestPartitionHashed routes a pre-hashed A key; it must agree with
-// IngestPartitionString for hashes produced by HashPairKeys, which it does
-// trivially — both mask the same ahash.Sum value.
 func (ss *ShardedSketch) IngestPartitionHashed(ah uint64, n int) int {
 	if n > len(ss.shards) {
 		n = len(ss.shards)
@@ -272,24 +183,12 @@ func (ss *ShardedSketch) IngestPartitionHashed(ah uint64, n int) int {
 	return int(ah & uint64(n-1))
 }
 
-// AddHashedPairs ingests plan-IR pairs whose hashes came from HashPairKeys.
-// It is AddHashedBatch over the embedded hashes — the keys ride along for
-// exact backends and are ignored here — so bit-identity to AddBatch of the
-// same pairs follows from both paths calling the same seeded hash functions.
+// AddHashedPairs ingests plan-IR pairs whose hashes came from HashPairKeys,
+// taking each shard lock at most once for the whole slice: the per-tuple
+// cost is a hash mask and Algorithm 1 itself. The keys ride along for exact
+// backends and are ignored here; bit-identity to per-pair Add follows from
+// both paths using the same seeded hash functions.
 func (ss *ShardedSketch) AddHashedPairs(pairs []imps.HashedPair) {
-	if len(ss.shards) == 1 {
-		sh := &ss.shards[0]
-		sh.mu.Lock()
-		for i := range pairs {
-			bm, rank := ss.router.Route(pairs[i].AH)
-			if rank >= Levels {
-				rank = Levels - 1
-			}
-			sh.sk.addRouted(bm>>ss.shardShift, rank, pairs[i].AH, pairs[i].BH)
-		}
-		sh.mu.Unlock()
-		return
-	}
 	for si := range ss.shards {
 		sh := &ss.shards[si]
 		locked := false
@@ -311,11 +210,6 @@ func (ss *ShardedSketch) AddHashedPairs(pairs []imps.HashedPair) {
 			sh.mu.Unlock()
 		}
 	}
-}
-
-// HashIDs pre-hashes one integer-identified tuple for AddHashedBatch.
-func (ss *ShardedSketch) HashIDs(a, b uint64) HashedPair {
-	return HashedPair{AH: ss.ahash.SumUint64(a), BH: ss.bhash.SumUint64(b)}
 }
 
 // Flush is the read barrier for externally buffered producers: it acquires
@@ -494,5 +388,4 @@ func (ss *ShardedSketch) Reset() {
 
 var _ imps.Estimator = (*ShardedSketch)(nil)
 var _ imps.MultiplicityAverager = (*ShardedSketch)(nil)
-var _ imps.PartitionedAdder = (*ShardedSketch)(nil)
 var _ imps.HashedPartitionedAdder = (*ShardedSketch)(nil)

@@ -12,23 +12,23 @@ import (
 // shardWorkload builds a deterministic stream mixing implicating itemsets,
 // multiplicity violators, and under-supported background noise, with enough
 // volume to exercise fringe floats, tombstones and overflows.
-func shardWorkload(seed int64, n int) []imps.Pair {
+func shardWorkload(seed int64, n int) []imps.HashedPair {
 	rng := rand.New(rand.NewSource(seed))
-	var tuples []imps.Pair
+	var tuples []imps.HashedPair
 	for i := 0; i < n/10; i++ {
 		a := fmt.Sprintf("imp-%d", i)
 		for s := 0; s < 5; s++ {
-			tuples = append(tuples, imps.Pair{A: a, B: fmt.Sprintf("p-%d", i%7)})
+			tuples = append(tuples, imps.HashedPair{A: a, B: fmt.Sprintf("p-%d", i%7)})
 		}
 	}
 	for i := 0; i < n/20; i++ {
 		a := fmt.Sprintf("non-%d", i)
 		for s := 0; s < 8; s++ {
-			tuples = append(tuples, imps.Pair{A: a, B: fmt.Sprintf("nb-%d-%d", i, s)})
+			tuples = append(tuples, imps.HashedPair{A: a, B: fmt.Sprintf("nb-%d-%d", i, s)})
 		}
 	}
 	for len(tuples) < n {
-		tuples = append(tuples, imps.Pair{A: fmt.Sprintf("bg-%d", rng.Intn(n)), B: fmt.Sprintf("bp-%d", rng.Intn(64))})
+		tuples = append(tuples, imps.HashedPair{A: fmt.Sprintf("bg-%d", rng.Intn(n)), B: fmt.Sprintf("bp-%d", rng.Intn(64))})
 	}
 	rng.Shuffle(len(tuples), func(i, j int) { tuples[i], tuples[j] = tuples[j], tuples[i] })
 	return tuples[:n]
@@ -102,7 +102,7 @@ func TestShardedDeterminism(t *testing.T) {
 	base := shardWorkload(1, 30_000)
 
 	for perm := 0; perm < 3; perm++ {
-		tuples := append([]imps.Pair(nil), base...)
+		tuples := append([]imps.HashedPair(nil), base...)
 		rand.New(rand.NewSource(int64(perm))).Shuffle(len(tuples), func(i, j int) {
 			tuples[i], tuples[j] = tuples[j], tuples[i]
 		})
@@ -131,9 +131,19 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedBatchPathsMatch verifies every ingest path (Add, AddBytes,
-// AddIDs equivalents aside, AddBatch, AddHashedBatch with pre-hashed pairs)
-// lands on the same estimates.
+// hashPairs fills every pair's hashes with the sketch's own functions, as a
+// planner would.
+func hashPairs(ss *ShardedSketch, pairs []imps.HashedPair) []imps.HashedPair {
+	out := append([]imps.HashedPair(nil), pairs...)
+	for i := range out {
+		out[i].AH, out[i].BH = ss.HashPairKeys(out[i].A, out[i].B)
+	}
+	return out
+}
+
+// TestShardedBatchPathsMatch verifies every ingest path (Add, AddHashed,
+// AddHashedPairs over planner-hashed pairs at two batch sizes) lands on the
+// same estimates.
 func TestShardedBatchPathsMatch(t *testing.T) {
 	cond := testConditions()
 	opts := Options{Seed: 7}
@@ -147,61 +157,38 @@ func TestShardedBatchPathsMatch(t *testing.T) {
 		ref.Add(p.A, p.B)
 	}
 	want := estimatesOfSharded(ref)
+	hashed := hashPairs(ref, tuples)
 
-	byBytes, _ := NewShardedSketch(cond, opts, 4)
-	for _, p := range tuples {
-		byBytes.AddBytes([]byte(p.A), []byte(p.B))
+	byHash, _ := NewShardedSketch(cond, opts, 4)
+	for _, p := range hashed {
+		byHash.AddHashed(p.AH, p.BH)
 	}
-	if got := estimatesOfSharded(byBytes); got != want {
-		t.Errorf("AddBytes diverges:\n got %+v\nwant %+v", got, want)
+	if got := estimatesOfSharded(byHash); got != want {
+		t.Errorf("AddHashed diverges:\n got %+v\nwant %+v", got, want)
 	}
 
-	byBatch, _ := NewShardedSketch(cond, opts, 4)
-	for off := 0; off < len(tuples); off += 300 {
-		end := off + 300
-		if end > len(tuples) {
-			end = len(tuples)
+	for _, size := range []int{64, 300} {
+		byPairs, _ := NewShardedSketch(cond, opts, 4)
+		for off := 0; off < len(hashed); off += size {
+			byPairs.AddHashedPairs(hashed[off:min(off+size, len(hashed))])
 		}
-		byBatch.AddBatch(tuples[off:end])
-	}
-	if got := estimatesOfSharded(byBatch); got != want {
-		t.Errorf("AddBatch diverges:\n got %+v\nwant %+v", got, want)
-	}
-
-	byHashed, _ := NewShardedSketch(cond, opts, 4)
-	hashed := make([]HashedPair, len(tuples))
-	for i, p := range tuples {
-		hashed[i] = byHashed.HashPair(p.A, p.B)
-	}
-	for off := 0; off < len(hashed); off += 64 {
-		end := off + 64
-		if end > len(hashed) {
-			end = len(hashed)
+		if got := estimatesOfSharded(byPairs); got != want {
+			t.Errorf("AddHashedPairs in batches of %d diverges:\n got %+v\nwant %+v", size, got, want)
 		}
-		byHashed.AddHashedBatch(hashed[off:end])
-	}
-	if got := estimatesOfSharded(byHashed); got != want {
-		t.Errorf("AddHashedBatch diverges:\n got %+v\nwant %+v", got, want)
 	}
 
-	// Batch paths on the plain Sketch agree with its per-tuple path too.
+	// The plain Sketch hashes with the same seeded functions: forwarding the
+	// sharded sketch's hashes to it equals its own per-tuple path.
 	single := MustSketch(cond, opts)
 	for _, p := range tuples {
 		single.Add(p.A, p.B)
 	}
-	batched := MustSketch(cond, opts)
-	batched.AddBatch(tuples)
-	if a, b := estimatesOfSketch(single), estimatesOfSketch(batched); a != b {
-		t.Errorf("Sketch.AddBatch diverges:\n got %+v\nwant %+v", b, a)
-	}
 	prehashed := MustSketch(cond, opts)
-	hp := make([]HashedPair, len(tuples))
-	for i, p := range tuples {
-		hp[i] = prehashed.HashPair(p.A, p.B)
+	for _, p := range hashed {
+		prehashed.AddHashed(p.AH, p.BH)
 	}
-	prehashed.AddHashedBatch(hp)
 	if a, b := estimatesOfSketch(single), estimatesOfSketch(prehashed); a != b {
-		t.Errorf("Sketch.AddHashedBatch diverges:\n got %+v\nwant %+v", b, a)
+		t.Errorf("Sketch.AddHashed diverges:\n got %+v\nwant %+v", b, a)
 	}
 }
 
@@ -267,7 +254,7 @@ func TestShardedConcurrentStress(t *testing.T) {
 	per := len(tuples) / producers
 	for g := 0; g < producers; g++ {
 		wg.Add(1)
-		go func(part []imps.Pair, mode int) {
+		go func(part []imps.HashedPair, mode int) {
 			defer wg.Done()
 			switch mode % 3 {
 			case 0:
@@ -275,19 +262,12 @@ func TestShardedConcurrentStress(t *testing.T) {
 					ss.Add(p.A, p.B)
 				}
 			case 1:
-				for off := 0; off < len(part); off += 97 {
-					end := off + 97
-					if end > len(part) {
-						end = len(part)
-					}
-					ss.AddBatch(part[off:end])
+				hashed := hashPairs(ss, part)
+				for off := 0; off < len(hashed); off += 97 {
+					ss.AddHashedPairs(hashed[off:min(off+97, len(hashed))])
 				}
 			default:
-				hashed := make([]HashedPair, len(part))
-				for i, p := range part {
-					hashed[i] = ss.HashPair(p.A, p.B)
-				}
-				ss.AddHashedBatch(hashed)
+				ss.AddHashedPairs(hashPairs(ss, part))
 			}
 		}(tuples[g*per:(g+1)*per], g)
 	}

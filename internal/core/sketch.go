@@ -149,13 +149,6 @@ func (s *Sketch) AddIDs(a, b uint64) {
 	s.AddHashed(s.ahash.SumUint64(a), s.bhash.SumUint64(b))
 }
 
-// AddBytes observes a tuple whose itemsets are encoded as byte slices; it is
-// equivalent to Add(string(a), string(b)) without the conversion
-// allocations, the right entry point for decode loops that reuse buffers.
-func (s *Sketch) AddBytes(a, b []byte) {
-	s.AddHashed(s.ahash.SumBytes(a), s.bhash.SumBytes(b))
-}
-
 // AddHashed observes a tuple by the 64-bit hashes of its itemsets. Itemsets
 // are identified by their full hash value from here on; a collision merges
 // two itemsets, which perturbs counts with probability ~n²/2^64 — far below
@@ -167,44 +160,6 @@ func (s *Sketch) AddHashed(ah, bh uint64) {
 		rank = Levels - 1
 	}
 	s.add(&s.bms[bm], rank, ah, bh)
-}
-
-// HashedPair is one pre-hashed tuple: the 64-bit itemset hashes an Add path
-// would have computed. Batches of them amortize per-call overhead on the
-// ingest hot path and are the unit the sharded router distributes.
-type HashedPair struct {
-	AH, BH uint64
-}
-
-// AddHashedBatch observes a batch of pre-hashed tuples. It is equivalent to
-// calling AddHashed for each element, amortizing the per-call overhead.
-func (s *Sketch) AddHashedBatch(batch []HashedPair) {
-	s.tuples += int64(len(batch))
-	for i := range batch {
-		bm, rank := s.router.Route(batch[i].AH)
-		if rank >= Levels {
-			rank = Levels - 1
-		}
-		s.add(&s.bms[bm], rank, batch[i].AH, batch[i].BH)
-	}
-}
-
-// AddBatch observes a batch of encoded itemset pairs in order; it is the
-// imps.BatchAdder path, equivalent to calling Add for each pair.
-func (s *Sketch) AddBatch(pairs []imps.Pair) {
-	for i := range pairs {
-		s.AddHashed(s.ahash.Sum(pairs[i].A), s.bhash.Sum(pairs[i].B))
-	}
-}
-
-// HashPair pre-hashes one encoded itemset pair for AddHashedBatch.
-func (s *Sketch) HashPair(a, b string) HashedPair {
-	return HashedPair{AH: s.ahash.Sum(a), BH: s.bhash.Sum(b)}
-}
-
-// HashIDs pre-hashes one integer-identified tuple for AddHashedBatch.
-func (s *Sketch) HashIDs(a, b uint64) HashedPair {
-	return HashedPair{AH: s.ahash.SumUint64(a), BH: s.bhash.SumUint64(b)}
 }
 
 // addRouted ingests one tuple the caller has already routed: localBM indexes

@@ -18,6 +18,7 @@ package dsample
 
 import (
 	"fmt"
+	"strings"
 
 	"implicate/internal/imps"
 	"implicate/internal/xhash"
@@ -94,7 +95,8 @@ func (s *Sketch) Add(a, b string) {
 	v := s.sample[a]
 	if v == nil {
 		v = &val{rank: rank, perB: make(map[string]int64, 1)}
-		s.sample[a] = v
+		// Retained keys are copied: a and b may alias a whole batch buffer.
+		s.sample[strings.Clone(a)] = v
 		s.entries++
 	}
 	v.supp++
@@ -106,7 +108,7 @@ func (s *Sketch) Add(a, b string) {
 			// for this value is frozen.
 			v.capped = true
 		} else {
-			v.perB[b] = 1
+			v.perB[strings.Clone(b)] = 1
 			s.entries++
 		}
 	}

@@ -13,7 +13,7 @@ import (
 
 // stripedSeed fixes the stripe router's hash. The seed never influences an
 // answer (stripes partition the key space, every read sums all stripes), so
-// a constant keeps key→stripe routing — and therefore IngestPartition —
+// a constant keeps key→stripe routing — and therefore IngestPartitionHashed —
 // stable across restarts and restores.
 const stripedSeed = 0x5ca1ab1e0ddba11
 
@@ -23,9 +23,9 @@ const stripedSeed = 0x5ca1ab1e0ddba11
 // across distinct keys and order-dependent only per key, so any ingestion
 // schedule that preserves per-key Add order leaves state identical to the
 // serial Counter — which is exactly the partition contract of
-// imps.PartitionedAdder. Concurrent producers contend only when their
-// tuples hash to the same stripe, and the batch path takes each stripe
-// lock once per batch.
+// imps.HashedPartitionedAdder. Concurrent producers contend only when their
+// tuples hash to the same stripe, and AddHashedPairs takes each stripe lock
+// once per run of same-stripe pairs.
 //
 // All methods are safe for concurrent use. Reads lock every stripe, so
 // they observe a serializable snapshot spanning all adds that returned
@@ -88,88 +88,31 @@ func (s *Striped) Add(a, b string) {
 	st.mu.Unlock()
 }
 
-// AddBatch observes a batch of encoded itemset pairs, hashing each key
-// once and holding each stripe lock across runs of consecutive same-stripe
-// pairs. Pairs are applied in batch order, which preserves per-key order —
-// all a key's pairs share a stripe — so the result matches the serial
-// Counter. A planned partition bucket (query.Statement.PlanPartitions) is
-// entirely one stripe whenever the partition count is at least the stripe
-// count, both being low bits of the same hash: the common case is one
-// lock acquisition for the whole bucket.
-func (s *Striped) AddBatch(pairs []imps.Pair) {
-	if len(pairs) == 0 {
-		return
-	}
-	if len(s.stripes) == 1 {
-		st := &s.stripes[0]
-		st.mu.Lock()
-		for i := range pairs {
-			st.c.Add(pairs[i].A, pairs[i].B)
-		}
-		st.mu.Unlock()
-		return
-	}
-	cur := -1
-	for i := range pairs {
-		si := int(s.hash.Sum(pairs[i].A) & s.mask)
-		if si != cur {
-			if cur >= 0 {
-				s.stripes[cur].mu.Unlock()
-			}
-			s.stripes[si].mu.Lock()
-			cur = si
-		}
-		s.stripes[si].c.Add(pairs[i].A, pairs[i].B)
-	}
-	s.stripes[cur].mu.Unlock()
-}
-
-// IngestPartition implements imps.PartitionedAdder: the partition is the
-// low bits of the fixed-seed key hash. Exact counting is order-sensitive
-// only per key, and a key's tuples always share a partition, so any
-// schedule preserving per-partition order reproduces the serial state for
-// every power-of-two n — independent of the stripe count, since stripes
-// only guard memory, never ordering.
-func (s *Striped) IngestPartition(a []byte, n int) int {
-	return int(s.hash.SumBytes(a) & uint64(n-1))
-}
-
-// IngestPartitionString implements imps.StringPartitioner; see
-// IngestPartition.
-func (s *Striped) IngestPartitionString(a string, n int) int {
-	return int(s.hash.Sum(a) & uint64(n-1))
-}
-
 // HashPairKeys implements imps.HashedPartitionedAdder. Only the A key is
 // hashed — stripes and partitions both route on it — so bh is 0.
 func (s *Striped) HashPairKeys(a, b string) (ah, bh uint64) {
 	return s.hash.Sum(a), 0
 }
 
-// IngestPartitionHashed routes a pre-hashed A key; identical to
-// IngestPartitionString for hashes from HashPairKeys, both masking the
-// same fixed-seed hash value.
+// IngestPartitionHashed routes a pre-hashed A key: the partition is the low
+// bits of the fixed-seed key hash. Exact counting is order-sensitive only
+// per key, and a key's tuples always share a partition, so any schedule
+// preserving per-partition order reproduces the serial state for every
+// power-of-two n — independent of the stripe count, since stripes only
+// guard memory, never ordering.
 func (s *Striped) IngestPartitionHashed(ah uint64, n int) int {
 	return int(ah & uint64(n-1))
 }
 
 // AddHashedPairs ingests plan-IR pairs whose AH came from HashPairKeys,
-// reusing the forwarded hash for stripe routing instead of re-hashing. The
-// per-stripe Counter indexes by key string, so the apply is byte-identical
-// to AddBatch of the same pairs.
+// routing on the forwarded hash and holding each stripe lock across runs of
+// consecutive same-stripe pairs. Pairs are applied in slice order, which
+// preserves per-key order — all a key's pairs share a stripe — so the
+// result matches the serial Counter. A planned partition bucket is entirely
+// one stripe whenever the partition count is at least the stripe count,
+// both being low bits of the same hash: the common case is one lock
+// acquisition for the whole bucket.
 func (s *Striped) AddHashedPairs(pairs []imps.HashedPair) {
-	if len(pairs) == 0 {
-		return
-	}
-	if len(s.stripes) == 1 {
-		st := &s.stripes[0]
-		st.mu.Lock()
-		for i := range pairs {
-			st.c.Add(pairs[i].A, pairs[i].B)
-		}
-		st.mu.Unlock()
-		return
-	}
 	cur := -1
 	for i := range pairs {
 		si := int(pairs[i].AH & s.mask)
@@ -182,7 +125,9 @@ func (s *Striped) AddHashedPairs(pairs []imps.HashedPair) {
 		}
 		s.stripes[si].c.Add(pairs[i].A, pairs[i].B)
 	}
-	s.stripes[cur].mu.Unlock()
+	if cur >= 0 {
+		s.stripes[cur].mu.Unlock()
+	}
 }
 
 func (s *Striped) lockAll() {
@@ -444,6 +389,4 @@ func (c *Counter) restoreItem(a string, st *state) error {
 
 var _ imps.Estimator = (*Striped)(nil)
 var _ imps.MultiplicityAverager = (*Striped)(nil)
-var _ imps.PartitionedAdder = (*Striped)(nil)
 var _ imps.HashedPartitionedAdder = (*Striped)(nil)
-var _ imps.BatchAdder = (*Striped)(nil)

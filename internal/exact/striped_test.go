@@ -14,14 +14,19 @@ func stripedCond() imps.Conditions {
 }
 
 // stripedWorkload is a small stream with repeated keys, exclusions and
-// re-qualifications, covering every state transition of the counter.
-func stripedWorkload(n int) []imps.Pair {
-	pairs := make([]imps.Pair, n)
+// re-qualifications, covering every state transition of the counter. The
+// pairs carry the planner's hashes: the stripe router's seed is a constant,
+// so any Striped's HashPairKeys serves every other.
+func stripedWorkload(n int) []imps.HashedPair {
+	hasher, err := NewStriped(stripedCond(), 1)
+	if err != nil {
+		panic(err)
+	}
+	pairs := make([]imps.HashedPair, n)
 	for i := 0; i < n; i++ {
-		pairs[i] = imps.Pair{
-			A: fmt.Sprintf("a%d", i%97),
-			B: fmt.Sprintf("b%d", (i*7)%13),
-		}
+		p := &pairs[i]
+		p.A, p.B = fmt.Sprintf("a%d", i%97), fmt.Sprintf("b%d", (i*7)%13)
+		p.AH, p.BH = hasher.HashPairKeys(p.A, p.B)
 	}
 	return pairs
 }
@@ -42,7 +47,7 @@ func TestStripedMatchesCounter(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		s.AddBatch(pairs)
+		s.AddHashedPairs(pairs)
 		if got, want := s.ImplicationCount(), ref.ImplicationCount(); got != want {
 			t.Errorf("stripes=%d ImplicationCount=%v want %v", stripes, got, want)
 		}
@@ -68,7 +73,7 @@ func TestStripedMatchesCounter(t *testing.T) {
 }
 
 // TestStripedConcurrentPartitions splits a stream into partitions with
-// IngestPartition and ingests each from its own goroutine (run with -race).
+// IngestPartitionHashed and ingests each from its own goroutine (run with -race).
 // Per-key order is preserved because a key's tuples share a partition, so
 // the final state must equal the serial run bit for bit.
 func TestStripedConcurrentPartitions(t *testing.T) {
@@ -79,7 +84,7 @@ func TestStripedConcurrentPartitions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ref.AddBatch(pairs)
+	ref.AddHashedPairs(pairs)
 	want, err := ref.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -90,21 +95,21 @@ func TestStripedConcurrentPartitions(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		buckets := make([][]imps.Pair, parts)
+		buckets := make([][]imps.HashedPair, parts)
 		for _, p := range pairs {
-			i := s.IngestPartition([]byte(p.A), parts)
+			i := s.IngestPartitionHashed(p.AH, parts)
 			buckets[i] = append(buckets[i], p)
 		}
 		var wg sync.WaitGroup
 		for _, bucket := range buckets {
 			wg.Add(1)
-			go func(bucket []imps.Pair) {
+			go func(bucket []imps.HashedPair) {
 				defer wg.Done()
 				// Chunked adds interleave stripe lock acquisition across
 				// partitions.
 				for len(bucket) > 0 {
 					n := min(256, len(bucket))
-					s.AddBatch(bucket[:n])
+					s.AddHashedPairs(bucket[:n])
 					bucket = bucket[n:]
 				}
 			}(bucket)
@@ -128,8 +133,8 @@ func TestStripedMarshalRoundTrip(t *testing.T) {
 
 	s2, _ := NewStriped(cond, 2)
 	s8, _ := NewStriped(cond, 8)
-	s2.AddBatch(pairs)
-	s8.AddBatch(pairs)
+	s2.AddHashedPairs(pairs)
+	s8.AddHashedPairs(pairs)
 	b2, err := s2.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)
@@ -165,8 +170,8 @@ func TestStripedMarshalRoundTrip(t *testing.T) {
 
 	// Continued ingestion after restore behaves like the uninterrupted run.
 	more := stripedWorkload(7000)[5000:]
-	restored.AddBatch(more)
-	s2.AddBatch(more)
+	restored.AddHashedPairs(more)
+	s2.AddHashedPairs(more)
 	rb, _ = restored.MarshalBinary()
 	ob, _ := s2.MarshalBinary()
 	if !bytes.Equal(rb, ob) {
@@ -177,7 +182,7 @@ func TestStripedMarshalRoundTrip(t *testing.T) {
 // TestStripedUnmarshalRejectsCorrupt spot-checks the validation paths.
 func TestStripedUnmarshalRejectsCorrupt(t *testing.T) {
 	s, _ := NewStriped(stripedCond(), 2)
-	s.AddBatch(stripedWorkload(100))
+	s.AddHashedPairs(stripedWorkload(100))
 	b, err := s.MarshalBinary()
 	if err != nil {
 		t.Fatal(err)

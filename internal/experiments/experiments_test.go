@@ -252,45 +252,6 @@ func TestRunDatasetOneDeterministic(t *testing.T) {
 	}
 }
 
-// TestRunIngestSmall runs the throughput harness at a tiny scale and checks
-// shape: every variant present, positive throughput, and the serial and
-// batched serial variants agreeing exactly on the implication count (they
-// see the identical per-bitmap order).
-func TestRunIngestSmall(t *testing.T) {
-	cfg := IngestConfig{Tuples: 20_000, Producers: 2, Shards: []int{1, 2}, Batch: 64, Seed: 5}
-	rows, err := RunIngest(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	byVariant := map[string]IngestRow{}
-	for _, r := range rows {
-		if r.TuplesPerSec <= 0 || r.Tuples != cfg.Tuples {
-			t.Errorf("bad row %+v", r)
-		}
-		byVariant[r.Variant] = r
-	}
-	for _, want := range []string{"serial", "serial-batch", "mutex", "mutex-batch", "sharded-1", "sharded-2-batch"} {
-		if _, ok := byVariant[want]; !ok {
-			t.Errorf("missing variant %q", want)
-		}
-	}
-	if a, b := byVariant["serial"].Implications, byVariant["serial-batch"].Implications; a != b {
-		t.Errorf("serial %g vs serial-batch %g implications", a, b)
-	}
-	var out bytes.Buffer
-	PrintIngest(&out, cfg, rows)
-	if !strings.Contains(out.String(), "Ingestion throughput") {
-		t.Fatalf("print output malformed:\n%s", out.String())
-	}
-	out.Reset()
-	if err := WriteIngestJSON(&out, cfg, rows); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(out.String(), "\"tuples_per_sec\"") {
-		t.Fatalf("json output malformed:\n%s", out.String())
-	}
-}
-
 // TestGateServe covers both gate axes — the throughput floor and the
 // allocation ceiling — plus back-compat with baselines written before the
 // allocation metrics existed (zeros there must gate nothing).

@@ -24,7 +24,7 @@ import (
 
 // ServeConfig parametrizes the serving-layer throughput harness: a loopback
 // impserved instance ingesting one synthetic stream over the wire protocol
-// at several pipeline pool sizes, so the worker fan-out (DESIGN.md §10) is
+// at several pipeline pool sizes, so the worker fan-out (DESIGN.md §7) is
 // measured end to end — decode, plan, dispatch, apply, drain.
 type ServeConfig struct {
 	// Tuples is the stream length per variant.

@@ -63,9 +63,30 @@ var ErrClosed = errors.New("imps: estimator is closed")
 // Estimator is the contract shared by all implication-count algorithms.
 // Add feeds one (a, b) itemset pair — one stream tuple projected onto the
 // A and B attribute sets. Counts may be read at any time.
+//
+// # The ingest contract
+//
+// There is one road from a tuple to an estimator: a planner (the query
+// engine's Statement.Plan) filters and projects the tuple into a HashedPair,
+// and an apply step (Statement.Apply) hands buckets of pairs to the
+// estimator. Estimators come in two classes, told apart by whether they
+// implement HashedPartitionedAdder:
+//
+//   - Every Estimator is at least the serialized class: one partition, the
+//     pair's hashes unused, Add(p.A, p.B) per pair under the statement's
+//     exclusive lock, in arrival order.
+//   - A HashedPartitionedAdder is the partition-safe class: the planner
+//     hashes each key once with the estimator's own functions, buckets pairs
+//     along the estimator's own partitions, and concurrent workers apply
+//     distinct partitions without any statement-level lock.
+//
+// In both classes the keys a pair carries may alias a buffer shared by the
+// whole batch (a decoded record region, an assembled-key string), so an
+// estimator must copy any key it retains past the call (strings.Clone on
+// first insert).
 type Estimator interface {
 	// Add observes one tuple whose A-projection encodes to a and whose
-	// B-projection encodes to b.
+	// B-projection encodes to b. Implementations copy any key they retain.
 	Add(a, b string)
 	// ImplicationCount estimates S: the number of distinct A-itemsets that
 	// imply B under the estimator's conditions.
@@ -84,66 +105,10 @@ type Estimator interface {
 	MemEntries() int
 }
 
-// Pair is one pre-projected tuple: the encoded A- and B-itemsets an Add
-// call would receive. Batches of pairs amortize per-tuple call and lock
-// overhead on the ingest path.
-type Pair struct {
-	A, B string
-}
-
-// BatchAdder is implemented by estimators that provide an amortized batch
-// ingest path. AddBatch must be equivalent to calling Add for each pair in
-// order; implementations amortize per-call overhead (and, for concurrent
-// estimators, lock traffic) across the batch.
-type BatchAdder interface {
-	AddBatch(pairs []Pair)
-}
-
-// BytesAdder is implemented by estimators that can observe a tuple from
-// byte-slice keys without the string conversion allocations of Add. The
-// caller may reuse the slices after the call returns.
-type BytesAdder interface {
-	AddBytes(a, b []byte)
-}
-
-// PartitionedAdder is implemented by estimators whose ingest path may be
-// split across concurrent workers without changing the resulting state —
-// the partition-safe class of DESIGN.md §10. IngestPartition maps an
-// encoded A-itemset key to one of n partitions (n a power of two >= 1).
-// The contract:
-//
-//   - every key maps to exactly one partition for a given n, so all tuples
-//     of one key land in one partition;
-//   - any two ingestion schedules that preserve the relative Add order
-//     within each partition leave the estimator in identical (bit-for-bit
-//     marshalled) state;
-//   - concurrent AddBatch calls are safe whenever no two in-flight calls
-//     carry pairs of the same partition.
-//
-// The implementation must choose partitions compatible with its own
-// internal routing: the sharded sketch, for example, partitions on the low
-// bits of the A-hash so that all tuples addressed to one bitmap — where
-// arrival order determines overflow kills and fringe push-outs — stay in
-// one partition.
-type PartitionedAdder interface {
-	BatchAdder
-	// IngestPartition returns the partition in [0, n) that must ingest the
-	// tuple whose A-projection encodes to a. n must be a power of two >= 1.
-	// The caller may reuse a after the call returns.
-	IngestPartition(a []byte, n int) int
-}
-
-// StringPartitioner extends PartitionedAdder with string-key routing, so a
-// planner already holding the key as a string routes it without a byte
-// conversion. IngestPartitionString(a, n) must equal
-// IngestPartition([]byte(a), n) for every key.
-type StringPartitioner interface {
-	IngestPartitionString(a string, n int) int
-}
-
-// HashedPair is the hash-once plan IR: one tuple's projected keys together
-// with the estimator's own hashes of them, computed exactly once at plan
-// time by HashPairKeys. The strings stay because exact backends index by
+// HashedPair is the ingest IR: one tuple's projected keys together with the
+// estimator's own hashes of them, computed exactly once at plan time by
+// HashPairKeys (zero for estimators of the serialized class, which hash —
+// if at all — inside Add). The strings stay because exact backends index by
 // key, not by hash; the hashes stay because sketch backends route and rank
 // by hash, not by key.
 type HashedPair struct {
@@ -151,26 +116,32 @@ type HashedPair struct {
 	AH, BH uint64
 }
 
-// HashedPartitionedAdder is implemented by partition-safe estimators that
-// can consume key hashes forwarded from the planner instead of re-hashing.
-// The hashes are estimator-specific — each implementation seeds its own
-// hash functions — so they must come from the same estimator's HashPairKeys.
-// The contract, on top of PartitionedAdder's:
+// HashedPartitionedAdder is the one optional ingest contract: estimators
+// whose ingest may be split across concurrent workers without changing the
+// resulting state, fed key hashes forwarded from the planner instead of
+// re-hashing. The hashes are estimator-specific — each implementation seeds
+// its own hash functions — so they must come from the same estimator's
+// HashPairKeys. The contract:
 //
-//   - AddHashedPairs(pairs) with every pair's AH/BH from HashPairKeys(A, B)
-//     leaves the estimator in state bit-identical to AddBatch of the same
-//     pairs in the same order;
-//   - IngestPartitionHashed(ah, n) with ah from HashPairKeys(a, _) equals
-//     IngestPartitionString(a, n) for every key and every power-of-two n,
-//     so a hashed and an un-hashed planner bucket identically;
-//   - concurrent AddHashedPairs calls are safe under the same
-//     distinct-partition condition as AddBatch.
+//   - IngestPartitionHashed maps every key to exactly one of n partitions
+//     (n a power of two >= 1), so all tuples of one key land in one
+//     partition. The implementation chooses partitions compatible with its
+//     internal routing: the sharded sketch partitions on the low bits of
+//     the A-hash so that all tuples addressed to one bitmap — where arrival
+//     order determines overflow kills and fringe push-outs — stay in one
+//     partition;
+//   - any two ingestion schedules that preserve the relative pair order
+//     within each partition leave the estimator in identical (bit-for-bit
+//     marshalled) state, and that state equals per-pair Add in the same
+//     order;
+//   - concurrent AddHashedPairs calls are safe whenever no two in-flight
+//     calls carry pairs of the same partition.
 type HashedPartitionedAdder interface {
-	PartitionedAdder
 	// HashPairKeys computes this estimator's hashes of one projected pair.
 	// Implementations that hash only the A key (exact stores) return bh = 0.
 	HashPairKeys(a, b string) (ah, bh uint64)
-	// IngestPartitionHashed routes a pre-hashed A key to its partition.
+	// IngestPartitionHashed routes a pre-hashed A key to its partition in
+	// [0, n). n must be a power of two >= 1.
 	IngestPartitionHashed(ah uint64, n int) int
 	// AddHashedPairs ingests pairs whose hashes were forwarded from
 	// HashPairKeys. The caller may reuse the slice after the call returns;

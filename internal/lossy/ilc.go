@@ -3,6 +3,7 @@ package lossy
 import (
 	"fmt"
 	"sort"
+	"strings"
 
 	"implicate/internal/imps"
 )
@@ -68,7 +69,8 @@ func MustILC(cond imps.Conditions, relSupport, eps float64) *ILC {
 	return c
 }
 
-// Add observes one tuple.
+// Add observes one tuple. Keys are cloned where they are retained: a and b
+// may alias a whole batch buffer (imps.Estimator).
 func (c *ILC) Add(a, b string) {
 	c.n++
 	bcur := (c.n-1)/c.width + 1
@@ -76,7 +78,7 @@ func (c *ILC) Add(a, b string) {
 	ae := c.as[a]
 	if ae == nil {
 		ae = &ilcEntry{count: 1, delta: bcur - 1}
-		c.as[a] = ae
+		c.as[strings.Clone(a)] = ae
 	} else {
 		ae.count++
 	}
@@ -85,12 +87,12 @@ func (c *ILC) Add(a, b string) {
 		pm := c.pairs[a]
 		if pm == nil {
 			pm = make(map[string]*entry, 1)
-			c.pairs[a] = pm
+			c.pairs[strings.Clone(a)] = pm
 		}
 		if pe := pm[b]; pe != nil {
 			pe.count++
 		} else {
-			pm[b] = &entry{count: 1, delta: bcur - 1}
+			pm[strings.Clone(b)] = &entry{count: 1, delta: bcur - 1}
 		}
 		// Check the implication conditions once the (relative) minimum
 		// support is met; on violation mark dirty and free the pairs

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"strings"
 
 	"implicate/internal/imps"
 )
@@ -57,7 +58,15 @@ func (s *Sticky) Add(item string) {
 		// unbiased coin toss and is decremented until a toss succeeds.
 		s.rate *= 2
 		s.limit *= 2
-		for it, cnt := range s.entries {
+		// Toss in key order, not map order: which entry draws which coin
+		// must be a function of the seed for two same-seed runs to agree.
+		items := make([]string, 0, len(s.entries))
+		for it := range s.entries {
+			items = append(items, it)
+		}
+		sort.Strings(items)
+		for _, it := range items {
+			cnt := s.entries[it]
 			for cnt > 0 && s.rng.Intn(2) == 0 {
 				cnt--
 			}
@@ -73,7 +82,8 @@ func (s *Sticky) Add(item string) {
 		return
 	}
 	if s.rng.Int63n(s.rate) == 0 {
-		s.entries[item] = 1
+		// The key is retained: copy it, it may alias a whole batch buffer.
+		s.entries[strings.Clone(item)] = 1
 	}
 }
 
@@ -144,11 +154,15 @@ func (s *ImplicationSticky) Add(a, b string) {
 	pm := s.pairs[a]
 	if pm == nil {
 		pm = make(map[string]int64, 1)
-		s.pairs[a] = pm
+		s.pairs[strings.Clone(a)] = pm
 	}
-	pm[b]++
+	if n, ok := pm[b]; ok {
+		pm[b] = n + 1
+	} else {
+		pm[strings.Clone(b)] = 1
+	}
 	if float64(cnt) >= (s.relSupport-s.inner.eps)*float64(s.inner.n) && !s.satisfies(cnt, pm) {
-		s.dirty[a] = true
+		s.dirty[strings.Clone(a)] = true
 		delete(s.pairs, a)
 	}
 }

@@ -15,7 +15,7 @@ var quantiles = []float64{0.5, 0.99}
 
 // WriteMetrics renders a telemetry snapshot plus the engine's health
 // reports in the Prometheus text exposition format. The name mapping is
-// documented in DESIGN.md §11; everything is written by hand because the
+// documented in DESIGN.md §10; everything is written by hand because the
 // admin endpoint must not pull a client library into a stdlib-only build.
 // Returns the first write error (an aborted scrape, typically).
 func WriteMetrics(w io.Writer, sn telemetry.Snapshot, health []imps.HealthReport) error {

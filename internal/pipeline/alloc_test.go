@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"implicate/internal/query"
+	"implicate/internal/raceflag"
 	"implicate/internal/stream"
 )
 
@@ -30,7 +31,7 @@ func encodeRecords(ts []stream.Tuple) []byte {
 // sentinels and occasional sync.Pool misses, and fails on any per-tuple or
 // per-pair regression, which would overshoot it by orders of magnitude.
 func TestArenaPathAllocs(t *testing.T) {
-	if raceEnabled {
+	if raceflag.Enabled {
 		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
 	}
 	eng := query.NewEngine(testSchema(t))

@@ -4,7 +4,7 @@
 // receiving its weighted share of dispatch capacity. Each lane feeds its
 // own Pool (tenants do not share estimator state).
 //
-// Dispatch itself is sharded (DESIGN.md §15): NewFair starts S dispatcher
+// Dispatch itself is sharded (DESIGN.md §14): NewFair starts S dispatcher
 // goroutines, and a sharded lane's batches are dispatched cooperatively —
 // shard k enqueues the tasks owned by workers w with w % S == k, each
 // shard walking the lane in admission order. Worker queues are single-

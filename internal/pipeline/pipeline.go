@@ -1,25 +1,24 @@
 // Package pipeline is the concurrency layer of the ingest path: it takes
 // the batches a producer (the server's connection readers, a bench driver)
-// hands it, splits each across the engine's statements by concurrency
-// class, and fans the work out to a fixed pool of workers — while
-// preserving, by construction, the exact state a serial run would build.
+// hands it, plans each into per-statement partition buckets, and fans the
+// buckets out to a fixed pool of workers — while preserving, by
+// construction, the exact state a serial run would build.
 //
-// The ordering argument (DESIGN.md §10): partition-safe statements route
-// every A-itemset to one ingest partition of their estimator, each
-// partition is pinned to one worker, and worker queues are FIFO — so the
-// per-partition tuple order equals the batch arrival order, which the
-// imps.PartitionedAdder contract says is the only order that matters.
-// Serialized statements are pinned whole to one home worker, so their
-// estimator sees the full batch sequence in arrival order, exactly like
-// the old single-worker loop. Reordering only ever happens across
-// partitions or across statements, where no shared state exists.
+// The ordering argument (DESIGN.md §7): every statement routes each
+// A-itemset to one partition (imps.HashedPartitionedAdder's own partitions
+// for the partition-safe class, the single partition 0 for every other
+// estimator), each partition is pinned to one worker, and worker queues are
+// FIFO — so the per-partition pair order equals the batch arrival order,
+// which the ingest contract says is the only order that matters.
+// Reordering only ever happens across partitions or across statements,
+// where no shared state exists.
 //
 // The split between Plan and Dispatch is the pipeline's second axis of
 // parallelism: Plan touches no estimator or pool state and may run
 // concurrently on any number of producer goroutines (filters, projections
-// and partition hashing happen there), while Dispatch — the only ordered
-// step — must be called from a single goroutine, which defines the batch
-// arrival order.
+// and key hashing happen there), while Dispatch — the only ordered step —
+// must be called from a single goroutine, which defines the batch arrival
+// order.
 package pipeline
 
 import (
@@ -48,8 +47,7 @@ type Config struct {
 	// engine's Tuples total is advanced before the call.
 	OnApplied func(tuples int)
 	// OnTask, when set, is called after each task a worker applies, with the
-	// worker index and the number of tuples (serialized class) or planned
-	// pairs (partition-safe class) the task carried.
+	// worker index and the number of planned pairs the task carried.
 	OnTask func(worker, units int)
 	// OnSaturated, when set, is called each time Dispatch finds a worker
 	// queue full and has to block — the pool-saturation signal.
@@ -73,12 +71,14 @@ type Pool struct {
 	// parts is the partition count statements plan against: the smallest
 	// power of two >= workers, so every worker owns at least one partition
 	// and the partition of a key never depends on the worker count (see
-	// imps.PartitionedAdder).
+	// imps.HashedPartitionedAdder).
 	parts  int
 	owners []*query.Statement
-	// home pins each serialized-class owner (by index in owners) to one
-	// worker; partition-safe owners have -1 and fan out by partition.
-	home   []int
+	// first is the worker that applies each owner's partition 0; partition
+	// p goes to worker (first+p) % workers. Partition-safe owners start at
+	// 0; serialized owners, whose one partition would otherwise all land on
+	// worker 0, are dealt round-robin.
+	first  []int
 	queues []chan *task
 	wg     sync.WaitGroup
 	// free recycles Batches — and through them every plan-side buffer: the
@@ -101,12 +101,13 @@ type Batch struct {
 	// arena backs the batch's decoded tuples (see Arena); recycled with the
 	// batch, so its lifetime is exactly the batch's plan-to-apply window.
 	arena stream.RecordArena
-	// hb and pb are the per-owner partition-bucket backing stores: owner i
+	// buckets is the per-owner partition-bucket backing store: owner i
 	// plans into window [i*parts, (i+1)*parts). Bucket capacity persists
 	// across reuse, which is what makes steady-state planning allocation-
-	// free.
-	hb [][]imps.HashedPair
-	pb [][]imps.Pair
+	// free. keys is the multi-attribute key assembly memory the owners'
+	// plans share in turn.
+	buckets [][]imps.HashedPair
+	keys    query.PlanBuf
 	// link is the causal identity the batch's apply spans record under —
 	// the inbound frame's trace context, threaded from the connection
 	// reader through dispatch to the workers. Zero for untraced batches.
@@ -126,14 +127,11 @@ func (b *Batch) Tuples() int { return b.n }
 // tuple buffers' lifetime to the batch's refcount.
 func (b *Batch) Arena() *stream.RecordArena { return &b.arena }
 
-// task is one unit of worker work: a planned partition bucket for a
-// partition-safe statement (hash-forwarding when the estimator supports
-// it), a whole tuple batch for a serialized one, or a fence sentinel.
+// task is one unit of worker work: one planned partition bucket of one
+// statement, or a fence sentinel.
 type task struct {
 	st     *query.Statement
-	pairs  []imps.Pair
-	hpairs []imps.HashedPair
-	tuples []stream.Tuple
+	pairs  []imps.HashedPair
 	batch  *Batch
 	worker int
 	fence  *sync.WaitGroup
@@ -177,12 +175,10 @@ func New(eng *query.Engine, cfg Config) (*Pool, error) {
 			continue
 		}
 		p.owners = append(p.owners, st)
-		// A single worker applies whole batches in arrival order for every
-		// class — the serial fast path, with no planning or fan-out cost.
-		if st.PartitionSafe() && p.workers > 1 {
-			p.home = append(p.home, -1)
+		if st.PartitionSafe() {
+			p.first = append(p.first, 0)
 		} else {
-			p.home = append(p.home, serialized%p.workers)
+			p.first = append(p.first, serialized%p.workers)
 			serialized++
 		}
 	}
@@ -214,46 +210,27 @@ func (p *Pool) Plan(ts []stream.Tuple) *Batch {
 	return p.PlanInto(p.NewBatch(), ts)
 }
 
-// PlanInto runs every owner statement's filters, projections and partition
-// hashing over ts, materializing the work items Dispatch will fan out into
-// the acquired batch's recycled buffers. Planning reads no mutable
-// statement or pool state: any number of goroutines may plan concurrently
-// while workers apply earlier batches. The caller hands ts to the batch
-// and must not reuse it until the batch is applied (tuples decoded into
-// b.Arena() satisfy this by construction).
-//
-// Estimators that accept forwarded hashes (query.Statement.
-// HashedPartitionSafe) are planned through the hash-once IR: each key is
-// hashed here, once, with the estimator's own hash functions, and the
-// workers apply the hashes instead of re-hashing.
+// PlanInto runs every owner statement's Plan over ts — filters,
+// projections, and for partition-safe estimators the one hashing of each
+// key with the estimator's own functions — materializing the buckets
+// Dispatch will fan out into the acquired batch's recycled buffers.
+// Planning reads no mutable statement or pool state: any number of
+// goroutines may plan concurrently while workers apply earlier batches. The
+// caller hands ts to the batch and must not reuse it until the batch is
+// applied (tuples decoded into b.Arena() satisfy this by construction).
 func (p *Pool) PlanInto(b *Batch, ts []stream.Tuple) *Batch {
 	b.n = len(ts)
 	b.tasks = b.tasks[:0]
-	if len(b.hb) != len(p.owners)*p.parts {
-		b.hb = make([][]imps.HashedPair, len(p.owners)*p.parts)
-		b.pb = make([][]imps.Pair, len(p.owners)*p.parts)
+	if len(b.buckets) != len(p.owners)*p.parts {
+		b.buckets = make([][]imps.HashedPair, len(p.owners)*p.parts)
 	}
 	for i, st := range p.owners {
-		if p.home[i] >= 0 {
-			b.tasks = append(b.tasks, task{st: st, tuples: ts, worker: p.home[i], batch: b})
-			continue
-		}
-		if st.HashedPartitionSafe() {
-			win := st.PlanPartitionsHashed(ts, p.parts, b.hb[i*p.parts:(i+1)*p.parts])
-			for part, bucket := range win {
-				if len(bucket) == 0 {
-					continue
-				}
-				b.tasks = append(b.tasks, task{st: st, hpairs: bucket, worker: part % p.workers, batch: b})
-			}
-			continue
-		}
-		win := st.PlanPartitions(ts, p.parts, b.pb[i*p.parts:(i+1)*p.parts])
+		win := st.Plan(ts, p.parts, b.buckets[i*p.parts:(i+1)*p.parts], &b.keys)
 		for part, bucket := range win {
 			if len(bucket) == 0 {
 				continue
 			}
-			b.tasks = append(b.tasks, task{st: st, pairs: bucket, worker: part % p.workers, batch: b})
+			b.tasks = append(b.tasks, task{st: st, pairs: bucket, worker: (p.first[i] + part) % p.workers, batch: b})
 		}
 	}
 	return b
@@ -310,7 +287,7 @@ func (b *Batch) prepareShared(shards int) {
 // processes batches in admission order; distinct shards may run
 // concurrently. Because worker w only ever receives tasks from shard
 // w % shards, every worker queue still sees its tasks in admission order —
-// the per-partition FIFO the bit-identity argument needs (DESIGN.md §15).
+// the per-partition FIFO the bit-identity argument needs (DESIGN.md §7).
 // It returns the number of tasks this shard enqueued, for the per-shard
 // dispatch telemetry.
 func (p *Pool) DispatchShard(b *Batch, shard, shards int) int {
@@ -374,18 +351,8 @@ func (p *Pool) run(w int) {
 			start = time.Now()
 			link = t.batch.link
 		}
-		units := 0
-		switch {
-		case t.hpairs != nil:
-			t.st.ProcessHashedPairs(t.hpairs)
-			units = len(t.hpairs)
-		case t.pairs != nil:
-			t.st.ProcessPairs(t.pairs)
-			units = len(t.pairs)
-		default:
-			t.st.ProcessBatchExclusive(t.tuples)
-			units = len(t.tuples)
-		}
+		units := len(t.pairs)
+		t.st.Apply(t.pairs)
 		if tr != nil {
 			tr.SpanLinked(link, obs.SpanApply, w, int64(units), start)
 		}

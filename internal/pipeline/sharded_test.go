@@ -12,29 +12,19 @@ import (
 	"implicate/internal/stream"
 )
 
-// unhashedAdder hides an estimator's HashedPartitionedAdder fast path so
-// the planner is forced through the un-hashed pair IR, while everything a
-// statement needs (Estimator, partitioned ingest) still forwards to the
-// inner estimator. The determinism suite uses it to prove the hashed and
-// un-hashed plan paths build bit-identical state.
-type unhashedAdder struct {
-	imps.Estimator
-	part imps.PartitionedAdder
-}
-
-func (u *unhashedAdder) AddBatch(pairs []imps.Pair)          { u.part.AddBatch(pairs) }
-func (u *unhashedAdder) IngestPartition(a []byte, n int) int { return u.part.IngestPartition(a, n) }
-
-var _ imps.PartitionedAdder = (*unhashedAdder)(nil)
+// unhashedAdder hides an estimator's imps.HashedPartitionedAdder contract
+// (embedding the interface exposes Estimator's methods only), so the engine
+// treats a partition-safe estimator as the serialized class: one partition,
+// hashes unused, per-pair Add under the statement lock. The determinism
+// suite uses it to prove the generic Apply and the hashed Apply build
+// bit-identical state.
+type unhashedAdder struct{ imps.Estimator }
 
 // unhashedBackend wraps a backend's estimators in unhashedAdder.
 func unhashedBackend(b query.Backend) query.Backend {
 	return func(cond imps.Conditions) (imps.Estimator, error) {
 		est, err := b(cond)
-		if err != nil {
-			return nil, err
-		}
-		return &unhashedAdder{Estimator: est, part: est.(imps.PartitionedAdder)}, nil
+		return unhashedAdder{est}, err
 	}
 }
 
@@ -61,7 +51,7 @@ func estBlobs(t *testing.T, eng *query.Engine) [][]byte {
 	var blobs [][]byte
 	for _, st := range eng.Statements() {
 		est := st.Estimator()
-		if u, ok := est.(*unhashedAdder); ok {
+		if u, ok := est.(unhashedAdder); ok {
 			est = u.Estimator
 		}
 		blob, err := snapshot.Marshal(est)
@@ -104,12 +94,10 @@ func runDirect(t *testing.T, backend query.Backend, batches [][]stream.Tuple, wo
 	return blobs
 }
 
-// runFair drives batches through a Fair lane with the given dispatch shard
-// count and returns the per-statement state blobs.
-func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers, shards int) [][]byte {
+// feedFair drives batches through a Fair lane over a pool of the given size
+// with the given dispatch shard count, and returns once all are applied.
+func feedFair(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers, shards int) {
 	t.Helper()
-	eng := query.NewEngine(testSchema(t))
-	registerPropSuite(t, eng, backend)
 	pool, err := New(eng, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
@@ -124,15 +112,23 @@ func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, work
 	f.RemoveLane(l)
 	f.Close()
 	pool.Fence()
-	blobs := estBlobs(t, eng)
 	pool.Close()
-	return blobs
+}
+
+// runFair feeds the property suite through feedFair and returns the
+// per-statement state blobs.
+func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers, shards int) [][]byte {
+	t.Helper()
+	eng := query.NewEngine(testSchema(t))
+	registerPropSuite(t, eng, backend)
+	feedFair(t, eng, batches, workers, shards)
+	return estBlobs(t, eng)
 }
 
 // TestShardedDispatchDeterminism is the sharded-dispatch property test: for
 // every partition-safe backend, engine state is bit-identical across
 // {single dispatcher, fair dispatch at 1/2/4 shards} × workers {1,2,4,8} ×
-// {hashed, un-hashed} plan paths, and every combination equals the serial
+// {hashed, generic} Apply, and every combination equals the serial
 // reference. Run with -race: the sharded runs exercise concurrent
 // DispatchShard calls over shared batches.
 func TestShardedDispatchDeterminism(t *testing.T) {

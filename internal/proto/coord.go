@@ -1,4 +1,4 @@
-// Coordinator-facing frames (DESIGN.md §13). Two message types extend the
+// Coordinator-facing frames (DESIGN.md §12). Two message types extend the
 // protocol for the managed fleet topology:
 //
 //   - TSnapshot is the pull direction of the paper's §2 aggregation tree:

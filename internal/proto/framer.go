@@ -9,14 +9,12 @@ import (
 	"sync"
 )
 
-// The zero-allocation frame path (DESIGN.md §12). ReadFrame allocates a
-// fresh payload buffer per frame, which is fine for control-plane callers
-// but is the first thing an ingest-rate wire path has to stop doing: at
-// millions of tuples per second the per-frame garbage dominates the
-// profile. FrameReader is the replacement for connection loops: one
-// buffered reader and one grow-only frame buffer per connection, reused
-// for every frame, so steady-state decode performs zero heap allocations
-// per frame.
+// The zero-allocation frame path (DESIGN.md §11). Allocating a fresh
+// payload buffer per frame is the first thing an ingest-rate wire path has
+// to stop doing: at millions of tuples per second the per-frame garbage
+// dominates the profile. FrameReader is one buffered reader and one
+// grow-only frame buffer per connection, reused for every frame, so
+// steady-state decode performs zero heap allocations per frame.
 //
 // The price is an ownership rule: a Frame returned by Next aliases the
 // reader's internal buffer and is valid only until the following Next
@@ -50,9 +48,8 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // Next reads and validates one frame. The returned frame's payload aliases
 // the reader's internal buffer: it is valid only until the next call to
 // Next. Use RetainPayload (or an explicit copy) for payloads that must
-// survive longer. Failure semantics match ReadFrame: a clean io.EOF at a
-// frame boundary is io.EOF, anything else wraps ErrMalformed and the
-// stream must be dropped.
+// survive longer. A clean io.EOF at a frame boundary is io.EOF; anything
+// else wraps ErrMalformed and the stream must be dropped.
 func (fr *FrameReader) Next() (Frame, error) {
 	// Peek the prefix out of bufio's buffer rather than io.ReadFull into a
 	// local array: the local would escape through the io.Reader interface

@@ -1,4 +1,4 @@
-// The UDP ingest lane (DESIGN.md §12): an optional datagram path for
+// The UDP ingest lane (DESIGN.md §11): an optional datagram path for
 // fire-and-forget telemetry-style producers, next to the TCP stream the
 // rest of the protocol runs on.
 //

@@ -20,14 +20,11 @@ type Backend func(cond imps.Conditions) (imps.Estimator, error)
 // Statement is a query compiled against a schema and bound to an
 // estimator; feed it tuples and read counts at any time.
 //
-// Every statement belongs to one of two concurrency classes (DESIGN.md
-// §10). Partition-safe statements (PartitionSafe reports true) are bound to
-// an estimator implementing imps.PartitionedAdder: their ingest may be
-// split across concurrent workers along the estimator's own partitions via
-// PlanPartitions/ProcessPairs, and reads are safe at any time. Serialized
-// statements — plain sketches, the baselines, sliding windows — must be fed
-// through ProcessBatchExclusive (or the single-writer Process/ProcessBatch
-// paths), which serializes writers and readers on the statement's own lock.
+// Ingest is two steps (the contract of package imps, DESIGN.md §7): Plan
+// turns tuples into buckets of imps.HashedPair, Apply hands a bucket to the
+// estimator. Process and ProcessBatch are the two composed on the caller's
+// goroutine over one partition; pipeline.Pool runs the same two calls with
+// planning on its producers and one Apply per bucket on its workers.
 type Statement struct {
 	query   Query
 	projA   stream.Proj
@@ -35,24 +32,14 @@ type Statement struct {
 	hasB    bool
 	filters []compiledFilter
 	est     imps.Estimator
-	// bytes is est's allocation-free byte-key ingest path, nil when the
-	// estimator does not provide one; cached here so the per-tuple path pays
-	// no interface assertion.
-	bytes imps.BytesAdder
-	// part is est's partitioned concurrent ingest path, nil for the
-	// serialized class.
-	part imps.PartitionedAdder
-	// partStr is est's string-key partition routing, nil when part is nil
-	// or the estimator routes bytes only.
-	partStr imps.StringPartitioner
-	// hashed is est's hash-forwarding ingest path (plan-time key hashing,
-	// hash-routed apply), nil when the estimator cannot consume forwarded
-	// hashes.
+	// hashed is est's partition-safe ingest contract, nil for the
+	// serialized class; cached here so the per-pair path pays no interface
+	// assertion.
 	hashed imps.HashedPartitionedAdder
-	// estMu guards the estimator for the serialized class: exclusive for
-	// writers (ProcessBatchExclusive, Exclusive), shared for readers
-	// (Count). Statements aliasing one estimator alias its lock too.
-	// Partition-safe estimators synchronize internally, so their ingest
+	// estMu guards the estimator: Apply takes it exclusively for the
+	// serialized class, as does Exclusive; readers (Count, Health) take it
+	// shared. Statements aliasing one estimator alias its lock too.
+	// Partition-safe estimators synchronize internally, so their Apply
 	// never takes it; their readers still acquire it shared, which is then
 	// uncontended.
 	estMu *sync.RWMutex
@@ -60,7 +47,12 @@ type Statement struct {
 	// engine feeds each estimator exactly once per tuple.
 	shared bool
 
-	bufA, bufB []byte
+	// serial is the plan memory of the single-goroutine Process and
+	// ProcessBatch paths; concurrent planners bring their own.
+	serial struct {
+		buckets [][]imps.HashedPair
+		buf     PlanBuf
+	}
 }
 
 type compiledFilter struct {
@@ -91,12 +83,22 @@ func Compile(q Query, schema *stream.Schema, backend Backend) (*Statement, error
 }
 
 // validateMode checks the query's read mode against a leaf estimator the
-// backend produced. The check runs against the leaf — never against a
-// sliding-window wrapper, whose own AvgMultiplicity method would satisfy
-// the interface regardless of what its slot estimators can answer.
+// backend produced. The check runs against the innermost estimator — never
+// against a wrapper whose own AvgMultiplicity method would satisfy the
+// interface regardless of what it wraps: the sliding-window vector (checked
+// before it is built) or a forwarding wrapper such as implicate.Synchronized,
+// which answers 0 for an estimator that has no such aggregate. Wrappers
+// expose what they wrap through Unwrap.
 func validateMode(q Query, leaf imps.Estimator) error {
 	if q.Mode != AvgMultiplicity {
 		return nil
+	}
+	for {
+		w, ok := leaf.(interface{ Unwrap() imps.Estimator })
+		if !ok {
+			break
+		}
+		leaf = w.Unwrap()
 	}
 	if _, ok := leaf.(imps.MultiplicityAverager); !ok {
 		return fmt.Errorf("query: the chosen backend cannot answer AVG(MULTIPLICITY(...))")
@@ -153,20 +155,12 @@ func compileWith(q Query, schema *stream.Schema, backend Backend, probe imps.Est
 	return st, nil
 }
 
-// bindEstimator wires est into the statement, caching its optional fast
-// paths (byte-key ingest, partitioned ingest) so the per-tuple paths pay no
-// interface assertions. Every place a statement receives an estimator —
-// compilation, alias registration, checkpoint restore — goes through here.
+// bindEstimator wires est into the statement, caching its concurrency
+// class. Every place a statement receives an estimator — compilation,
+// alias registration, checkpoint restore — goes through here.
 func (st *Statement) bindEstimator(est imps.Estimator) {
 	st.est = est
-	st.bytes, _ = est.(imps.BytesAdder)
-	st.part, _ = est.(imps.PartitionedAdder)
-	st.partStr = nil
-	st.hashed = nil
-	if st.part != nil {
-		st.partStr, _ = est.(imps.StringPartitioner)
-		st.hashed, _ = est.(imps.HashedPartitionedAdder)
-	}
+	st.hashed, _ = est.(imps.HashedPartitionedAdder)
 }
 
 // Query returns the normalized query.
@@ -175,134 +169,57 @@ func (st *Statement) Query() Query { return st.query }
 // Estimator exposes the bound estimator.
 func (st *Statement) Estimator() imps.Estimator { return st.est }
 
-// Process feeds one tuple through the statement's filters and projections.
-// Estimators exposing the byte-key path ingest straight from the projection
-// buffers; the others cost two key-string allocations per tuple.
+// Process feeds one tuple through the statement: ProcessBatch of one.
 func (st *Statement) Process(t stream.Tuple) {
-	for _, f := range st.filters {
-		if (t[f.idx] == f.value) == f.negate {
-			return
-		}
-	}
-	st.bufA = st.projA.AppendKey(st.bufA[:0], t)
-	if st.hasB {
-		st.bufB = st.projB.AppendKey(st.bufB[:0], t)
-	} else {
-		st.bufB = st.bufB[:0]
-	}
-	if st.bytes != nil {
-		st.bytes.AddBytes(st.bufA, st.bufB)
-		return
-	}
-	st.est.Add(string(st.bufA), string(st.bufB))
+	one := [1]stream.Tuple{t}
+	st.ProcessBatch(one[:])
 }
 
-// ProcessBatch feeds a batch of tuples through the statement. Equivalent to
-// calling Process per tuple, with the statement's filters, projections and
-// estimator kept hot across the whole batch.
+// ProcessBatch plans a batch of tuples into one partition and applies it on
+// the caller's goroutine. Like Process it owns the statement's plan memory,
+// so only one goroutine may feed a statement this way at a time.
 func (st *Statement) ProcessBatch(ts []stream.Tuple) {
-	for i := range ts {
-		st.Process(ts[i])
-	}
+	st.serial.buckets = st.Plan(ts, 1, st.serial.buckets, &st.serial.buf)
+	st.Apply(st.serial.buckets[0])
 }
 
 // PartitionSafe reports the statement's concurrency class: true when its
-// estimator accepts partitioned concurrent ingest (PlanPartitions /
-// ProcessPairs), false when ingest must be serialized through
-// ProcessBatchExclusive.
-func (st *Statement) PartitionSafe() bool { return st.part != nil }
+// estimator implements imps.HashedPartitionedAdder, so Plan spreads pairs
+// over the estimator's partitions and Apply may run concurrently on
+// distinct ones; false when Plan fills bucket 0 only and Apply serializes
+// on the statement's lock.
+func (st *Statement) PartitionSafe() bool { return st.hashed != nil }
 
-// PlanPartitions runs the statement's filters and projections over a batch
-// and splits the surviving pairs into parts buckets along the estimator's
-// own ingest partitions (parts must be a power of two >= 1). buckets is
-// recycled when it has the capacity; the returned slice has length parts.
+// PlanBuf is the recycled key memory behind Plan for multi-attribute
+// projections; the zero value is ready to use. A PlanBuf serves one Plan
+// call at a time.
+type PlanBuf struct {
+	keys []byte
+	ends []int
+}
+
+// Plan runs the statement's filters and projections over a batch and
+// buckets the surviving pairs (parts must be a power of two >= 1). A
+// partition-safe statement's pairs carry the estimator's own key hashes,
+// computed here exactly once, and land in the estimator's own ingest
+// partitions; a serialized statement's pairs all land in bucket 0 with
+// their hashes zero. buckets is recycled when it has the capacity; the
+// returned slice has length parts.
+//
+// One-attribute projections need no key assembly — the key IS the tuple's
+// value — so their pairs reference the batch's own strings. Multi-attribute
+// keys are assembled into buf and sliced out of one string conversion per
+// batch. Either way Plan allocates nothing per tuple, and estimators clone
+// any key they retain, so a stored key never pins its batch.
 //
 // Planning touches no statement or estimator state — it is safe to call
-// concurrently from any number of goroutines, unlike Process/ProcessBatch —
-// so batch planning can run on connection readers while workers apply
-// earlier batches. Feeding every bucket p through ProcessPairs such that
-// each bucket's pair order is preserved reproduces the serial
-// ProcessBatch state bit for bit; buckets of different batches may be
-// applied concurrently as long as same-partition buckets stay ordered.
-// Only valid for partition-safe statements.
-func (st *Statement) PlanPartitions(ts []stream.Tuple, parts int, buckets [][]imps.Pair) [][]imps.Pair {
-	if cap(buckets) >= parts {
-		buckets = buckets[:parts]
-		for i := range buckets {
-			buckets[i] = buckets[i][:0]
-		}
-	} else {
-		buckets = make([][]imps.Pair, parts)
-	}
-	// One-attribute projections need no key assembly — the key IS the
-	// tuple's value — so when the estimator also routes string keys, the
-	// loop allocates nothing: pairs reference the batch's own strings.
-	// (Estimators that store keys clone them on first insert, so a stored
-	// key never pins its batch buffer; see exact.Counter.Add.)
-	aIdx, aOne := st.projA.Single()
-	bIdx, bOne := -1, true
-	if st.hasB {
-		bIdx, bOne = st.projB.Single()
-	}
-	fast := aOne && bOne && st.partStr != nil
-	// Local key buffers: st.bufA/bufB belong to the single-writer paths and
-	// must not be shared by concurrent planners.
-	var bufA, bufB []byte
-	for i := range ts {
-		t := ts[i]
-		ok := true
-		for _, f := range st.filters {
-			if (t[f.idx] == f.value) == f.negate {
-				ok = false
-				break
-			}
-		}
-		if !ok {
-			continue
-		}
-		if fast {
-			a := t[aIdx]
-			var b string
-			if st.hasB {
-				b = t[bIdx]
-			}
-			p := st.partStr.IngestPartitionString(a, parts)
-			buckets[p] = append(buckets[p], imps.Pair{A: a, B: b})
-			continue
-		}
-		bufA = st.projA.AppendKey(bufA[:0], t)
-		if st.hasB {
-			bufB = st.projB.AppendKey(bufB[:0], t)
-		} else {
-			bufB = bufB[:0]
-		}
-		p := st.part.IngestPartition(bufA, parts)
-		buckets[p] = append(buckets[p], imps.Pair{A: string(bufA), B: string(bufB)})
-	}
-	return buckets
-}
-
-// ProcessPairs feeds one planned partition bucket to the estimator. Safe
-// for concurrent use across distinct partitions (the partition contract);
-// only valid for partition-safe statements.
-func (st *Statement) ProcessPairs(pairs []imps.Pair) {
-	st.part.AddBatch(pairs)
-}
-
-// HashedPartitionSafe reports whether the statement's estimator accepts the
-// hash-once plan IR (PlanPartitionsHashed / ProcessHashedPairs): the
-// planner computes the estimator's own key hashes once and the apply path
-// consumes them instead of re-hashing.
-func (st *Statement) HashedPartitionSafe() bool { return st.hashed != nil }
-
-// PlanPartitionsHashed is PlanPartitions emitting the hash-once IR: every
-// surviving pair carries the estimator's own key hashes, computed here so
-// the apply path (ProcessHashedPairs) never hashes again. Bucketing is
-// bit-identical to PlanPartitions — IngestPartitionHashed over a
-// HashPairKeys hash equals IngestPartitionString by contract — and so is
-// the resulting estimator state. Pure like PlanPartitions; only valid when
-// HashedPartitionSafe reports true.
-func (st *Statement) PlanPartitionsHashed(ts []stream.Tuple, parts int, buckets [][]imps.HashedPair) [][]imps.HashedPair {
+// concurrently from any number of goroutines, each with its own buckets and
+// buf — so batch planning can run on connection readers while workers apply
+// earlier batches. Applying every bucket such that each partition's pair
+// order is preserved reproduces the serial ProcessBatch state bit for bit;
+// buckets of different batches may be applied concurrently as long as
+// same-partition buckets stay ordered.
+func (st *Statement) Plan(ts []stream.Tuple, parts int, buckets [][]imps.HashedPair, buf *PlanBuf) [][]imps.HashedPair {
 	if cap(buckets) >= parts {
 		buckets = buckets[:parts]
 		for i := range buckets {
@@ -316,63 +233,83 @@ func (st *Statement) PlanPartitionsHashed(ts []stream.Tuple, parts int, buckets 
 	if st.hasB {
 		bIdx, bOne = st.projB.Single()
 	}
-	fast := aOne && bOne
-	var bufA, bufB []byte
-	for i := range ts {
-		t := ts[i]
-		ok := true
-		for _, f := range st.filters {
-			if (t[f.idx] == f.value) == f.negate {
-				ok = false
-				break
+	// Pass 1, multi-attribute projections only: assemble every surviving
+	// tuple's keys back to back, then convert once. ends[i] closes key i.
+	var keys string
+	if !aOne || !bOne {
+		buf.keys, buf.ends = buf.keys[:0], buf.ends[:0]
+		for _, t := range ts {
+			if !st.passes(t) {
+				continue
+			}
+			if !aOne {
+				buf.keys = st.projA.AppendKey(buf.keys, t)
+				buf.ends = append(buf.ends, len(buf.keys))
+			}
+			if !bOne {
+				buf.keys = st.projB.AppendKey(buf.keys, t)
+				buf.ends = append(buf.ends, len(buf.keys))
 			}
 		}
-		if !ok {
+		keys = string(buf.keys)
+	}
+	off, next := 0, 0
+	for _, t := range ts {
+		if !st.passes(t) {
 			continue
 		}
-		var a, b string
-		if fast {
-			// Single-attribute projections: the key IS the tuple's value, so
-			// the pair references the batch's own strings and the loop
-			// allocates nothing (estimators clone any key they retain).
-			a = t[aIdx]
-			if st.hasB {
-				b = t[bIdx]
-			}
+		var p imps.HashedPair
+		if aOne {
+			p.A = t[aIdx]
 		} else {
-			bufA = st.projA.AppendKey(bufA[:0], t)
-			if st.hasB {
-				bufB = st.projB.AppendKey(bufB[:0], t)
-			} else {
-				bufB = bufB[:0]
-			}
-			a, b = string(bufA), string(bufB)
+			p.A = keys[off:buf.ends[next]]
+			off, next = buf.ends[next], next+1
 		}
-		ah, bh := st.hashed.HashPairKeys(a, b)
-		p := st.hashed.IngestPartitionHashed(ah, parts)
-		buckets[p] = append(buckets[p], imps.HashedPair{A: a, B: b, AH: ah, BH: bh})
+		if !bOne {
+			p.B = keys[off:buf.ends[next]]
+			off, next = buf.ends[next], next+1
+		} else if st.hasB {
+			p.B = t[bIdx]
+		}
+		part := 0
+		if st.hashed != nil {
+			p.AH, p.BH = st.hashed.HashPairKeys(p.A, p.B)
+			part = st.hashed.IngestPartitionHashed(p.AH, parts)
+		}
+		buckets[part] = append(buckets[part], p)
 	}
 	return buckets
 }
 
-// ProcessHashedPairs feeds one hash-once planned bucket to the estimator.
-// Same concurrency contract as ProcessPairs; only valid when
-// HashedPartitionSafe reports true.
-func (st *Statement) ProcessHashedPairs(pairs []imps.HashedPair) {
-	st.hashed.AddHashedPairs(pairs)
+// passes reports whether t survives the statement's filters.
+func (st *Statement) passes(t stream.Tuple) bool {
+	for _, f := range st.filters {
+		if (t[f.idx] == f.value) == f.negate {
+			return false
+		}
+	}
+	return true
 }
 
-// ProcessBatchExclusive feeds a batch through the statement under its
-// exclusive lock — the serialized-class ingest path, which excludes
-// concurrent Count readers and Exclusive sections for the duration.
-func (st *Statement) ProcessBatchExclusive(ts []stream.Tuple) {
+// Apply feeds one planned bucket to the estimator. For a partition-safe
+// statement it is safe for concurrent use across distinct partitions (the
+// partition contract) and takes no statement lock. For a serialized
+// statement it holds the statement's exclusive lock for the whole bucket,
+// excluding concurrent Count readers and Exclusive sections.
+func (st *Statement) Apply(pairs []imps.HashedPair) {
+	if st.hashed != nil {
+		st.hashed.AddHashedPairs(pairs)
+		return
+	}
 	st.estMu.Lock()
-	st.ProcessBatch(ts)
+	for i := range pairs {
+		st.est.Add(pairs[i].A, pairs[i].B)
+	}
 	st.estMu.Unlock()
 }
 
 // Exclusive runs f while holding the statement's exclusive lock, blocking
-// serialized-class ingest and Count readers. Callers mutating the bound
+// serialized-class Apply and Count readers. Callers mutating the bound
 // estimator from outside the ingest path (snapshot merges) use this to
 // coordinate with a concurrent pipeline.
 func (st *Statement) Exclusive(f func()) {
@@ -579,9 +516,9 @@ func (e *Engine) Consume(src stream.Source) (int64, error) {
 func (e *Engine) Tuples() int64 { return e.tuples.Load() }
 
 // AddTuples publishes n applied tuples to the engine's total. The pipeline
-// layer feeds statements directly (planned partitions bypass
-// Process/ProcessBatch) and accounts for each batch here once it is fully
-// applied, so Tuples never runs ahead of estimator state.
+// layer feeds statements directly (Plan on its producers, Apply on its
+// workers) and accounts for each batch here once it is fully applied, so
+// Tuples never runs ahead of estimator state.
 func (e *Engine) AddTuples(n int64) { e.tuples.Add(n) }
 
 // Statements returns the registered statements in registration order.

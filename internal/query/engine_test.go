@@ -216,22 +216,9 @@ func TestSketchBackend(t *testing.T) {
 	}
 }
 
-// stringOnlyEstimator hides an estimator's byte-key fast path so tests can
-// compare the engine's two ingest routes.
-type stringOnlyEstimator struct{ est imps.Estimator }
-
-func (w stringOnlyEstimator) Add(a, b string)           { w.est.Add(a, b) }
-func (w stringOnlyEstimator) ImplicationCount() float64 { return w.est.ImplicationCount() }
-func (w stringOnlyEstimator) NonImplicationCount() float64 {
-	return w.est.NonImplicationCount()
-}
-func (w stringOnlyEstimator) SupportedDistinct() float64 { return w.est.SupportedDistinct() }
-func (w stringOnlyEstimator) Tuples() int64              { return w.est.Tuples() }
-func (w stringOnlyEstimator) MemEntries() int            { return w.est.MemEntries() }
-
-// TestProcessBatchMatchesProcess checks that the batched dispatch path and
-// the byte-key ingest path both land on exactly the per-tuple results, over
-// a stream with filters and a GROUP BY in play.
+// TestProcessBatchMatchesProcess checks that the batched path lands on
+// exactly the per-tuple results, over a stream with filters and a GROUP BY
+// in play.
 func TestProcessBatchMatchesProcess(t *testing.T) {
 	queries := []string{
 		`SELECT COUNT(DISTINCT Destination) FROM traffic WHERE Destination IMPLIES Source`,
@@ -245,10 +232,6 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 
 	sketch := func(cond imps.Conditions) (imps.Estimator, error) {
 		return core.NewSketch(cond, core.Options{Seed: 42})
-	}
-	stringOnly := func(cond imps.Conditions) (imps.Estimator, error) {
-		est, err := core.NewSketch(cond, core.Options{Seed: 42})
-		return stringOnlyEstimator{est}, err
 	}
 
 	type variant struct {
@@ -286,9 +269,6 @@ func TestProcessBatchMatchesProcess(t *testing.T) {
 			}
 			e.ProcessBatch(tuples[off:end])
 		}
-	})
-	build("string-keys", stringOnly, func(e *Engine) {
-		e.ProcessBatch(tuples)
 	})
 
 	ref := variants[0]

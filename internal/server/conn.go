@@ -1,4 +1,4 @@
-// The per-connection fast wire path (DESIGN.md §12). Each TCP connection
+// The per-connection fast wire path (DESIGN.md §11). Each TCP connection
 // runs two goroutines: a reader that decodes frames with a reusable
 // FrameReader, decodes and plans ingest batches in place, and enqueues
 // them; and a writer that drains a bounded reply channel, coalesces

@@ -20,7 +20,7 @@
 // order.) An acknowledged batch is never dropped: graceful shutdown drains
 // every lane through its pool before the final checkpoints are written.
 //
-// Multi-tenancy (DESIGN.md §14): every server carries an implicit default
+// Multi-tenancy (DESIGN.md §13): every server carries an implicit default
 // tenant wrapping Config.Engine — exactly the single-tenant behavior older
 // clients see, no TAuth required. Named tenants (Config.Tenants, or the
 // admin endpoint's POST /tenants) each own an engine, statement registry,

@@ -213,12 +213,13 @@ func TestServerBackpressure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	fr := proto.NewFrameReader(nc)
 	send := func(id uint64) proto.Frame {
 		t.Helper()
 		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TIngest, ID: id, Payload: payload}); err != nil {
 			t.Fatal(err)
 		}
-		f, err := proto.ReadFrame(nc)
+		f, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -258,10 +259,18 @@ func TestServerBackpressure(t *testing.T) {
 		t.Fatalf("queue high water %d, want 1", sn.QueueHighWater)
 	}
 	// A refused batch was not enqueued: after the worker drains, retrying it
-	// succeeds and nothing was double-counted.
+	// succeeds and nothing was double-counted. The dispatcher takes batch 2
+	// off the queue asynchronously, so retry on Busy the way a client does.
 	unblock()
-	if f := send(4); f.Type != proto.TOK {
-		t.Fatalf("retried batch: %s", f.Type)
+	for id := uint64(4); ; id++ {
+		f := send(id)
+		if f.Type == proto.TOK {
+			break
+		}
+		if f.Type != proto.TBusy || id > 1000 {
+			t.Fatalf("retried batch: %s", f.Type)
+		}
+		time.Sleep(cfg.RetryAfter)
 	}
 	cl := dialClient(t, srv, schema, client.Options{})
 	waitTuples(t, cl, 30)

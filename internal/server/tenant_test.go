@@ -144,6 +144,7 @@ func TestTenantSecondAuthRefused(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer nc.Close()
+	fr := proto.NewFrameReader(nc)
 	auth := func(id uint64, name string) proto.Frame {
 		t.Helper()
 		err := proto.WriteFrame(nc, proto.Frame{
@@ -153,7 +154,7 @@ func TestTenantSecondAuthRefused(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		f, err := proto.ReadFrame(nc)
+		f, err := fr.Next()
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -8,7 +8,7 @@ import (
 	"strings"
 )
 
-// In-memory batch decoding (DESIGN.md §12). The server's ingest payloads
+// In-memory batch decoding (DESIGN.md §11). The server's ingest payloads
 // arrive as complete binary streams already sitting in one frame buffer;
 // running them through BinaryReader costs a 64 KiB bufio allocation plus a
 // string allocation per tuple. The functions here decode straight from the

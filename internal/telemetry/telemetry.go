@@ -414,8 +414,7 @@ type TenantStats struct {
 type WorkerStats struct {
 	// Tasks counts pipeline tasks the worker applied.
 	Tasks int64
-	// Units counts the work units those tasks carried: tuples for
-	// serialized-class tasks, planned pairs for partition-safe ones.
+	// Units counts the planned pairs those tasks carried.
 	Units int64
 }
 

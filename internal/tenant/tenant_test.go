@@ -101,7 +101,7 @@ func TestMemQuota(t *testing.T) {
 	// Apply a tuple directly and refresh the assessment the way the pool
 	// callback does.
 	for _, st := range tn.Engine().Statements() {
-		st.ProcessBatchExclusive([]stream.Tuple{{"a", "b"}})
+		st.ProcessBatch([]stream.Tuple{{"a", "b"}})
 	}
 	tn.NoteApplied(1)
 	q := tn.Admit(10, now)
@@ -124,7 +124,7 @@ func TestCheckpointResume(t *testing.T) {
 		t.Fatalf("New: %v resumed=%v", err, resumed)
 	}
 	for _, st := range tn.Engine().Statements() {
-		st.ProcessBatchExclusive([]stream.Tuple{{"a", "b"}, {"c", "d"}})
+		st.ProcessBatch([]stream.Tuple{{"a", "b"}, {"c", "d"}})
 	}
 	tn.Engine().AddTuples(2)
 	if err := tn.FinalCheckpoint(); err != nil {

@@ -22,7 +22,7 @@ import (
 // Trace (the server's span ring). Dial returns a pooled, pipelining
 // client. The cmd/impserved command wraps Serve for standalone deployment,
 // and ServeAdmin adds the HTTP admin endpoint (/metrics, /healthz,
-// /trace, tenant CRUD, pprof) described in DESIGN.md §11.
+// /trace, tenant CRUD, pprof) described in DESIGN.md §10.
 
 // Server is a running ingest/query server; see Serve.
 type Server = server.Server
@@ -31,7 +31,7 @@ type Server = server.Server
 // batches must match, the engine with its registered statements, the
 // ingest-queue bound, the ingest pipeline's worker-pool size (Workers;
 // 0 picks GOMAXPROCS — results are bit-identical at any size, see
-// DESIGN.md §10), and optional checkpointing (path + interval) for crash
+// DESIGN.md §7), and optional checkpointing (path + interval) for crash
 // recovery via the replay contract of DESIGN.md §8.
 type ServerConfig = server.Config
 
@@ -72,7 +72,7 @@ type AdminServer = obs.AdminServer
 var ErrBackpressure = client.ErrBackpressure
 
 // TenantConfig declares one named tenant of a multi-tenant server
-// (DESIGN.md §14): its namespace, the queries its engine serves, the
+// (DESIGN.md §13): its namespace, the queries its engine serves, the
 // backend that builds their estimators, and its quotas (ingest rate,
 // memory budget) and fair-share dispatch weight. Set ServerConfig.Tenants
 // (plus Backends and, optionally, TokenKey and CheckpointDir) to serve
@@ -145,7 +145,7 @@ func ServeAdmin(addr string, srv *Server) (*AdminServer, error) {
 	return obs.ListenAdmin(addr, srv)
 }
 
-// Coordinator fronts a fleet of impserved leaves (DESIGN.md §13): it
+// Coordinator fronts a fleet of impserved leaves (DESIGN.md §12): it
 // routes every ingested tuple to exactly one leaf through an immutable
 // partition table, journals and delivers batches in order per leaf, tracks
 // liveness with health probes, recovers a crashed leaf from its checkpoint

@@ -10,24 +10,17 @@ import (
 // ShardedSketch is the parallel-ingestion NIPS/CI sketch: the m bitmaps are
 // partitioned across independent mutex-guarded shards keyed by the tuple
 // hash, so concurrent producers contend only when their tuples route to the
-// same shard, and the batched Add paths take each shard lock once per batch.
+// same shard, and AddHashedPairs takes each shard lock once per batch.
 // Estimates are bit-identical to a single same-seed Sketch fed the same
-// per-bitmap tuple order; see the "Concurrency & sharding" section of
-// DESIGN.md for when to choose it over Synchronized.
+// per-bitmap tuple order; see the "Concurrency and the ingest path" chapter
+// of DESIGN.md for when to choose it over Synchronized.
 type ShardedSketch = core.ShardedSketch
 
-// HashedPair is one pre-hashed tuple for the batched ingest paths.
-type HashedPair = core.HashedPair
-
-// Pair is one encoded itemset pair for the batched ingest paths.
-type Pair = imps.Pair
-
-// BatchAdder is the optional batched-ingest contract; Sketch, ShardedSketch
-// and SyncEstimator implement it.
-type BatchAdder = imps.BatchAdder
-
-// BytesAdder is the optional allocation-free byte-key ingest contract.
-type BytesAdder = imps.BytesAdder
+// HashedPair is one projected tuple of the batched ingest path: the encoded
+// A- and B-itemsets plus the sketch's own hashes of them. Fill AH and BH
+// with ShardedSketch.HashPairKeys — on the producer's goroutine, outside
+// any lock — and hand batches to ShardedSketch.AddHashedPairs.
+type HashedPair = imps.HashedPair
 
 // NewShardedSketch returns a sharded NIPS/CI sketch for the given
 // implication conditions. shards must be a power of two no larger than the

@@ -24,10 +24,13 @@ import "sync"
 // they still exclude writers. This requires the wrapped estimator's query
 // methods to be read-only, which holds for every estimator in this module.
 //
-// If the wrapped estimator supports AvgMultiplicity the wrapper forwards
-// it; otherwise AvgMultiplicity returns 0. AddBatch and AddBytes forward to
-// the wrapped estimator's amortized paths when available and fall back to
-// per-tuple Adds under a single lock acquisition otherwise.
+// The wrapper promises Add and the read methods, nothing more: it does not
+// forward the wrapped estimator's batched ingest contract, so a query
+// engine feeds it as a serialized estimator. If the wrapped estimator
+// supports AvgMultiplicity the wrapper forwards it; otherwise
+// AvgMultiplicity returns 0 — the query engine therefore checks the
+// estimator Unwrap returns, not the wrapper, before accepting
+// AVG(MULTIPLICITY(...)).
 func Synchronized(est Estimator) *SyncEstimator {
 	return &SyncEstimator{est: est}
 }
@@ -43,35 +46,6 @@ func (s *SyncEstimator) Add(a, b string) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.est.Add(a, b)
-}
-
-// AddBytes observes one tuple from byte-slice keys. When the wrapped
-// estimator implements BytesAdder the slices pass straight through and no
-// allocation happens; otherwise the call falls back to Add, paying one
-// string copy per key on every tuple — wrap a BytesAdder (or use AddBatch)
-// when byte-keyed ingest is the hot path.
-func (s *SyncEstimator) AddBytes(a, b []byte) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ba, ok := s.est.(BytesAdder); ok {
-		ba.AddBytes(a, b)
-		return
-	}
-	s.est.Add(string(a), string(b))
-}
-
-// AddBatch observes a batch of tuples under a single lock acquisition,
-// amortizing the wrapper's synchronization cost across the batch.
-func (s *SyncEstimator) AddBatch(pairs []Pair) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ba, ok := s.est.(BatchAdder); ok {
-		ba.AddBatch(pairs)
-		return
-	}
-	for i := range pairs {
-		s.est.Add(pairs[i].A, pairs[i].B)
-	}
 }
 
 // ImplicationCount estimates S.
@@ -126,6 +100,4 @@ func (s *SyncEstimator) Unwrap() Estimator { return s.est }
 var (
 	_ Estimator            = (*SyncEstimator)(nil)
 	_ MultiplicityAverager = (*SyncEstimator)(nil)
-	_ BatchAdder           = (*SyncEstimator)(nil)
-	_ BytesAdder           = (*SyncEstimator)(nil)
 )

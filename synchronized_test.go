@@ -1,12 +1,12 @@
 package implicate_test
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
 
 	"implicate"
+	"implicate/internal/query"
 )
 
 func TestSynchronizedConcurrentUse(t *testing.T) {
@@ -67,55 +67,42 @@ func (bareEstimator) SupportedDistinct() float64   { return 0 }
 func (bareEstimator) Tuples() int64                { return 0 }
 func (bareEstimator) MemEntries() int              { return 0 }
 
-// recordingEstimator captures Add calls; it deliberately does NOT implement
-// BytesAdder, forcing the wrapper's conversion fallback.
-type recordingEstimator struct {
-	bareEstimator
-	added [][2]string
-}
-
-func (r *recordingEstimator) Add(a, b string) { r.added = append(r.added, [2]string{a, b}) }
-
-// TestSynchronizedAddBytesBothPaths pins both AddBytes routes: the
-// pass-through to a BytesAdder-capable estimator must leave state identical
-// to feeding the same keys via Add, and the fallback for estimators without
-// AddBytes must deliver the converted strings.
-func TestSynchronizedAddBytesBothPaths(t *testing.T) {
-	cond := implicate.Conditions{MaxMultiplicity: 2, MinSupport: 3, TopC: 1, MinTopConfidence: 0.8}
-
-	// Pass-through: the sketch implements BytesAdder.
-	sk, err := implicate.NewSketch(cond, implicate.Options{Seed: 9})
+// TestSynchronizedAvgRequiresInnerAverager: the wrapper always has an
+// AvgMultiplicity method and answers 0 when the wrapped estimator has none,
+// so a mode check against the wrapper would accept AVG(MULTIPLICITY(...))
+// and the statement would read 0 forever. The engine must look through
+// Unwrap — on the compile path and on the engine's Register path — and
+// still accept a wrapper around an estimator that can average.
+func TestSynchronizedAvgRequiresInnerAverager(t *testing.T) {
+	schema, err := implicate.NewSchema("Source", "Destination")
 	if err != nil {
 		t.Fatal(err)
 	}
-	wrapped := implicate.Synchronized(sk)
-	serial, err := implicate.NewSketch(cond, implicate.Options{Seed: 9})
+	const avg = `SELECT AVG(MULTIPLICITY(Source)) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 1, MULTIPLICITY <= 5, CONFIDENCE >= 0.1 TOP 1`
+	bare := func(implicate.Conditions) (implicate.Estimator, error) {
+		return implicate.Synchronized(bareEstimator{}), nil
+	}
+	q, err := implicate.ParseQuery(avg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 5000; i++ {
-		a, b := fmt.Sprintf("a%d", i%700), fmt.Sprintf("b%d", i%700)
-		wrapped.AddBytes([]byte(a), []byte(b))
-		serial.Add(a, b)
+	if _, err := query.Compile(*q, schema, bare); err == nil {
+		t.Error("AVG compiled against Synchronized(<estimator without the aggregate>)")
 	}
-	got, err := sk.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := serial.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("AddBytes through the wrapper diverged from serial Add")
+	if _, err := implicate.NewEngine(schema).RegisterSQL(avg, bare); err == nil {
+		t.Error("AVG registered against Synchronized(<estimator without the aggregate>)")
 	}
 
-	// Fallback: the recorder has no AddBytes, so the wrapper must convert.
-	rec := &recordingEstimator{}
-	fb := implicate.Synchronized(rec)
-	fb.AddBytes([]byte("x1"), []byte("y1"))
-	fb.AddBytes([]byte("x2"), []byte("y2"))
-	if len(rec.added) != 2 || rec.added[0] != [2]string{"x1", "y1"} || rec.added[1] != [2]string{"x2", "y2"} {
-		t.Fatalf("fallback delivered %v", rec.added)
+	eng := implicate.NewEngine(schema)
+	st, err := eng.RegisterSQL(avg, func(cond implicate.Conditions) (implicate.Estimator, error) {
+		ex, err := implicate.NewExact(cond)
+		return implicate.Synchronized(ex), err
+	})
+	if err != nil {
+		t.Fatalf("AVG over Synchronized(exact) rejected: %v", err)
+	}
+	eng.ProcessBatch([]implicate.Tuple{{"s1", "d1"}, {"s1", "d2"}, {"s2", "d1"}})
+	if got := st.Count(); got != 1.5 {
+		t.Errorf("AVG over Synchronized(exact) = %v, want 1.5", got)
 	}
 }
