@@ -2,8 +2,8 @@
 // form of the paper's §2 aggregation tree (DESIGN.md §12). It speaks the
 // same wire protocol an impserved leaf does, so producers and queriers
 // need no fleet awareness — IngestBatch frames are routed to exactly one
-// leaf through a stable partition table, Query and Snapshot answer from
-// the merged fleet state, and Cluster reports membership.
+// leaf by their sketch bitmap, Query and Snapshot answer from the merged
+// fleet state, and Cluster reports membership.
 //
 // Usage:
 //
@@ -17,12 +17,13 @@
 //
 // Leaves must serve the same schema and statements with merge-compatible
 // estimators: the plain "nips" sketch backend with one shared -seed on
-// every leaf. Leaf NAMES are the stable routing identities — keep them
+// every leaf, checked at startup; the fleet splits their m bitmaps, so run
+// at most m leaves. Leaf NAMES are the stable routing identities — keep them
 // fixed across restarts and address changes, or tuples re-route and the
 // fleet's determinism contract breaks.
 //
 // When a leaf stops answering health probes it is marked down. Routing
-// does not change: the dead leaf keeps its partitions and its traffic
+// does not change: the dead leaf keeps its bitmaps and its traffic
 // queues in the coordinator's in-memory journal. Restart the leaf from
 // its latest checkpoint (impserved -resume) on the same address; the
 // coordinator re-admits it, reads back its restored offset, and replays

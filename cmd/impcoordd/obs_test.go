@@ -54,7 +54,7 @@ func TestFleetObsSmoke(t *testing.T) {
 		admin:   "127.0.0.1:0",
 		leaves:  strings.Join(leafFlag, ","),
 		schema:  "A, B",
-		queries: smokeSQL, parts: 64, flush: 1,
+		queries: smokeSQL, flush: 1,
 		probeEvery: 10 * time.Millisecond, probeTimeout: 250 * time.Millisecond,
 		probeFails: 2, drainTimeout: 30 * time.Second,
 		traceSpans: 4096,

@@ -32,7 +32,6 @@ type config struct {
 	schema  string
 	queries queryList
 
-	parts int
 	flush int
 
 	probeEvery   time.Duration
@@ -53,7 +52,6 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.StringVar(&cfg.leaves, "leaves", "", "fleet members as name=addr,name=addr (required); names are stable routing identities")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query the fleet serves (repeatable; required); must match the leaves' registration order")
-	fs.IntVar(&cfg.parts, "parts", 64, "virtual partitions in the route table; a power of two >= the fleet size")
 	fs.IntVar(&cfg.flush, "flush", 512, "per-leaf batch size in tuples: routed tuples buffer until a leaf has this many")
 	fs.DurationVar(&cfg.probeEvery, "probe-every", 50*time.Millisecond, "health-probe period per leaf")
 	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe round-trip bound")
@@ -111,12 +109,6 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("-leaves: %w", err)
 	}
 	cfg.leafSpecs = specs
-	if cfg.parts < 1 || cfg.parts&(cfg.parts-1) != 0 {
-		return fmt.Errorf("-parts must be a power of two >= 1, got %d", cfg.parts)
-	}
-	if cfg.parts < len(specs) {
-		return fmt.Errorf("-parts %d cannot cover %d leaves", cfg.parts, len(specs))
-	}
 	if cfg.flush < 1 {
 		return fmt.Errorf("-flush must be >= 1, got %d", cfg.flush)
 	}
@@ -152,17 +144,16 @@ func serve(cfg *config, ready chan<- coordAddrs, stop <-chan struct{}, out io.Wr
 		return err
 	}
 	co, err := implicate.NewCoordinator(implicate.CoordinatorConfig{
-		Schema:            schema,
-		Statements:        cfg.queries,
-		Leaves:            cfg.leafSpecs,
-		VirtualPartitions: cfg.parts,
-		FlushTuples:       cfg.flush,
-		ProbeEvery:        cfg.probeEvery,
-		ProbeTimeout:      cfg.probeTimeout,
-		ProbeFails:        cfg.probeFails,
-		DrainTimeout:      cfg.drainTimeout,
-		TraceSpans:        cfg.traceSpans,
-		Logf:              log.Printf,
+		Schema:       schema,
+		Statements:   cfg.queries,
+		Leaves:       cfg.leafSpecs,
+		FlushTuples:  cfg.flush,
+		ProbeEvery:   cfg.probeEvery,
+		ProbeTimeout: cfg.probeTimeout,
+		ProbeFails:   cfg.probeFails,
+		DrainTimeout: cfg.drainTimeout,
+		TraceSpans:   cfg.traceSpans,
+		Logf:         log.Printf,
 	})
 	if err != nil {
 		return err
@@ -243,7 +234,7 @@ func printSummary(out io.Writer, co *implicate.Coordinator, queries []string) er
 		fmt.Fprintf(out, "stmt %d: %s = %.1f (%d tuples fleet-wide)\n", i, sql, res.Count, res.Tuples)
 	}
 	cs := co.Status()
-	fmt.Fprintf(out, "fleet: %d leaves over %d virtual partitions\n", len(cs.Leaves), cs.VirtualPartitions)
+	fmt.Fprintf(out, "fleet: %d leaves over %d bitmaps\n", len(cs.Leaves), cs.VirtualPartitions)
 	for _, lf := range cs.Leaves {
 		fmt.Fprintf(out, "  %s: %s epoch=%d parts=%d journaled=%d acked=%d\n",
 			lf.Addr, leafStateName(lf.State), lf.Epoch, lf.Parts, lf.Journaled, lf.Acked)

@@ -17,13 +17,13 @@ import (
 func TestParseFlags(t *testing.T) {
 	cfg, rest, err := parseFlags([]string{
 		"-listen", ":0", "-leaves", "a=1:1,b=2:2", "-schema", "A,B",
-		"-q", "q1", "-q", "q2", "-parts", "16", "-probe-fails", "5",
+		"-q", "q1", "-q", "q2", "-probe-fails", "5",
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if cfg.listen != ":0" || cfg.leaves != "a=1:1,b=2:2" || len(cfg.queries) != 2 ||
-		cfg.queries[1] != "q2" || cfg.parts != 16 || cfg.probeFails != 5 || len(rest) != 0 {
+		cfg.queries[1] != "q2" || cfg.probeFails != 5 || len(rest) != 0 {
 		t.Fatalf("parsed %+v %v", cfg, rest)
 	}
 	if _, _, err := parseFlags([]string{"-bogus"}); err == nil {
@@ -51,7 +51,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 	base := func() config {
 		return config{
 			listen: ":0", leaves: "a=1:1,b=2:2", schema: "A,B", queries: queryList{"x"},
-			parts: 64, flush: 512, probeEvery: time.Millisecond,
+			flush: 512, probeEvery: time.Millisecond,
 			probeTimeout: time.Millisecond, probeFails: 1, drainTimeout: time.Second,
 		}
 	}
@@ -65,8 +65,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"missing query", func(c *config) { c.queries = nil }, "-q"},
 		{"missing leaves", func(c *config) { c.leaves = "" }, "-leaves"},
 		{"bad leaves", func(c *config) { c.leaves = "justanaddr" }, "name=addr"},
-		{"parts not power of two", func(c *config) { c.parts = 48 }, "-parts"},
-		{"parts under fleet", func(c *config) { c.parts = 1 }, "cannot cover"},
 		{"zero flush", func(c *config) { c.flush = 0 }, "-flush"},
 		{"zero probe fails", func(c *config) { c.probeFails = 0 }, "-probe-fails"},
 		{"zero probe period", func(c *config) { c.probeEvery = 0 }, "positive"},
@@ -98,6 +96,10 @@ var smokeSQL = queryList{
 }
 
 const smokeSeed = 7
+
+// smokeBitmaps is the leaves' sketch bitmap count (the default), which the
+// coordinator's route table partitions.
+const smokeBitmaps = 64
 
 func smokeEngine(t *testing.T, schema *implicate.Schema) *implicate.Engine {
 	t.Helper()
@@ -187,7 +189,7 @@ func TestClusterSmoke(t *testing.T) {
 		// applied count observable through Query reaches the ingested total
 		// without an explicit flush RPC (the wire has none; Flush runs at
 		// shutdown).
-		queries: smokeSQL, parts: 64, flush: 1,
+		queries: smokeSQL, flush: 1,
 		probeEvery: 10 * time.Millisecond, probeTimeout: 250 * time.Millisecond,
 		probeFails: 2, drainTimeout: 30 * time.Second,
 	}
@@ -220,7 +222,6 @@ func TestClusterSmoke(t *testing.T) {
 	}
 	shadow, err := implicate.NewCoordinator(implicate.CoordinatorConfig{
 		Schema: schema, Statements: smokeSQL, Leaves: shadowSpecs,
-		VirtualPartitions: cfg.parts,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +324,7 @@ func TestClusterSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(cs.Leaves) != nLeaves || cs.VirtualPartitions != uint32(cfg.parts) {
+	if len(cs.Leaves) != nLeaves || cs.VirtualPartitions != smokeBitmaps {
 		t.Fatalf("cluster %+v", cs)
 	}
 	var parts uint32
@@ -333,8 +334,8 @@ func TestClusterSmoke(t *testing.T) {
 			t.Errorf("leaf %d state %d, want up", i, lf.State)
 		}
 	}
-	if parts != uint32(cfg.parts) {
-		t.Errorf("route table assigns %d partitions, want %d", parts, cfg.parts)
+	if parts != smokeBitmaps {
+		t.Errorf("route table assigns %d partitions, want %d", parts, smokeBitmaps)
 	}
 	if cs.Leaves[victim].Epoch < 1 {
 		t.Errorf("victim epoch %d, want >= 1", cs.Leaves[victim].Epoch)

@@ -284,7 +284,7 @@ func main() {
 	lo, hi := rootSketch.ImplicationCountInterval(2)
 	exact := truth.ImplicationCount()
 	fmt.Printf("distributed: %d leaf servers, coordinator-routed over loopback TCP\n", leaves)
-	fmt.Printf("  fleet over %d virtual partitions:\n", status.VirtualPartitions)
+	fmt.Printf("  fleet over %d bitmaps:\n", status.VirtualPartitions)
 	for i, lf := range status.Leaves {
 		fmt.Printf("    leaf%d %s: epoch=%d parts=%d journaled=%d\n", i, lf.Addr, lf.Epoch, lf.Parts, lf.Journaled)
 	}

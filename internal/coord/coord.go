@@ -1,23 +1,26 @@
 // Package coord is the fleet coordinator: the managed form of the paper's
 // §2 two-level aggregation tree (DESIGN.md §12). A Coordinator fronts N
-// impserved leaves, routes every ingested tuple to exactly one leaf through
-// an immutable partition table (route.go), journals and delivers batches in
-// order per leaf (leaf.go), tracks liveness with health probes, recovers a
-// crashed leaf from its checkpoint before re-admitting it, and answers
-// queries by pulling and merging leaf state through the Snapshot RPC.
+// impserved leaves, routes every ingested tuple to the leaf owning its
+// sketch bitmap (route.go), journals and delivers batches in order per leaf
+// (leaf.go), tracks liveness with health probes, recovers a crashed leaf
+// from its checkpoint before re-admitting it, and answers queries by
+// pulling and merging leaf state — one sketch's state — through the
+// Snapshot RPC.
 //
-// Determinism contract: with a fixed configuration (leaf names, partition
-// count, route statement) and a fixed tuple sequence, every leaf receives
-// the same tuples in the same order on every run — crashes included,
-// because routing ignores liveness and recovery replays the journal from
-// the leaf's restored checkpoint boundary. A fleet that lost and recovered
-// a leaf is therefore bit-identical to an uncrashed shadow fleet fed the
-// same stream, which is the property the cluster smoke test enforces.
+// Determinism contract: with a fixed configuration (leaf names, leaf sketch
+// parameters, route statement) and a fixed tuple sequence, every leaf
+// receives the same tuples in the same order on every run — crashes
+// included, because routing ignores liveness and recovery replays the
+// journal from the leaf's restored checkpoint boundary. A fleet that lost
+// and recovered a leaf is therefore bit-identical to an uncrashed shadow
+// fleet fed the same stream, which is the property the cluster smoke test
+// enforces.
 //
-// Restrictions: leaves must run merge-compatible estimators for every
-// statement — the plain "nips" sketch with identical seeds and parameters —
-// because the merge fan-in round-trips marshalled sketches through
-// core.Sketch.Merge. Windowed statements are rejected at construction.
+// Restrictions: every leaf must run the plain "nips" sketch with identical
+// seeds and parameters for every statement — routing hashes with statement
+// 0's and the merge fan-in is core.Sketch.Merge — and there may be at most
+// as many leaves as bitmaps; New refuses a fleet that breaks either, as it
+// does windowed statements.
 package coord
 
 import (
@@ -54,13 +57,6 @@ type Config struct {
 	Statements []string
 	// Leaves is the fleet, in route-table order. Names must be unique.
 	Leaves []LeafSpec
-	// VirtualPartitions sizes the route table; a power of two >= the fleet
-	// size. Default 64.
-	VirtualPartitions int
-	// Partitioner overrides the key→partition mapping. Nil selects the
-	// fixed-seed xhash router, which every identically-configured
-	// coordinator shares.
-	Partitioner Partitioner
 	// FlushTuples is the per-leaf batch size: routed tuples are staged
 	// until a leaf's buffer holds this many, then journaled and delivered
 	// as one batch. Default 512.
@@ -98,9 +94,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VirtualPartitions == 0 {
-		c.VirtualPartitions = 64
-	}
 	if c.FlushTuples == 0 {
 		c.FlushTuples = 512
 	}
@@ -175,8 +168,9 @@ type Coordinator struct {
 	closeOnce sync.Once
 }
 
-// New validates the configuration, dials every leaf eagerly (configuration
-// errors surface here), and starts the feeders and probers.
+// New validates the configuration, dials every leaf eagerly, learns the
+// route hash from the leaves (configuration errors surface here), and
+// starts the feeders and probers.
 func New(cfg Config) (*Coordinator, error) {
 	cfg = cfg.withDefaults()
 	if cfg.Schema == nil {
@@ -220,26 +214,18 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		co.queries = append(co.queries, *q)
 	}
-	names := make([]string, len(cfg.Leaves))
-	for i, l := range cfg.Leaves {
-		names[i] = l.Name
-	}
-	attrs := append(append([]string(nil), co.queries[0].A...), co.queries[0].GroupBy...)
-	rt, err := newRouteTable(cfg.Schema, attrs, cfg.Partitioner, cfg.VirtualPartitions, names)
-	if err != nil {
-		return nil, err
-	}
-	co.rt = rt
 	co.initStaging()
 	for i, spec := range cfg.Leaves {
 		lf, err := newLeaf(co, i, spec)
 		if err != nil {
-			for _, prev := range co.leaves {
-				prev.shut()
-			}
+			co.Close()
 			return nil, err
 		}
 		co.leaves = append(co.leaves, lf)
+	}
+	if co.rt, err = co.route(); err != nil {
+		co.Close()
+		return nil, err
 	}
 	for _, lf := range co.leaves {
 		co.wg.Add(2)
@@ -250,6 +236,34 @@ func New(cfg Config) (*Coordinator, error) {
 }
 
 func (co *Coordinator) logf(format string, args ...any) { co.cfg.Logf(format, args...) }
+
+// route builds the route table on the hash family and bitmaps of statement
+// 0's sketch, which every leaf must run with the same conditions and
+// options.
+func (co *Coordinator) route() (*routeTable, error) {
+	var sk *core.Sketch
+	names := make([]string, len(co.leaves))
+	for i, lf := range co.leaves {
+		names[i] = lf.name
+		res, err := lf.cl.SnapshotFenced(0, lf.boot)
+		var got *core.Sketch
+		if err == nil {
+			got, err = core.UnmarshalSketch(res.Sketch)
+		}
+		switch {
+		case err != nil:
+			return nil, fmt.Errorf("coord: leaf %s: statement 0 must run a mergeable nips sketch: %w", lf.name, err)
+		case sk == nil:
+			sk = got
+		case got.Conditions() != sk.Conditions() || got.Options() != sk.Options():
+			return nil, fmt.Errorf("coord: leaf %s runs %s seed %d, leaf %s runs %s seed %d: every leaf must share sketch conditions, options and seed",
+				lf.name, got.ConfigFingerprint(), got.Options().Seed, names[0], sk.ConfigFingerprint(), sk.Options().Seed)
+		}
+	}
+	sk.Reset()
+	attrs := append(append([]string(nil), co.queries[0].A...), co.queries[0].GroupBy...)
+	return newRouteTable(co.cfg.Schema, attrs, sk, names)
+}
 
 // initStaging sizes the ingest-path state from cfg.Schema and cfg.Leaves.
 func (co *Coordinator) initStaging() {
@@ -471,10 +485,10 @@ func (co *Coordinator) Snapshot(stmt int) (proto.SnapshotResult, error) {
 	return proto.SnapshotResult{Tuples: tuples, Kind: kind, Sketch: blob}, nil
 }
 
-// Status reports the membership view: route-table size and one row per
-// leaf.
+// Status reports the membership view: route-table size (the leaves'
+// bitmap count) and one row per leaf.
 func (co *Coordinator) Status() proto.ClusterStatus {
-	cs := proto.ClusterStatus{VirtualPartitions: uint32(co.rt.parts)}
+	cs := proto.ClusterStatus{VirtualPartitions: uint32(len(co.rt.owner))}
 	for _, lf := range co.leaves {
 		cs.Leaves = append(cs.Leaves, lf.status())
 	}
@@ -493,8 +507,8 @@ func (co *Coordinator) Tracer() *obs.Tracer { return co.tracer }
 // half of the obs.FleetAdminState surface the admin endpoint reads.
 func (co *Coordinator) CoordStats() telemetry.Snapshot { return co.tel.Snapshot() }
 
-// VirtualPartitions reports the route-table size.
-func (co *Coordinator) VirtualPartitions() int { return co.rt.parts }
+// VirtualPartitions reports the route-table size: the leaves' bitmap count.
+func (co *Coordinator) VirtualPartitions() int { return len(co.rt.owner) }
 
 // FleetTelemetry reports every leaf's coordinator-side observability row,
 // in leaf order.

@@ -5,8 +5,12 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"regexp"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -14,6 +18,8 @@ import (
 	"implicate/internal/checkpoint"
 	"implicate/internal/client"
 	"implicate/internal/core"
+	"implicate/internal/exact"
+	"implicate/internal/gen"
 	"implicate/internal/imps"
 	"implicate/internal/proto"
 	"implicate/internal/query"
@@ -30,6 +36,13 @@ var fleetSQL = []string{
 }
 
 const fleetSeed = 11
+
+// routeSketch is what a fleet of fleet.backend leaves reports as its route
+// hash, at m bitmaps.
+func routeSketch(m int) *core.Sketch {
+	cond := imps.Conditions{MaxMultiplicity: 2, MinSupport: 2, TopC: 1, MinTopConfidence: 0.8}
+	return core.MustSketch(cond, core.Options{Seed: fleetSeed, Bitmaps: m})
+}
 
 func fleetSchema(t *testing.T) *stream.Schema {
 	t.Helper()
@@ -57,6 +70,10 @@ type fleet struct {
 	// blocks in it to hold a leaf down.
 	stall func(name string)
 
+	// sql, when non-nil, replaces fleetSQL as the statements every leaf
+	// registers and the coordinator serves.
+	sql []string
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -71,9 +88,16 @@ func (f *fleet) backend() query.Backend {
 	}
 }
 
+func (f *fleet) statements() []string {
+	if f.sql != nil {
+		return f.sql
+	}
+	return fleetSQL
+}
+
 func (f *fleet) engine() (*query.Engine, error) {
 	eng := query.NewEngine(f.schema)
-	for _, sql := range fleetSQL {
+	for _, sql := range f.statements() {
 		if _, err := eng.RegisterSQL(sql, f.backend()); err != nil {
 			return nil, err
 		}
@@ -176,18 +200,17 @@ func startCoordinator(t *testing.T, fl *fleet, n int, prefix string) *Coordinato
 		specs[i] = LeafSpec{Name: name, Addr: fl.start(name)}
 	}
 	co, err := New(Config{
-		Schema:            fl.schema,
-		Statements:        fleetSQL,
-		Leaves:            specs,
-		VirtualPartitions: 64,
-		FlushTuples:       100,
-		ProbeEvery:        10 * time.Millisecond,
-		ProbeTimeout:      250 * time.Millisecond,
-		ProbeFails:        2,
-		Restart:           fl.restart,
-		ClientOptions:     client.Options{Conns: 1},
-		Logf:              t.Logf,
-		TraceSpans:        fl.traceSpans,
+		Schema:        fl.schema,
+		Statements:    fl.statements(),
+		Leaves:        specs,
+		FlushTuples:   100,
+		ProbeEvery:    10 * time.Millisecond,
+		ProbeTimeout:  250 * time.Millisecond,
+		ProbeFails:    2,
+		Restart:       fl.restart,
+		ClientOptions: client.Options{Conns: 1},
+		Logf:          t.Logf,
+		TraceSpans:    fl.traceSpans,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -365,47 +388,14 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 	}
 }
 
-// TestRouteTableRendezvousStability: growing the fleet may move partitions
-// only TO the new leaf — survivors keep everything they had.
-func TestRouteTableRendezvousStability(t *testing.T) {
-	schema := fleetSchema(t)
-	names := []string{"a", "b", "c"}
-	rt3, err := newRouteTable(schema, []string{"A"}, nil, 128, names)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt4, err := newRouteTable(schema, []string{"A"}, nil, 128, append(names, "d"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	moved := 0
-	for p := 0; p < 128; p++ {
-		if rt4.owner[p] != rt3.owner[p] {
-			if rt4.owner[p] != 3 {
-				t.Fatalf("partition %d moved from leaf %d to surviving leaf %d", p, rt3.owner[p], rt4.owner[p])
-			}
-			moved++
-		}
-	}
-	if moved == 0 {
-		t.Error("adding a leaf moved no partitions at all")
-	}
-	if moved > 128/2 {
-		t.Errorf("adding one leaf to three moved %d/128 partitions", moved)
-	}
-}
-
 // TestRouteTableValidation rejects the configurations the arithmetic
 // silently breaks on.
 func TestRouteTableValidation(t *testing.T) {
 	schema := fleetSchema(t)
-	if _, err := newRouteTable(schema, []string{"A"}, nil, 48, []string{"a"}); err == nil {
-		t.Error("non-power-of-two partition count accepted")
+	if _, err := newRouteTable(schema, []string{"A"}, routeSketch(2), []string{"a", "b", "c"}); err == nil {
+		t.Error("fewer bitmaps than leaves accepted")
 	}
-	if _, err := newRouteTable(schema, []string{"A"}, nil, 2, []string{"a", "b", "c"}); err == nil {
-		t.Error("fewer partitions than leaves accepted")
-	}
-	if _, err := newRouteTable(schema, []string{"nope"}, nil, 16, []string{"a"}); err == nil {
+	if _, err := newRouteTable(schema, []string{"nope"}, routeSketch(16), []string{"a"}); err == nil {
 		t.Error("unknown route attribute accepted")
 	}
 }
@@ -420,5 +410,197 @@ func TestCoordinatorRejectsWindowedStatements(t *testing.T) {
 	})
 	if err == nil {
 		t.Fatal("windowed statement accepted")
+	}
+}
+
+// leafNames is leaf0 .. leaf{n-1}.
+func leafNames(n int) []string {
+	names := make([]string, n)
+	for i := range names {
+		names[i] = fmt.Sprintf("leaf%d", i)
+	}
+	return names
+}
+
+// TestRouteTableBoundedLoad pins the assignment's three promises over a
+// table of fleet sizes and bitmap counts: shares differ by at most one; the
+// table depends on the leaf names, not their order in Leaves; and growing
+// the fleet by one leaf moves at most ⌈m/(n+1)⌉+1 bitmaps, every one of them
+// to the newcomer.
+func TestRouteTableBoundedLoad(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range []int{8, 64, 256} {
+		for n := 1; n <= 8; n++ {
+			names := leafNames(n)
+			owner := assign(names, m)
+			share := make([]int, n)
+			for _, leaf := range owner {
+				share[leaf]++
+			}
+			lo, hi := slices.Min(share), slices.Max(share)
+			if hi-lo > 1 {
+				t.Errorf("m=%d n=%d: shares %v differ by more than one", m, n, share)
+			}
+			if m == 64 && n == 3 && !slices.Equal(share, []int{22, 21, 21}) {
+				t.Errorf("m=64 n=3: shares %v, want 22/21/21", share)
+			}
+			perm := slices.Clone(names)
+			rng.Shuffle(len(perm), func(i, j int) { perm[i], perm[j] = perm[j], perm[i] })
+			for bm, leaf := range assign(perm, m) {
+				if perm[leaf] != names[owner[bm]] {
+					t.Fatalf("m=%d n=%d: bitmap %d owned by %s under %v, by %s under %v", m, n, bm, perm[leaf], perm, names[owner[bm]], names)
+				}
+			}
+			grown := assign(leafNames(n+1), m)
+			moved := 0
+			for bm := range owner {
+				if grown[bm] != owner[bm] {
+					if grown[bm] != n {
+						t.Fatalf("m=%d: growing to %d leaves moved bitmap %d from leaf %d to surviving leaf %d", m, n+1, bm, owner[bm], grown[bm])
+					}
+					moved++
+				}
+			}
+			if bound := (m+n)/(n+1) + 1; moved > bound {
+				t.Errorf("m=%d: growing %d leaves to %d moved %d bitmaps, bound %d", m, n, n+1, moved, bound)
+			}
+		}
+	}
+}
+
+// serveLeaf starts a checkpoint-less leaf serving fleetSQL on backend.
+func serveLeaf(t *testing.T, schema *stream.Schema, backend query.Backend) string {
+	t.Helper()
+	eng := query.NewEngine(schema)
+	for _, sql := range fleetSQL {
+		if _, err := eng.RegisterSQL(sql, backend); err != nil {
+			t.Fatal(err)
+		}
+	}
+	srv, err := server.Listen(server.Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Kill)
+	return srv.Addr()
+}
+
+// TestCoordinatorRefusesMisconfiguredFleet: a fleet the route hash or the
+// merge cannot serve is refused by New, naming the leaf, instead of at the
+// first Query.
+func TestCoordinatorRefusesMisconfiguredFleet(t *testing.T) {
+	schema := fleetSchema(t)
+	sketch := func(opts core.Options) query.Backend {
+		return func(cond imps.Conditions) (imps.Estimator, error) { return core.NewSketch(cond, opts) }
+	}
+	good := sketch(core.Options{Seed: fleetSeed})
+	for _, tc := range []struct {
+		name     string
+		backends []query.Backend
+		want     string
+	}{
+		{"mismatched seed", []query.Backend{good, sketch(core.Options{Seed: fleetSeed + 1})}, "leaf b"},
+		{"mismatched bitmaps", []query.Backend{good, sketch(core.Options{Seed: fleetSeed, Bitmaps: 32})}, "leaf b"},
+		{"exact leaf", []query.Backend{good, func(cond imps.Conditions) (imps.Estimator, error) { return exact.NewStriped(cond, 4) }}, "leaf b"},
+		{"more leaves than bitmaps", []query.Backend{
+			sketch(core.Options{Seed: fleetSeed, Bitmaps: 2}),
+			sketch(core.Options{Seed: fleetSeed, Bitmaps: 2}),
+			sketch(core.Options{Seed: fleetSeed, Bitmaps: 2}),
+		}, "3 leaves cannot share 2 bitmaps"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			var specs []LeafSpec
+			for i, backend := range tc.backends {
+				specs = append(specs, LeafSpec{Name: string(rune('a' + i)), Addr: serveLeaf(t, schema, backend)})
+			}
+			co, err := New(Config{Schema: schema, Statements: fleetSQL, Leaves: specs})
+			if err == nil {
+				co.Close()
+				t.Fatal("misconfigured fleet accepted")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// sketchState renders every bitmap of sk — zone structure and tracked
+// itemsets — without the peak, which a merge only bounds.
+func sketchState(sk *core.Sketch) string {
+	var b strings.Builder
+	sk.Dump(&b, 0)
+	for bm := 0; bm < sk.Options().Bitmaps; bm++ {
+		sk.DumpCells(&b, bm)
+	}
+	return regexp.MustCompile(`\(peak \d+\)`).ReplaceAllString(b.String(), "")
+}
+
+// TestFleetEqualsOneSketch: three real leaves fed Dataset One by one
+// producer hold, between them, exactly one sketch — the coordinator's count
+// equals an in-process sketch fed the same tuples, the leaves' summed
+// footprint equals that sketch's, and the merged snapshot's bitmaps are
+// that sketch's bitmaps. The statements are Dataset One's own conditions
+// at the benchmark's support of 50 — enough for fringe cells to die before
+// any of their itemsets is supported and reopen support-only, the state a
+// merge into an empty bitmap used to drop — and the harness's first.
+func TestFleetEqualsOneSketch(t *testing.T) {
+	schema := fleetSchema(t)
+	d := gen.MustDatasetOne(gen.DatasetOneConfig{CardA: 3000, Count: 1000, C: 2, Support: 50, Seed: 3})
+	c := d.Conditions
+	fl := newFleet(t, schema)
+	fl.sql = []string{
+		fmt.Sprintf("SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= %d, MULTIPLICITY <= %d, CONFIDENCE >= %g TOP %d",
+			c.MinSupport, c.MaxMultiplicity, c.MinTopConfidence, c.TopC),
+		fleetSQL[0],
+	}
+	t.Cleanup(fl.closeAll)
+	co := startCoordinator(t, fl, 3, "leaf")
+	one, err := fl.engine()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tuples := make([]stream.Tuple, len(d.Pairs))
+	for i, p := range d.Pairs {
+		tuples[i] = stream.Tuple{fmt.Sprintf("a%d", p.A), fmt.Sprintf("b%d", p.B)}
+	}
+	const chunk = 1000
+	for off := 0; off < len(tuples); off += chunk {
+		batch := tuples[off:min(off+chunk, len(tuples))]
+		if err := co.Ingest(batch); err != nil {
+			t.Fatal(err)
+		}
+		one.ProcessBatch(batch)
+	}
+	if err := co.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	for stmt := range fl.sql {
+		ref := one.Statements()[stmt].Estimator().(*core.Sketch)
+		q, err := co.Query(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want := one.Statements()[stmt].Count(); math.Float64bits(q.Count) != math.Float64bits(want) || q.Tuples != ref.Tuples() {
+			t.Errorf("stmt %d: fleet count %v over %d tuples, one sketch %v over %d", stmt, q.Count, q.Tuples, want, ref.Tuples())
+		}
+		entries := 0
+		for _, name := range leafNames(3) {
+			entries += fl.servers[name].Engine().Statements()[stmt].Health().MemEntries
+		}
+		if entries != ref.MemEntries() {
+			t.Errorf("stmt %d: leaves hold %d entries between them, one sketch %d", stmt, entries, ref.MemEntries())
+		}
+		snap, err := co.Snapshot(stmt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		merged, err := core.UnmarshalSketch(snap.Sketch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := sketchState(merged), sketchState(ref); got != want {
+			t.Errorf("stmt %d: merged fleet bitmaps differ from one sketch's\n got:\n%.2000s\nwant:\n%.2000s", stmt, got, want)
+		}
 	}
 }

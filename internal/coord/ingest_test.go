@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"implicate/internal/client"
+	"implicate/internal/core"
 	"implicate/internal/proto"
 	"implicate/internal/raceflag"
 	"implicate/internal/stream"
@@ -18,8 +19,9 @@ import (
 )
 
 // offlineCoordinator builds a coordinator with no network behind it: the
-// real route table and staging state, leaves that journal but have no
-// feeder. Everything up to and including the journal runs as in
+// real route table — over the bitmaps of a fleetSeed sketch, what a fleet
+// of f.backend leaves reports — and staging state, leaves that journal but
+// have no feeder. Everything up to and including the journal runs as in
 // production, which is all the ingest path's byte-level tests need; what is
 // journaled simply stays pending, so a test may journal at most
 // maxPendingBatches entries per leaf before Ingest blocks.
@@ -32,7 +34,7 @@ func offlineCoordinator(t testing.TB, schema *stream.Schema, leaves, flush int) 
 		cfg.Leaves = append(cfg.Leaves, LeafSpec{Name: names[i], Addr: "offline"})
 	}
 	co := &Coordinator{cfg: cfg.withDefaults(), stop: make(chan struct{})}
-	rt, err := newRouteTable(schema, []string{"A"}, nil, co.cfg.VirtualPartitions, names)
+	rt, err := newRouteTable(schema, []string{"A"}, routeSketch(core.DefaultBitmaps), names)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,14 +104,14 @@ func TestJournalBytesMatchCodec(t *testing.T) {
 	tuples[19] = stream.Tuple{string(bytes.Repeat([]byte("w"), 200)), "d"}                // two-byte length prefix
 
 	// The oracle routes with the documented function, not the coordinator's
-	// code: fixed-seed xhash of the A value, masked to the partition count,
-	// through the rendezvous table.
+	// code: the leaves' seeded A-hash of the A value, masked to the bitmap
+	// count, through the assignment table.
 	ref := offlineCoordinator(t, schema, leaves, flush)
-	router := xhash.New(routeSeed)
+	ahash := xhash.New(fleetSeed)
 	var want [leaves][]stream.Tuple
 	for _, tu := range tuples {
-		part := int(router.SumBytes([]byte(tu[0])) & uint64(ref.rt.parts-1))
-		want[ref.rt.owner[part]] = append(want[ref.rt.owner[part]], tu)
+		bm := int(ahash.SumBytes([]byte(tu[0])) & uint64(len(ref.rt.owner)-1))
+		want[ref.rt.owner[bm]] = append(want[ref.rt.owner[bm]], tu)
 	}
 	var wantPayloads [leaves][][]byte
 	for i, ts := range want {
@@ -554,4 +556,29 @@ func FuzzFrontendIngest(f *testing.F) {
 			}
 		}
 	})
+}
+
+// BenchmarkCoordRoute is the coordinator side of one 1000-record wire batch
+// on the offline harness — validate, route on the bitmap index, stage,
+// journal — with the journal discarded after every batch so nothing blocks.
+func BenchmarkCoordRoute(b *testing.B) {
+	schema, err := stream.NewSchema("A", "B")
+	if err != nil {
+		b.Fatal(err)
+	}
+	co := offlineCoordinator(b, schema, 3, 1000)
+	payload := mustEncode(b, schema, fleetTuples(1000))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := co.ingestEncoded(payload); err != nil {
+			b.Fatal(err)
+		}
+		for _, lf := range co.leaves {
+			lf.mu.Lock()
+			lf.journal, lf.nextSend = lf.journal[:0], 0
+			lf.mu.Unlock()
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*1000), "ns/tuple")
 }

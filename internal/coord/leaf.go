@@ -448,17 +448,22 @@ func (lf *leaf) snapshot(stmt int, deadline time.Time) (proto.SnapshotResult, er
 	}
 }
 
+// reportedLocked is the state the leaf reports: a sticky-fatal leaf is
+// down. Must hold lf.mu.
+func (lf *leaf) reportedLocked() leafState {
+	if lf.fatal != nil {
+		return leafDown
+	}
+	return lf.state
+}
+
 // status is this leaf's row of the membership view.
 func (lf *leaf) status() proto.LeafStatus {
 	lf.mu.Lock()
 	defer lf.mu.Unlock()
-	st := lf.state
-	if lf.fatal != nil {
-		st = leafDown
-	}
 	return proto.LeafStatus{
 		Addr:      lf.addr,
-		State:     st.wire(),
+		State:     lf.reportedLocked().wire(),
 		Epoch:     lf.epoch,
 		Parts:     lf.co.rt.share[lf.idx],
 		Journaled: lf.journaled,
@@ -469,20 +474,9 @@ func (lf *leaf) status() proto.LeafStatus {
 // telemetryRow is this leaf's coordinator-side observability row.
 func (lf *leaf) telemetryRow() obs.LeafTelemetry {
 	lf.mu.Lock()
-	st := lf.state
-	if lf.fatal != nil {
-		st = leafDown
-	}
-	state := "up"
-	switch st {
-	case leafDown:
-		state = "down"
-	case leafRecovering:
-		state = "recovering"
-	}
 	row := obs.LeafTelemetry{
 		Name:           lf.name,
-		State:          state,
+		State:          [...]string{leafUp: "up", leafDown: "down", leafRecovering: "recovering"}[lf.reportedLocked()],
 		Epoch:          lf.epoch,
 		Parts:          int(lf.co.rt.share[lf.idx]),
 		JournalEntries: int64(len(lf.journal)),

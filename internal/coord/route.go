@@ -1,17 +1,12 @@
 // Partition routing for the coordinator (DESIGN.md §12): tuple → route key
-// → virtual partition → leaf.
-//
-// The route key is the template statement's A-projection (A attributes plus
-// GROUP BY, the same key its estimators hash), so all tuples of one itemset
-// land on one leaf and every leaf's sketch sees a disjoint key population.
-// Keys map to a fixed power-of-two number of virtual partitions through a
-// Partitioner — a stable key→partition function, like the one the
-// in-process pipeline plans with — and virtual partitions map to leaves by
-// rendezvous hashing over the stable leaf names, so growing the fleet moves
-// only the partitions the new leaf wins.
+// → bitmap → leaf. The route key is the template statement's A-projection
+// (A attributes plus GROUP BY, byte for byte the key its estimators hash),
+// and the partition is the bitmap that key updates in the leaves'
+// statement-0 sketch, so every leaf owns whole bitmaps, in stream order, and
+// the merged fleet state is a disjoint union: one sketch fed the stream.
 //
 // The table is immutable after construction, and deliberately blind to
-// liveness: a dead leaf keeps its partitions, and its traffic queues in its
+// liveness: a dead leaf keeps its bitmaps, and its traffic queues in its
 // journal until recovery re-admits it. Routing around failures would make
 // the tuple→leaf assignment depend on failure timing, and the fleet's
 // bit-identity contract (a crashed-and-recovered fleet equals an uncrashed
@@ -20,89 +15,87 @@ package coord
 
 import (
 	"fmt"
+	"sort"
 
+	"implicate/internal/core"
 	"implicate/internal/stream"
 	"implicate/internal/xhash"
 )
 
-// Partitioner maps an encoded route key to one of n partitions, n a power
-// of two >= 1: every key maps to exactly one partition for a given n, and
-// the mapping is a pure function of the key. The router works on the raw
-// wire bytes, so the key is a byte slice it may reuse after the call. The
-// default is an xhash router with a fixed seed, so two coordinators
-// configured alike route alike.
-type Partitioner interface {
-	IngestPartition(a []byte, n int) int
-}
-
-// routeSeed fixes the default router's hash so routing is a pure function
-// of configuration — a coordinator restart, or a shadow fleet, routes
-// identically.
-const routeSeed = 0x1cde2005
-
-// hashRouter is the default Partitioner.
-type hashRouter struct{ h xhash.Hash }
-
-func (r hashRouter) IngestPartition(a []byte, n int) int {
-	return int(r.h.SumBytes(a) & uint64(n-1))
-}
-
-// routeTable is the immutable partition→leaf assignment.
+// routeTable is the immutable bitmap→leaf assignment.
 type routeTable struct {
-	parts int
-	part  Partitioner
+	sk    *core.Sketch // the leaves' hash family and bitmap count; holds no state
 	proj  stream.Proj
-	owner []int    // virtual partition → leaf index
-	share []uint32 // leaf index → partitions owned
+	owner []int    // bitmap → leaf index
+	share []uint32 // leaf index → bitmaps owned
 }
 
-func newRouteTable(schema *stream.Schema, attrs []string, part Partitioner, parts int, names []string) (*routeTable, error) {
-	if parts < 1 || parts&(parts-1) != 0 {
-		return nil, fmt.Errorf("coord: %d virtual partitions; must be a power of two >= 1", parts)
-	}
-	if len(names) < 1 {
-		return nil, fmt.Errorf("coord: a fleet needs at least one leaf")
-	}
-	if parts < len(names) {
-		return nil, fmt.Errorf("coord: %d virtual partitions cannot cover %d leaves", parts, len(names))
+// newRouteTable routes on sk's bitmaps. sk is only hashed with, never fed.
+func newRouteTable(schema *stream.Schema, attrs []string, sk *core.Sketch, names []string) (*routeTable, error) {
+	m := sk.Options().Bitmaps
+	if len(names) > m {
+		return nil, fmt.Errorf("coord: %d leaves cannot share %d bitmaps; run at most as many leaves as the sketch has bitmaps", len(names), m)
 	}
 	proj, err := schema.Proj(attrs...)
 	if err != nil {
 		return nil, fmt.Errorf("coord: route key: %w", err)
 	}
-	if part == nil {
-		part = hashRouter{h: xhash.New(routeSeed)}
-	}
-	rt := &routeTable{
-		parts: parts,
-		part:  part,
-		proj:  proj,
-		owner: make([]int, parts),
-		share: make([]uint32, len(names)),
-	}
-	// Rendezvous assignment: each partition goes to the leaf whose
-	// (partition, name) score is highest. Stable under fleet growth — a new
-	// name only claims the partitions it out-scores everyone on.
-	nameH := make([]uint64, len(names))
-	for i, n := range names {
-		nameH[i] = xhash.New(routeSeed).Sum(n)
-	}
-	for p := 0; p < parts; p++ {
-		ph := xhash.Mix(uint64(p) + 1)
-		best, bestScore := 0, uint64(0)
-		for i, nh := range nameH {
-			if score := xhash.Mix(ph ^ nh); score > bestScore || (score == bestScore && i < best) {
-				best, bestScore = i, score
-			}
-		}
-		rt.owner[p] = best
-		rt.share[best]++
+	rt := &routeTable{sk: sk, proj: proj, owner: assign(names, m), share: make([]uint32, len(names))}
+	for _, leaf := range rt.owner {
+		rt.share[leaf]++
 	}
 	return rt, nil
+}
+
+// assign is the bounded-load bitmap→leaf table: every leaf owns ⌊m/n⌋ or
+// ⌈m/n⌉ of the m bitmaps, as a pure function of the leaf names (not their
+// order). Leaves join in name order, shorter names first (leaf9 before
+// leaf10); each newcomer takes ⌊m/k⌋ bitmaps, from every earlier leaf its
+// share above the new bound, picking by its name-keyed rendezvous score. So
+// growing a fleet by a name that sorts last moves only the newcomer's share.
+func assign(names []string, m int) []int {
+	order := make([]int, len(names)) // join position → index in names
+	for i := range order {
+		order[i] = i
+	}
+	sort.Slice(order, func(x, y int) bool {
+		a, b := names[order[x]], names[order[y]]
+		return len(a) < len(b) || (len(a) == len(b) && a < b)
+	})
+	owner := make([]int, m) // bitmap → join position
+	share := []int{m}
+	bms := make([]int, m)
+	for k := 1; k < len(order); k++ {
+		q, r := m/(k+1), m%(k+1)
+		keep := make([]int, k) // the first r leaves above q keep q+1
+		for i := range keep {
+			if keep[i] = q; share[i] > q && r > 0 {
+				keep[i], r = q+1, r-1
+			}
+		}
+		nameH := xhash.New(0).Sum(names[order[k]])
+		score := func(bm int) uint64 { return xhash.Mix(xhash.Mix(uint64(bm)+1) ^ nameH) }
+		for i := range bms {
+			bms[i] = i
+		}
+		sort.Slice(bms, func(x, y int) bool { return score(bms[x]) > score(bms[y]) })
+		share = append(share, 0)
+		for _, bm := range bms {
+			if from := owner[bm]; share[from] > keep[from] {
+				owner[bm] = k
+				share[from]--
+				share[k]++
+			}
+		}
+	}
+	for bm, pos := range owner {
+		owner[bm] = order[pos]
+	}
+	return owner
 }
 
 // leafOf routes one encoded route key (proj.AppendKey form, built from a
 // tuple or from a raw record's spans): the leaf index that must ingest it.
 func (rt *routeTable) leafOf(key []byte) int {
-	return rt.owner[rt.part.IngestPartition(key, rt.parts)]
+	return rt.owner[rt.sk.BitmapOf(key)]
 }

@@ -107,6 +107,9 @@ func (b *bitmap) init() {
 	b.lo, b.hi = 0, -1
 }
 
+// pristine reports whether the bitmap never observed a tuple.
+func (b *bitmap) pristine() bool { return *b == bitmap{hi: -1} }
+
 // loFor returns the leftmost fringe cell given rightmost cell hi.
 func (s *Sketch) loFor(hi int) int {
 	if s.opts.Unbounded {

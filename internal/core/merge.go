@@ -15,13 +15,17 @@ var ErrIncompatible = errors.New("core: sketches are not merge-compatible")
 // upstream): nodes sketch their local streams with identical conditions,
 // options and seed, and the merged sketch answers queries over the union.
 //
-// Recorded non-implication events are monotone bits, so they merge
-// losslessly. Tracked per-itemset counters are summed and the implication
-// conditions re-evaluated on the sums; a condition violation that would
-// only have been visible in a specific interleaving of the two streams
-// (a transient top-confidence dip) can be missed, exactly as it would be
-// had the violating tuples arrived in the merged order. Capacity rules are
-// re-applied during the merge, so the memory bounds are preserved.
+// A bitmap only one side observed is taken over whole, so inputs that split
+// one stream by BitmapOf merge to one sketch fed the whole stream, bitmap
+// for bitmap (PeakMemEntries excepted). Otherwise, recorded
+// non-implication events are monotone bits, so they merge losslessly.
+// Tracked per-itemset counters are summed and the implication conditions
+// re-evaluated on the sums; a condition violation that would only have been
+// visible in a specific interleaving of the two streams (a transient
+// top-confidence dip) can be missed, exactly as it would be had the
+// violating tuples arrived in the merged order. Capacity rules are
+// re-applied at the merged fringe position, so the memory bounds are
+// preserved.
 //
 // other is left in an unspecified state and must not be used afterwards.
 func (s *Sketch) Merge(other *Sketch) error {
@@ -38,11 +42,19 @@ func (s *Sketch) Merge(other *Sketch) error {
 		s.mergeBitmap(&s.bms[i], &other.bms[i])
 	}
 	s.tuples += other.tuples
+	s.peak += other.peak
 	s.recountEntries()
 	return nil
 }
 
 func (s *Sketch) mergeBitmap(dst, src *bitmap) {
+	if src.pristine() {
+		return
+	}
+	if dst.pristine() {
+		*dst, *src = *src, *dst
+		return
+	}
 	// Sticky bits merge by union.
 	for i := 0; i < Levels; i++ {
 		dst.touched[i] = dst.touched[i] || src.touched[i]

@@ -1,9 +1,11 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"implicate/internal/exact"
@@ -270,5 +272,153 @@ func TestMergeInvariants(t *testing.T) {
 	}
 	if a.ImplicationCount() < 0 {
 		t.Fatal("negative count")
+	}
+}
+
+// randomSplitCase draws one configuration and tuple stream for the split
+// properties: small bitmap counts, fringes and capacities so overflows,
+// push-outs, doomed itemsets, tombstones and support-only cells all occur.
+func randomSplitCase(rng *rand.Rand, seed uint64) (imps.Conditions, Options, [][2]string) {
+	k := 1 + rng.Intn(3)
+	cond := imps.Conditions{MaxMultiplicity: k, MinSupport: int64(1 + rng.Intn(4)), TopC: 1, MinTopConfidence: 0.5 + rng.Float64()/2}
+	opts := Options{Bitmaps: 1 << rng.Intn(5), FringeSize: 1 + rng.Intn(4), Slack: 1 + rng.Intn(2), Unbounded: rng.Intn(5) == 0, Seed: seed}
+	nA, nB := 20+rng.Intn(1500), 1+rng.Intn(6)
+	tuples := make([][2]string, 1000+rng.Intn(3000))
+	for i := range tuples {
+		a := rng.Intn(nA)
+		tuples[i] = [2]string{fmt.Sprintf("a%d", a), fmt.Sprintf("b%d", (a+rng.Intn(nB))%7)}
+	}
+	return cond, opts, tuples
+}
+
+// requireSameState fails unless got holds want's state bit for bit, every
+// bitmap and every estimator read included. PeakMemEntries is the one
+// exception: a merge sums it, so it may only be an upper bound.
+func requireSameState(t *testing.T, want, got *Sketch) {
+	t.Helper()
+	if got.PeakMemEntries() < want.PeakMemEntries() {
+		t.Fatalf("peak %d below the single sketch's %d; it must bound it", got.PeakMemEntries(), want.PeakMemEntries())
+	}
+	got.peak = want.peak
+	if got.Tuples() != want.Tuples() || got.MemEntries() != want.MemEntries() {
+		t.Fatalf("tuples/entries %d/%d, want %d/%d", got.Tuples(), got.MemEntries(), want.Tuples(), want.MemEntries())
+	}
+	var gd, wd strings.Builder
+	got.Dump(&gd, 0)
+	want.Dump(&wd, 0)
+	for bm := range want.bms {
+		got.DumpCells(&gd, bm)
+		want.DumpCells(&wd, bm)
+	}
+	if gd.String() != wd.String() {
+		t.Fatalf("bitmaps differ\n got:\n%s\nwant:\n%s", gd.String(), wd.String())
+	}
+	reads := func(s *Sketch) []float64 {
+		lo, hi := s.ImplicationCountInterval(2)
+		return []float64{s.ImplicationCount(), lo, hi, s.CIImplicationCount(), s.RawImplicationCount(),
+			s.NonImplicationCount(), s.SupportedDistinct(), s.DistinctCount(), s.AvgMultiplicity(), s.MinEstimable()}
+	}
+	for i, w := range reads(want) {
+		if g := reads(got)[i]; math.Float64bits(g) != math.Float64bits(w) {
+			t.Fatalf("estimator read %d: %v, want %v", i, g, w)
+		}
+	}
+	if got.Fringe() != want.Fringe() {
+		t.Fatalf("fringe stats %+v, want %+v", got.Fringe(), want.Fringe())
+	}
+	gb, _ := got.MarshalBinary()
+	wb, _ := want.MarshalBinary()
+	if !bytes.Equal(gb, wb) {
+		t.Fatal("marshalled state differs")
+	}
+}
+
+// TestMergeBitmapSplitEqualsSingle is the property a coordinator's fleet
+// rests on: a seeded random stream split by BitmapOf over k same-seed
+// sketches, each fed its part in stream order, merges back to the single
+// sketch fed the whole stream — every bitmap, Tuples, MemEntries and every
+// estimator read.
+func TestMergeBitmapSplitEqualsSingle(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cond, opts, tuples := randomSplitCase(rng, seed)
+		for _, k := range []int{1, 2, 3, 5} {
+			single := MustSketch(cond, opts)
+			parts := make([]*Sketch, k)
+			for i := range parts {
+				parts[i] = MustSketch(cond, opts)
+			}
+			owner := make([]int, opts.Bitmaps)
+			for bm := range owner {
+				owner[bm] = rng.Intn(k)
+			}
+			for _, tu := range tuples {
+				single.Add(tu[0], tu[1])
+				parts[owner[single.BitmapOf([]byte(tu[0]))]].Add(tu[0], tu[1])
+			}
+			for _, p := range parts[1:] {
+				if err := parts[0].Merge(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			t.Run(fmt.Sprintf("seed=%d/k=%d", seed, k), func(t *testing.T) { requireSameState(t, single, parts[0]) })
+		}
+	}
+}
+
+// TestMergeSplitNeverClearsBits: a split that is NOT by bitmap — tuples
+// dealt to k sketches at random, so itemsets straddle sketches — merges to
+// a state that keeps every bit the single sketch set. The hashed-cell bits
+// hold under any configuration. The non-implication and support bits hold
+// with an unbounded fringe under multiplicity-only conditions (ψ below 1/K,
+// which no itemset within K partners can fail). Two documented conservative
+// choices fall outside: a bounded fringe judges capacity and push-outs at
+// the merged fringe position, not where the single sketch's fringe stood
+// when it overflowed; and a transient top-confidence dip visible only in one
+// interleaving is missed (see Merge).
+func TestMergeSplitNeverClearsBits(t *testing.T) {
+	for seed := uint64(1); seed <= 40; seed++ {
+		rng := rand.New(rand.NewSource(int64(seed)))
+		cond, opts, tuples := randomSplitCase(rng, seed)
+		exactBits := rng.Intn(2) == 0
+		if exactBits {
+			opts.Unbounded = true
+			cond.MinTopConfidence = 1 / float64(cond.MaxMultiplicity+1)
+		}
+		for _, k := range []int{2, 3, 5} {
+			single := MustSketch(cond, opts)
+			parts := make([]*Sketch, k)
+			for i := range parts {
+				parts[i] = MustSketch(cond, opts)
+			}
+			for _, tu := range tuples {
+				single.Add(tu[0], tu[1])
+				parts[rng.Intn(k)].Add(tu[0], tu[1])
+			}
+			for _, p := range parts[1:] {
+				if err := parts[0].Merge(p); err != nil {
+					t.Fatal(err)
+				}
+			}
+			merged := parts[0]
+			for bm := range single.bms {
+				w, g := &single.bms[bm], &merged.bms[bm]
+				supported := func(b *bitmap, j int) bool { return b.supped[j] || (b.cells[j] != nil && b.cells[j].nSupported > 0) }
+				for j := 0; j < Levels; j++ {
+					if w.touched[j] && !g.touched[j] {
+						t.Fatalf("seed %d k %d: bitmap %d cell %d: merge cleared the hashed bit", seed, k, bm, j)
+					}
+					if !exactBits {
+						continue
+					}
+					if w.value[j] && !g.value[j] {
+						t.Fatalf("seed %d k %d: bitmap %d cell %d: merge cleared the non-implication bit", seed, k, bm, j)
+					}
+					if supported(w, j) && !supported(g, j) {
+						t.Fatalf("seed %d k %d: bitmap %d cell %d: merge lost the support witness", seed, k, bm, j)
+					}
+				}
+			}
+		}
 	}
 }

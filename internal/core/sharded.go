@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"iter"
 	"math"
+	"math/bits"
 	"runtime"
 	"sync"
 
@@ -61,7 +62,7 @@ type sketchShard struct {
 func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*ShardedSketch, error) {
 	opts = opts.withDefaults()
 	if shards == 0 {
-		shards = floorPow2(runtime.GOMAXPROCS(0))
+		shards = 1 << (bits.Len(uint(runtime.GOMAXPROCS(0))) - 1) // rounded down to a power of two
 		if shards > opts.Bitmaps {
 			shards = opts.Bitmaps
 		}
@@ -85,7 +86,7 @@ func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*ShardedS
 		ahash:      xhash.New(opts.Seed),
 		bhash:      xhash.New(xhash.Mix(opts.Seed + 0x9e3779b97f4a7c15)),
 		shardMask:  uint64(shards - 1),
-		shardShift: uint(log2(shards)),
+		shardShift: uint(bits.TrailingZeros(uint(shards))),
 		shards:     make([]sketchShard, shards),
 	}
 	for i := range ss.shards {
@@ -96,22 +97,6 @@ func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*ShardedS
 		ss.shards[i].sk = sk
 	}
 	return ss, nil
-}
-
-func floorPow2(n int) int {
-	p := 1
-	for p*2 <= n {
-		p *= 2
-	}
-	return p
-}
-
-func log2(pow2 int) int {
-	n := 0
-	for 1<<n < pow2 {
-		n++
-	}
-	return n
 }
 
 // Conditions returns the implication conditions the sketch enforces.

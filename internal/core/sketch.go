@@ -162,6 +162,13 @@ func (s *Sketch) AddHashed(ah, bh uint64) {
 	s.add(&s.bms[bm], rank, ah, bh)
 }
 
+// BitmapOf returns the bitmap Add(string(key), b) updates: the split that
+// lets same-seed sketches merge back to one sketch's state (see Merge).
+func (s *Sketch) BitmapOf(key []byte) int {
+	bm, _ := s.router.Route(s.ahash.SumBytes(key))
+	return bm
+}
+
 // addRouted ingests one tuple the caller has already routed: localBM indexes
 // this sketch's own bms slice and rank is already clamped to Levels-1. It is
 // the shard ingest entry — a ShardedSketch routes against the global bitmap
@@ -180,7 +187,8 @@ func (s *Sketch) Tuples() int64 { return s.tuples }
 func (s *Sketch) MemEntries() int { return s.entries }
 
 // PeakMemEntries returns the high-water mark of MemEntries over the
-// sketch's lifetime.
+// sketch's lifetime. A Merge sums the inputs' marks, an upper bound on the
+// peak one sketch fed the union would have recorded.
 func (s *Sketch) PeakMemEntries() int { return s.peak }
 
 // ImplicationCount estimates S, the number of distinct A-itemsets implying

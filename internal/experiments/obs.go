@@ -211,13 +211,11 @@ func RunObs(cfg ObsConfig) ([]ObsRow, error) {
 	// The "observability must never change an answer" check runs per
 	// topology. Single-server rows answer from the exact backend, which is
 	// interleaving-invariant under the key-hash routing above, so they must
-	// agree bit for bit. Fleet rows answer from merged sketches whose
-	// fringe evictions depend on cross-producer arrival order — an
-	// interleaving no layer controls, observed or not; uninstrumented
-	// back-to-back fleet runs under GOMAXPROCS > 1 land ~2% apart — so
-	// they are held to a 3% band instead, well inside the sketch's own
-	// accuracy guarantee; a tracer that biased the estimate would blow
-	// past it.
+	// agree bit for bit. Fleet rows answer from sketches whose fringe
+	// evictions depend on cross-producer arrival order at the coordinator —
+	// an interleaving no layer controls, observed or not — so they are held
+	// to a 3% band instead, well inside the sketch's own accuracy
+	// guarantee; a tracer that biased the estimate would blow past it.
 	ref := map[int]float64{}
 	for _, r := range rows {
 		want, ok := ref[r.Leaves]

@@ -33,7 +33,7 @@ type LeafTelemetry struct {
 	State string
 	// Epoch counts completed recoveries.
 	Epoch uint64
-	// Parts is how many route-table partitions map to the leaf.
+	// Parts is how many route-table partitions (sketch bitmaps) it owns.
 	Parts int
 	// JournalEntries / JournalTuples measure everything ever routed here.
 	JournalEntries int64
@@ -80,7 +80,7 @@ type FleetAdminState interface {
 	// FleetTrace is the assembled cross-node trace (empty when tracing is
 	// off).
 	FleetTrace() []FleetSpan
-	// VirtualPartitions is the route-table size.
+	// VirtualPartitions is the route-table size: the leaves' bitmap count.
 	VirtualPartitions() int
 }
 

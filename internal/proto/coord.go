@@ -97,7 +97,7 @@ type LeafStatus struct {
 	State uint8
 	// Epoch counts completed recoveries: 0 for a leaf that has never died.
 	Epoch uint64
-	// Parts is how many virtual partitions the route table assigns here.
+	// Parts is how many of the route table's bitmaps the leaf owns.
 	Parts uint32
 	// Journaled is the tuple count the coordinator has routed to this leaf
 	// (the journal total, including batches not yet delivered).
@@ -108,7 +108,7 @@ type LeafStatus struct {
 
 // ClusterStatus is a coordinator's answer to TCluster.
 type ClusterStatus struct {
-	// VirtualPartitions is the route table's size.
+	// VirtualPartitions is the route table's size: the leaves' bitmap count.
 	VirtualPartitions uint32
 	// Leaves holds one status per configured leaf, in route-table order.
 	Leaves []LeafStatus
