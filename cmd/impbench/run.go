@@ -4,7 +4,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
-	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -12,41 +12,27 @@ import (
 	"implicate/internal/experiments"
 )
 
+// experimentNames is every -exp value besides "all", which selects them
+// all: the paper's tables and figures plus the design-choice ablations.
+var experimentNames = []string{"fig4", "fig5", "fig6", "fig7a", "fig7b", "table3", "table4", "table5", "ablations"}
+
 type config struct {
-	exp        string
-	paper      bool
-	runs       int
-	seed       int64
-	cards      string
-	jsonOut    string
-	workers    string
-	procs      string
-	transports string
-	window     int
-	leaves     int
-	tenants    int
-	shards     int
-	gate       string
+	exp   string
+	paper bool
+	runs  int
+	seed  int64
+	cards string
 }
 
 func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("impbench", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.exp, "exp", "all",
-		"experiment: fig4, fig5, fig6, fig7a, fig7b, table3, table4, table5, ablations, serve, obs, all")
+		"comma-separated experiments: "+strings.Join(experimentNames, ", ")+", or all")
 	fs.BoolVar(&cfg.paper, "paper", false, "use the paper's full-scale configuration")
 	fs.IntVar(&cfg.runs, "runs", 0, "override repetitions per point")
 	fs.Int64Var(&cfg.seed, "seed", 1, "experiment seed")
 	fs.StringVar(&cfg.cards, "cards", "", "override the Dataset One |A| sweep (comma-separated)")
-	fs.StringVar(&cfg.jsonOut, "json", "", "also write the serve/obs rows as JSON to this file (last selected experiment wins)")
-	fs.StringVar(&cfg.workers, "workers", "", "override the serve experiment's pool-size sweep (comma-separated)")
-	fs.StringVar(&cfg.procs, "procs", "", "GOMAXPROCS sweep for serve/obs (comma-separated; default: current setting)")
-	fs.StringVar(&cfg.transports, "transports", "", "serve experiment transports (comma-separated from tcp,udp; default both)")
-	fs.IntVar(&cfg.window, "window", 0, "serve experiment per-producer pipelining window in batches (default 16)")
-	fs.IntVar(&cfg.leaves, "leaves", 0, "serve/obs fleet mode: a coordinator fronting N leaf servers (serve: replaces the transport sweep; obs: adds fleet rows after the single-server pair); 0: single server")
-	fs.IntVar(&cfg.tenants, "tenants", 0, "serve experiment multi-tenant rows: one server hosting N named tenants, producers pinned round-robin; 0: off")
-	fs.IntVar(&cfg.shards, "dispatch-shards", 0, "serve experiment fair-dispatch shard count per lane (0: 1, the single-dispatcher path)")
-	fs.StringVar(&cfg.gate, "gate", "", "compare serve throughput against this baseline JSON and fail on a >25% regression")
 	if err := fs.Parse(args); err != nil {
 		return nil, err
 	}
@@ -58,29 +44,13 @@ func parseFlags(args []string) (*config, error) {
 func run(cfg *config, w io.Writer) error {
 	wanted := map[string]bool{}
 	for _, e := range strings.Split(cfg.exp, ",") {
-		wanted[strings.TrimSpace(e)] = true
+		e = strings.TrimSpace(e)
+		if e != "all" && !slices.Contains(experimentNames, e) {
+			return fmt.Errorf("unknown experiment %q (want %s, or all)", e, strings.Join(experimentNames, ", "))
+		}
+		wanted[e] = true
 	}
 	want := func(name string) bool { return wanted["all"] || wanted[name] }
-	ran := false
-
-	intList := func(flagName, v string) ([]int, error) {
-		if v == "" {
-			return nil, nil
-		}
-		var out []int
-		for _, s := range strings.Split(v, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(s))
-			if err != nil {
-				return nil, fmt.Errorf("bad %s value %q", flagName, s)
-			}
-			out = append(out, n)
-		}
-		return out, nil
-	}
-	procs, err := intList("-procs", cfg.procs)
-	if err != nil {
-		return err
-	}
 
 	datasetOne := func(figure string, c int) error {
 		dcfg := experiments.DatasetOneConfig{C: c, Seed: cfg.seed, Runs: cfg.runs}
@@ -135,35 +105,29 @@ func run(cfg *config, w io.Writer) error {
 	}
 
 	if want("table3") {
-		ran = true
 		experiments.PrintTable3(w)
 		fmt.Fprintln(w)
 	}
 	if want("table5") {
-		ran = true
 		experiments.DefaultTable5().Print(w)
 		fmt.Fprintln(w)
 	}
 	if want("fig4") {
-		ran = true
 		if err := datasetOne("Figure 4", 1); err != nil {
 			return err
 		}
 	}
 	if want("fig5") {
-		ran = true
 		if err := datasetOne("Figure 5", 2); err != nil {
 			return err
 		}
 	}
 	if want("fig6") {
-		ran = true
 		if err := datasetOne("Figure 6", 4); err != nil {
 			return err
 		}
 	}
 	if want("table4") {
-		ran = true
 		checkpoints := experiments.PaperCheckpoints()
 		if !cfg.paper {
 			checkpoints = checkpoints[:3]
@@ -177,19 +141,16 @@ func run(cfg *config, w io.Writer) error {
 		fmt.Fprintf(w, "(%v)\n\n", time.Since(start).Round(time.Millisecond))
 	}
 	if want("fig7a") {
-		ran = true
 		if err := fig7(experiments.WorkloadA); err != nil {
 			return err
 		}
 	}
 	if want("fig7b") {
-		ran = true
 		if err := fig7(experiments.WorkloadB); err != nil {
 			return err
 		}
 	}
 	if want("ablations") {
-		ran = true
 		acfg := experiments.AblationConfig{Seed: cfg.seed, Runs: cfg.runs}
 		if cfg.paper {
 			acfg.CardA = 20000
@@ -229,93 +190,5 @@ func run(cfg *config, w io.Writer) error {
 		}
 	}
 
-	if want("serve") {
-		ran = true
-		scfg := experiments.ServeConfig{
-			Seed:           cfg.seed,
-			Procs:          procs,
-			Window:         cfg.window,
-			Leaves:         cfg.leaves,
-			Tenants:        cfg.tenants,
-			DispatchShards: cfg.shards,
-		}
-		if cfg.paper {
-			scfg.Tuples = 2_000_000
-		}
-		if cfg.transports != "" {
-			for _, t := range strings.Split(cfg.transports, ",") {
-				scfg.Transports = append(scfg.Transports, strings.TrimSpace(t))
-			}
-		}
-		workers, err := intList("-workers", cfg.workers)
-		if err != nil {
-			return err
-		}
-		scfg.Workers = workers
-		start := time.Now()
-		rows, err := experiments.RunServe(scfg)
-		if err != nil {
-			return err
-		}
-		experiments.PrintServe(w, scfg, rows)
-		fmt.Fprintf(w, "(%v)\n\n", time.Since(start).Round(time.Millisecond))
-		if cfg.gate != "" {
-			f, err := os.Open(cfg.gate)
-			if err != nil {
-				return err
-			}
-			gateErr := experiments.GateServe(f, rows, 0.25)
-			f.Close()
-			if gateErr != nil {
-				return gateErr
-			}
-			fmt.Fprintf(w, "gate: within 25%% of %s\n\n", cfg.gate)
-		}
-		if cfg.jsonOut != "" {
-			f, err := os.Create(cfg.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteServeJSON(f, scfg, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-
-	if want("obs") {
-		ran = true
-		ocfg := experiments.ObsConfig{Seed: cfg.seed, Procs: procs, Leaves: cfg.leaves}
-		if cfg.paper {
-			ocfg.Tuples = 2_000_000
-		}
-		start := time.Now()
-		rows, err := experiments.RunObs(ocfg)
-		if err != nil {
-			return err
-		}
-		experiments.PrintObs(w, ocfg, rows)
-		fmt.Fprintf(w, "(%v)\n\n", time.Since(start).Round(time.Millisecond))
-		if cfg.jsonOut != "" {
-			f, err := os.Create(cfg.jsonOut)
-			if err != nil {
-				return err
-			}
-			if err := experiments.WriteObsJSON(f, ocfg, rows); err != nil {
-				f.Close()
-				return err
-			}
-			if err := f.Close(); err != nil {
-				return err
-			}
-		}
-	}
-
-	if !ran {
-		return fmt.Errorf("unknown experiment %q", cfg.exp)
-	}
 	return nil
 }

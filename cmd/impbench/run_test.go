@@ -30,9 +30,25 @@ func TestRunStaticTables(t *testing.T) {
 	}
 }
 
+// TestRunUnknownExperiment: impbench runs the paper's tables, figures and
+// ablations only — serving performance is the benchmark module's — so
+// "serve" and "obs" are unknown like any other name, alone or beside a
+// valid one, an unknown name is refused before anything runs, and the
+// flags are the paper experiments' only.
 func TestRunUnknownExperiment(t *testing.T) {
-	if err := run(&config{exp: "figZZ", seed: 1}, &strings.Builder{}); err == nil {
-		t.Fatal("unknown experiment accepted")
+	for _, exp := range []string{"figZZ", "serve", "obs", "table3,serve", "obs,table5"} {
+		var out strings.Builder
+		if err := run(&config{exp: exp, seed: 1}, &out); err == nil {
+			t.Errorf("-exp %s accepted", exp)
+		}
+		if out.Len() != 0 {
+			t.Errorf("-exp %s ran something before refusing:\n%s", exp, out.String())
+		}
+	}
+	for _, flag := range []string{"-json", "-workers", "-procs", "-transports", "-window", "-leaves", "-tenants", "-dispatch-shards", "-gate"} {
+		if _, err := parseFlags([]string{flag, "1"}); err == nil {
+			t.Errorf("removed flag %s accepted", flag)
+		}
 	}
 }
 

@@ -11,13 +11,12 @@ import (
 	"implicate"
 )
 
-// TestFleetObsSmoke is the end-to-end fleet observability path `make
-// fleet-obs-smoke` exercises through the test binary: impcoordd with -admin
-// and -trace-spans over three trace-aware leaves, producers ingesting
-// through the wire front-end, then one assembled cross-node trace asserted
-// over the Trace RPC (coordinator delivery roots adopting leaf-side spans)
-// and a /metrics scrape asserted to carry the coordinator's per-leaf rows
-// and the rolled-up leaf series.
+// TestFleetObsSmoke is the end-to-end fleet observability path, through
+// the test binary: impcoordd with -admin and -trace-spans over three
+// trace-aware leaves, producers ingesting through the wire front-end, then
+// one assembled cross-node trace asserted over the Trace RPC (coordinator
+// delivery roots adopting leaf-side spans) and a /metrics scrape asserted to
+// carry the coordinator's per-leaf rows and the rolled-up leaf series.
 func TestFleetObsSmoke(t *testing.T) {
 	const (
 		nLeaves = 3

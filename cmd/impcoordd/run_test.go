@@ -146,13 +146,13 @@ func mustSchema(t *testing.T, names ...string) *implicate.Schema {
 	return s
 }
 
-// TestClusterSmoke is the end-to-end fleet path `make cluster-smoke`
-// exercises through the test binary: impcoordd fronts three impserved
-// leaves over loopback, producers ingest through the wire front-end, one
-// leaf is killed mid-stream and restarted from its checkpoint on the same
-// address (the operator recovery the daemon's docs prescribe — no Restart
-// hook), and the fleet's final merged state must be bit-identical to an
-// uncrashed shadow fleet fed the same stream.
+// TestClusterSmoke is the end-to-end fleet path, through the test binary:
+// impcoordd fronts three impserved leaves over loopback, producers ingest
+// through the wire front-end, one leaf is killed mid-stream and restarted
+// from its checkpoint on the same address (the operator recovery the
+// daemon's docs prescribe — no Restart hook), and the fleet's final merged
+// state must be bit-identical to an uncrashed shadow fleet fed the same
+// stream.
 func TestClusterSmoke(t *testing.T) {
 	const (
 		nLeaves = 3

@@ -12,10 +12,9 @@ import (
 	"implicate/internal/stream"
 )
 
-// TestObsSmoke is the observability smoke path `make obs-smoke` exercises:
-// start impserved with the admin endpoint and tracing on, ingest through
-// the wire, and require /metrics, /healthz and /trace to serve the key
-// series — the same assertions the CI step makes with curl.
+// TestObsSmoke is the observability smoke path: start impserved with the
+// admin endpoint and tracing on, ingest through the wire, and require
+// /metrics, /healthz and /trace to serve the key series.
 func TestObsSmoke(t *testing.T) {
 	const total = 20_000
 	cfg := &config{

@@ -99,11 +99,11 @@ func TestBuildEngineErrors(t *testing.T) {
 	}
 }
 
-// TestServeSmoke is the end-to-end smoke path `make serve-smoke` exercises
-// through the test binary: start a server on loopback with a 4-worker
-// pipeline over the striped exact backend, ingest 100k tuples through the
-// wire protocol, query it, shut down gracefully, and require the shutdown
-// checkpoint to record every acknowledged tuple.
+// TestServeSmoke is the end-to-end smoke path, through the test binary:
+// start a server on loopback with a 4-worker pipeline over the striped
+// exact backend, ingest 100k tuples through the wire protocol, query it,
+// shut down gracefully, and require the shutdown checkpoint to record every
+// acknowledged tuple.
 func TestServeSmoke(t *testing.T) {
 	const total = 100_000
 	ckpt := filepath.Join(t.TempDir(), "smoke.ckpt")

@@ -2,13 +2,20 @@ package client
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
+	"math"
 	"math/rand"
+	"strings"
 	"testing"
+	"time"
 
+	"implicate/internal/imps"
+	"implicate/internal/obs"
 	"implicate/internal/proto"
 	"implicate/internal/raceflag"
 	"implicate/internal/stream"
+	"implicate/internal/telemetry"
 )
 
 // writerBytes is the reference encoding: a stream.BinaryWriter fed the
@@ -129,15 +136,23 @@ func BenchmarkEncodeBatch(b *testing.B) {
 	}
 }
 
-// TestABI pins the bytes of the formats an ingest crosses: fixed input,
-// golden output. A change here is a wire-format change — every deployed
-// peer and every journaled batch disagrees with the new build.
+// le64 is v as eight little-endian bytes: the golden vectors' spelling of
+// every u64/i64/f64 field.
+func le64(v uint64) string { return string(binary.LittleEndian.AppendUint64(nil, v)) }
+
+// TestABI pins the bytes of the formats an ingest, a query or an
+// observability RPC crosses: fixed input, golden output. A change here is a
+// wire-format change — every deployed peer and every journaled batch
+// disagrees with the new build.
 func TestABI(t *testing.T) {
 	schema := testSchema(t) // A, B
 	batch, err := EncodeBatch(schema, []stream.Tuple{{"a1", "b1"}, {"", "b"}, {"a3", ""}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A default-config server's Stats reply after one 1µs ingest.
+	var quiet telemetry.Set
+	quiet.Observe(telemetry.RPCIngest, time.Microsecond)
 	frame := func(f proto.Frame) []byte {
 		out, err := proto.AppendFrame(nil, f)
 		if err != nil {
@@ -167,6 +182,25 @@ func TestABI(t *testing.T) {
 				"\x16\x00\x00\x00" + "\x05\x00\x00\x00\x00\x00\x00\x00" + "\x03\x00\x00\x00\x00\x00\x00\x00"},
 		{"SnapshotResult", proto.SnapshotResult{Tuples: 3, Kind: "nips", Sketch: []byte("NIPS\x01")}.Encode(),
 			"\x03\x00\x00\x00\x00\x00\x00\x00" + "\x04\x00\x00\x00nips" + "\x05\x00\x00\x00NIPS\x01"},
+		{"Health dump", obs.EncodeHealth([]imps.HealthReport{{
+			Stmt: 1, Kind: "nips", Query: "q", Shared: true, Tuples: 3, MemEntries: 2, MemBytes: 5,
+			BitmapFill: 0.5, LeftmostZero: 1, FringeTracked: 1, FringePairs: 2, FringeTombstones: 3,
+			FringeEvictions: 4, FringeWidth: 5, RelErr: 0.25,
+		}}),
+			"IMPH\x01" + "\x01\x00\x00\x00" + "\x01\x00\x00\x00" + "\x04\x00\x00\x00nips" + "\x01\x00\x00\x00q" + "\x01" +
+				le64(3) + le64(2) + le64(5) + le64(math.Float64bits(0.5)) + le64(math.Float64bits(1)) +
+				le64(1) + le64(2) + le64(3) + le64(4) + le64(5) + le64(math.Float64bits(0.25))},
+		{"Span dump", obs.EncodeSpans([]obs.Span{{Seq: 1, Kind: obs.SpanApply, Arg: -1, Start: 2, Dur: 3, Units: 4}}),
+			"IMPS\x01" + "\x01\x00\x00\x00" + le64(1) + "\x02" + "\xff\xff\xff\xff" + le64(2) + le64(3) + le64(4)},
+		{"Fleet trace", obs.EncodeFleetTrace([]obs.FleetSpan{{Node: "coord", Span: obs.Span{
+			Seq: 1, Kind: obs.SpanDeliver, Arg: 2, Start: 3, Dur: 4, Units: 5, Trace: 6, ID: 7,
+		}}}),
+			"IMPF\x01" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00coord" + le64(1) + "\x06" + "\x02\x00\x00\x00" +
+				le64(3) + le64(4) + le64(5) + le64(6) + le64(0) + le64(7)},
+		{"Telemetry snapshot", quiet.Snapshot().Encode(),
+			"IMPT\x05" + strings.Repeat(le64(0), 9) + "\x00\x00\x00\x00" + "\x0a\x00\x00\x00" + "\x32\x00\x00\x00" +
+				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 9*50) +
+				"\x00\x00\x00\x00" + strings.Repeat(le64(0), 5) + "\x00\x00\x00\x00"},
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)

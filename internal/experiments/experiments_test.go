@@ -251,50 +251,3 @@ func TestRunDatasetOneDeterministic(t *testing.T) {
 		t.Fatalf("non-deterministic rows:\n%+v\n%+v", a, b)
 	}
 }
-
-// TestGateServe covers both gate axes — the throughput floor and the
-// allocation ceiling — plus back-compat with baselines written before the
-// allocation metrics existed (zeros there must gate nothing).
-func TestGateServe(t *testing.T) {
-	baseline := func(rows []ServeRow) *bytes.Buffer {
-		var out bytes.Buffer
-		if err := WriteServeJSON(&out, ServeConfig{}, rows); err != nil {
-			t.Fatal(err)
-		}
-		return &out
-	}
-	base := []ServeRow{
-		{Transport: "tcp", TuplesPerSec: 1000, AllocsPerOp: 10, BytesPerOp: 4096},
-		{Transport: "tcp", TuplesPerSec: 800, AllocsPerOp: 20, BytesPerOp: 8192},
-		{Transport: "udp", TuplesPerSec: 2000, AllocsPerOp: 8, BytesPerOp: 2048},
-	}
-
-	ok := []ServeRow{
-		{Transport: "tcp", TuplesPerSec: 900, AllocsPerOp: 11},
-		{Transport: "udp", TuplesPerSec: 1800, AllocsPerOp: 9},
-	}
-	if err := GateServe(baseline(base), ok, 0.25); err != nil {
-		t.Errorf("within-tolerance rows failed the gate: %v", err)
-	}
-
-	slow := []ServeRow{{Transport: "tcp", TuplesPerSec: 700, AllocsPerOp: 10}}
-	if err := GateServe(baseline(base), slow, 0.25); err == nil || !strings.Contains(err.Error(), "tuples/s") {
-		t.Errorf("throughput regression passed the gate: %v", err)
-	}
-
-	leaky := []ServeRow{{Transport: "tcp", TuplesPerSec: 1000, AllocsPerOp: 14}}
-	if err := GateServe(baseline(base), leaky, 0.25); err == nil || !strings.Contains(err.Error(), "allocs/op") {
-		t.Errorf("allocation regression passed the gate: %v", err)
-	}
-
-	// A pre-metrics baseline (zero allocs) must not gate the alloc axis,
-	// and a current run without the metrics must not be gated against a
-	// baseline that has them.
-	old := []ServeRow{{Transport: "tcp", TuplesPerSec: 1000}}
-	if err := GateServe(baseline(old), leaky, 0.25); err != nil {
-		t.Errorf("pre-metrics baseline gated the alloc axis: %v", err)
-	}
-	if err := GateServe(baseline(base), old, 0.25); err != nil {
-		t.Errorf("metric-less run gated against a metric baseline: %v", err)
-	}
-}

@@ -46,10 +46,11 @@ type TenantAdmin interface {
 	TenantStats() []telemetry.TenantStats
 }
 
-// jsonSpan is a Span rendered for the /trace dump: kind named, times
+// jsonSpan is a span rendered for the /trace dump: kind named, times
 // readable, attribution spelled out. The binary RPC codec ships raw Spans;
-// JSON exists for humans and jq. The identity fields only appear on spans
-// that carry them (cross-node traces); single-node dumps stay unchanged.
+// JSON exists for humans and jq. The node and identity fields only appear
+// on spans that carry them (cross-node traces); single-node dumps leave
+// them out.
 type jsonSpan struct {
 	Node   string `json:"node,omitempty"`
 	Seq    uint64 `json:"seq"`
@@ -63,12 +64,55 @@ type jsonSpan struct {
 	ID     uint64 `json:"id,omitempty"`
 }
 
-// NewAdminMux returns the impserved admin handler: Prometheus-text
-// /metrics, a trivial /healthz, a JSON /trace span dump, and the pprof
-// suite under /debug/pprof/ (registered explicitly — the admin mux never
-// touches http.DefaultServeMux).
-func NewAdminMux(st AdminState) *http.ServeMux {
+// adminMux returns the skeleton every admin endpoint shares: the JSON
+// /trace dump of spans() and the pprof suite under /debug/pprof/
+// (registered explicitly — an admin mux never touches
+// http.DefaultServeMux). The caller adds its role's /metrics and /healthz.
+func adminMux(spans func() []FleetSpan) *http.ServeMux {
 	mux := http.NewServeMux()
+	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
+		in := spans()
+		out := make([]jsonSpan, len(in))
+		for i, s := range in {
+			out[i] = jsonSpan{
+				Node:   s.Node,
+				Seq:    s.Seq,
+				Kind:   s.Kind.String(),
+				Arg:    s.Arg,
+				Start:  time.Unix(0, s.Start).UTC().Format(time.RFC3339Nano),
+				DurNS:  s.Dur,
+				Units:  s.Units,
+				Trace:  s.Trace,
+				Parent: s.Parent,
+				ID:     s.ID,
+			}
+		}
+		w.Header().Set("Content-Type", "application/json")
+		enc := json.NewEncoder(w)
+		enc.SetIndent("", "  ")
+		_ = enc.Encode(out)
+	})
+	mux.HandleFunc("/debug/pprof/", pprof.Index)
+	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+	return mux
+}
+
+// NewAdminMux returns the impserved admin handler: Prometheus-text
+// /metrics, a trivial /healthz, tenant lifecycle routes when st manages
+// tenants, and the shared /trace and pprof skeleton.
+func NewAdminMux(st AdminState) *http.ServeMux {
+	mux := adminMux(func() []FleetSpan {
+		// A single node's spans carry no node label.
+		spans := st.TraceSpans()
+		out := make([]FleetSpan, len(spans))
+		for i := range spans {
+			out[i].Span = spans[i]
+		}
+		return out
+	})
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		// Errors past the header are undeliverable (the scraper hung up);
@@ -112,32 +156,6 @@ func NewAdminMux(st AdminState) *http.ServeMux {
 			fmt.Fprintf(w, "dropped %s\n", name)
 		})
 	}
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		spans := st.TraceSpans()
-		out := make([]jsonSpan, len(spans))
-		for i, s := range spans {
-			out[i] = jsonSpan{
-				Seq:    s.Seq,
-				Kind:   s.Kind.String(),
-				Arg:    s.Arg,
-				Start:  time.Unix(0, s.Start).UTC().Format(time.RFC3339Nano),
-				DurNS:  s.Dur,
-				Units:  s.Units,
-				Trace:  s.Trace,
-				Parent: s.Parent,
-				ID:     s.ID,
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -145,7 +163,17 @@ func NewAdminMux(st AdminState) *http.ServeMux {
 type AdminServer struct {
 	Addr string // the bound address, resolved from a ":0" request
 	srv  *http.Server
-	ln   net.Listener
+}
+
+// listen binds addr and serves h in a background goroutine.
+func listen(addr string, h http.Handler) (*AdminServer, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	srv := &http.Server{Handler: h, ReadHeaderTimeout: 5 * time.Second}
+	go func() { _ = srv.Serve(ln) }()
+	return &AdminServer{Addr: ln.Addr().String(), srv: srv}, nil
 }
 
 // ListenAdmin binds addr and serves the admin mux for st in a background
@@ -153,13 +181,7 @@ type AdminServer struct {
 // implements TenantAdmin, carries tenant lifecycle routes) — bind it to
 // loopback or an operations network, never the ingest address.
 func ListenAdmin(addr string, st AdminState) (*AdminServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: NewAdminMux(st), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &AdminServer{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil
+	return listen(addr, NewAdminMux(st))
 }
 
 // Close stops the admin endpoint, closing its listener and any open

@@ -190,45 +190,91 @@ func TestWriteFleetMetricsEscapesLabels(t *testing.T) {
 	}
 }
 
-// TestFleetRollupFromOldLeafSnapshot is the cross-version roll-up pin: a
-// leaf still running a pre-fleet build answers Stats with its older
-// snapshot encoding, and the coordinator's roll-up must decode it and
-// render its counters — not refuse the leaf or misattribute fields.
-func TestFleetRollupFromOldLeafSnapshot(t *testing.T) {
-	// A quiet default-config Set encodes exactly what a PR 7–9 leaf sent
-	// (the v3 layout — the newer magics only appear when post-v3 features
-	// are armed); DecodeSnapshot is the coordinator's client-side path.
-	var old telemetry.Set
-	old.AddTuples(1234)
-	old.AddBatch()
-	old.Observe(telemetry.RPCIngest, 3*time.Millisecond)
-	sn, err := telemetry.DecodeSnapshot(old.Snapshot().Encode())
-	if err != nil {
-		t.Fatal(err)
+// TestFleetRollupSkipsForeignLeafSnapshot pins the telemetry compatibility
+// rule: a coordinator and its leaves are deployed from one build. A leaf
+// from another build answers Stats in a format this build does not speak;
+// DecodeSnapshot refuses it, and the coordinator's roll-up skips that leaf
+// exactly as it skips an unreachable one (Coordinator.FleetStats drops
+// every reply that fails to decode). So /fleet shows -1 for the leaf,
+// /metrics carries no imps_leaf_* series for it, and the other leaves' rows
+// are intact.
+func TestFleetRollupSkipsForeignLeafSnapshot(t *testing.T) {
+	var cur telemetry.Set
+	cur.AddTuples(1234)
+	cur.AddBatch()
+	cur.Observe(telemetry.RPCIngest, 3*time.Millisecond)
+	current := cur.Snapshot().Encode()
+
+	// An older build's quiet snapshot, hand-built: version byte 3, nine
+	// counters, an empty worker block and this build's RPC histograms, with
+	// none of the tenant, fine-grained UDP or shard blocks.
+	e := wire.NewEncoder(4096)
+	e.Raw([]byte{'I', 'M', 'P', 'T', 3})
+	e.I64(999)
+	for i := 0; i < 8; i++ {
+		e.I64(0)
 	}
-	st := &fakeFleetState{
-		tel:   []LeafTelemetry{{Name: "old-leaf", State: "up"}},
-		stats: []LeafStatsRow{{Name: "old-leaf", Stats: sn}},
+	e.U32(0)
+	e.U32(uint32(telemetry.NumRPCs))
+	e.U32(telemetry.HistBuckets)
+	for i := 0; i < int(telemetry.NumRPCs)*telemetry.HistBuckets; i++ {
+		e.U64(0)
 	}
+	foreign := e.Bytes()
+	if _, err := telemetry.DecodeSnapshot(foreign); err == nil {
+		t.Fatal("a foreign-version snapshot decoded")
+	}
+
+	// The roll-up as the coordinator builds it: one Stats reply per up leaf,
+	// kept only if it decodes.
+	st := &fakeFleetState{}
+	for _, leaf := range []struct {
+		name  string
+		reply []byte
+	}{{"leaf-a", current}, {"old-leaf", foreign}, {"leaf-c", current}} {
+		st.tel = append(st.tel, LeafTelemetry{Name: leaf.name, State: "up"})
+		if sn, err := telemetry.DecodeSnapshot(leaf.reply); err == nil {
+			st.stats = append(st.stats, LeafStatsRow{Name: leaf.name, Stats: sn})
+		}
+	}
+
 	var b strings.Builder
 	if err := WriteFleetMetrics(&b, st); err != nil {
 		t.Fatal(err)
 	}
 	out := b.String()
+	for _, line := range strings.Split(out, "\n") {
+		if strings.HasPrefix(line, "imps_leaf_") && strings.Contains(line, `leaf="old-leaf"`) {
+			t.Errorf("foreign leaf has a leaf-reported series: %q", line)
+		}
+	}
 	for _, want := range []string{
-		`imps_leaf_tuples_ingested_total{leaf="old-leaf"} 1234`,
-		`imps_leaf_batches_total{leaf="old-leaf"} 1`,
-		`imps_leaf_ingest_latency_seconds{leaf="old-leaf",quantile="0.5"}`,
+		`imps_coord_leaf_up{leaf="old-leaf"} 1`,
+		`imps_leaf_tuples_ingested_total{leaf="leaf-a"} 1234`,
+		`imps_leaf_batches_total{leaf="leaf-c"} 1`,
+		`imps_leaf_ingest_latency_seconds{leaf="leaf-a",quantile="0.5"}`,
+		`imps_leaf_ingest_latency_seconds{leaf="leaf-c",quantile="0.5"}`,
 	} {
 		if !strings.Contains(out, want) {
-			t.Errorf("roll-up of an old leaf snapshot missing %q\n%s", want, out)
+			t.Errorf("metrics output missing %q\n%s", want, out)
 		}
 	}
 
-	// The merged /fleet row carries the decoded counters too.
 	doc := BuildFleetJSON(st)
-	if len(doc.Leaves) != 1 || doc.Leaves[0].TuplesIngested != 1234 {
-		t.Fatalf("fleet doc %+v", doc)
+	if len(doc.Leaves) != 3 {
+		t.Fatalf("fleet doc has %d leaves, want 3", len(doc.Leaves))
+	}
+	for _, lf := range doc.Leaves {
+		want := int64(1234)
+		if lf.Name == "old-leaf" {
+			want = -1
+		}
+		if lf.TuplesIngested != want {
+			t.Errorf("leaf %s: tuples_ingested %d, want %d", lf.Name, lf.TuplesIngested, want)
+		}
+		if lf.Name == "old-leaf" && (lf.QueueHighWater != -1 || lf.State != "up") {
+			t.Errorf("foreign leaf row %+v: want -1 leaf-reported fields, coordinator state kept", lf)
+		}
 	}
 }
 

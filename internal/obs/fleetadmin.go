@@ -5,11 +5,8 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"net"
 	"net/http"
-	"net/http/pprof"
 	"strconv"
-	"time"
 
 	"implicate/internal/imps"
 	"implicate/internal/telemetry"
@@ -307,10 +304,10 @@ func BuildFleetJSON(st FleetAdminState) FleetJSON {
 
 // NewFleetAdminMux returns the impcoordd admin handler: the three-layer
 // Prometheus /metrics, a fleet-aware /healthz (ok, degraded or down, one
-// line per leaf), the /fleet JSON document imptop polls, the /trace fleet
-// trace dump, and the pprof suite.
+// line per leaf), the /fleet JSON document imptop polls, and the shared
+// /trace (here the assembled fleet trace) and pprof skeleton.
 func NewFleetAdminMux(st FleetAdminState) *http.ServeMux {
-	mux := http.NewServeMux()
+	mux := adminMux(st.FleetTrace)
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		_ = WriteFleetMetrics(w, st)
@@ -351,33 +348,6 @@ func NewFleetAdminMux(st FleetAdminState) *http.ServeMux {
 		w.Write(body)
 		io.WriteString(w, "\n")
 	})
-	mux.HandleFunc("/trace", func(w http.ResponseWriter, r *http.Request) {
-		spans := st.FleetTrace()
-		out := make([]jsonSpan, len(spans))
-		for i, s := range spans {
-			out[i] = jsonSpan{
-				Node:   s.Node,
-				Seq:    s.Seq,
-				Kind:   s.Kind.String(),
-				Arg:    s.Arg,
-				Start:  time.Unix(0, s.Start).UTC().Format(time.RFC3339Nano),
-				DurNS:  s.Dur,
-				Units:  s.Units,
-				Trace:  s.Trace,
-				Parent: s.Parent,
-				ID:     s.ID,
-			}
-		}
-		w.Header().Set("Content-Type", "application/json")
-		enc := json.NewEncoder(w)
-		enc.SetIndent("", "  ")
-		_ = enc.Encode(out)
-	})
-	mux.HandleFunc("/debug/pprof/", pprof.Index)
-	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	return mux
 }
 
@@ -385,11 +355,5 @@ func NewFleetAdminMux(st FleetAdminState) *http.ServeMux {
 // background goroutine. Like the leaf admin endpoint it is
 // unauthenticated — bind it to loopback or an operations network.
 func ListenFleetAdmin(addr string, st FleetAdminState) (*AdminServer, error) {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	srv := &http.Server{Handler: NewFleetAdminMux(st), ReadHeaderTimeout: 5 * time.Second}
-	go func() { _ = srv.Serve(ln) }()
-	return &AdminServer{Addr: ln.Addr().String(), srv: srv, ln: ln}, nil
+	return listen(addr, NewFleetAdminMux(st))
 }

@@ -285,6 +285,9 @@ func TestAdminMux(t *testing.T) {
 	if len(spans) != 1 || spans[0].Kind != "rpc" || spans[0].DurNS != int64(42*time.Microsecond) {
 		t.Errorf("/trace spans %+v", spans)
 	}
+	if strings.Contains(body, `"node"`) {
+		t.Errorf("single-node /trace carries a node label:\n%s", body)
+	}
 	if code, body := get("/debug/pprof/cmdline"); code != 200 || body == "" {
 		t.Errorf("/debug/pprof/cmdline: %d", code)
 	}

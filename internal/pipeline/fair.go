@@ -317,14 +317,6 @@ func (l *Lane) Closed() bool {
 	return l.closed || l.f.closed
 }
 
-// Depth returns the lane's current queue depth in batches (entries not yet
-// consumed by every dispatch shard).
-func (l *Lane) Depth() int {
-	l.f.mu.Lock()
-	defer l.f.mu.Unlock()
-	return len(l.q)
-}
-
 // HighWater returns the deepest the lane has been.
 func (l *Lane) HighWater() int64 {
 	l.f.mu.Lock()

@@ -207,11 +207,6 @@ func (r *BinaryReader) value(maxLen uint64) (string, error) {
 // Schema returns the schema read from the header.
 func (r *BinaryReader) Schema() *Schema { return r.schema }
 
-// ByteOffset returns the number of input bytes consumed so far — the
-// position decode errors report, so a corrupt frame can be located in the
-// stream (or in a server's ingest payload) without bisecting.
-func (r *BinaryReader) ByteOffset() int64 { return r.r.n }
-
 // recordErr annotates a record-level decode failure with the byte offset
 // and tuple index the reader had reached.
 func (r *BinaryReader) recordErr(err error) error {

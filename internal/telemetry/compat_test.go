@@ -48,83 +48,57 @@ func TestQuantileEdgeCases(t *testing.T) {
 	}
 }
 
-// encodeV1 builds a v1 ("IMPT\x01") snapshot as a PR-3-era server would
-// have: five counters, no pool saturation, no worker block, and the
-// four-RPC histogram list of that build.
-func encodeV1(tuples, batches, rejected, merges, highWater int64, hist [4][HistBuckets]uint64) []byte {
-	e := wire.NewEncoder(64 + 4*HistBuckets*8)
-	e.Raw([]byte(snapshotMagicV1))
-	e.I64(tuples)
-	e.I64(batches)
-	e.I64(rejected)
-	e.I64(merges)
-	e.I64(highWater)
-	e.U32(4)
-	e.U32(HistBuckets)
-	for r := 0; r < 4; r++ {
-		for b := 0; b < HistBuckets; b++ {
-			e.U64(hist[r][b])
-		}
-	}
-	return e.Bytes()
-}
-
-// TestDecodeSnapshotV1 checks cross-version decoding: a v1 snapshot from an
-// older server decodes with its counters and histograms intact and the
-// fields that postdate it (pool saturation, workers, the newer RPCs'
-// histograms) zero.
-func TestDecodeSnapshotV1(t *testing.T) {
-	var hist [4][HistBuckets]uint64
-	hist[RPCIngest][10] = 42
-	hist[RPCStats][20] = 7
-	sn, err := DecodeSnapshot(encodeV1(1000, 10, 2, 3, 9, hist))
-	if err != nil {
+// TestDecodeSnapshotRejectsOtherBuilds pins the compatibility rule: a
+// coordinator and its leaves come from one build, so a snapshot in any
+// other format is refused, never half-read. That covers another version
+// byte and an RPC list of any length but this build's (histograms are
+// matched to RPCs by position; a shorter or longer list cannot be mapped).
+func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
+	var s Set
+	s.AddTuples(7)
+	s.Observe(RPCQuery, time.Microsecond)
+	good := s.Snapshot().Encode()
+	if _, err := DecodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
-	if sn.TuplesIngested != 1000 || sn.Batches != 10 || sn.BatchesRejected != 2 || sn.Merges != 3 || sn.QueueHighWater != 9 {
-		t.Fatalf("v1 counters %+v", sn)
-	}
-	if sn.PoolSaturation != 0 || sn.Workers != nil {
-		t.Fatalf("v1 snapshot grew post-v1 fields: saturation=%d workers=%+v", sn.PoolSaturation, sn.Workers)
-	}
-	if sn.Latency[RPCIngest].Counts[10] != 42 || sn.Latency[RPCStats].Counts[20] != 7 {
-		t.Fatalf("v1 histograms %+v", sn.Latency)
-	}
-	for r := RPC(4); r < NumRPCs; r++ {
-		if sn.Latency[r].Count() != 0 {
-			t.Fatalf("RPC %v histogram not zero-filled", r)
+	for _, v := range []byte{0, 1, 2, 3, 4, 6, 0xff} {
+		other := append([]byte(nil), good...)
+		other[len(snapshotMagic)-1] = v
+		if _, err := DecodeSnapshot(other); err == nil {
+			t.Errorf("snapshot with version byte %d accepted", v)
 		}
 	}
 
-	// Corruption in a v1 frame is still rejected.
-	good := encodeV1(1, 1, 0, 0, 1, [4][HistBuckets]uint64{})
-	if _, err := DecodeSnapshot(good[:len(good)-1]); err == nil {
-		t.Error("truncated v1 snapshot accepted")
-	}
-	if _, err := DecodeSnapshot(append(append([]byte(nil), good...), 0)); err == nil {
-		t.Error("v1 trailing bytes accepted")
-	}
-}
-
-// TestDecodeSnapshotRejectsLongerRPCList checks the append-only contract's
-// other side: a sender claiming MORE RPCs than this build knows cannot be
-// mapped and must be refused, not truncated.
-func TestDecodeSnapshotRejectsLongerRPCList(t *testing.T) {
-	e := wire.NewEncoder(64)
-	e.Raw([]byte(snapshotMagic))
-	for i := 0; i < 6; i++ {
-		e.I64(0)
-	}
-	e.U32(0) // no workers
-	e.U32(uint32(NumRPCs) + 1)
-	e.U32(HistBuckets)
-	for r := 0; r < int(NumRPCs)+1; r++ {
-		for b := 0; b < HistBuckets; b++ {
-			e.U64(0)
+	// encode writes a snapshot whose RPC list has nrpc entries, every other
+	// field well-formed and empty.
+	encode := func(nrpc int) []byte {
+		e := wire.NewEncoder(64 + nrpc*HistBuckets*8)
+		e.Raw([]byte(snapshotMagic))
+		for i := 0; i < 9; i++ {
+			e.I64(0)
 		}
+		e.U32(0) // no workers
+		e.U32(uint32(nrpc))
+		e.U32(HistBuckets)
+		for r := 0; r < nrpc; r++ {
+			for b := 0; b < HistBuckets; b++ {
+				e.U64(0)
+			}
+		}
+		e.U32(0) // no tenants
+		for i := 0; i < 5; i++ {
+			e.I64(0)
+		}
+		e.U32(0) // no shards
+		return e.Bytes()
 	}
-	if _, err := DecodeSnapshot(e.Bytes()); err == nil {
-		t.Fatal("snapshot with unknown extra RPCs accepted")
+	if _, err := DecodeSnapshot(encode(int(NumRPCs))); err != nil {
+		t.Fatalf("this build's RPC count refused: %v", err)
+	}
+	for _, n := range []int{0, 1, int(NumRPCs) - 1, int(NumRPCs) + 1} {
+		if _, err := DecodeSnapshot(encode(n)); err == nil {
+			t.Errorf("snapshot with %d RPCs accepted (want exactly %d)", n, NumRPCs)
+		}
 	}
 }
 

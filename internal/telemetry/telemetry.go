@@ -5,6 +5,12 @@
 // buckets. A Set is updated lock-free on the hot path; Snapshot captures a
 // consistent-enough copy for the Stats RPC, which ships it in the
 // internal/wire encoding.
+//
+// The snapshot has one wire format, magic "IMPT\x05", because a coordinator
+// and its leaves are deployed from one build. A peer whose Stats reply does
+// not decode — another build's format, another RPC list — is treated like
+// an unreachable one (the coordinator's fleet roll-up skips it) rather than
+// half-read.
 package telemetry
 
 import (
@@ -20,10 +26,8 @@ import (
 // RPC indexes the latency histograms, one per request type.
 type RPC uint8
 
-// The instrumented RPCs, in wire-format order. The list is append-only:
-// snapshot decoding matches histograms to RPCs by position, and accepting
-// snapshots from older builds (see DecodeSnapshot) depends on an older list
-// being a strict prefix of this one.
+// The instrumented RPCs, in wire-format order: snapshot decoding matches
+// histograms to RPCs by position.
 const (
 	RPCIngest RPC = iota
 	RPCQuery
@@ -357,21 +361,16 @@ type Snapshot struct {
 	// truncated, version-skewed or failing their checksum.
 	UDPCRCFailures int64
 	// Workers holds per-pipeline-worker counters, one entry per worker; nil
-	// when the server predates worker configuration.
+	// when the server configured no pool.
 	Workers []WorkerStats
 	// Latency holds one histogram per RPC, indexed by the RPC constants.
 	Latency [NumRPCs]Histogram
 	// Tenants holds per-tenant counters, one entry per registered tenant,
-	// sorted by name. Nil on single-tenant servers — and only a snapshot
-	// with tenants is encoded in the v4 format, so a server with no named
-	// tenants stays byte-compatible with v3 readers.
+	// sorted by name. Nil on single-tenant servers.
 	Tenants []TenantStats
 	// Shards holds per-dispatch-shard counters for servers running the
 	// sharded Fair dispatcher, ordered (lane, shard). Nil on the
-	// single-dispatcher path — and like Tenants, only a snapshot carrying
-	// shard rows (or fine-grained UDP counters) is encoded in the v5
-	// format, so default-config servers stay byte-compatible with v4
-	// readers.
+	// single-dispatcher path.
 	Shards []ShardStats
 }
 
@@ -418,43 +417,16 @@ type WorkerStats struct {
 	Units int64
 }
 
-// The snapshot wire versions. v5 ("IMPT\x05") appends the fine-grained UDP
-// lane counters and the per-dispatch-shard block; v4 ("IMPT\x04") appended
-// the per-tenant block; v3 ("IMPT\x03") added the UDP lane counters; v2
-// ("IMPT\x02") added the pool-saturation counter and the per-worker block;
-// v1 ("IMPT\x01") snapshots from older servers carry none of these and
-// decode with those fields zero. Encode writes the newest version whose
-// extra blocks carry information and nothing newer — v5 only when a
-// fine-grained UDP counter is nonzero or shard rows exist, v4 only when the
-// snapshot carries tenants — so a default-config server emits bytes a
-// v3-only reader still accepts.
-const (
-	snapshotMagicV5 = "IMPT\x05"
-	snapshotMagicV4 = "IMPT\x04"
-	snapshotMagic   = "IMPT\x03"
-	snapshotMagicV2 = "IMPT\x02"
-	snapshotMagicV1 = "IMPT\x01"
-)
+// snapshotMagic heads every encoded snapshot; see the package doc for why
+// there is exactly one.
+const snapshotMagic = "IMPT\x05"
 
-// fineUDP reports whether any fine-grained UDP lane counter carries
-// information — one input to the v5 encoding gate.
-func (sn Snapshot) fineUDP() bool {
-	return sn.UDPApplied != 0 || sn.UDPWindowDrops != 0 || sn.UDPDecodeDrops != 0 ||
-		sn.UDPReorders != 0 || sn.UDPCRCFailures != 0
-}
-
-// Encode serializes the snapshot for the Stats RPC.
+// Encode serializes the snapshot for the Stats RPC. Every block is written,
+// empty or not, so the encoding is canonical: a decoded snapshot re-encodes
+// to the bytes it came from.
 func (sn Snapshot) Encode() []byte {
-	v5 := sn.fineUDP() || len(sn.Shards) > 0
-	e := wire.NewEncoder(64 + int(NumRPCs)*HistBuckets*8)
-	switch {
-	case v5:
-		e.Raw([]byte(snapshotMagicV5))
-	case len(sn.Tenants) > 0:
-		e.Raw([]byte(snapshotMagicV4))
-	default:
-		e.Raw([]byte(snapshotMagic))
-	}
+	e := wire.NewEncoder(256 + int(NumRPCs)*HistBuckets*8)
+	e.Raw([]byte(snapshotMagic))
 	e.I64(sn.TuplesIngested)
 	e.I64(sn.Batches)
 	e.I64(sn.BatchesRejected)
@@ -476,137 +448,105 @@ func (sn Snapshot) Encode() []byte {
 			e.U64(sn.Latency[r].Counts[b])
 		}
 	}
-	// v5 always writes the tenant block, even empty — unlike v4, whose
-	// presence is itself the "has tenants" signal.
-	if v5 || len(sn.Tenants) > 0 {
-		e.U32(uint32(len(sn.Tenants)))
-		for _, t := range sn.Tenants {
-			e.Str(t.Name)
-			e.I64(t.Weight)
-			e.I64(t.Tuples)
-			e.I64(t.Batches)
-			e.I64(t.Rejected)
-			e.I64(t.QuotaRefusals)
-			e.I64(t.MemBytes)
-			e.I64(t.MemBudget)
-			e.I64(t.QueueHighWater)
-		}
+	e.U32(uint32(len(sn.Tenants)))
+	for _, t := range sn.Tenants {
+		e.Str(t.Name)
+		e.I64(t.Weight)
+		e.I64(t.Tuples)
+		e.I64(t.Batches)
+		e.I64(t.Rejected)
+		e.I64(t.QuotaRefusals)
+		e.I64(t.MemBytes)
+		e.I64(t.MemBudget)
+		e.I64(t.QueueHighWater)
 	}
-	if v5 {
-		e.I64(sn.UDPApplied)
-		e.I64(sn.UDPWindowDrops)
-		e.I64(sn.UDPDecodeDrops)
-		e.I64(sn.UDPReorders)
-		e.I64(sn.UDPCRCFailures)
-		e.U32(uint32(len(sn.Shards)))
-		for _, sh := range sn.Shards {
-			e.Str(sh.Lane)
-			e.I64(sh.Shard)
-			e.I64(sh.Tasks)
-			e.I64(sh.HighWater)
-		}
+	e.I64(sn.UDPApplied)
+	e.I64(sn.UDPWindowDrops)
+	e.I64(sn.UDPDecodeDrops)
+	e.I64(sn.UDPReorders)
+	e.I64(sn.UDPCRCFailures)
+	e.U32(uint32(len(sn.Shards)))
+	for _, sh := range sn.Shards {
+		e.Str(sh.Lane)
+		e.I64(sh.Shard)
+		e.I64(sh.Tasks)
+		e.I64(sh.HighWater)
 	}
 	return e.Bytes()
 }
 
 // DecodeSnapshot parses an encoded snapshot, rejecting any it cannot prove
-// intact. Every wire version is accepted: snapshots from older servers
-// decode with the fields their version predates left zero. The sender's RPC
-// list may be shorter than this build's — the list is append-only, so a
-// shorter list is a prefix and the newer RPCs' histograms stay zero — but
-// never longer, and the bucket geometry must match exactly (bucket
-// boundaries are positional; mismatched counts cannot be reconciled).
+// intact — including one from another build: the magic, the RPC count and
+// the bucket geometry must all match this build's exactly (histograms are
+// matched to RPCs and buckets by position).
 func DecodeSnapshot(data []byte) (Snapshot, error) {
 	d := wire.NewDecoder(data)
-	v1 := len(data) >= len(snapshotMagicV1) && string(data[:len(snapshotMagicV1)]) == snapshotMagicV1
-	v2 := len(data) >= len(snapshotMagicV2) && string(data[:len(snapshotMagicV2)]) == snapshotMagicV2
-	v4 := len(data) >= len(snapshotMagicV4) && string(data[:len(snapshotMagicV4)]) == snapshotMagicV4
-	v5 := len(data) >= len(snapshotMagicV5) && string(data[:len(snapshotMagicV5)]) == snapshotMagicV5
-	switch {
-	case v1:
-		d.Magic(snapshotMagicV1)
-	case v2:
-		d.Magic(snapshotMagicV2)
-	case v4:
-		d.Magic(snapshotMagicV4)
-	case v5:
-		d.Magic(snapshotMagicV5)
-	default:
-		d.Magic(snapshotMagic)
-	}
+	d.Magic(snapshotMagic)
 	var sn Snapshot
 	sn.TuplesIngested = d.I64()
 	sn.Batches = d.I64()
 	sn.BatchesRejected = d.I64()
 	sn.Merges = d.I64()
 	sn.QueueHighWater = d.I64()
-	if !v1 {
-		sn.PoolSaturation = d.I64()
-		if !v2 {
-			sn.UDPDatagrams = d.I64()
-			sn.UDPDups = d.I64()
-			sn.UDPDrops = d.I64()
-		}
-		// The worker count is the sender's pool size — data, not geometry:
-		// any count round-trips.
-		nworkers := d.Count(16)
-		if d.Err() == nil && nworkers > 0 {
-			sn.Workers = make([]WorkerStats, nworkers)
-			for i := 0; i < nworkers; i++ {
-				sn.Workers[i] = WorkerStats{Tasks: d.I64(), Units: d.I64()}
-			}
+	sn.PoolSaturation = d.I64()
+	sn.UDPDatagrams = d.I64()
+	sn.UDPDups = d.I64()
+	sn.UDPDrops = d.I64()
+	// The worker count is the sender's pool size — data, not geometry: any
+	// count round-trips.
+	nworkers := d.Count(16)
+	if d.Err() == nil && nworkers > 0 {
+		sn.Workers = make([]WorkerStats, nworkers)
+		for i := 0; i < nworkers; i++ {
+			sn.Workers[i] = WorkerStats{Tasks: d.I64(), Units: d.I64()}
 		}
 	}
 	nrpc := d.U32()
 	nbuckets := d.U32()
-	if d.Err() == nil && (nrpc > uint32(NumRPCs) || nbuckets != HistBuckets) {
-		return Snapshot{}, fmt.Errorf("%w: histogram geometry %d×%d (want <=%d×%d)",
+	if d.Err() == nil && (nrpc != uint32(NumRPCs) || nbuckets != HistBuckets) {
+		return Snapshot{}, fmt.Errorf("%w: histogram geometry %d×%d (want %d×%d)",
 			wire.ErrCorrupt, nrpc, nbuckets, NumRPCs, HistBuckets)
 	}
-	for r := 0; d.Err() == nil && r < int(nrpc); r++ {
+	for r := 0; d.Err() == nil && r < int(NumRPCs); r++ {
 		for b := 0; b < HistBuckets; b++ {
 			sn.Latency[r].Counts[b] = d.U64()
 		}
 	}
-	if v4 || v5 {
-		// 68 is the smallest possible tenant row: empty-name length prefix
-		// plus eight i64 counters.
-		ntenants := d.Count(68)
-		if d.Err() == nil && ntenants > 0 {
-			sn.Tenants = make([]TenantStats, ntenants)
-			for i := 0; i < ntenants && d.Err() == nil; i++ {
-				sn.Tenants[i] = TenantStats{
-					Name:           d.Str(256),
-					Weight:         d.I64(),
-					Tuples:         d.I64(),
-					Batches:        d.I64(),
-					Rejected:       d.I64(),
-					QuotaRefusals:  d.I64(),
-					MemBytes:       d.I64(),
-					MemBudget:      d.I64(),
-					QueueHighWater: d.I64(),
-				}
+	// 68 is the smallest possible tenant row: empty-name length prefix plus
+	// eight i64 counters.
+	ntenants := d.Count(68)
+	if d.Err() == nil && ntenants > 0 {
+		sn.Tenants = make([]TenantStats, ntenants)
+		for i := 0; i < ntenants && d.Err() == nil; i++ {
+			sn.Tenants[i] = TenantStats{
+				Name:           d.Str(256),
+				Weight:         d.I64(),
+				Tuples:         d.I64(),
+				Batches:        d.I64(),
+				Rejected:       d.I64(),
+				QuotaRefusals:  d.I64(),
+				MemBytes:       d.I64(),
+				MemBudget:      d.I64(),
+				QueueHighWater: d.I64(),
 			}
 		}
 	}
-	if v5 {
-		sn.UDPApplied = d.I64()
-		sn.UDPWindowDrops = d.I64()
-		sn.UDPDecodeDrops = d.I64()
-		sn.UDPReorders = d.I64()
-		sn.UDPCRCFailures = d.I64()
-		// 28 is the smallest possible shard row: empty-lane length prefix
-		// plus three i64 counters.
-		nshards := d.Count(28)
-		if d.Err() == nil && nshards > 0 {
-			sn.Shards = make([]ShardStats, nshards)
-			for i := 0; i < nshards && d.Err() == nil; i++ {
-				sn.Shards[i] = ShardStats{
-					Lane:      d.Str(256),
-					Shard:     d.I64(),
-					Tasks:     d.I64(),
-					HighWater: d.I64(),
-				}
+	sn.UDPApplied = d.I64()
+	sn.UDPWindowDrops = d.I64()
+	sn.UDPDecodeDrops = d.I64()
+	sn.UDPReorders = d.I64()
+	sn.UDPCRCFailures = d.I64()
+	// 28 is the smallest possible shard row: empty-lane length prefix plus
+	// three i64 counters.
+	nshards := d.Count(28)
+	if d.Err() == nil && nshards > 0 {
+		sn.Shards = make([]ShardStats, nshards)
+		for i := 0; i < nshards && d.Err() == nil; i++ {
+			sn.Shards[i] = ShardStats{
+				Lane:      d.Str(256),
+				Shard:     d.I64(),
+				Tasks:     d.I64(),
+				HighWater: d.I64(),
 			}
 		}
 	}

@@ -139,9 +139,7 @@ func TestSnapshotRoundTripNoWorkers(t *testing.T) {
 	}
 }
 
-// TestSnapshotTenantRoundTrip pins the v4 wire form: a snapshot carrying
-// tenants round-trips them, and one without stays byte-identical to the v3
-// encoding so older readers keep working against no-tenant servers.
+// TestSnapshotTenantRoundTrip: a snapshot carrying tenants round-trips them.
 func TestSnapshotTenantRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(9)
@@ -150,21 +148,12 @@ func TestSnapshotTenantRoundTrip(t *testing.T) {
 		{Name: "acme", Weight: 3, Tuples: 100, Batches: 4, Rejected: 1, QuotaRefusals: 2, MemBytes: 1 << 20, MemBudget: 1 << 22, QueueHighWater: 7},
 		{Name: "zeta", Weight: 1, Tuples: 5},
 	}
-	enc := want.Encode()
-	if string(enc[:len(snapshotMagicV4)]) != snapshotMagicV4 {
-		t.Fatalf("tenant snapshot magic %q, want v4", enc[:5])
-	}
-	got, err := DecodeSnapshot(enc)
+	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	plain := s.Snapshot().Encode()
-	if string(plain[:len(snapshotMagic)]) != snapshotMagic {
-		t.Fatalf("tenant-free snapshot magic %q, want v3", plain[:5])
 	}
 
 	// Negative tenant counter is corruption.
@@ -270,10 +259,8 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotV5RoundTrip pins the v5 wire form: fine-grained UDP counters
-// and per-shard rows round-trip, a snapshot carrying neither stays
-// byte-identical to the older encodings, and v5 carries the tenant block
-// even when empty.
+// TestSnapshotV5RoundTrip: fine-grained UDP counters and per-shard rows
+// round-trip, alone and beside tenants.
 func TestSnapshotV5RoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
@@ -288,11 +275,7 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		{Lane: "", Shard: 0, Tasks: 40, HighWater: 3},
 		{Lane: "acme", Shard: 1, Tasks: 7, HighWater: 2},
 	}
-	enc := want.Encode()
-	if string(enc[:len(snapshotMagicV5)]) != snapshotMagicV5 {
-		t.Fatalf("v5 snapshot magic %q, want v5", enc[:5])
-	}
-	got, err := DecodeSnapshot(enc)
+	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,14 +286,7 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		t.Fatalf("fine-grained UDP counters %+v", got)
 	}
 
-	// Shard rows alone (no fine UDP counters) also select v5.
-	shardsOnly := (&Set{}).Snapshot()
-	shardsOnly.Shards = []ShardStats{{Lane: "", Shard: 0, Tasks: 1}}
-	if enc := shardsOnly.Encode(); string(enc[:len(snapshotMagicV5)]) != snapshotMagicV5 {
-		t.Fatalf("shard-only snapshot magic %q, want v5", enc[:5])
-	}
-
-	// Tenants ride along inside v5.
+	// Tenants ride along.
 	withTenants := want
 	withTenants.Tenants = []TenantStats{{Name: "acme", Weight: 2, Tuples: 6}}
 	got2, err := DecodeSnapshot(withTenants.Encode())
@@ -318,13 +294,7 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(got2, withTenants) {
-		t.Fatalf("v5+tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
-	}
-
-	// A quiet snapshot must not upgrade: byte-identical to v3.
-	quiet := (&Set{}).Snapshot()
-	if enc := quiet.Encode(); string(enc[:len(snapshotMagic)]) != snapshotMagic {
-		t.Fatalf("quiet snapshot magic %q, want v3", enc[:5])
+		t.Fatalf("tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
 	}
 
 	// Negative shard counter is corruption.
