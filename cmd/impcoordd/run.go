@@ -56,7 +56,7 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.DurationVar(&cfg.probeEvery, "probe-every", 50*time.Millisecond, "health-probe period per leaf")
 	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe round-trip bound")
 	fs.IntVar(&cfg.probeFails, "probe-fails", 3, "consecutive probe failures before a leaf is marked down")
-	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on fleet flush and per-query merge quiesce")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on a fleet flush's drain and on a query's wait for a recovering leaf")
 	fs.StringVar(&cfg.admin, "admin", "", "fleet admin HTTP address (/metrics, /healthz, /fleet, /trace, pprof); empty disables")
 	fs.IntVar(&cfg.traceSpans, "trace-spans", 0, "span ring capacity for cross-node tracing; 0 disables; leaves must be trace-aware builds")
 	if err := fs.Parse(args); err != nil {

@@ -175,6 +175,10 @@ func TestABI(t *testing.T) {
 		{"IngestAck", proto.IngestAck{Tuples: 3}.Encode(), "\x03\x00\x00\x00\x00\x00\x00\x00"},
 		{"IngestAck frame", frame(proto.Frame{Type: proto.TOK, ID: 7, Payload: proto.IngestAck{Tuples: 3}.Encode()}),
 			"\x16\x00\x00\x00" + "\x01\x10" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xe3\x35\x6c\x57" + "\x03\x00\x00\x00\x00\x00\x00\x00"},
+		{"TQuery frame", frame(proto.Frame{Type: proto.TQuery, ID: 9, Payload: proto.QueryReq{Stmt: 1}.Encode()}),
+			"\x12\x00\x00\x00" + "\x01\x02" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
+		{"Query TResult frame", frame(proto.Frame{Type: proto.TResult, ID: 9, Payload: proto.QueryResult{Count: 2.5, Tuples: 3}.Encode()}),
+			"\x1e\x00\x00\x00" + "\x01\x11" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x89\x51\x9b\x6b" + le64(math.Float64bits(2.5)) + le64(3)},
 		{"ClusterStatus", proto.ClusterStatus{VirtualPartitions: 64, Leaves: []proto.LeafStatus{
 			{Addr: "h:1", State: proto.LeafDown, Epoch: 2, Parts: 22, Journaled: 5, Acked: 3},
 		}}.Encode(),

@@ -68,8 +68,8 @@ type Config struct {
 	// ProbeFails is how many consecutive probe failures mark a leaf down.
 	// Default 3.
 	ProbeFails int
-	// DrainTimeout bounds Flush and the merge fan-in's per-leaf quiesce.
-	// Default 30s.
+	// DrainTimeout bounds Flush's drain, and how long a Query or Snapshot
+	// pull waits for a recovering leaf to come back. Default 30s.
 	DrainTimeout time.Duration
 	// Restart, when non-nil, is the recovery hook: called with a down
 	// leaf's name, it restarts that leaf from its latest checkpoint and

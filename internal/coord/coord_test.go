@@ -74,6 +74,9 @@ type fleet struct {
 	// registers and the coordinator serves.
 	sql []string
 
+	// drainTimeout, when positive, is the coordinator's DrainTimeout.
+	drainTimeout time.Duration
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -199,6 +202,13 @@ func startCoordinator(t *testing.T, fl *fleet, n int, prefix string) *Coordinato
 		name := fmt.Sprintf("%s%d", prefix, i)
 		specs[i] = LeafSpec{Name: name, Addr: fl.start(name)}
 	}
+	return newCoordinator(t, fl, specs)
+}
+
+// newCoordinator builds a coordinator over fl's leaves as specs address
+// them.
+func newCoordinator(t *testing.T, fl *fleet, specs []LeafSpec) *Coordinator {
+	t.Helper()
 	co, err := New(Config{
 		Schema:        fl.schema,
 		Statements:    fl.statements(),
@@ -207,6 +217,7 @@ func startCoordinator(t *testing.T, fl *fleet, n int, prefix string) *Coordinato
 		ProbeEvery:    10 * time.Millisecond,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFails:    2,
+		DrainTimeout:  fl.drainTimeout,
 		Restart:       fl.restart,
 		ClientOptions: client.Options{Conns: 1},
 		Logf:          t.Logf,

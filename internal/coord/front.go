@@ -5,18 +5,28 @@
 // their wire bytes and are acknowledged once journaled within the pending
 // bound (durability at this tier is the journal plus the leaves'
 // checkpoints); Query and Snapshot answer from the merged fleet state;
-// Cluster reports membership. One reader per connection, replies written in
-// request order.
+// Cluster reports membership.
 //
-// This loop is the fleet's data plane: every tuple crosses it before any
-// leaf sketches it, so the §2 tree only pays off while it is cheaper than
-// the leaves it feeds. Measured on the benchmark's fleet workload (3
-// leaves, 1000-tuple frames, 2 cores): serveConn is 36% of process CPU —
-// validation 7%, route key and hash 10%, record and journal copies 10% —
-// against 44% for the three leaf servers. Decoding frames into tuples and
-// re-encoding them for the journal put it at 64% against 17%, which is why
-// ingest routes on the raw records (Coordinator.ingestEncoded; DESIGN.md
-// §13).
+// Each connection runs two goroutines. The reader parses frames and answers
+// every request except ingest inline, as soon as it is parsed; it queues
+// ingest frames for the connection's ingest goroutine, which routes and
+// acknowledges them one at a time in arrival order. A query therefore never
+// waits behind the ingest frames pipelined ahead of it — on the benchmark's
+// fleet workload that wait was two thirds of a query's latency — while
+// routing order, journal order and the determinism contract are the single
+// goroutine's, as before. Replies from both goroutines go out whole under one
+// write lock, so they can leave out of request order; clients match them to
+// requests by id.
+//
+// The ingest goroutine is the fleet's data plane: every tuple crosses it
+// before any leaf sketches it, so the §2 tree only pays off while it is
+// cheaper than the leaves it feeds. Measured on the benchmark's fleet
+// workload (3 leaves, 1000-tuple frames, 2 cores), when the reader still
+// routed inline: serveConn was 36% of process CPU — validation 7%, route
+// key and hash 10%, record and journal copies 10% — against 44% for the
+// three leaf servers. Decoding frames into tuples and re-encoding them for
+// the journal put it at 64% against 17%, which is why ingest routes on the
+// raw records (Coordinator.ingestEncoded; DESIGN.md §13).
 package coord
 
 import (
@@ -30,9 +40,17 @@ import (
 	"implicate/internal/telemetry"
 )
 
-// frontDrainGrace mirrors the server's: how long connection readers may
-// finish in-flight requests after Close.
-const frontDrainGrace = 200 * time.Millisecond
+const (
+	// frontDrainGrace mirrors the server's: how long connection readers may
+	// finish in-flight requests after Close.
+	frontDrainGrace = 200 * time.Millisecond
+	// frontIngestDepth bounds each connection's queue of ingest frames read
+	// but not yet routed. It is the producer window the benchmark and the
+	// pipelining callers keep in flight, so such a producer never stalls the
+	// reader; a deeper pipeline stalls it once this many frames wait, which
+	// caps a connection's buffered frame bodies at frontIngestDepth+2.
+	frontIngestDepth = 16
+)
 
 // Frontend serves the coordinator over the wire protocol. Create with
 // Serve.
@@ -91,22 +109,92 @@ func (fe *Frontend) serveConn(c net.Conn) {
 		fe.connMu.Unlock()
 		c.Close()
 	}()
+	w := &replyWriter{c: c}
+	ingests := make(chan queuedIngest, frontIngestDepth)
+	// Every frame body the connection owns is the reader's, queued, being
+	// routed, or here: at most frontIngestDepth+2, so recycling never blocks.
+	free := make(chan []byte, frontIngestDepth+2)
+	ingestDone := make(chan struct{})
+	go func() {
+		defer close(ingestDone)
+		fe.ingestLoop(w, ingests, free)
+	}()
 	fr := proto.NewFrameReader(c)
-	var wbuf []byte
+	var buf []byte
 	for {
-		f, err := fr.Next()
+		f, b, err := fr.NextInto(buf)
 		if err != nil {
-			return // EOF, deadline or protocol error; nothing to answer on
+			break // EOF, deadline or protocol error; nothing to answer on
 		}
-		resp := fe.handle(f)
-		wbuf, err = proto.AppendFrame(wbuf[:0], resp)
-		if err != nil {
-			return
+		if f.Type == proto.TIngest {
+			// The frame's body goes with it; read the next one into a
+			// recycled body, or a fresh one while all of them are out.
+			ingests <- queuedIngest{f: f, buf: b}
+			select {
+			case buf = <-free:
+			default:
+				buf = nil
+			}
+			continue
 		}
-		if _, err := c.Write(wbuf); err != nil {
-			return
+		buf = b
+		if w.write(fe.handle(f)) != nil {
+			break
 		}
 	}
+	close(ingests)
+	<-ingestDone
+}
+
+// queuedIngest is an ingest frame on its way from a connection's reader to
+// its ingest goroutine, with the body buffer the frame aliases.
+type queuedIngest struct {
+	f   proto.Frame
+	buf []byte
+}
+
+// ingestLoop is a connection's ingest goroutine: it routes the queued frames
+// one at a time, in arrival order, acknowledges each, and hands its body
+// buffer back to the reader. Once one of its replies fails to go out it
+// stops routing — the connection is gone and the rest were never
+// acknowledged — but drains the queue so the reader is never left blocked
+// on it.
+func (fe *Frontend) ingestLoop(w *replyWriter, ingests <-chan queuedIngest, free chan<- []byte) {
+	var err error
+	for q := range ingests {
+		if err == nil {
+			err = w.write(fe.handle(q.f))
+		}
+		free <- q.buf
+	}
+}
+
+// replyWriter is a connection's write side, shared by its reader and its
+// ingest goroutine: each reply is encoded into one scratch buffer and goes
+// out in one Write under mu, so replies never interleave. The first failure
+// is sticky and closes the connection, which also ends the reader's next
+// read.
+type replyWriter struct {
+	c   net.Conn
+	mu  sync.Mutex
+	buf []byte // encode scratch, under mu
+	err error
+}
+
+func (w *replyWriter) write(f proto.Frame) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.err != nil {
+		return w.err
+	}
+	w.buf, w.err = proto.AppendFrame(w.buf[:0], f)
+	if w.err == nil {
+		_, w.err = w.c.Write(w.buf)
+	}
+	if w.err != nil {
+		w.c.Close()
+	}
+	return w.err
 }
 
 func (fe *Frontend) handle(f proto.Frame) proto.Frame {

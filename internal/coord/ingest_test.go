@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -374,18 +375,62 @@ func TestPendingJournalBounded(t *testing.T) {
 	}
 }
 
+// routedBatch is FlushTuples tuples that all route to leaf idx: one Ingest
+// of it onto an empty staging buffer journals exactly one entry there.
+func routedBatch(co *Coordinator, idx int) []stream.Tuple {
+	var batch []stream.Tuple
+	for i := 0; len(batch) < co.cfg.FlushTuples; i++ {
+		tu := stream.Tuple{fmt.Sprintf("s%d", i), "d"}
+		if co.rt.leafOf([]byte(tu[0])) == idx {
+			batch = append(batch, tu)
+		}
+	}
+	return batch
+}
+
+// TestFlushDeadlineNamesLeafCounts drives Flush past a short DrainTimeout
+// against a leaf whose recovery is stalled, while its feeder and prober run:
+// the error names the leaf's state and its acknowledged and journaled
+// counts, read under the leaf's lock (run under -race, this is the
+// regression test for the deadline error that formatted them unlocked).
+func TestFlushDeadlineNamesLeafCounts(t *testing.T) {
+	schema := fleetSchema(t)
+	fl := newFleet(t, schema)
+	t.Cleanup(fl.closeAll)
+	fl.drainTimeout = 300 * time.Millisecond
+	const victim = 1
+	release := make(chan struct{})
+	fl.stall = func(name string) {
+		if name == fmt.Sprintf("leaf%d", victim) {
+			<-release
+		}
+	}
+	co := startCoordinator(t, fl, 2, "leaf")
+	defer close(release) // before the cleanups: Close waits for the stalled recovery
+	fl.kill(fmt.Sprintf("leaf%d", victim))
+	if err := co.Ingest(fleetTuples(1000)); err != nil {
+		t.Fatal(err)
+	}
+	err := co.Flush()
+	if err == nil {
+		t.Fatal("Flush drained a leaf whose recovery is stalled")
+	}
+	st := co.Status().Leaves[victim]
+	if st.Acked != 0 || st.Journaled == 0 {
+		t.Fatalf("stalled leaf acked %d of %d journaled tuples, want 0 of some", st.Acked, st.Journaled)
+	}
+	want := fmt.Sprintf("leaf%d did not drain before the deadline (recovering, 0 of %d journaled tuples acknowledged)", victim, st.Journaled)
+	if !strings.Contains(err.Error(), want) {
+		t.Errorf("Flush error %q, want it to contain %q", err, want)
+	}
+}
+
 // blockedIngest fills leaf 0's pending journal of an offline coordinator to
 // the bound, starts one more Ingest that must block on it, and returns the
 // channel that Ingest's result arrives on.
 func blockedIngest(t *testing.T, co *Coordinator) <-chan error {
 	t.Helper()
-	var batch []stream.Tuple // FlushTuples tuples that all route to leaf 0
-	for i := 0; len(batch) < co.cfg.FlushTuples; i++ {
-		tu := stream.Tuple{fmt.Sprintf("s%d", i), "d"}
-		if co.rt.leafOf([]byte(tu[0])) == 0 {
-			batch = append(batch, tu)
-		}
-	}
+	batch := routedBatch(co, 0)
 	for i := 0; i < maxPendingBatches; i++ {
 		if err := co.Ingest(batch); err != nil {
 			t.Fatal(err)

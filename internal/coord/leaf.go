@@ -48,6 +48,10 @@ const (
 	leafRecovering
 )
 
+func (s leafState) String() string {
+	return [...]string{leafUp: "up", leafDown: "down", leafRecovering: "recovering"}[s]
+}
+
 func (s leafState) wire() uint8 {
 	switch s {
 	case leafDown:
@@ -383,8 +387,8 @@ func (lf *leaf) boundaryIndex(tuples int64) (int, bool) {
 }
 
 // drain blocks until every journaled batch is acknowledged AND applied by
-// the leaf — the quiesce point a deterministic merge fan-in needs, since
-// ingest acknowledgements only confirm enqueueing.
+// the leaf — Flush's quiesce point, after which a query reads everything
+// journaled, since ingest acknowledgements only confirm enqueueing.
 func (lf *leaf) drain(deadline time.Time) error {
 	for {
 		lf.mu.Lock()
@@ -416,7 +420,10 @@ func (lf *leaf) drain(deadline time.Time) error {
 			// feeder and prober handle real failures.
 		}
 		if time.Now().After(deadline) {
-			return fmt.Errorf("coord: leaf %s did not drain before the deadline (state %d, %d/%d tuples)", lf.name, lf.state, lf.acked, lf.journaled)
+			lf.mu.Lock()
+			state, acked, journaled := lf.reportedLocked(), lf.acked, lf.journaled
+			lf.mu.Unlock()
+			return fmt.Errorf("coord: leaf %s did not drain before the deadline (%s, %d of %d journaled tuples acknowledged)", lf.name, state, acked, journaled)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -476,7 +483,7 @@ func (lf *leaf) telemetryRow() obs.LeafTelemetry {
 	lf.mu.Lock()
 	row := obs.LeafTelemetry{
 		Name:           lf.name,
-		State:          [...]string{leafUp: "up", leafDown: "down", leafRecovering: "recovering"}[lf.reportedLocked()],
+		State:          lf.reportedLocked().String(),
 		Epoch:          lf.epoch,
 		Parts:          int(lf.co.rt.share[lf.idx]),
 		JournalEntries: int64(len(lf.journal)),

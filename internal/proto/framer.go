@@ -21,7 +21,10 @@ import (
 // call. A handler that must keep payload bytes past that point copies them
 // out — RetainPayload is the pooled escape hatch, paired with
 // ReleasePayload when the copy is done (the server's UDP reorder window is
-// the canonical user).
+// the canonical user) — or, when it knows before the read, reads the frame
+// with NextInto into a buffer it owns, which costs no copy beyond Next's
+// own (the coordinator front-end hands ingest frames to its ingest
+// goroutine so).
 
 // readerBufSize is FrameReader's bufio size. 64 KiB batches read syscalls
 // across several typical ingest frames without holding a large buffer per
@@ -32,7 +35,7 @@ const readerBufSize = 1 << 16
 // buffers. Not safe for concurrent use; each connection owns one.
 type FrameReader struct {
 	br  *bufio.Reader
-	buf []byte // grow-only frame body buffer; payloads returned by Next alias it
+	buf []byte // Next's grow-only frame body buffer; payloads it returns alias it
 }
 
 // NewFrameReader returns a FrameReader over r. If r is already a
@@ -51,30 +54,43 @@ func NewFrameReader(r io.Reader) *FrameReader {
 // survive longer. A clean io.EOF at a frame boundary is io.EOF; anything
 // else wraps ErrMalformed and the stream must be dropped.
 func (fr *FrameReader) Next() (Frame, error) {
+	f, buf, err := fr.NextInto(fr.buf)
+	fr.buf = buf
+	return f, err
+}
+
+// NextInto is Next reading the frame body into buf instead of the reader's
+// own buffer: the handoff read, for a caller that passes each frame to
+// another goroutine and recycles the buffer once that goroutine is done.
+// buf is grown (reallocated) only when the frame does not fit; the buffer
+// actually used is returned, on error too, and the frame's payload aliases
+// it. The bytes cross from the bufio buffer exactly once, as with Next.
+func (fr *FrameReader) NextInto(buf []byte) (Frame, []byte, error) {
 	// Peek the prefix out of bufio's buffer rather than io.ReadFull into a
 	// local array: the local would escape through the io.Reader interface
 	// and cost one heap allocation per frame.
 	p, err := fr.br.Peek(4)
 	if err != nil {
 		if err == io.EOF && len(p) == 0 {
-			return Frame{}, io.EOF
+			return Frame{}, buf, io.EOF
 		}
-		return Frame{}, fmt.Errorf("%w: truncated length prefix: %v", ErrMalformed, err)
+		return Frame{}, buf, fmt.Errorf("%w: truncated length prefix: %v", ErrMalformed, err)
 	}
 	n := binary.LittleEndian.Uint32(p)
 	fr.br.Discard(4)
 	if n < headerLen || n > MaxFrame {
-		return Frame{}, fmt.Errorf("%w: implausible frame length %d", ErrMalformed, n)
+		return Frame{}, buf, fmt.Errorf("%w: implausible frame length %d", ErrMalformed, n)
 	}
-	if cap(fr.buf) < int(n) {
+	if cap(buf) < int(n) {
 		// Grow-only: the buffer settles at the connection's largest frame.
-		fr.buf = make([]byte, n)
+		buf = make([]byte, n)
 	}
-	buf := fr.buf[:n]
-	if _, err := io.ReadFull(fr.br, buf); err != nil {
-		return Frame{}, fmt.Errorf("%w: truncated frame body: %v", ErrMalformed, err)
+	body := buf[:n]
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		return Frame{}, buf, fmt.Errorf("%w: truncated frame body: %v", ErrMalformed, err)
 	}
-	return parseFrameBody(buf)
+	f, err := parseFrameBody(body)
+	return f, buf, err
 }
 
 // parseFrameBody validates a frame body (everything after the length

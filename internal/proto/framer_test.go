@@ -50,7 +50,10 @@ func TestFrameReaderMatchesReadFrame(t *testing.T) {
 
 // FuzzFrameReaderEquivalence feeds arbitrary bytes to both decoders and
 // requires the same accept/reject decision, the same decoded frame on
-// accept, and the same error classification on reject.
+// accept, and the same error classification on reject. A third reader
+// decodes the same bytes with NextInto, alternating two caller buffers as
+// a handoff reader does, and must return exactly Next's frames and errors —
+// with each frame still intact after the read that follows it.
 func FuzzFrameReaderEquivalence(f *testing.F) {
 	valid, _ := AppendFrame(nil, Frame{Type: TIngest, ID: 42, Payload: []byte("payload")})
 	f.Add(valid)
@@ -63,13 +66,32 @@ func FuzzFrameReaderEquivalence(f *testing.F) {
 	f.Add(corrupt)
 	two := append(append([]byte(nil), valid...), valid...)
 	f.Add(two)
+	long, _ := AppendFrame(append([]byte(nil), two...), Frame{Type: TQuery, ID: 9, TC: TraceContext{Trace: 1, Parent: 2}, Payload: bytes.Repeat([]byte{7}, 100)})
+	f.Add(append(long, valid...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		fr := NewFrameReader(bytes.NewReader(data))
 		rd := bytes.NewReader(data)
-		for {
+		fi := NewFrameReader(bytes.NewReader(data))
+		// A small first buffer takes the reuse path on short frames and the
+		// grow path on long ones.
+		bufs := [2][]byte{make([]byte, 0, 24), nil}
+		var prev, prevRef Frame
+		for i := 0; ; i++ {
 			a, errA := fr.Next()
 			b, errB := ReadFrame(rd)
+			c, buf, errC := fi.NextInto(bufs[i%2])
+			bufs[i%2] = buf
+			if (errA == nil) != (errC == nil) || (errA != nil && errA.Error() != errC.Error()) {
+				t.Fatalf("NextInto error %v, Next error %v", errC, errA)
+			}
+			if a.Type != c.Type || a.ID != c.ID || a.TC != c.TC || !bytes.Equal(a.Payload, c.Payload) {
+				t.Fatalf("NextInto frame %+v, Next frame %+v", c, a)
+			}
+			if prev.Type != prevRef.Type || prev.ID != prevRef.ID || !bytes.Equal(prev.Payload, prevRef.Payload) {
+				t.Fatalf("a handed-off frame changed under the next read: %+v, want %+v", prev, prevRef)
+			}
+			prev, prevRef = c, b
 			if (errA == nil) != (errB == nil) {
 				t.Fatalf("decision mismatch: FrameReader %v, ReadFrame %v", errA, errB)
 			}

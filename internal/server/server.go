@@ -803,8 +803,8 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	// worker out mid-marshal. Workers do not take the tenant lock, so the
 	// tuple count is a watermark, not a fence — a caller that needs the
 	// snapshot to cover everything it shipped compares Tuples against its
-	// own ledger and re-pulls after the engine catches up (the coordinator
-	// quiesces exactly this way before its merge fan-in).
+	// own ledger and re-pulls after the engine catches up (the coordinator's
+	// Flush waits on a leaf's applied count against its journal the same way).
 	var blob []byte
 	t.Mu.Lock()
 	res := proto.SnapshotResult{Tuples: t.Engine().Tuples(), Kind: st.EstimatorKind()}
