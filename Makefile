@@ -36,6 +36,7 @@ race: test-race
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 5s ./internal/checkpoint/
 	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSketch$$' -fuzztime 5s ./internal/core/
+	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotUnmarshal$$' -fuzztime 5s ./internal/snapshot/
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 5s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReaderEquivalence$$' -fuzztime 5s ./internal/proto/

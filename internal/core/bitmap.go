@@ -138,10 +138,10 @@ func (s *Sketch) capFor(b *bitmap, i int) int {
 }
 
 // freeCell releases all tracking memory of cell i.
-func (s *Sketch) freeCell(b *bitmap, i int) {
+func (s *Sketch) freeCell(ct *counters, b *bitmap, i int) {
 	if c := b.cells[i]; c != nil {
 		for j := range c.items {
-			s.entries -= 1 + len(c.items[j].st.perB)
+			ct.entries -= 1 + len(c.items[j].st.perB)
 		}
 		b.cells[i] = nil
 	}
@@ -154,10 +154,10 @@ func (s *Sketch) freeCell(b *bitmap, i int) {
 // remaining tracked itemsets stay — they continue to feed both the support
 // witness and the direct implication sample — and the violator's tombstone
 // keeps it excluded for the rest of the stream.
-func (s *Sketch) confirm(b *bitmap, i int, c *cell, st *aState) {
+func (s *Sketch) confirm(ct *counters, b *bitmap, i int, c *cell, st *aState) {
 	b.value[i] = true
 	b.supped[i] = true
-	s.entries -= len(st.perB) // the itemset slot stays as a tombstone
+	ct.entries -= len(st.perB) // the itemset slot stays as a tombstone
 	if st.supp >= s.cond.MinSupport {
 		c.nSupported--
 	}
@@ -172,9 +172,9 @@ func (s *Sketch) confirm(b *bitmap, i int, c *cell, st *aState) {
 
 // kill stops all tracking in cell i forever and frees its memory; used for
 // overflows and fringe push-outs.
-func (s *Sketch) kill(b *bitmap, i int) {
+func (s *Sketch) kill(ct *counters, b *bitmap, i int) {
 	b.dead[i] = true
-	s.freeCell(b, i)
+	s.freeCell(ct, b, i)
 }
 
 // pushOut handles a cell that the floating fringe leaves behind (§4.3.3):
@@ -186,7 +186,7 @@ func (s *Sketch) kill(b *bitmap, i int) {
 // is only set when the cell actually witnessed a supported itemset (or a
 // doomed or excluded one, which reached support by construction), so
 // fringe floats do not fabricate F0^sup out of under-supported itemsets.
-func (s *Sketch) pushOut(b *bitmap, i int) {
+func (s *Sketch) pushOut(ct *counters, b *bitmap, i int) {
 	c := b.cells[i]
 	if c != nil && len(c.items) > 0 {
 		b.value[i] = true
@@ -194,14 +194,15 @@ func (s *Sketch) pushOut(b *bitmap, i int) {
 			b.supped[i] = true
 		}
 	}
-	s.freeCell(b, i)
+	s.freeCell(ct, b, i)
 	if b.value[i] {
 		b.dead[i] = true
 	}
 }
 
-// add is Algorithm 1 (NIPS) for one routed tuple.
-func (s *Sketch) add(b *bitmap, i int, ah, bh uint64) {
+// add is Algorithm 1 (NIPS) for one routed tuple. It books entries and
+// top-c scratch on the writer's ct, never on the Sketch itself.
+func (s *Sketch) add(ct *counters, b *bitmap, i int, ah, bh uint64) {
 	b.touched[i] = true
 	if b.hi < 0 {
 		b.hi = i
@@ -215,7 +216,7 @@ func (s *Sketch) add(b *bitmap, i int, ah, bh uint64) {
 		}
 		b.hi = i
 		for j := b.lo; j < newLo; j++ {
-			s.pushOut(b, j)
+			s.pushOut(ct, b, j)
 		}
 		b.lo = newLo
 	}
@@ -245,14 +246,14 @@ func (s *Sketch) add(b *bitmap, i int, ah, bh uint64) {
 			b.overflows++
 			b.value[i] = true
 			b.supped[i] = true // the cell is demonstrably hot; keep F0^sup monotone
-			s.kill(b, i)
+			s.kill(ct, b, i)
 			return
 		}
 		c.items = append(c.items, item{ah: ah})
 		idx = len(c.items) - 1
-		s.entries++
-		if s.entries > s.peak {
-			s.peak = s.entries
+		ct.entries++
+		if ct.entries > ct.peak {
+			ct.peak = ct.entries
 		}
 	}
 	st := &c.items[idx].st
@@ -267,7 +268,7 @@ func (s *Sketch) add(b *bitmap, i int, ah, bh uint64) {
 		c.nSupported++
 		if b.dead[i] {
 			b.supped[i] = true
-			s.freeCell(b, i)
+			s.freeCell(ct, b, i)
 			return
 		}
 	}
@@ -284,33 +285,33 @@ func (s *Sketch) add(b *bitmap, i int, ah, bh uint64) {
 			// condition is violated forever, so the per-pair counters can be
 			// freed; only the support counter must keep running until the
 			// minimum support confirms the non-implication.
-			s.entries -= len(st.perB)
+			ct.entries -= len(st.perB)
 			st.doomed = true
 			st.perB = nil
 			c.nDoomed++
 		} else {
 			st.perB.add(bh, 1)
-			s.entries++
-			if s.entries > s.peak {
-				s.peak = s.entries
+			ct.entries++
+			if ct.entries > ct.peak {
+				ct.peak = ct.entries
 			}
 		}
 	}
 
 	if st.supp >= s.cond.MinSupport {
-		if st.doomed || s.topConfidence(st) < s.cond.MinTopConfidence {
-			s.confirm(b, i, c, st)
+		if st.doomed || s.topConfidence(ct, st) < s.cond.MinTopConfidence {
+			s.confirm(ct, b, i, c, st)
 		}
 	}
 }
 
 // topConfidence computes Ψ_c(a,B) from the tracked per-b counters.
-func (s *Sketch) topConfidence(st *aState) float64 {
-	s.scratch = s.scratch[:0]
+func (s *Sketch) topConfidence(ct *counters, st *aState) float64 {
+	ct.scratch = ct.scratch[:0]
 	for i := range st.perB {
-		s.scratch = append(s.scratch, st.perB[i].n)
+		ct.scratch = append(ct.scratch, st.perB[i].n)
 	}
-	return imps.TopConfidence(s.scratch, s.cond.TopC, st.supp)
+	return imps.TopConfidence(ct.scratch, s.cond.TopC, st.supp)
 }
 
 // rNonImplication is R_~S: the leftmost cell whose value is not one

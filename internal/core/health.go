@@ -1,7 +1,6 @@
 package core
 
 import (
-	"iter"
 	"unsafe"
 
 	"implicate/internal/imps"
@@ -13,32 +12,10 @@ import (
 // assessment. It implements imps.HealthReporter. Like every other reader,
 // it is not safe to call concurrently with Add.
 func (s *Sketch) Health() imps.HealthReport {
-	h := healthOver(s.bitmaps(), len(s.bms))
-	h.Tuples = s.tuples
-	h.MemEntries = s.entries
-	return h
-}
-
-// Health reports aggregate health across all shards under a consistent
-// snapshot (every shard lock held). Safe for concurrent use.
-func (ss *ShardedSketch) Health() imps.HealthReport {
-	ss.lockAll()
-	defer ss.unlockAll()
-	h := healthOver(ss.bitmaps(), ss.opts.Bitmaps)
-	for i := range ss.shards {
-		h.Tuples += ss.shards[i].sk.tuples
-		h.MemEntries += ss.shards[i].sk.entries
-	}
-	return h
-}
-
-// healthOver computes the health observables shared by Sketch and
-// ShardedSketch over the m bitmaps yielded by bms. The caller fills Tuples
-// and MemEntries (they live outside the bitmaps) and any identity fields.
-func healthOver(bms iter.Seq[*bitmap], m int) imps.HealthReport {
 	var set, dead int
 	var memBytes int64
-	for b := range bms {
+	for bi := range s.bms {
+		b := &s.bms[bi]
 		memBytes += int64(unsafe.Sizeof(*b))
 		for i := 0; i < Levels; i++ {
 			if b.value[i] {
@@ -58,21 +35,26 @@ func healthOver(bms iter.Seq[*bitmap], m int) imps.HealthReport {
 			}
 		}
 	}
-	fs := fringeStatsOver(bms)
-	est := implicationCountOver(bms, m)
-	_, hi := implicationIntervalOver(bms, m, 1)
+	fs := s.Fringe()
+	_, hi := s.ImplicationCountInterval(1)
 	return imps.HealthReport{
+		Tuples:           s.tuples,
+		MemEntries:       s.entries,
 		MemBytes:         memBytes,
-		BitmapFill:       float64(set) / float64(m*Levels),
-		LeftmostZero:     meanROver(bms, m, (*bitmap).rHashed),
+		BitmapFill:       float64(set) / float64(len(s.bms)*Levels),
+		LeftmostZero:     s.meanR((*bitmap).rHashed),
 		FringeTracked:    fs.TrackedItemsets,
 		FringePairs:      fs.PairCounters,
 		FringeTombstones: fs.Tombstones,
 		FringeEvictions:  int64(dead),
 		FringeWidth:      fs.MaxFringeWidth,
-		RelErr:           metrics.IntervalRelErr(est, hi, 1),
+		RelErr:           metrics.IntervalRelErr(s.ImplicationCount(), hi, 1),
 	}
 }
+
+// Health reports the health of the one sketch the stripes guard, under a
+// consistent snapshot (every stripe lock held). Safe for concurrent use.
+func (ss *ShardedSketch) Health() imps.HealthReport { return read(ss, (*Sketch).Health) }
 
 var _ imps.HealthReporter = (*Sketch)(nil)
 var _ imps.HealthReporter = (*ShardedSketch)(nil)

@@ -1,12 +1,10 @@
 package core
 
 import (
-	"encoding/binary"
-	"errors"
 	"fmt"
-	"math"
 
 	"implicate/internal/imps"
+	"implicate/internal/wire"
 )
 
 // Binary serialization for sketches, so constrained nodes can checkpoint
@@ -17,141 +15,80 @@ import (
 
 const marshalMagic = "NIPS\x01"
 
-// ErrCorrupt is returned by UnmarshalBinary for malformed input.
-var ErrCorrupt = errors.New("core: corrupt sketch encoding")
-
-type encoder struct{ buf []byte }
-
-func (e *encoder) u8(v uint8)   { e.buf = append(e.buf, v) }
-func (e *encoder) u32(v uint32) { e.buf = binary.LittleEndian.AppendUint32(e.buf, v) }
-func (e *encoder) u64(v uint64) { e.buf = binary.LittleEndian.AppendUint64(e.buf, v) }
-func (e *encoder) i64(v int64)  { e.u64(uint64(v)) }
-func (e *encoder) f64(v float64) {
-	e.u64(math.Float64bits(v))
-}
-func (e *encoder) bool(v bool) {
-	if v {
-		e.u8(1)
-	} else {
-		e.u8(0)
-	}
-}
-
-type decoder struct {
-	buf []byte
-	off int
-	err error
-}
-
-func (d *decoder) fail() {
-	if d.err == nil {
-		d.err = ErrCorrupt
-	}
-}
-
-func (d *decoder) u8() uint8 {
-	if d.err != nil || d.off+1 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := d.buf[d.off]
-	d.off++
-	return v
-}
-
-func (d *decoder) u32() uint32 {
-	if d.err != nil || d.off+4 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint32(d.buf[d.off:])
-	d.off += 4
-	return v
-}
-
-func (d *decoder) u64() uint64 {
-	if d.err != nil || d.off+8 > len(d.buf) {
-		d.fail()
-		return 0
-	}
-	v := binary.LittleEndian.Uint64(d.buf[d.off:])
-	d.off += 8
-	return v
-}
-
-func (d *decoder) i64() int64    { return int64(d.u64()) }
-func (d *decoder) f64() float64  { return math.Float64frombits(d.u64()) }
-func (d *decoder) boolean() bool { return d.u8() != 0 }
+// ErrCorrupt is returned by UnmarshalSketch for malformed input. It is
+// wire.ErrCorrupt: the sketch codec is built on internal/wire like every
+// other format.
+var ErrCorrupt = wire.ErrCorrupt
 
 // MarshalBinary encodes the complete sketch state.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
-	e := &encoder{buf: make([]byte, 0, 4096)}
-	e.buf = append(e.buf, marshalMagic...)
+	e := wire.NewEncoder(4096)
+	e.Raw([]byte(marshalMagic))
 
-	e.u32(uint32(s.cond.MaxMultiplicity))
-	e.i64(s.cond.MinSupport)
-	e.u32(uint32(s.cond.TopC))
-	e.f64(s.cond.MinTopConfidence)
+	e.U32(uint32(s.cond.MaxMultiplicity))
+	e.I64(s.cond.MinSupport)
+	e.U32(uint32(s.cond.TopC))
+	e.F64(s.cond.MinTopConfidence)
 
-	e.u32(uint32(s.opts.Bitmaps))
-	e.u32(uint32(s.opts.FringeSize))
-	e.bool(s.opts.Unbounded)
-	e.u32(uint32(s.opts.Slack))
-	e.u64(s.opts.Seed)
+	e.U32(uint32(s.opts.Bitmaps))
+	e.U32(uint32(s.opts.FringeSize))
+	e.Bool(s.opts.Unbounded)
+	e.U32(uint32(s.opts.Slack))
+	e.U64(s.opts.Seed)
 
-	e.i64(s.tuples)
-	e.i64(int64(s.peak))
+	e.I64(s.tuples)
+	e.I64(int64(s.peak))
 
 	for bi := range s.bms {
 		b := &s.bms[bi]
-		e.i64(int64(b.lo))
-		e.i64(int64(b.hi))
-		e.i64(int64(b.overflows))
-		e.u64(packBits(&b.value))
-		e.u64(packBits(&b.supped))
-		e.u64(packBits(&b.touched))
-		e.u64(packBits(&b.dead))
+		e.I64(int64(b.lo))
+		e.I64(int64(b.hi))
+		e.I64(int64(b.overflows))
+		e.U64(packBits(&b.value))
+		e.U64(packBits(&b.supped))
+		e.U64(packBits(&b.touched))
+		e.U64(packBits(&b.dead))
 		ncells := 0
 		for _, c := range b.cells {
 			if c != nil {
 				ncells++
 			}
 		}
-		e.u32(uint32(ncells))
+		e.U32(uint32(ncells))
 		for ci, c := range b.cells {
 			if c == nil {
 				continue
 			}
-			e.u8(uint8(ci))
-			e.bool(c.suppOnly)
-			e.u32(uint32(len(c.items)))
+			e.U8(uint8(ci))
+			e.Bool(c.suppOnly)
+			e.U32(uint32(len(c.items)))
 			for j := range c.items {
 				it := &c.items[j]
-				e.u64(it.ah)
+				e.U64(it.ah)
 				st := &it.st
 				switch {
 				case st.excluded:
-					e.u8(2) // tombstone
+					e.U8(2) // tombstone
 					continue
 				case st.doomed:
-					e.u8(1)
+					e.U8(1)
 				default:
-					e.u8(0)
+					e.U8(0)
 				}
-				e.i64(st.supp)
+				e.I64(st.supp)
 				if st.doomed || st.perB == nil {
-					e.u32(0)
+					e.U32(0)
 					continue
 				}
-				e.u32(uint32(len(st.perB)))
+				e.U32(uint32(len(st.perB)))
 				for _, pe := range st.perB {
-					e.u64(pe.h)
-					e.i64(pe.n)
+					e.U64(pe.h)
+					e.I64(pe.n)
 				}
 			}
 		}
 	}
-	return e.buf, nil
+	return e.Bytes(), nil
 }
 
 func packBits(bits *[Levels]bool) uint64 {
@@ -170,91 +107,87 @@ func unpackBits(v uint64, bits *[Levels]bool) {
 	}
 }
 
+// decodeHeader reads the conditions and options that open every sketch
+// encoding.
+func decodeHeader(d *wire.Decoder) (imps.Conditions, Options) {
+	cond := imps.Conditions{MaxMultiplicity: int(d.U32()), MinSupport: d.I64(), TopC: int(d.U32()), MinTopConfidence: d.F64()}
+	if cond.MaxMultiplicity > 1<<24 || cond.TopC > 1<<24 {
+		d.Failf("implausible conditions %s", cond)
+	}
+	opts := Options{Bitmaps: int(d.U32()), FringeSize: int(d.U32()), Unbounded: d.Bool(), Slack: int(d.U32()), Seed: d.U64()}
+	return cond, opts
+}
+
 // UnmarshalSketch decodes a sketch previously encoded with MarshalBinary.
 func UnmarshalSketch(data []byte) (*Sketch, error) {
-	if len(data) < len(marshalMagic) || string(data[:len(marshalMagic)]) != marshalMagic {
+	d := wire.NewDecoder(data)
+	d.Magic(marshalMagic)
+	if d.Err() != nil {
 		return nil, fmt.Errorf("%w: bad magic", ErrCorrupt)
 	}
-	d := &decoder{buf: data, off: len(marshalMagic)}
-
-	var cond imps.Conditions
-	cond.MaxMultiplicity = int(d.u32())
-	cond.MinSupport = d.i64()
-	cond.TopC = int(d.u32())
-	cond.MinTopConfidence = d.f64()
-	if cond.MaxMultiplicity > 1<<24 || cond.TopC > 1<<24 {
-		return nil, ErrCorrupt
+	cond, opts := decodeHeader(d)
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-
-	var opts Options
-	opts.Bitmaps = int(d.u32())
-	opts.FringeSize = int(d.u32())
-	opts.Unbounded = d.boolean()
-	opts.Slack = int(d.u32())
-	opts.Seed = d.u64()
-	if d.err != nil {
-		return nil, d.err
-	}
-
 	s, err := NewSketch(cond, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s.tuples = d.i64()
-	s.peak = int(d.i64())
+	s.tuples = d.I64()
+	s.peak = int(d.I64())
 	if s.tuples < 0 || s.peak < 0 {
 		return nil, ErrCorrupt
 	}
 
 	for bi := range s.bms {
 		b := &s.bms[bi]
-		b.lo = int(d.i64())
-		b.hi = int(d.i64())
-		b.overflows = int(d.i64())
-		if d.err != nil || b.lo < 0 || b.lo > Levels || b.hi < -1 || b.hi >= Levels {
+		b.lo = int(d.I64())
+		b.hi = int(d.I64())
+		b.overflows = int(d.I64())
+		if d.Err() != nil || b.lo < 0 || b.lo > Levels || b.hi < -1 || b.hi >= Levels {
 			return nil, ErrCorrupt
 		}
-		unpackBits(d.u64(), &b.value)
-		unpackBits(d.u64(), &b.supped)
-		unpackBits(d.u64(), &b.touched)
-		unpackBits(d.u64(), &b.dead)
-		ncells := int(d.u32())
-		if d.err != nil || ncells > Levels {
+		unpackBits(d.U64(), &b.value)
+		unpackBits(d.U64(), &b.supped)
+		unpackBits(d.U64(), &b.touched)
+		unpackBits(d.U64(), &b.dead)
+		ncells := int(d.U32())
+		if d.Err() != nil || ncells > Levels {
 			return nil, ErrCorrupt
 		}
 		for k := 0; k < ncells; k++ {
-			ci := int(d.u8())
-			if d.err != nil || ci >= Levels || b.cells[ci] != nil {
+			ci := int(d.U8())
+			if d.Err() != nil || ci >= Levels || b.cells[ci] != nil {
 				return nil, ErrCorrupt
 			}
-			c := &cell{suppOnly: d.boolean()}
-			nitems := int(d.u32())
-			// Every item occupies at least 9 encoded bytes; reject length
-			// fields the remaining input cannot possibly satisfy before
-			// sizing any allocation by them.
-			if d.err != nil || nitems < 0 || nitems > (len(d.buf)-d.off)/9 {
-				return nil, ErrCorrupt
+			c := &cell{suppOnly: d.Bool()}
+			// Every item occupies at least 9 encoded bytes; Count rejects
+			// lengths the remaining input cannot satisfy before any
+			// allocation is sized by them.
+			nitems := d.Count(9)
+			if d.Err() != nil {
+				return nil, d.Err()
 			}
 			c.items = make([]item, 0, nitems)
 			for itn := 0; itn < nitems; itn++ {
-				ah := d.u64()
+				ah := d.U64()
 				if c.find(ah) >= 0 {
 					return nil, ErrCorrupt
 				}
-				switch kind := d.u8(); kind {
+				switch kind := d.U8(); kind {
 				case 2:
 					c.items = append(c.items, item{ah: ah, st: aState{excluded: true}})
 				case 0, 1:
-					st := aState{doomed: kind == 1, supp: d.i64()}
-					npairs := int(d.u32())
-					if d.err != nil || npairs < 0 || npairs > (len(d.buf)-d.off)/16 {
-						return nil, ErrCorrupt
+					st := aState{doomed: kind == 1, supp: d.I64()}
+					npairs := d.Count(16)
+					if st.doomed && npairs > 0 {
+						return nil, ErrCorrupt // a doomed itemset holds no pair counters
 					}
 					if npairs > 0 {
 						st.perB = make(pairSet, 0, npairs)
 						for p := 0; p < npairs; p++ {
-							bh := d.u64()
-							n := d.i64()
+							bh := d.U64()
+							n := d.I64()
 							if st.perB.find(bh) >= 0 {
 								return nil, ErrCorrupt
 							}
@@ -265,23 +198,17 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 				default:
 					return nil, ErrCorrupt
 				}
-				if d.err != nil {
-					return nil, d.err
+				if d.Err() != nil {
+					return nil, d.Err()
 				}
 			}
 			b.cells[ci] = c
 			s.recountCell(c)
 		}
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-d.off)
-	}
-	s.recountEntries()
-	if s.peak < s.entries {
-		s.peak = s.entries
-	}
+	s.recountEntries() // also lifts peak to at least the live entry count
 	return s, nil
 }

@@ -131,6 +131,41 @@ func TestUnmarshalRejectsCorruption(t *testing.T) {
 	if _, err := UnmarshalSketch(append(append([]byte(nil), data...), 0xFF)); err == nil {
 		t.Error("trailing garbage accepted")
 	}
+	// Non-canonical encodings would decode and then re-encode to different
+	// bytes. One bitmap holding one doomed itemset lays out as: Unbounded
+	// after the magic, conditions and bitmap/fringe counts (5+24+8); the
+	// cell's suppOnly after the header, counts (16), the bitmap's three
+	// positions and four bit words (56), its cell count (4) and the cell
+	// index (1); then the item count (4), hash (8), kind (1), support (8)
+	// and, last in the encoding, the item's pair count.
+	one := MustSketch(imps.Conditions{MaxMultiplicity: 1, MinSupport: 10, TopC: 1, MinTopConfidence: 0.5}, Options{Bitmaps: 1, Seed: 1})
+	one.AddIDs(1, 1)
+	one.AddIDs(1, 2)
+	oneData, err := one.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const suppOnlyOff = 50 + 16 + 56 + 4 + 1
+	const kindOff = suppOnlyOff + 1 + 4 + 8
+	if oneData[kindOff] != 1 || len(oneData) != kindOff+1+8+4 {
+		t.Fatalf("unexpected layout: kind byte %d, %d bytes", oneData[kindOff], len(oneData))
+	}
+	for _, off := range []int{37, suppOnlyOff} {
+		if oneData[off] != 0 {
+			t.Fatalf("byte %d is %d, not a false bool", off, oneData[off])
+		}
+		mut := append([]byte(nil), oneData...)
+		mut[off] = 2
+		if _, err := UnmarshalSketch(mut); err == nil {
+			t.Errorf("bool byte 2 at offset %d accepted", off)
+		}
+	}
+	mut := append([]byte(nil), oneData...)
+	mut[len(mut)-4] = 1                    // the doomed itemset claims one pair counter
+	mut = append(mut, make([]byte, 16)...) // and carries its bytes
+	if _, err := UnmarshalSketch(mut); err == nil {
+		t.Error("doomed itemset with pair counters accepted")
+	}
 	// Flipping a byte in the options region must be caught by validation or
 	// produce a decode error, never a panic.
 	for off := 5; off < 40 && off < len(data); off++ {

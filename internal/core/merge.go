@@ -81,12 +81,12 @@ func (s *Sketch) mergeBitmap(dst, src *bitmap) {
 	}
 	if dst.hi >= 0 {
 		for j := dst.lo; j < newLo && j <= dst.hi; j++ {
-			s.pushOut(dst, j)
+			s.pushOut(&s.counters, dst, j)
 		}
 	}
 	if src.hi >= 0 {
 		for j := src.lo; j < newLo && j <= src.hi; j++ {
-			s.pushOut(src, j)
+			s.pushOut(&s.counters, src, j)
 			dst.value[j] = dst.value[j] || src.value[j]
 			dst.supped[j] = dst.supped[j] || src.supped[j]
 			dst.dead[j] = dst.dead[j] || src.dead[j]
@@ -138,7 +138,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 			} else {
 				if len(c.items) >= s.capFor(b, i) {
 					b.overflows++
-					s.kill(b, i)
+					s.kill(&s.counters, b, i)
 					return
 				}
 				c.items = append(c.items, item{ah: ah, st: aState{excluded: true}})
@@ -155,7 +155,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 				b.overflows++
 				b.value[i] = true
 				b.supped[i] = true
-				s.kill(b, i)
+				s.kill(&s.counters, b, i)
 				return
 			}
 			moved := aState{supp: st.supp, doomed: st.doomed}
@@ -194,7 +194,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 		}
 		// Re-evaluate the conditions on the merged counters.
 		if !c.suppOnly && cur.supp >= s.cond.MinSupport {
-			if cur.doomed || s.topConfidence(cur) < s.cond.MinTopConfidence {
+			if cur.doomed || s.topConfidence(&s.counters, cur) < s.cond.MinTopConfidence {
 				b.value[i] = true
 				b.supped[i] = true
 				cur.excluded = true

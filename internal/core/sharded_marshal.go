@@ -1,124 +1,78 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 
-	"implicate/internal/imps"
+	"implicate/internal/wire"
 )
 
-// Binary serialization for the sharded sketch, completing the durability
-// story PR 1 left open: a ShardedSketch checkpoints as its global geometry
-// (conditions, effective options, shard count) followed by each shard's
-// sub-sketch in the established Sketch format. Restoring rebuilds the
-// router, masks and hash family from the geometry, then swaps the decoded
-// sub-sketches into place, so a restored sharded sketch continues streaming
-// bit-identically to the original.
-
+// shardedMagic tags the sharded encoding of earlier builds. It is
+// decode-only: checkpoints outlive the build that wrote them (DESIGN §8).
 const shardedMagic = "NIPS\x02"
 
-// MarshalBinary encodes the complete sharded-sketch state. It takes every
-// shard lock, so the snapshot is a serializable cut that includes every Add
-// that returned before the call.
-func (ss *ShardedSketch) MarshalBinary() ([]byte, error) {
-	ss.lockAll()
-	defer ss.unlockAll()
-
-	e := &encoder{buf: make([]byte, 0, 4096)}
-	e.buf = append(e.buf, shardedMagic...)
-
-	e.u32(uint32(ss.cond.MaxMultiplicity))
-	e.i64(ss.cond.MinSupport)
-	e.u32(uint32(ss.cond.TopC))
-	e.f64(ss.cond.MinTopConfidence)
-
-	e.u32(uint32(ss.opts.Bitmaps))
-	e.u32(uint32(ss.opts.FringeSize))
-	e.bool(ss.opts.Unbounded)
-	e.u32(uint32(ss.opts.Slack))
-	e.u64(ss.opts.Seed)
-
-	e.u32(uint32(len(ss.shards)))
-	for i := range ss.shards {
-		blob, err := ss.shards[i].sk.MarshalBinary()
-		if err != nil {
-			return nil, err
-		}
-		e.u32(uint32(len(blob)))
-		e.buf = append(e.buf, blob...)
+// UnmarshalShardedSketch decodes a sharded sketch from its MarshalBinary
+// bytes (NIPS\x01) or from an earlier build's NIPS\x02 encoding. The shard
+// count is not part of the state: the result has the constructor's default
+// count and continues streaming bit-identically to the original.
+func UnmarshalShardedSketch(data []byte) (*ShardedSketch, error) {
+	decode := UnmarshalSketch
+	if bytes.HasPrefix(data, []byte(shardedMagic)) {
+		decode = unmarshalNIPS2
 	}
-	return e.buf, nil
+	sk, err := decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return stripeSketch(sk, 0)
 }
 
-// UnmarshalShardedSketch decodes a sharded sketch previously encoded with
-// MarshalBinary. Each decoded sub-sketch must match the geometry the header
-// announces (same conditions, per-shard bitmap count, and seed); anything
-// else is rejected as corrupt, never silently accepted.
-func UnmarshalShardedSketch(data []byte) (*ShardedSketch, error) {
-	if len(data) < len(shardedMagic) || string(data[:len(shardedMagic)]) != shardedMagic {
-		return nil, fmt.Errorf("%w: bad sharded magic", ErrCorrupt)
+// unmarshalNIPS2 decodes the sharded encoding — the global conditions and
+// options, a shard count n, then each shard's length-prefixed NIPS\x01
+// sub-sketch of m/n bitmaps — into the one global-index Sketch it describes:
+// shard s's local bitmap j is global bitmap j<<log2(n) | s. Tuple counts
+// add up; the shards' high-water marks do not, so the peak is the live
+// entry count.
+func unmarshalNIPS2(data []byte) (*Sketch, error) {
+	d := wire.NewDecoder(data)
+	d.Magic(shardedMagic)
+	cond, opts := decodeHeader(d)
+	n := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, err
 	}
-	d := &decoder{buf: data, off: len(shardedMagic)}
-
-	var cond imps.Conditions
-	cond.MaxMultiplicity = int(d.u32())
-	cond.MinSupport = d.i64()
-	cond.TopC = int(d.u32())
-	cond.MinTopConfidence = d.f64()
-	if cond.MaxMultiplicity > 1<<24 || cond.TopC > 1<<24 {
-		return nil, ErrCorrupt
-	}
-
-	var opts Options
-	opts.Bitmaps = int(d.u32())
-	opts.FringeSize = int(d.u32())
-	opts.Unbounded = d.boolean()
-	opts.Slack = int(d.u32())
-	opts.Seed = d.u64()
-	shards := int(d.u32())
-	if d.err != nil {
-		return nil, d.err
-	}
-	// shards == 0 would ask NewShardedSketch for a machine-dependent
-	// default; a checkpoint must decode identically everywhere.
-	if shards < 1 {
-		return nil, ErrCorrupt
-	}
-
-	ss, err := NewShardedSketch(cond, opts, shards)
+	sk, err := NewSketch(cond, opts)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	subOpts := ss.opts
-	subOpts.Bitmaps = ss.opts.Bitmaps / len(ss.shards)
-	for i := range ss.shards {
-		n := int(d.u32())
-		if d.err != nil || n < 0 || n > len(d.buf)-d.off {
-			return nil, ErrCorrupt
+	if n < 1 || n&(n-1) != 0 || n > len(sk.bms) {
+		return nil, fmt.Errorf("%w: shard count %d", ErrCorrupt, n)
+	}
+	shift := bits.TrailingZeros(uint(n))
+	want := sk.opts
+	want.Bitmaps /= n
+	for s := 0; s < n; s++ {
+		blob := d.Blob(len(data))
+		if err := d.Err(); err != nil {
+			return nil, err
 		}
-		sk, err := UnmarshalSketch(d.buf[d.off : d.off+n])
+		sub, err := UnmarshalSketch(blob)
 		if err != nil {
-			return nil, fmt.Errorf("shard %d: %w", i, err)
+			return nil, fmt.Errorf("shard %d: %w", s, err)
 		}
-		if sk.cond != ss.cond || sk.opts != subOpts {
-			return nil, fmt.Errorf("%w: shard %d geometry does not match header", ErrCorrupt, i)
+		if sub.cond != sk.cond || sub.opts != want || sub.tuples > math.MaxInt64-sk.tuples {
+			return nil, fmt.Errorf("%w: shard %d does not match the header", ErrCorrupt, s)
 		}
-		ss.shards[i].sk = sk
-		d.off += n
+		for j := range sub.bms {
+			sk.bms[j<<shift|s] = sub.bms[j]
+		}
+		sk.tuples += sub.tuples
 	}
-	if d.err != nil {
-		return nil, d.err
+	if err := d.Done(); err != nil {
+		return nil, err
 	}
-	if d.off != len(data) {
-		return nil, fmt.Errorf("%w: %d trailing bytes", ErrCorrupt, len(data)-d.off)
-	}
-	return ss, nil
-}
-
-// ConfigFingerprint identifies the sharded-sketch algorithm and its
-// accuracy-relevant configuration. The shard count is included — it does
-// not change any estimate, but sharded and differently-sharded estimators
-// have different concurrency contracts, so they are kept distinct.
-func (ss *ShardedSketch) ConfigFingerprint() string {
-	return fmt.Sprintf("sharded(%s|m=%d,F=%d,unbounded=%t,slack=%d,shards=%d)",
-		ss.cond, ss.opts.Bitmaps, ss.opts.FringeSize, ss.opts.Unbounded, ss.opts.Slack, len(ss.shards))
+	sk.recountEntries()
+	return sk, nil
 }

@@ -35,7 +35,7 @@ func TestShardedMarshalRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Shards() != ss.Shards() || got.Options() != ss.Options() || got.Conditions() != ss.Conditions() {
+	if got.Options() != ss.Options() || got.Conditions() != ss.Conditions() {
 		t.Fatalf("geometry mismatch after round trip")
 	}
 	assertShardedEqual(t, ss, got)
@@ -97,19 +97,20 @@ func TestShardedUnmarshalRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestShardedUnmarshalRejectsBadShardCount corrupts the shard count of the
+// golden NIPS\x02 vector, the one format that still carries it.
 func TestShardedUnmarshalRejectsBadShardCount(t *testing.T) {
-	cond := imps.Conditions{MaxMultiplicity: 1, MinSupport: 1, TopC: 1, MinTopConfidence: 1}
-	ss, err := NewShardedSketch(cond, Options{Bitmaps: 16, Seed: 1}, 2)
-	if err != nil {
-		t.Fatal(err)
+	blob := goldenBytes(t, goldenNIPS2)
+	if _, err := UnmarshalShardedSketch(blob); err != nil {
+		t.Fatalf("golden vector rejected: %v", err)
 	}
-	blob, err := ss.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
+	// Shard count sits after the 5-byte magic, conditions (24) and options
+	// (21).
+	const off = 5 + 24 + 21
+	if blob[off] != 2 {
+		t.Fatalf("byte %d is %d, not the shard count 2", off, blob[off])
 	}
-	// Shard count sits after the magic, conditions (24) and options (21).
-	const off = len(shardedMagic) + 24 + 21
-	for _, bad := range []byte{0, 3} {
+	for _, bad := range []byte{0, 1, 3, 8} {
 		mut := append([]byte(nil), blob...)
 		mut[off] = bad
 		if _, err := UnmarshalShardedSketch(mut); err == nil {

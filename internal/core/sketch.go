@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"iter"
 	"math"
 
 	"implicate/internal/fm"
@@ -71,11 +70,23 @@ type Sketch struct {
 	bhash  xhash.Hash
 	bms    []bitmap
 
+	counters
+}
+
+// counters is the bookkeeping Algorithm 1 keeps beside the bitmaps a writer
+// updates. A Sketch has one set; a ShardedSketch keeps one per lock stripe
+// and folds them into its Sketch before every read.
+type counters struct {
 	tuples  int64
 	entries int // live counter entries across all cells
 	peak    int // high-water mark of entries
 
 	scratch []int64 // top-c selection buffer, reused across Adds
+}
+
+func newCounters(cond imps.Conditions) counters {
+	// The scratch buffer grows on demand for outsized K.
+	return counters{scratch: make([]int64, 0, min(cond.MaxMultiplicity+1, 64))}
 }
 
 // NewSketch returns a NIPS/CI sketch for the given implication conditions.
@@ -94,18 +105,14 @@ func NewSketch(cond imps.Conditions, opts Options) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
-	scratchCap := cond.MaxMultiplicity + 1
-	if scratchCap > 64 {
-		scratchCap = 64 // the buffer grows on demand for outsized K
-	}
 	s := &Sketch{
-		cond:    cond,
-		opts:    opts,
-		router:  router,
-		ahash:   xhash.New(opts.Seed),
-		bhash:   xhash.New(xhash.Mix(opts.Seed + 0x9e3779b97f4a7c15)),
-		bms:     make([]bitmap, opts.Bitmaps),
-		scratch: make([]int64, 0, scratchCap),
+		cond:     cond,
+		opts:     opts,
+		router:   router,
+		ahash:    xhash.New(opts.Seed),
+		bhash:    xhash.New(xhash.Mix(opts.Seed + 0x9e3779b97f4a7c15)),
+		bms:      make([]bitmap, opts.Bitmaps),
+		counters: newCounters(cond),
 	}
 	for i := range s.bms {
 		s.bms[i].init()
@@ -154,12 +161,19 @@ func (s *Sketch) AddIDs(a, b uint64) {
 // two itemsets, which perturbs counts with probability ~n²/2^64 — far below
 // the sketch's probabilistic error.
 func (s *Sketch) AddHashed(ah, bh uint64) {
-	s.tuples++
+	s.ingest(&s.counters, ah, bh)
+}
+
+// ingest routes one tuple to its bitmap and rank, counts it in ct and runs
+// Algorithm 1 there. It writes no Sketch field but that bitmap, so writers
+// with their own counters may run it concurrently on disjoint bitmaps.
+func (s *Sketch) ingest(ct *counters, ah, bh uint64) {
 	bm, rank := s.router.Route(ah)
 	if rank >= Levels {
 		rank = Levels - 1
 	}
-	s.add(&s.bms[bm], rank, ah, bh)
+	ct.tuples++
+	s.add(ct, &s.bms[bm], rank, ah, bh)
 }
 
 // BitmapOf returns the bitmap Add(string(key), b) updates: the split that
@@ -167,15 +181,6 @@ func (s *Sketch) AddHashed(ah, bh uint64) {
 func (s *Sketch) BitmapOf(key []byte) int {
 	bm, _ := s.router.Route(s.ahash.SumBytes(key))
 	return bm
-}
-
-// addRouted ingests one tuple the caller has already routed: localBM indexes
-// this sketch's own bms slice and rank is already clamped to Levels-1. It is
-// the shard ingest entry — a ShardedSketch routes against the global bitmap
-// count and owns the mapping from global to shard-local bitmap indices.
-func (s *Sketch) addRouted(localBM, rank int, ah, bh uint64) {
-	s.tuples++
-	s.add(&s.bms[localBM], rank, ah, bh)
 }
 
 // Tuples returns the number of tuples observed.
@@ -207,7 +212,11 @@ func (s *Sketch) PeakMemEntries() int { return s.peak }
 // F0^sup(A) instead and therefore explodes for small S/F0 ratios (§4.7.2
 // concedes this). The experiment harness compares both.
 func (s *Sketch) ImplicationCount() float64 {
-	return implicationCountOver(s.bitmaps(), len(s.bms))
+	obs, mass := s.implicationSample()
+	if mass <= 0 {
+		return 0
+	}
+	return obs * float64(len(s.bms)) / mass
 }
 
 // ImplicationCountInterval returns an approximate confidence interval
@@ -221,26 +230,28 @@ func (s *Sketch) ImplicationCount() float64 {
 // non-degenerate interval — having seen nothing, it cannot rule out small
 // counts.
 func (s *Sketch) ImplicationCountInterval(z float64) (lo, hi float64) {
-	return implicationIntervalOver(s.bitmaps(), len(s.bms), z)
-}
-
-// bitmaps yields the sketch's bitmaps. The estimator readers are written
-// against this iterator so a ShardedSketch can run the identical arithmetic
-// over bitmaps owned by several shard sub-sketches.
-func (s *Sketch) bitmaps() iter.Seq[*bitmap] {
-	return func(yield func(*bitmap) bool) {
-		for i := range s.bms {
-			if !yield(&s.bms[i]) {
-				return
-			}
-		}
+	obs, mass := s.implicationSample()
+	if mass <= 0 {
+		return 0, 0
 	}
+	m := float64(len(s.bms))
+	factor := m / mass
+	est := obs * factor
+	census := math.Sqrt(obs+1) * factor // +1 keeps zero-census intervals honest
+	placement := est / math.Sqrt(m)
+	stderr := math.Sqrt(census*census + placement*placement)
+	lo = est - z*stderr
+	if lo < 0 {
+		lo = 0
+	}
+	return lo, est + z*stderr
 }
 
-// implicationSampleOver returns the fringe sample's implication census and
-// the total inclusion mass of the observable cells across bms.
-func implicationSampleOver(bms iter.Seq[*bitmap]) (obs, mass float64) {
-	for b := range bms {
+// implicationSample returns the fringe sample's implication census and the
+// total inclusion mass of the observable cells.
+func (s *Sketch) implicationSample() (obs, mass float64) {
+	for bi := range s.bms {
+		b := &s.bms[bi]
 		if b.hi < 0 {
 			mass++
 			continue
@@ -257,36 +268,6 @@ func implicationSampleOver(bms iter.Seq[*bitmap]) (obs, mass float64) {
 		mass += math.Exp2(-float64(b.hi + 1))
 	}
 	return obs, mass
-}
-
-// implicationCountOver is the Horvitz–Thompson estimate of S over the m
-// bitmaps yielded by bms (see Sketch.ImplicationCount).
-func implicationCountOver(bms iter.Seq[*bitmap], m int) float64 {
-	obs, mass := implicationSampleOver(bms)
-	if mass <= 0 {
-		return 0
-	}
-	return obs * float64(m) / mass
-}
-
-// implicationIntervalOver is the confidence interval around the direct
-// estimate (see Sketch.ImplicationCountInterval).
-func implicationIntervalOver(bms iter.Seq[*bitmap], mInt int, z float64) (lo, hi float64) {
-	obs, mass := implicationSampleOver(bms)
-	if mass <= 0 {
-		return 0, 0
-	}
-	m := float64(mInt)
-	factor := m / mass
-	est := obs * factor
-	census := math.Sqrt(obs+1) * factor // +1 keeps zero-census intervals honest
-	placement := est / math.Sqrt(m)
-	stderr := math.Sqrt(census*census + placement*placement)
-	lo = est - z*stderr
-	if lo < 0 {
-		lo = 0
-	}
-	return lo, est + z*stderr
 }
 
 // CIImplicationCount is Algorithm 2 (CI): S = F0^sup(A) − ~S, the
@@ -338,14 +319,9 @@ func (s *Sketch) DistinctCount() float64 {
 // fringe sample is a hash-uniform subset of the implicating population, so
 // the plain mean is unbiased. Returns 0 when nothing qualifies.
 func (s *Sketch) AvgMultiplicity() float64 {
-	return avgMultiplicityOver(s.bitmaps(), s.cond.MinSupport)
-}
-
-// avgMultiplicityOver is the fringe-sample mean multiplicity over bms (see
-// Sketch.AvgMultiplicity).
-func avgMultiplicityOver(bms iter.Seq[*bitmap], minSupport int64) float64 {
 	var n, sum float64
-	for b := range bms {
+	for bi := range s.bms {
+		b := &s.bms[bi]
 		if b.hi < 0 {
 			continue
 		}
@@ -356,7 +332,7 @@ func avgMultiplicityOver(bms iter.Seq[*bitmap], minSupport int64) float64 {
 			}
 			for k := range c.items {
 				st := &c.items[k].st
-				if !st.excluded && st.supp >= minSupport {
+				if !st.excluded && st.supp >= s.cond.MinSupport {
 					n++
 					sum += float64(len(st.perB))
 				}
@@ -379,18 +355,14 @@ func (s *Sketch) MinEstimable() float64 {
 	return math.Exp2(-float64(s.opts.FringeSize)) * s.DistinctCount()
 }
 
+// meanR averages a per-bitmap position reader over the bitmaps — the
+// stochastic-averaging step of Algorithm 2.
 func (s *Sketch) meanR(r func(*bitmap) int) float64 {
-	return meanROver(s.bitmaps(), len(s.bms), r)
-}
-
-// meanROver averages a per-bitmap position reader over the m bitmaps
-// yielded by bms — the stochastic-averaging step of Algorithm 2.
-func meanROver(bms iter.Seq[*bitmap], m int, r func(*bitmap) int) float64 {
 	var sum int
-	for b := range bms {
-		sum += r(b)
+	for bi := range s.bms {
+		sum += r(&s.bms[bi])
 	}
-	return float64(sum) / float64(m)
+	return float64(sum) / float64(len(s.bms))
 }
 
 // FringeStats describes the occupancy of the floating fringes, used by the
@@ -427,13 +399,9 @@ func (s *Sketch) Reset() {
 
 // Fringe returns current fringe occupancy statistics.
 func (s *Sketch) Fringe() FringeStats {
-	return fringeStatsOver(s.bitmaps())
-}
-
-// fringeStatsOver collects fringe occupancy statistics over bms.
-func fringeStatsOver(bms iter.Seq[*bitmap]) FringeStats {
 	var st FringeStats
-	for b := range bms {
+	for bi := range s.bms {
+		b := &s.bms[bi]
 		if b.hi >= 0 {
 			if w := b.hi - b.lo + 1; w > st.MaxFringeWidth {
 				st.MaxFringeWidth = w

@@ -128,8 +128,10 @@ type HashedPair struct {
 //     partition. The implementation chooses partitions compatible with its
 //     internal routing: the sharded sketch partitions on the low bits of
 //     the A-hash so that all tuples addressed to one bitmap — where arrival
-//     order determines overflow kills and fringe push-outs — stay in one
-//     partition;
+//     order determines overflow kills and fringe push-outs, the only
+//     order-sensitive part of its state — stay in one partition, and caps
+//     n at its stripe count only so that two workers never share a stripe
+//     lock;
 //   - any two ingestion schedules that preserve the relative pair order
 //     within each partition leave the estimator in identical (bit-for-bit
 //     marshalled) state, and that state equals per-pair Add in the same

@@ -1,6 +1,7 @@
 package query
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"testing"
@@ -113,6 +114,58 @@ func TestEngineSnapshotRoundTrip(t *testing.T) {
 		if got, want := rstmts[i].Count(), stmts[i].Count(); got != want {
 			t.Fatalf("statement %d count after resumed streaming: got %g, want %g", i, got, want)
 		}
+	}
+}
+
+// TestEngineSnapshotRestoresAcrossShardCounts: a sharded sketch's shard
+// count is a lock layout, not state. An engine whose windowed statement was
+// checkpointed with 4-shard sketches restores through a resolver that builds
+// 2-shard ones and continues bit-identically to the uncrashed run.
+func TestEngineSnapshotRestoresAcrossShardCounts(t *testing.T) {
+	sharded := func(n int) Backend {
+		return func(cond imps.Conditions) (imps.Estimator, error) {
+			return core.NewShardedSketch(cond, core.Options{Bitmaps: 64, Seed: 9}, n)
+		}
+	}
+	const sql = `SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 600 EVERY 60`
+	e := NewEngine(mustSchema(t))
+	st, err := e.RegisterSQL(sql, sharded(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ProcessBatch(genTuples(0, 2000))
+	blob, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	resolve := func(q Query, kind string) (Backend, error) {
+		if kind != "sharded" {
+			return nil, fmt.Errorf("no backend for kind %q", kind)
+		}
+		return sharded(2), nil
+	}
+	re, err := UnmarshalEngine(blob, mustSchema(t), resolve)
+	if err != nil {
+		t.Fatalf("restore at another shard count refused: %v", err)
+	}
+
+	// Long enough to retire every restored slot and open new 2-shard ones.
+	more := genTuples(2000, 3000)
+	e.ProcessBatch(more)
+	re.ProcessBatch(more)
+	if got, want := re.Statements()[0].Count(), st.Count(); got != want {
+		t.Fatalf("count after resumed streaming: got %g, want %g", got, want)
+	}
+	want, err := e.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := re.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatal("resumed engine state differs from the uncrashed run")
 	}
 }
 

@@ -59,8 +59,11 @@ func WriteCheckpoint(path string, c Checkpoint) error { return checkpoint.Write(
 func ReadCheckpoint(path string) (Checkpoint, error) { return checkpoint.Read(path) }
 
 // UnmarshalShardedSketch restores a sharded sketch serialized with
-// ShardedSketch.MarshalBinary. The restored sketch estimates identically
-// and keeps streaming from where the original stopped.
+// ShardedSketch.MarshalBinary — the bytes of the equivalent single Sketch —
+// or with an earlier build's sharded encoding. The shard count is not part
+// of the state: the result has the default count (as NewShardedSketch with
+// shards == 0), estimates identically and keeps streaming from where the
+// original stopped.
 func UnmarshalShardedSketch(data []byte) (*ShardedSketch, error) {
 	return core.UnmarshalShardedSketch(data)
 }

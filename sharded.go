@@ -7,13 +7,14 @@ import (
 	"implicate/internal/imps"
 )
 
-// ShardedSketch is the parallel-ingestion NIPS/CI sketch: the m bitmaps are
-// partitioned across independent mutex-guarded shards keyed by the tuple
-// hash, so concurrent producers contend only when their tuples route to the
-// same shard, and AddHashedPairs takes each shard lock once per batch.
-// Estimates are bit-identical to a single same-seed Sketch fed the same
-// per-bitmap tuple order; see the "Concurrency and the ingest path" chapter
-// of DESIGN.md for when to choose it over Synchronized.
+// ShardedSketch is the parallel-ingestion NIPS/CI sketch: one sketch whose
+// m bitmaps are guarded by n lock stripes keyed by the tuple hash, so
+// concurrent producers contend only when their tuples route to the same
+// stripe, and AddHashedPairs takes each stripe lock once per batch. Its
+// state and its MarshalBinary bytes are those of a single same-seed Sketch
+// fed the same per-bitmap tuple order, the entry high-water mark excepted;
+// see the "Concurrency and the ingest path" chapter of DESIGN.md for when
+// to choose it over Synchronized.
 type ShardedSketch = core.ShardedSketch
 
 // HashedPair is one projected tuple of the batched ingest path: the encoded
