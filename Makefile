@@ -40,6 +40,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 5s ./internal/query/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrameReaderEquivalence$$' -fuzztime 5s ./internal/proto/
+	$(GO) test -run '^$$' -fuzz '^FuzzWriterEquivalence$$' -fuzztime 5s ./internal/proto/
 	$(GO) test -run '^$$' -fuzz '^FuzzFrontendIngest$$' -fuzztime 5s ./internal/coord/
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s ./internal/telemetry/
 

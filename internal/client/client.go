@@ -201,6 +201,7 @@ func (cl *Client) dial() (*conn, error) {
 		return nil, fmt.Errorf("client: %w", err)
 	}
 	c := &conn{nc: nc, pending: make(map[uint64]chan proto.Frame)}
+	c.w = proto.NewWriter(nc, func(err error) { c.close(fmt.Errorf("client: write: %w", err)) })
 	go c.readLoop()
 	for _, step := range []func(*conn) error{cl.bootStep, cl.authStep} {
 		if err := step(c); err != nil {
@@ -793,13 +794,14 @@ func remoteError(f proto.Frame) error {
 	return &RemoteError{Msg: msg}
 }
 
-// conn is one pooled connection: a writer serialized by wmu and a reader
-// goroutine dispatching response frames to the pending map by request id.
+// conn is one pooled connection: a proto.Writer that every caller encodes
+// its request into — pipelined requests share write syscalls, and a
+// steady-state send allocates nothing — and a reader goroutine dispatching
+// response frames to the pending map by request id.
 type conn struct {
 	nc     net.Conn
+	w      *proto.Writer
 	boot   uint64 // server incarnation nonce, set by the dial handshake
-	wmu    sync.Mutex
-	wbuf   []byte // encode scratch, under wmu; steady-state sends allocate nothing
 	nextID atomic.Uint64
 
 	pmu     sync.Mutex
@@ -814,7 +816,9 @@ func (c *conn) isDead() bool {
 	return c.err != nil
 }
 
-// close marks the connection dead and fails every pending request.
+// close marks the connection dead, fails every pending request and stops
+// the writer. The socket closes first, so requests still queued are dropped
+// rather than waited on: their callers have already failed.
 func (c *conn) close(cause error) {
 	c.once.Do(func() {
 		c.pmu.Lock()
@@ -825,6 +829,7 @@ func (c *conn) close(cause error) {
 		}
 		c.pmu.Unlock()
 		c.nc.Close()
+		c.w.Close()
 	})
 }
 
@@ -852,9 +857,9 @@ func (c *conn) readLoop() {
 	}
 }
 
-// send registers a fresh request id and writes the request frame. The
-// returned channel yields the response (or closes when the connection
-// dies); pass it to await.
+// send registers a fresh request id and queues the request frame on the
+// connection's writer. The returned channel yields the response (or closes
+// when the connection dies); pass it to await.
 func (c *conn) send(t proto.Type, payload []byte) (uint64, chan proto.Frame, error) {
 	return c.sendTC(t, payload, proto.TraceContext{})
 }
@@ -874,15 +879,12 @@ func (c *conn) sendTC(t proto.Type, payload []byte, tc proto.TraceContext) (uint
 	c.pending[id] = ch
 	c.pmu.Unlock()
 
-	c.wmu.Lock()
-	buf, err := proto.AppendFrame(c.wbuf[:0], proto.Frame{Type: t, ID: id, TC: tc, Payload: payload})
-	if err == nil {
-		c.wbuf = buf
-		_, err = c.nc.Write(buf)
-	}
-	c.wmu.Unlock()
-	if err != nil {
-		c.close(fmt.Errorf("client: write: %w", err))
+	// A frame the writer refuses (oversize) fails this request alone; a
+	// write error has already closed the connection through the fail hook.
+	if err := c.w.Write(proto.Frame{Type: t, ID: id, TC: tc, Payload: payload}); err != nil {
+		c.pmu.Lock()
+		delete(c.pending, id)
+		c.pmu.Unlock()
 		return 0, nil, err
 	}
 	return id, ch, nil

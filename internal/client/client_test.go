@@ -221,6 +221,37 @@ func TestPipeliningMatchesResponsesById(t *testing.T) {
 	}
 }
 
+// TestOversizeRequestFailsAlone pins that a request no frame can carry
+// fails by itself: the shared connection stays up and the batch pipelined
+// ahead of it is still acknowledged.
+func TestOversizeRequestFailsAlone(t *testing.T) {
+	release := make(chan struct{})
+	fs := startFake(t, func(f proto.Frame) proto.Frame {
+		<-release // hold the first batch's ack until the oversize send has failed
+		return okIngest(f)
+	})
+	cl, err := Dial(fs.addr(), testSchema(t), Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	payload, err := EncodeBatch(testSchema(t), []stream.Tuple{{"a", "b"}, {"c", "d"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := cl.IngestAsync(payload, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.IngestEncoded(make([]byte, proto.MaxFrame), 1); err == nil || !strings.Contains(err.Error(), "frame limit") {
+		t.Errorf("oversize ingest returned %v, want the frame size error", err)
+	}
+	close(release)
+	if err := p.Wait(); err != nil {
+		t.Errorf("the batch pipelined ahead of the oversize one: %v", err)
+	}
+}
+
 func TestQueryRedialsDeadConnection(t *testing.T) {
 	// The first connection dies right after the dial handshake; the pooled
 	// client sees a dead conn and must redial for the next idempotent call.

@@ -7,16 +7,17 @@
 // checkpoints); Query and Snapshot answer from the merged fleet state;
 // Cluster reports membership.
 //
-// Each connection runs two goroutines. The reader parses frames and answers
-// every request except ingest inline, as soon as it is parsed; it queues
-// ingest frames for the connection's ingest goroutine, which routes and
-// acknowledges them one at a time in arrival order. A query therefore never
-// waits behind the ingest frames pipelined ahead of it — on the benchmark's
-// fleet workload that wait was two thirds of a query's latency — while
-// routing order, journal order and the determinism contract are the single
-// goroutine's, as before. Replies from both goroutines go out whole under one
-// write lock, so they can leave out of request order; clients match them to
-// requests by id.
+// Each connection runs two goroutines besides its writer's flusher. The
+// reader parses frames and answers every request except ingest inline, as
+// soon as it is parsed; it queues ingest frames for the connection's ingest
+// goroutine, which routes and acknowledges them one at a time in arrival
+// order. A query therefore never waits behind the ingest frames pipelined
+// ahead of it — on the benchmark's fleet workload that wait was two thirds
+// of a query's latency — while routing order, journal order and the
+// determinism contract are the single goroutine's, as before. Both goroutines queue their replies on the
+// connection's proto.Writer, whose flusher sends whatever has accumulated in
+// one write; replies can therefore leave out of request order, and clients
+// match them to requests by id.
 //
 // The ingest goroutine is the fleet's data plane: every tuple crosses it
 // before any leaf sketches it, so the §2 tree only pays off while it is
@@ -109,7 +110,7 @@ func (fe *Frontend) serveConn(c net.Conn) {
 		fe.connMu.Unlock()
 		c.Close()
 	}()
-	w := &replyWriter{c: c}
+	w := proto.NewWriter(c, func(error) { c.Close() }) // a dead write side ends the reader too
 	ingests := make(chan queuedIngest, frontIngestDepth)
 	// Every frame body the connection owns is the reader's, queued, being
 	// routed, or here: at most frontIngestDepth+2, so recycling never blocks.
@@ -138,12 +139,16 @@ func (fe *Frontend) serveConn(c net.Conn) {
 			continue
 		}
 		buf = b
-		if w.write(fe.handle(f)) != nil {
-			break
+		if err := w.Write(fe.handle(f)); err != nil {
+			// An oversize reply fails alone, so say why. After a write
+			// error this fails too; the fail hook has closed the connection
+			// and the next read ends the loop.
+			w.Write(errFrame(f.ID, err))
 		}
 	}
 	close(ingests)
 	<-ingestDone
+	w.Close()
 }
 
 // queuedIngest is an ingest frame on its way from a connection's reader to
@@ -155,70 +160,59 @@ type queuedIngest struct {
 
 // ingestLoop is a connection's ingest goroutine: it routes the queued frames
 // one at a time, in arrival order, acknowledges each, and hands its body
-// buffer back to the reader. Once one of its replies fails to go out it
-// stops routing — the connection is gone and the rest were never
+// buffer back to the reader. Once the connection's writer has failed it
+// stops routing — the connection is gone and the rest would never be
 // acknowledged — but drains the queue so the reader is never left blocked
 // on it.
-func (fe *Frontend) ingestLoop(w *replyWriter, ingests <-chan queuedIngest, free chan<- []byte) {
+func (fe *Frontend) ingestLoop(w *proto.Writer, ingests <-chan queuedIngest, free chan<- []byte) {
 	var err error
 	for q := range ingests {
 		if err == nil {
-			err = w.write(fe.handle(q.f))
+			err = fe.ingest(w, q.f)
 		}
 		free <- q.buf
 	}
 }
 
-// replyWriter is a connection's write side, shared by its reader and its
-// ingest goroutine: each reply is encoded into one scratch buffer and goes
-// out in one Write under mu, so replies never interleave. The first failure
-// is sticky and closes the connection, which also ends the reader's next
-// read.
-type replyWriter struct {
-	c   net.Conn
-	mu  sync.Mutex
-	buf []byte // encode scratch, under mu
-	err error
-}
-
-func (w *replyWriter) write(f proto.Frame) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.err != nil {
-		return w.err
+// ingest routes one ingest frame and queues its reply: the ack is encoded
+// in place into the writer's buffer, so routing's journal copy is the
+// frame's only allocation.
+func (fe *Frontend) ingest(w *proto.Writer, f proto.Frame) error {
+	start := time.Now()
+	n, err := fe.co.ingestEncoded(f.Payload)
+	fe.observe(telemetry.RPCIngest, f, start)
+	if err != nil {
+		return w.Write(errFrame(f.ID, err))
 	}
-	w.buf, w.err = proto.AppendFrame(w.buf[:0], f)
-	if w.err == nil {
-		_, w.err = w.c.Write(w.buf)
-	}
-	if w.err != nil {
-		w.c.Close()
-	}
-	return w.err
+	return w.WriteFunc(proto.TOK, f.ID, proto.IngestAck{Tuples: n}.AppendTo)
 }
 
 func (fe *Frontend) handle(f proto.Frame) proto.Frame {
 	start := time.Now()
 	rpc, resp, ok := fe.dispatch(f)
 	if ok {
-		// One clock read serves both the latency histogram and the RPC span —
-		// parented under the inbound trace context when the frame carried
-		// one, so a parent coordinator's delivery spans adopt this tier's
-		// handling the same way leaf spans adopt this coordinator's.
-		dur := time.Since(start)
-		fe.co.tel.Observe(rpc, dur)
-		fe.co.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent},
-			obs.SpanRPC, int(rpc), 0, start, dur)
+		fe.observe(rpc, f, start)
 	}
 	return resp
 }
 
-// dispatch routes one request frame; ok reports whether the type maps to
-// an instrumented RPC code (TCluster and unknown types do not).
+// observe records one handled request: one clock read serves both the
+// latency histogram and the RPC span — parented under the inbound trace
+// context when the frame carried one, so a parent coordinator's delivery
+// spans adopt this tier's handling the same way leaf spans adopt this
+// coordinator's.
+func (fe *Frontend) observe(rpc telemetry.RPC, f proto.Frame, start time.Time) {
+	dur := time.Since(start)
+	fe.co.tel.Observe(rpc, dur)
+	fe.co.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent},
+		obs.SpanRPC, int(rpc), 0, start, dur)
+}
+
+// dispatch answers one non-ingest request frame; ok reports whether the
+// type maps to an instrumented RPC code (TCluster and unknown types do
+// not). Ingest frames take the connection's ingest goroutine instead.
 func (fe *Frontend) dispatch(f proto.Frame) (rpc telemetry.RPC, resp proto.Frame, ok bool) {
 	switch f.Type {
-	case proto.TIngest:
-		return telemetry.RPCIngest, fe.handleIngest(f), true
 	case proto.TQuery:
 		req, err := proto.DecodeQueryReq(f.Payload)
 		if err != nil {
@@ -272,14 +266,6 @@ func (fe *Frontend) dispatch(f proto.Frame) (rpc telemetry.RPC, resp proto.Frame
 		return telemetry.RPCUDPAck, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.UDPAck{}.Encode()}, true
 	}
 	return 0, errFrame(f.ID, fmt.Errorf("unsupported request type %s", f.Type)), false
-}
-
-func (fe *Frontend) handleIngest(f proto.Frame) proto.Frame {
-	n, err := fe.co.ingestEncoded(f.Payload)
-	if err != nil {
-		return errFrame(f.ID, err)
-	}
-	return proto.Frame{Type: proto.TOK, ID: f.ID, Payload: proto.IngestAck{Tuples: n}.Encode()}
 }
 
 func errFrame(id uint64, err error) proto.Frame {

@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
+	"implicate/internal/client"
 	"implicate/internal/proto"
 	"implicate/internal/raceflag"
 	"implicate/internal/stream"
@@ -272,10 +274,11 @@ func TestQueryOvertakesBlockedIngest(t *testing.T) {
 // ingest frame written to a live front-end connection — read into a
 // recycled body, handed to the ingest goroutine, routed, journaled,
 // acknowledged and written back, every goroutine's allocations counted.
-// The budget is the handler's own two: one exact-size journal copy per
-// frame on average (three leaves, FlushTuples 1000) and the ack payload.
-// The handoff from reader to ingest goroutine to writer adds nothing; one
-// allocation per frame there would read 3.
+// The budget is the handler's one: an exact-size journal copy per frame on
+// average (three leaves, FlushTuples 1000). The ack is encoded in place
+// into the connection writer's buffer, and the handoff from reader to
+// ingest goroutine to writer adds nothing; one allocation per frame there
+// would read 2.
 func TestFrontendConnIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
@@ -312,7 +315,56 @@ func TestFrontendConnIngestAllocs(t *testing.T) {
 		}
 	}
 	roundTrip() // the first frame sizes the connection's buffers
-	if allocs := testing.AllocsPerRun(40, roundTrip); allocs > 2 {
-		t.Errorf("front-end connection ingest of a 1000-tuple frame: %.1f allocs, want <= 2", allocs)
+	if allocs := testing.AllocsPerRun(40, roundTrip); allocs > 1 {
+		t.Errorf("front-end connection ingest of a 1000-tuple frame: %.1f allocs, want <= 1", allocs)
+	}
+}
+
+// TestFrontendConnGoroutinesExit checks that a front-end connection's
+// goroutines — the client's reader and writer, the front-end's reader,
+// ingest goroutine and writer — all exit: 50 clients dial, pipeline 8
+// batches and close, 10 more are cut front-end-side with their batches in
+// flight, and the goroutine count comes back to where it started.
+func TestFrontendConnGoroutinesExit(t *testing.T) {
+	schema := fleetSchema(t)
+	fe, err := Serve(offlineCoordinator(t, schema, 3, 1000), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fe.Close() })
+	payload := mustEncode(t, schema, fleetTuples(10))
+	base := runtime.NumGoroutine()
+	for i := 0; i < 60; i++ {
+		cl, err := client.Dial(fe.Addr(), schema, client.Options{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pend []*client.PendingIngest
+		for j := 0; j < 8; j++ {
+			p, err := cl.IngestAsync(payload, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pend = append(pend, p)
+		}
+		if i >= 50 {
+			fe.connMu.Lock()
+			for c := range fe.conns {
+				c.Close()
+			}
+			fe.connMu.Unlock()
+		}
+		for _, p := range pend {
+			if err := p.Wait(); err != nil && i < 50 {
+				t.Fatal(err)
+			}
+		}
+		cl.Close()
+	}
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the connections:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }

@@ -2,6 +2,7 @@ package coord
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"math"
@@ -76,9 +77,18 @@ func journalPayloads(co *Coordinator) [][][]byte {
 	return out
 }
 
-// ingestFrame drives the front-end's ingest handler with one wire batch.
+// ingestFrame drives the front-end's ingest handler with one wire batch and
+// returns the reply it queued.
 func ingestFrame(co *Coordinator, payload []byte) proto.Frame {
-	return (&Frontend{co: co}).handleIngest(proto.Frame{Type: proto.TIngest, ID: 1, Payload: payload})
+	var out bytes.Buffer
+	w := proto.NewWriter(&out, nil)
+	(&Frontend{co: co}).ingest(w, proto.Frame{Type: proto.TIngest, ID: 1, Payload: payload})
+	w.Close()
+	f, err := proto.NewFrameReader(&out).Next()
+	if err != nil {
+		return errFrame(0, err)
+	}
+	return f
 }
 
 func mustEncode(t testing.TB, schema *stream.Schema, tuples []stream.Tuple) []byte {
@@ -496,23 +506,45 @@ func TestBlockedIngestWakes(t *testing.T) {
 // TestFrontendIngestAllocs pins the coordinator side of one 1000-tuple
 // ingest frame — validate, route, stage, journal, ack — in the spirit of
 // pipeline's TestArenaPathAllocs: the budget is the journal's exact-size
-// entry copies (one per FlushTuples routed), the ack payload and amortized
-// journal-slice growth; a per-tuple allocation overshoots it a hundredfold.
+// entry copies (one per FlushTuples routed) and amortized journal-slice
+// growth; the ack is encoded in place into the connection writer's buffer.
+// A per-tuple allocation overshoots it a hundredfold.
 func TestFrontendIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("race-detector bookkeeping allocates; the pin only holds on plain builds")
 	}
 	schema := fleetSchema(t)
 	co := offlineCoordinator(t, schema, 3, 1000)
-	payload := mustEncode(t, schema, fleetTuples(1000))
+	f := proto.Frame{Type: proto.TIngest, ID: 1, Payload: mustEncode(t, schema, fleetTuples(1000))}
+	var sink okSink
+	w := proto.NewWriter(&sink, nil)
+	fe := &Frontend{co: co}
 	allocs := testing.AllocsPerRun(40, func() {
-		if resp := ingestFrame(co, payload); resp.Type != proto.TOK {
-			t.Fatal("frame refused")
+		if err := fe.ingest(w, f); err != nil {
+			t.Fatal(err)
 		}
 	})
+	if err := w.Close(); err != nil || sink.frames != 41 || sink.refused {
+		t.Fatalf("replies: %d frames, refused %v, writer error %v", sink.frames, sink.refused, err)
+	}
 	if allocs > 8 {
 		t.Errorf("front-end ingest of a 1000-tuple frame: %.1f allocs, want <= 8", allocs)
 	}
+}
+
+// okSink counts the reply frames written to it and notes any that is not
+// a TOK, without allocating. A proto.Writer hands it whole frames only.
+type okSink struct {
+	frames  int
+	refused bool
+}
+
+func (s *okSink) Write(p []byte) (int, error) {
+	for q := p; len(q) > 0; q = q[4+binary.LittleEndian.Uint32(q):] {
+		s.frames++
+		s.refused = s.refused || proto.Type(q[5]) != proto.TOK
+	}
+	return len(p), nil
 }
 
 // FuzzFrontendIngest feeds arbitrary record regions to the front-end. The

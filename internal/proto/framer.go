@@ -162,12 +162,12 @@ func ReleasePayload(b []byte) {
 }
 
 // AppendFrameFunc appends one frame whose payload is produced by fn
-// writing directly into the destination buffer — the zero-copy encode for
-// replies assembled in a connection's scratch: no intermediate payload
-// slice exists. fn must append its payload to the slice it receives and
-// return the extension; the header (length, CRC) is back-patched after fn
-// runs. Returns an error only when the produced payload exceeds MaxFrame,
-// in which case dst is returned unchanged.
+// writing directly into the destination buffer — the zero-copy encode
+// Writer.WriteFunc uses for acks: no intermediate payload slice exists. fn
+// must append its payload to the slice it receives and return the
+// extension; the header (length, CRC) is back-patched after fn runs.
+// Returns an error only when the produced payload exceeds MaxFrame, in
+// which case dst is returned unchanged.
 func AppendFrameFunc(dst []byte, t Type, id uint64, fn func([]byte) []byte) ([]byte, error) {
 	base := len(dst)
 	// Reserve the length prefix and header; patch both once the payload
@@ -187,30 +187,14 @@ func AppendFrameFunc(dst []byte, t Type, id uint64, fn func([]byte) []byte) ([]b
 	return dst, nil
 }
 
-// AppendFrameHeader appends only the encoded frame header (length prefix
-// included) for a payload that will be written separately — the vectored
-// write path for large replies, where the payload slice joins the writev
-// iovec instead of being copied through scratch. The caller must write
-// exactly the payload it passed here immediately after the header. An
-// oversized payload returns dst unchanged, like AppendFrame.
-func AppendFrameHeader(dst []byte, t Type, id uint64, payload []byte) ([]byte, error) {
-	if len(payload) > MaxFrame-headerLen {
-		return dst, fmt.Errorf("proto: payload of %d bytes exceeds the %d-byte frame limit", len(payload), MaxFrame)
-	}
-	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+len(payload)))
-	dst = append(dst, Version, uint8(t))
-	dst = binary.LittleEndian.AppendUint64(dst, id)
-	return binary.LittleEndian.AppendUint32(dst, crc32.Checksum(payload, castagnoli)), nil
-}
-
-// AppendTo appends the ack payload to dst — the allocation-free encode the
-// reply path uses inside AppendFrameFunc.
+// AppendTo appends the ack payload to dst — the allocation-free encode
+// replies use through Writer.WriteFunc.
 func (a IngestAck) AppendTo(dst []byte) []byte {
 	return binary.LittleEndian.AppendUint64(dst, uint64(a.Tuples))
 }
 
 // AppendTo appends the backpressure payload to dst (millisecond
-// resolution), mirroring Encode without the per-reply allocation.
+// resolution, clamped to [0, 2^31]) without allocating.
 func (b Busy) AppendTo(dst []byte) []byte {
 	ms := b.RetryAfter.Milliseconds()
 	if ms < 0 {

@@ -147,7 +147,7 @@ func TestRetainPayloadSurvivesNextRead(t *testing.T) {
 
 // TestFramePathZeroAlloc asserts the steady-state contract directly: zero
 // heap allocations per frame for decode (FrameReader) and for the reply
-// encodes (AppendFrameFunc and AppendFrameHeader).
+// encodes (AppendFrameFunc).
 func TestFramePathZeroAlloc(t *testing.T) {
 	payload := bytes.Repeat([]byte{0xCD}, 1024)
 	var stream []byte
@@ -189,31 +189,9 @@ func TestFramePathZeroAlloc(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		scratch, err = AppendFrameHeader(scratch, TResult, 9, payload)
-		if err != nil {
-			t.Fatal(err)
-		}
 	})
 	if allocs != 0 {
 		t.Fatalf("reply encodes: %v allocs per pass, want 0", allocs)
-	}
-}
-
-// TestAppendFrameHeaderMatchesAppendFrame checks that header + payload
-// written separately is byte-identical to the contiguous encode.
-func TestAppendFrameHeaderMatchesAppendFrame(t *testing.T) {
-	f := Frame{Type: TResult, ID: 77, Payload: []byte("vectored payload")}
-	whole, err := AppendFrame(nil, f)
-	if err != nil {
-		t.Fatal(err)
-	}
-	hdr, err := AppendFrameHeader(nil, f.Type, f.ID, f.Payload)
-	if err != nil {
-		t.Fatal(err)
-	}
-	split := append(hdr, f.Payload...)
-	if !bytes.Equal(whole, split) {
-		t.Fatalf("split encode differs from contiguous encode\nwhole: %x\nsplit: %x", whole, split)
 	}
 }
 

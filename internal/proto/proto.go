@@ -222,18 +222,18 @@ func AppendFrame(dst []byte, f Frame) ([]byte, error) {
 	dst = binary.LittleEndian.AppendUint32(dst, uint32(headerLen+extra+len(f.Payload)))
 	dst = append(dst, ver, uint8(f.Type))
 	dst = binary.LittleEndian.AppendUint64(dst, f.ID)
-	if extra == 0 {
-		dst = binary.LittleEndian.AppendUint32(dst, crc32.Checksum(f.Payload, castagnoli))
-		return append(dst, f.Payload...), nil
+	dst = append(dst, 0, 0, 0, 0) // CRC placeholder
+	// The CRC covers the payload region, context included; summing it out of
+	// dst keeps the encode allocation-free (a local context array would
+	// escape through the checksum).
+	start := len(dst)
+	if extra != 0 {
+		dst = binary.LittleEndian.AppendUint64(dst, f.TC.Trace)
+		dst = binary.LittleEndian.AppendUint64(dst, f.TC.Parent)
 	}
-	var tcb [traceContextLen]byte
-	binary.LittleEndian.PutUint64(tcb[0:], f.TC.Trace)
-	binary.LittleEndian.PutUint64(tcb[8:], f.TC.Parent)
-	sum := crc32.Checksum(tcb[:], castagnoli)
-	sum = crc32.Update(sum, castagnoli, f.Payload)
-	dst = binary.LittleEndian.AppendUint32(dst, sum)
-	dst = append(dst, tcb[:]...)
-	return append(dst, f.Payload...), nil
+	dst = append(dst, f.Payload...)
+	binary.LittleEndian.PutUint32(dst[start-4:], crc32.Checksum(dst[start:], castagnoli))
+	return dst, nil
 }
 
 // WriteFrame encodes f and writes it with a single Write call, so frames
@@ -334,11 +334,7 @@ type IngestAck struct {
 }
 
 // Encode serializes the ack payload.
-func (a IngestAck) Encode() []byte {
-	e := wire.NewEncoder(8)
-	e.I64(a.Tuples)
-	return e.Bytes()
-}
+func (a IngestAck) Encode() []byte { return a.AppendTo(make([]byte, 0, 8)) }
 
 // DecodeIngestAck parses a TOK payload of an ingest.
 func DecodeIngestAck(data []byte) (IngestAck, error) {
@@ -458,18 +454,7 @@ type Busy struct {
 }
 
 // Encode serializes the backpressure payload (millisecond resolution).
-func (b Busy) Encode() []byte {
-	ms := b.RetryAfter.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	e := wire.NewEncoder(4)
-	e.U32(uint32(ms))
-	return e.Bytes()
-}
+func (b Busy) Encode() []byte { return b.AppendTo(make([]byte, 0, 4)) }
 
 // DecodeBusy parses a TBusy payload.
 func DecodeBusy(data []byte) (Busy, error) {

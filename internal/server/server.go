@@ -11,12 +11,12 @@
 // lane; the dispatcher drains the lanes deficit-round-robin and feeds each
 // tenant's pool in lane-arrival order, which is all the ordering the
 // engine's estimators need for bit-identical-to-serial results (DESIGN.md
-// §10). Replies flow through the per-connection writer, which coalesces
-// pending acks into vectored writes (conn.go). When a lane is full the
-// batch is refused with an explicit backpressure reply (proto.TBusy) and
-// NOT enqueued — the client retries. (Pipelined producers that need strict
-// per-connection ordering set Config.BlockOnFull instead: the reader then
-// blocks for lane room, so no batch is ever refused and re-sent out of
+// §10). Replies flow through the per-connection proto.Writer, which
+// coalesces pending acks into single writes (conn.go). When a lane is full
+// the batch is refused with an explicit backpressure reply (proto.TBusy)
+// and NOT enqueued — the client retries. (Pipelined producers that need
+// strict per-connection ordering set Config.BlockOnFull instead: the reader
+// then blocks for lane room, so no batch is ever refused and re-sent out of
 // order.) An acknowledged batch is never dropped: graceful shutdown drains
 // every lane through its pool before the final checkpoints are written.
 //

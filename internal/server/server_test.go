@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -505,5 +506,60 @@ func TestServerDropsMalformedFrames(t *testing.T) {
 	cl := dialClient(t, srv, schema, client.Options{})
 	if _, err := cl.Stats(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestConnGoroutinesExit checks that a connection's goroutines — the
+// client's reader and writer, the server's reader and writer — all exit:
+// 50 clients dial, pipeline 8 batches and close, 10 more are cut
+// server-side with their batches in flight, and the goroutine count comes
+// back to where it started.
+func TestConnGoroutinesExit(t *testing.T) {
+	schema := testSchema(t)
+	srv := startServer(t, Config{Schema: schema, Engine: testEngine(t, schema, exactBackend()), BlockOnFull: true})
+	payload, err := client.EncodeBatch(schema, makeTuples(10, 5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := runtime.NumGoroutine()
+	for i := 0; i < 60; i++ {
+		cl, err := client.Dial(srv.Addr(), schema, client.Options{Conns: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var pend []*client.PendingIngest
+		for j := 0; j < 8; j++ {
+			p, err := cl.IngestAsync(payload, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pend = append(pend, p)
+		}
+		if i >= 50 {
+			srv.connMu.Lock()
+			for c := range srv.conns {
+				c.Close()
+			}
+			srv.connMu.Unlock()
+		}
+		for _, p := range pend {
+			if err := p.Wait(); err != nil && i < 50 {
+				t.Fatal(err)
+			}
+		}
+		cl.Close()
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines polls until at most base goroutines run, dumping every
+// stack if they do not settle within 5 s.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); runtime.NumGoroutine() > base; time.Sleep(10 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			t.Fatalf("%d goroutines, %d before the connections:\n%s", runtime.NumGoroutine(), base, buf[:runtime.Stack(buf, true)])
+		}
 	}
 }
