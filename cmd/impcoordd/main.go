@@ -2,8 +2,9 @@
 // form of the paper's §2 aggregation tree (DESIGN.md §12). It speaks the
 // same wire protocol an impserved leaf does, so producers and queriers
 // need no fleet awareness — IngestBatch frames are routed to exactly one
-// leaf by their sketch bitmap, Query and Snapshot answer from the merged
-// fleet state, and Cluster reports membership.
+// leaf by their sketch bitmap, Query answers from the leaves' per-bitmap
+// readouts and Snapshot from the merged fleet state, and Cluster reports
+// membership.
 //
 // Usage:
 //

@@ -223,8 +223,8 @@ func dumpTrace(w io.Writer, spans []implicate.TraceSpan) {
 	}
 }
 
-// printSummary renders the shutdown report: per-statement answers off the
-// merged fleet state, then the membership view.
+// printSummary renders the shutdown report: per-statement fleet answers,
+// then the membership view.
 func printSummary(out io.Writer, co *implicate.Coordinator, queries []string) error {
 	for i, sql := range queries {
 		res, err := co.Query(i)

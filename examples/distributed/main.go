@@ -1,9 +1,9 @@
 // Distributed runs the sensor-network aggregation setting of §2 over a real
 // network, managed by the coordinator subsystem (DESIGN.md §12): eight leaf
 // nodes are impserved instances on loopback TCP, fronted by a Coordinator
-// that consistent-hash-routes every tuple to exactly one leaf, journals and
-// delivers batches in order, and answers the global implication query by
-// pulling and merging leaf state through the Snapshot RPC. The producer
+// that routes every tuple to the one leaf owning its sketch bitmap, journals
+// and delivers batches in order, and answers the global implication query
+// by folding the leaves' per-bitmap readouts (the Readout RPC). The producer
 // talks to the coordinator's wire front-end exactly as it would to a single
 // server — it holds no shards, no offsets, no recovery logic.
 //

@@ -25,10 +25,10 @@
 // runs on EVERY dial, a transparent mid-stream redial of a dead pool slot
 // re-establishes the whole session: it can never silently fall back to the
 // default tenant. The fenced variants (IngestFenced, QueryFenced,
-// SnapshotFenced) compare the boot nonce before writing anything, so a
-// stateful feeder can guarantee its requests never reach a server that
-// silently restarted from an older checkpoint behind the redial; see
-// ErrIncarnation.
+// SnapshotFenced, ReadoutFenced) compare the boot nonce before writing
+// anything, so a stateful feeder can guarantee its requests never reach a
+// server that silently restarted from an older checkpoint behind the
+// redial; see ErrIncarnation.
 //
 // A quota refusal (proto.TQuota, multi-tenant servers) is terminal for the
 // call: the batch was refused at admission with no partial state anywhere,
@@ -534,6 +534,22 @@ func (cl *Client) SnapshotFenced(stmt int, boot uint64) (proto.SnapshotResult, e
 		return proto.SnapshotResult{}, remoteError(f)
 	}
 	return proto.SnapshotResult{}, fmt.Errorf("client: unexpected %s reply to snapshot", f.Type)
+}
+
+// ReadoutFenced asks for statement stmt's readout (proto.TReadout), fenced
+// to one server incarnation.
+func (cl *Client) ReadoutFenced(stmt int, boot uint64) (proto.ReadoutResult, error) {
+	f, err := cl.callFencedIdempotent(proto.TReadout, proto.ReadoutReq{Stmt: uint32(stmt)}.Encode(), boot)
+	if err != nil {
+		return proto.ReadoutResult{}, err
+	}
+	switch f.Type {
+	case proto.TResult:
+		return proto.DecodeReadoutResult(f.Payload)
+	case proto.TError:
+		return proto.ReadoutResult{}, remoteError(f)
+	}
+	return proto.ReadoutResult{}, fmt.Errorf("client: unexpected %s reply to readout", f.Type)
 }
 
 // PendingIngest is one in-flight IngestAsync batch. Wait must be called

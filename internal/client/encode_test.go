@@ -3,6 +3,7 @@ package client
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
@@ -10,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"implicate/internal/core"
 	"implicate/internal/imps"
 	"implicate/internal/obs"
 	"implicate/internal/proto"
@@ -140,6 +142,35 @@ func BenchmarkEncodeBatch(b *testing.B) {
 // every u64/i64/f64 field.
 func le64(v uint64) string { return string(binary.LittleEndian.AppendUint64(nil, v)) }
 
+// readoutRecord is one core readout record: bitmap 5, fringe [1,4] with
+// cell 2 dead, implication census 2, R positions 3/1/5 (supported,
+// non-implication, hashed), and 2 tracked supported itemsets with 3
+// B-partners between them.
+const readoutRecord = "\x05\x00\x00\x00" + "\x01\x04" + "\x04\x00\x00\x00\x00\x00\x00\x00" +
+	"\x02\x00\x00\x00\x00\x00\x00\x00" + "\x03\x01\x05" +
+	"\x02\x00\x00\x00\x00\x00\x00\x00" + "\x03\x00\x00\x00\x00\x00\x00\x00"
+
+// TestReadoutRecordLayout: the record TestABI pins is one the core decoder
+// places where its header says, with the terms it spells out.
+func TestReadoutRecordLayout(t *testing.T) {
+	if len(readoutRecord) != core.ReadoutRecordLen {
+		t.Fatalf("pinned record is %d bytes, core writes %d", len(readoutRecord), core.ReadoutRecordLen)
+	}
+	ro, err := core.NewReadout(64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ro.Place([]byte(readoutRecord)); err != nil {
+		t.Fatal(err)
+	}
+	if got := ro.AvgMultiplicity(); got != 1.5 {
+		t.Errorf("AvgMultiplicity %v, want 3/2", got)
+	}
+	if err := ro.Place([]byte(readoutRecord)); !errors.Is(err, core.ErrOverlap) {
+		t.Errorf("second placement: err %v, want core.ErrOverlap", err)
+	}
+}
+
 // TestABI pins the bytes of the formats an ingest, a query or an
 // observability RPC crosses: fixed input, golden output. A change here is a
 // wire-format change — every deployed peer and every journaled batch
@@ -179,6 +210,11 @@ func TestABI(t *testing.T) {
 			"\x12\x00\x00\x00" + "\x01\x02" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
 		{"Query TResult frame", frame(proto.Frame{Type: proto.TResult, ID: 9, Payload: proto.QueryResult{Count: 2.5, Tuples: 3}.Encode()}),
 			"\x1e\x00\x00\x00" + "\x01\x11" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x89\x51\x9b\x6b" + le64(math.Float64bits(2.5)) + le64(3)},
+		{"TReadout frame", frame(proto.Frame{Type: proto.TReadout, ID: 9, Payload: proto.ReadoutReq{Stmt: 1}.Encode()}),
+			"\x12\x00\x00\x00" + "\x01\x0c" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
+		{"Readout TResult frame", frame(proto.Frame{Type: proto.TResult, ID: 9, Payload: proto.ReadoutResult{Tuples: 3, Bitmaps: 64, Records: []byte(readoutRecord)}.Encode()}),
+			"\x47\x00\x00\x00" + "\x01\x11" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\xfb\x5e\x1c\x0e" +
+				le64(3) + "\x40\x00\x00\x00" + "\x01\x00\x00\x00" + readoutRecord},
 		{"ClusterStatus", proto.ClusterStatus{VirtualPartitions: 64, Leaves: []proto.LeafStatus{
 			{Addr: "h:1", State: proto.LeafDown, Epoch: 2, Parts: 22, Journaled: 5, Acked: 3},
 		}}.Encode(),

@@ -4,8 +4,9 @@
 // sketch bitmap (route.go), journals and delivers batches in order per leaf
 // (leaf.go), tracks liveness with health probes, recovers a crashed leaf
 // from its checkpoint before re-admitting it, and answers queries by
-// pulling and merging leaf state — one sketch's state — through the
-// Snapshot RPC.
+// folding the leaves' per-bitmap readouts — one sketch's terms — through
+// the Readout RPC, merging their snapshots only for Snapshot and for a
+// statement whose bitmaps overlap across leaves.
 //
 // Determinism contract: with a fixed configuration (leaf names, leaf sketch
 // parameters, route statement) and a fixed tuple sequence, every leaf
@@ -18,20 +19,20 @@
 //
 // Restrictions: every leaf must run the plain "nips" sketch with identical
 // seeds and parameters for every statement — routing hashes with statement
-// 0's and the merge fan-in is core.Sketch.Merge — and there may be at most
-// as many leaves as bitmaps; New refuses a fleet that breaks either, as it
-// does windowed statements.
+// 0's, and the fan-in is a core.Readout or core.Sketch.Merge — and there
+// may be at most as many leaves as bitmaps; New refuses a fleet that breaks
+// either, as it does windowed statements.
 package coord
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"sync"
 	"time"
 
 	"implicate/internal/client"
 	"implicate/internal/core"
-	"implicate/internal/imps"
 	"implicate/internal/obs"
 	"implicate/internal/proto"
 	"implicate/internal/query"
@@ -396,29 +397,40 @@ func (co *Coordinator) Flush() error {
 	return nil
 }
 
-// merged pulls statement stmt's state from every leaf and merges it in
-// leaf order. The pulls run concurrently; the merge is sequential so the
-// result is a pure function of the leaf states.
-func (co *Coordinator) merged(stmt int) (*core.Sketch, string, int64, error) {
+// pullAll runs one fenced read of statement stmt against every leaf
+// concurrently, each waiting out a recovery in progress until DrainTimeout,
+// and returns the replies in leaf order.
+func pullAll[T any](co *Coordinator, stmt int, read func(cl *client.Client, stmt int, boot uint64) (T, error)) ([]T, error) {
 	if stmt < 0 || stmt >= len(co.queries) {
-		return nil, "", 0, fmt.Errorf("coord: no statement %d (coordinator has %d)", stmt, len(co.queries))
+		return nil, fmt.Errorf("coord: no statement %d (coordinator has %d)", stmt, len(co.queries))
 	}
 	deadline := time.Now().Add(co.cfg.DrainTimeout)
-	results := make([]proto.SnapshotResult, len(co.leaves))
+	results := make([]T, len(co.leaves))
 	errs := make([]error, len(co.leaves))
 	var wg sync.WaitGroup
 	for i, lf := range co.leaves {
 		wg.Add(1)
 		go func(i int, lf *leaf) {
 			defer wg.Done()
-			results[i], errs[i] = lf.snapshot(stmt, deadline)
+			results[i], errs[i] = pull(lf, stmt, deadline, read)
 		}(i, lf)
 	}
 	wg.Wait()
 	for _, err := range errs {
 		if err != nil {
-			return nil, "", 0, err
+			return nil, err
 		}
+	}
+	return results, nil
+}
+
+// merged pulls statement stmt's state from every leaf and merges it in
+// leaf order. The pulls run concurrently; the merge is sequential so the
+// result is a pure function of the leaf states.
+func (co *Coordinator) merged(stmt int) (*core.Sketch, string, int64, error) {
+	results, err := pullAll(co, stmt, (*client.Client).SnapshotFenced)
+	if err != nil {
+		return nil, "", 0, err
 	}
 	var dst *core.Sketch
 	var tuples int64
@@ -440,34 +452,52 @@ func (co *Coordinator) merged(stmt int) (*core.Sketch, string, int64, error) {
 	return dst, kind, tuples, nil
 }
 
-// Query answers statement stmt from the merged fleet state: the count under
-// the statement's own read mode, and the fleet-wide applied-tuple total.
-// The answer is a live point-in-time read; call Flush first when it must
-// cover everything ingested.
-func (co *Coordinator) Query(stmt int) (proto.QueryResult, error) {
-	merged, _, tuples, err := co.merged(stmt)
+// readout pulls statement stmt's readout from every leaf and places the
+// records in one core.Readout, summing the leaves' applied-tuple counts.
+// It fails with core.ErrOverlap when two leaves observed one bitmap.
+func (co *Coordinator) readout(stmt int) (*core.Readout, int64, error) {
+	results, err := pullAll(co, stmt, (*client.Client).ReadoutFenced)
 	if err != nil {
-		return proto.QueryResult{}, err
+		return nil, 0, err
 	}
-	count, err := co.evalCount(stmt, merged)
+	m := results[0].Bitmaps
+	ro, err := core.NewReadout(int(m))
 	if err != nil {
-		return proto.QueryResult{}, err
+		return nil, 0, fmt.Errorf("coord: leaf %s readout: %w", co.leaves[0].name, err)
 	}
-	return proto.QueryResult{Count: count, Tuples: tuples}, nil
+	var tuples int64
+	for i, res := range results {
+		if res.Bitmaps != m {
+			return nil, 0, fmt.Errorf("coord: leaf %s reads statement %d over %d bitmaps, leaf %s over %d (leaves must share sketch parameters)",
+				co.leaves[i].name, stmt, res.Bitmaps, co.leaves[0].name, m)
+		}
+		if err := ro.Place(res.Records); err != nil {
+			return nil, 0, fmt.Errorf("coord: leaf %s readout: %w", co.leaves[i].name, err)
+		}
+		tuples += res.Tuples
+	}
+	return ro, tuples, nil
 }
 
-// evalCount reads the statement's answer off a merged estimator by binding
-// it into a throwaway compilation of the statement template — Count then
-// applies the statement's read mode (implications, supported, distinct...)
-// exactly as a leaf would.
-func (co *Coordinator) evalCount(stmt int, est imps.Estimator) (float64, error) {
-	st, err := query.Compile(co.queries[stmt], co.cfg.Schema, func(imps.Conditions) (imps.Estimator, error) {
-		return est, nil
-	})
-	if err != nil {
-		return 0, fmt.Errorf("coord: evaluating statement %d: %w", stmt, err)
+// Query answers statement stmt from the fleet state: the count under the
+// statement's own read mode, and the fleet-wide applied-tuple total. The
+// leaves' readouts answer it whenever they observed disjoint bitmaps, as
+// every leaf does for a statement routed like statement 0; a statement
+// whose bitmaps overlap across leaves is answered from the merged state
+// instead. The answer is a live point-in-time read; call Flush first when
+// it must cover everything ingested.
+func (co *Coordinator) Query(stmt int) (proto.QueryResult, error) {
+	ro, tuples, err := co.readout(stmt)
+	var est query.Reader = ro
+	if errors.Is(err, core.ErrOverlap) {
+		var merged *core.Sketch
+		merged, _, tuples, err = co.merged(stmt)
+		est = merged
 	}
-	return st.Count(), nil
+	if err != nil {
+		return proto.QueryResult{}, err
+	}
+	return proto.QueryResult{Count: co.queries[stmt].Mode.Read(est), Tuples: tuples}, nil
 }
 
 // Snapshot answers the Snapshot RPC with the merged fleet state — the same

@@ -77,6 +77,10 @@ type fleet struct {
 	// drainTimeout, when positive, is the coordinator's DrainTimeout.
 	drainTimeout time.Duration
 
+	// probeEvery, when positive, replaces the coordinator's 10ms probe
+	// period.
+	probeEvery time.Duration
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -209,12 +213,16 @@ func startCoordinator(t *testing.T, fl *fleet, n int, prefix string) *Coordinato
 // them.
 func newCoordinator(t *testing.T, fl *fleet, specs []LeafSpec) *Coordinator {
 	t.Helper()
+	probeEvery := 10 * time.Millisecond
+	if fl.probeEvery > 0 {
+		probeEvery = fl.probeEvery
+	}
 	co, err := New(Config{
 		Schema:        fl.schema,
 		Statements:    fl.statements(),
 		Leaves:        specs,
 		FlushTuples:   100,
-		ProbeEvery:    10 * time.Millisecond,
+		ProbeEvery:    probeEvery,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFails:    2,
 		DrainTimeout:  fl.drainTimeout,

@@ -4,8 +4,9 @@
 // unchanged. Ingest frames route into the coordinator's partition table on
 // their wire bytes and are acknowledged once journaled within the pending
 // bound (durability at this tier is the journal plus the leaves'
-// checkpoints); Query and Snapshot answer from the merged fleet state;
-// Cluster reports membership.
+// checkpoints); Query answers from the leaves' readouts and Snapshot from
+// the merged fleet state (Coordinator.Query, Coordinator.Snapshot); Cluster
+// reports membership.
 //
 // Each connection runs two goroutines besides its writer's flusher. The
 // reader parses frames and answers every request except ingest inline, as

@@ -429,27 +429,29 @@ func (lf *leaf) drain(deadline time.Time) error {
 	}
 }
 
-// snapshot pulls the leaf's marshalled statement state, waiting out a
-// recovery in progress.
-func (lf *leaf) snapshot(stmt int, deadline time.Time) (proto.SnapshotResult, error) {
+// pull runs one fenced read of statement stmt against the leaf, waiting
+// out a recovery in progress until deadline. A refusal from the leaf
+// itself is returned at once: retrying cannot change it.
+func pull[T any](lf *leaf, stmt int, deadline time.Time, read func(cl *client.Client, stmt int, boot uint64) (T, error)) (T, error) {
+	var zero T
 	for {
 		lf.mu.Lock()
 		fatal, state, cl, boot := lf.fatal, lf.state, lf.cl, lf.boot
 		lf.mu.Unlock()
 		if fatal != nil {
-			return proto.SnapshotResult{}, fatal
+			return zero, fatal
 		}
 		if state == leafUp {
-			res, err := cl.SnapshotFenced(stmt, boot)
+			res, err := read(cl, stmt, boot)
 			if err == nil {
 				return res, nil
 			}
 			if _, remote := err.(*client.RemoteError); remote {
-				return proto.SnapshotResult{}, err // the server refused; retrying cannot help
+				return zero, err
 			}
 		}
 		if time.Now().After(deadline) {
-			return proto.SnapshotResult{}, fmt.Errorf("coord: leaf %s: snapshot did not complete before the deadline", lf.name)
+			return zero, fmt.Errorf("coord: leaf %s: statement %d read did not complete before the deadline", lf.name, stmt)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}

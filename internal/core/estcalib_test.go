@@ -14,8 +14,8 @@ import (
 // position-based counts), duplicated here so the comparison cannot drift
 // from the implementation under test.
 func ciEstimate(s *Sketch) float64 {
-	d := fm.CorrectedEstimate(s.meanR((*bitmap).rSupported), len(s.bms)) -
-		fm.CorrectedEstimate(s.meanR((*bitmap).rNonImplication), len(s.bms))
+	d := fm.CorrectedEstimate(meanR(s, posSupported), len(s.bms)) -
+		fm.CorrectedEstimate(meanR(s, posNonImplication), len(s.bms))
 	if d < 0 {
 		return 0
 	}

@@ -145,3 +145,18 @@ func TestGoldenNIPS2(t *testing.T) {
 		t.Fatalf("a fed 2-shard sketch encodes differently from the decoded golden NIPS\\x02:\n got %x\nwant %x", fresh, got)
 	}
 }
+
+// goldenReadout is the readout of the golden sketch, one record per line:
+// bitmaps 0 and 1 never observed a tuple and send none; bitmap 2's fringe is
+// [1,2] with cells 0 and 2 hashed into; bitmap 3's is [0,0], its one cell
+// set by the tombstoned itemset.
+const goldenReadout = "" +
+	"02000000" + "01" + "02" + "0000000000000000" + "0000000000000000" + "000001" + "0000000000000000" + "0000000000000000" +
+	"03000000" + "00" + "00" + "0000000000000000" + "0000000000000000" + "010101" + "0000000000000000" + "0000000000000000"
+
+// TestGoldenReadout pins the readout records of the golden sketch.
+func TestGoldenReadout(t *testing.T) {
+	if h := hex.EncodeToString(goldenSketch(t).AppendReadout(nil)); h != goldenReadout {
+		t.Fatalf("readout encoding drifted:\n got %s\nwant %s", h, goldenReadout)
+	}
+}

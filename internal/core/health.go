@@ -42,7 +42,7 @@ func (s *Sketch) Health() imps.HealthReport {
 		MemEntries:       s.entries,
 		MemBytes:         memBytes,
 		BitmapFill:       float64(set) / float64(len(s.bms)*Levels),
-		LeftmostZero:     s.meanR((*bitmap).rHashed),
+		LeftmostZero:     meanR(s, posHashed),
 		FringeTracked:    fs.TrackedItemsets,
 		FringePairs:      fs.PairCounters,
 		FringeTombstones: fs.Tombstones,

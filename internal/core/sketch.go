@@ -211,13 +211,7 @@ func (s *Sketch) PeakMemEntries() int { return s.peak }
 // counts) is kept as CIImplicationCount; its error is proportional to
 // F0^sup(A) instead and therefore explodes for small S/F0 ratios (§4.7.2
 // concedes this). The experiment harness compares both.
-func (s *Sketch) ImplicationCount() float64 {
-	obs, mass := s.implicationSample()
-	if mass <= 0 {
-		return 0
-	}
-	return obs * float64(len(s.bms)) / mass
-}
+func (s *Sketch) ImplicationCount() float64 { return implicationCount(s) }
 
 // ImplicationCountInterval returns an approximate confidence interval
 // around ImplicationCount at z standard errors (z=2 covers roughly 95% in
@@ -230,44 +224,7 @@ func (s *Sketch) ImplicationCount() float64 {
 // non-degenerate interval — having seen nothing, it cannot rule out small
 // counts.
 func (s *Sketch) ImplicationCountInterval(z float64) (lo, hi float64) {
-	obs, mass := s.implicationSample()
-	if mass <= 0 {
-		return 0, 0
-	}
-	m := float64(len(s.bms))
-	factor := m / mass
-	est := obs * factor
-	census := math.Sqrt(obs+1) * factor // +1 keeps zero-census intervals honest
-	placement := est / math.Sqrt(m)
-	stderr := math.Sqrt(census*census + placement*placement)
-	lo = est - z*stderr
-	if lo < 0 {
-		lo = 0
-	}
-	return lo, est + z*stderr
-}
-
-// implicationSample returns the fringe sample's implication census and the
-// total inclusion mass of the observable cells.
-func (s *Sketch) implicationSample() (obs, mass float64) {
-	for bi := range s.bms {
-		b := &s.bms[bi]
-		if b.hi < 0 {
-			mass++
-			continue
-		}
-		for j := b.lo; j <= b.hi; j++ {
-			if b.dead[j] {
-				continue
-			}
-			mass += math.Exp2(-float64(j + 1))
-			if c := b.cells[j]; c != nil {
-				obs += float64(c.nSupported)
-			}
-		}
-		mass += math.Exp2(-float64(b.hi + 1))
-	}
-	return obs, mass
+	return implicationCountInterval(s, z)
 }
 
 // CIImplicationCount is Algorithm 2 (CI): S = F0^sup(A) − ~S, the
@@ -285,8 +242,8 @@ func (s *Sketch) CIImplicationCount() float64 {
 // (scaled across bitmaps, no small-range correction); exposed for the
 // estimator ablation.
 func (s *Sketch) RawImplicationCount() float64 {
-	d := fm.RawEstimate(s.meanR((*bitmap).rSupported), len(s.bms)) -
-		fm.RawEstimate(s.meanR((*bitmap).rNonImplication), len(s.bms))
+	d := fm.RawEstimate(meanR(s, posSupported), len(s.bms)) -
+		fm.RawEstimate(meanR(s, posNonImplication), len(s.bms))
 	if d < 0 {
 		return 0
 	}
@@ -295,55 +252,24 @@ func (s *Sketch) RawImplicationCount() float64 {
 
 // NonImplicationCount estimates ~S: distinct A-itemsets that met the
 // support condition but violated multiplicity or top-confidence.
-func (s *Sketch) NonImplicationCount() float64 {
-	return fm.CorrectedEstimate(s.meanR((*bitmap).rNonImplication), len(s.bms))
-}
+func (s *Sketch) NonImplicationCount() float64 { return positionCount(s, posNonImplication) }
 
 // SupportedDistinct estimates F0^sup(A): distinct A-itemsets meeting the
 // minimum-support condition (§4.4 — read off the same bitmaps at no extra
 // memory cost).
-func (s *Sketch) SupportedDistinct() float64 {
-	return fm.CorrectedEstimate(s.meanR((*bitmap).rSupported), len(s.bms))
-}
+func (s *Sketch) SupportedDistinct() float64 { return positionCount(s, posSupported) }
 
 // DistinctCount estimates F0(A): all distinct A-itemsets seen, regardless
 // of support (the plain distinct-count statistic the framework
 // generalizes).
-func (s *Sketch) DistinctCount() float64 {
-	return fm.CorrectedEstimate(s.meanR((*bitmap).rHashed), len(s.bms))
-}
+func (s *Sketch) DistinctCount() float64 { return positionCount(s, posHashed) }
 
 // AvgMultiplicity estimates the mean number of distinct B-partners over
 // implicating itemsets (Table 2's complex-aggregate row) as the sample mean
 // over the tracked supported itemsets — each is currently implying, and the
 // fringe sample is a hash-uniform subset of the implicating population, so
 // the plain mean is unbiased. Returns 0 when nothing qualifies.
-func (s *Sketch) AvgMultiplicity() float64 {
-	var n, sum float64
-	for bi := range s.bms {
-		b := &s.bms[bi]
-		if b.hi < 0 {
-			continue
-		}
-		for j := b.lo; j <= b.hi; j++ {
-			c := b.cells[j]
-			if b.dead[j] || c == nil || c.suppOnly {
-				continue
-			}
-			for k := range c.items {
-				st := &c.items[k].st
-				if !st.excluded && st.supp >= s.cond.MinSupport {
-					n++
-					sum += float64(len(st.perB))
-				}
-			}
-		}
-	}
-	if n == 0 {
-		return 0
-	}
-	return sum / n
-}
+func (s *Sketch) AvgMultiplicity() float64 { return avgMultiplicity(s) }
 
 // MinEstimable returns the smallest non-implication count the bounded
 // fringe can resolve, 2^−F · F0(A) (§4.3.3); smaller counts are clamped to
@@ -355,14 +281,171 @@ func (s *Sketch) MinEstimable() float64 {
 	return math.Exp2(-float64(s.opts.FringeSize)) * s.DistinctCount()
 }
 
-// meanR averages a per-bitmap position reader over the bitmaps — the
-// stochastic-averaging step of Algorithm 2.
-func (s *Sketch) meanR(r func(*bitmap) int) float64 {
-	var sum int
-	for bi := range s.bms {
-		sum += r(&s.bms[bi])
+// The readers above are folds over per-bitmap terms, written once below
+// against terms. A Sketch derives each term from its bitmap on demand; a
+// Readout (readout.go) holds the terms other sketches derived and shipped.
+// Every term is an integer or a cell position, so two sources holding equal
+// terms answer bit for bit alike.
+
+// terms is the per-bitmap input of the estimator folds.
+type terms interface {
+	// bitmaps returns m, the number of bitmaps folded over.
+	bitmaps() int
+	// fringe returns bitmap i's fringe bounds (hi < 0 before its first
+	// tuple), its dead cells in [lo, hi] as a mask (bit j for cell j), and
+	// its implication census: Σ nSupported over its live fringe cells.
+	fringe(i int) (lo, hi int, dead uint64, census int64)
+	// positionSum returns the sum over the bitmaps of one R position.
+	positionSum(k position) int
+	// multiplicity returns the number of tracked supported itemsets over
+	// the bitmaps and the sum of their B-partner counts.
+	multiplicity() (n, sum int64)
+}
+
+// position names one of Algorithm 2's per-bitmap R positions.
+type position uint8
+
+const (
+	posSupported position = iota
+	posNonImplication
+	posHashed
+	numPositions
+)
+
+// positionOf reads each position off a bitmap.
+var positionOf = [numPositions]func(*bitmap) int{
+	posSupported:      (*bitmap).rSupported,
+	posNonImplication: (*bitmap).rNonImplication,
+	posHashed:         (*bitmap).rHashed,
+}
+
+// cellMass[j] is 2^−(j+1), the inclusion mass of cell j: the exact power of
+// two math.Exp2 returns for it, precomputed.
+var cellMass = func() (t [Levels]float64) {
+	for j := range t {
+		t[j] = math.Ldexp(1, -(j + 1))
 	}
-	return float64(sum) / float64(len(s.bms))
+	return t
+}()
+
+func implicationCount(t terms) float64 {
+	obs, mass := implicationSample(t)
+	if mass <= 0 {
+		return 0
+	}
+	return obs * float64(t.bitmaps()) / mass
+}
+
+func implicationCountInterval(t terms, z float64) (lo, hi float64) {
+	obs, mass := implicationSample(t)
+	if mass <= 0 {
+		return 0, 0
+	}
+	m := float64(t.bitmaps())
+	factor := m / mass
+	est := obs * factor
+	census := math.Sqrt(obs+1) * factor // +1 keeps zero-census intervals honest
+	placement := est / math.Sqrt(m)
+	stderr := math.Sqrt(census*census + placement*placement)
+	lo = est - z*stderr
+	if lo < 0 {
+		lo = 0
+	}
+	return lo, est + z*stderr
+}
+
+// implicationSample returns the fringe sample's implication census and the
+// total inclusion mass of the observable cells. The mass is summed in
+// bitmap order and cell order within a bitmap, whatever the source, so it
+// rounds identically everywhere; the census is an integer sum and exact.
+func implicationSample(t terms) (obs, mass float64) {
+	for i := range t.bitmaps() {
+		lo, hi, dead, census := t.fringe(i)
+		if hi < 0 {
+			mass++
+			continue
+		}
+		for j := lo; j <= hi; j++ {
+			if dead>>uint(j)&1 == 0 {
+				mass += cellMass[j]
+			}
+		}
+		mass += cellMass[hi]
+		obs += float64(census)
+	}
+	return obs, mass
+}
+
+// positionCount is the corrected probabilistic count of one R position.
+func positionCount(t terms, k position) float64 {
+	return fm.CorrectedEstimate(meanR(t, k), t.bitmaps())
+}
+
+// meanR averages one R position over the bitmaps — the
+// stochastic-averaging step of Algorithm 2.
+func meanR(t terms, k position) float64 {
+	return float64(t.positionSum(k)) / float64(t.bitmaps())
+}
+
+func avgMultiplicity(t terms) float64 {
+	n, sum := t.multiplicity()
+	if n == 0 {
+		return 0
+	}
+	return float64(sum) / float64(n)
+}
+
+func (s *Sketch) bitmaps() int { return len(s.bms) }
+
+func (s *Sketch) fringe(i int) (lo, hi int, dead uint64, census int64) {
+	b := &s.bms[i]
+	for j := b.lo; j <= b.hi; j++ {
+		if b.dead[j] {
+			dead |= 1 << uint(j)
+		} else if c := b.cells[j]; c != nil {
+			census += int64(c.nSupported)
+		}
+	}
+	return b.lo, b.hi, dead, census
+}
+
+func (s *Sketch) positionSum(k position) (sum int) {
+	r := positionOf[k]
+	for i := range s.bms {
+		sum += r(&s.bms[i])
+	}
+	return sum
+}
+
+func (s *Sketch) multiplicity() (n, sum int64) {
+	for i := range s.bms {
+		bn, bsum := s.multiplicityOf(&s.bms[i])
+		n += bn
+		sum += bsum
+	}
+	return n, sum
+}
+
+// multiplicityOf returns the number of b's tracked supported itemsets and
+// the sum of their B-partner counts.
+func (s *Sketch) multiplicityOf(b *bitmap) (n, sum int64) {
+	if b.hi < 0 {
+		return 0, 0
+	}
+	for j := b.lo; j <= b.hi; j++ {
+		c := b.cells[j]
+		if b.dead[j] || c == nil || c.suppOnly {
+			continue
+		}
+		for k := range c.items {
+			st := &c.items[k].st
+			if !st.excluded && st.supp >= s.cond.MinSupport {
+				n++
+				sum += int64(len(st.perB))
+			}
+		}
+	}
+	return n, sum
 }
 
 // FringeStats describes the occupancy of the floating fringes, used by the

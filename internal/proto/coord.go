@@ -8,6 +8,10 @@
 //     having to know its parent. A coordinator answers the same RPC with
 //     its merged fleet state, which is what makes coordinators stackable
 //     into deeper trees.
+//   - TReadout is the query-sized pull: instead of a statement's whole
+//     marshalled sketch, a leaf answers with one fixed-size record per
+//     bitmap it has observed, which a coordinator places by bitmap index
+//     and reads with the sketch's own estimator code (core.Readout).
 //   - TCluster reports a coordinator's membership view: one record per
 //     leaf with its liveness state, recovery epoch, route share, and
 //     journal/acknowledgement offsets. Leaf servers do not implement it.
@@ -16,6 +20,7 @@ package proto
 import (
 	"fmt"
 
+	"implicate/internal/core"
 	"implicate/internal/wire"
 )
 
@@ -76,6 +81,67 @@ func DecodeSnapshotResult(data []byte) (SnapshotResult, error) {
 	r := SnapshotResult{Tuples: d.I64(), Kind: d.Str(maxKindLen), Sketch: d.Blob(MaxFrame)}
 	if err := d.Done(); err != nil {
 		return SnapshotResult{}, fmt.Errorf("proto: snapshot result: %w", err)
+	}
+	return r, nil
+}
+
+// ReadoutReq asks for the readout of one registered statement.
+type ReadoutReq struct {
+	Stmt uint32
+}
+
+// Encode serializes the request payload.
+func (q ReadoutReq) Encode() []byte {
+	e := wire.NewEncoder(4)
+	e.U32(q.Stmt)
+	return e.Bytes()
+}
+
+// DecodeReadoutReq parses a TReadout payload.
+func DecodeReadoutReq(data []byte) (ReadoutReq, error) {
+	d := wire.NewDecoder(data)
+	q := ReadoutReq{Stmt: d.U32()}
+	if err := d.Done(); err != nil {
+		return ReadoutReq{}, fmt.Errorf("proto: readout request: %w", err)
+	}
+	return q, nil
+}
+
+// ReadoutResult carries one statement's readout and, like SnapshotResult,
+// the engine's applied-tuple count at the capture.
+type ReadoutResult struct {
+	// Tuples is the engine's applied-tuple total when the readout was
+	// captured.
+	Tuples int64
+	// Bitmaps is the sketch's bitmap count m, the index space of the
+	// records.
+	Bitmaps uint32
+	// Records holds whole core.ReadoutRecordLen-byte records, as
+	// core.Sketch.AppendReadout writes them.
+	Records []byte
+}
+
+// Encode serializes the result payload: tuples, m, the record count, then
+// the records.
+func (r ReadoutResult) Encode() []byte {
+	e := wire.NewEncoder(16 + len(r.Records))
+	e.I64(r.Tuples)
+	e.U32(r.Bitmaps)
+	e.U32(uint32(len(r.Records) / core.ReadoutRecordLen))
+	e.Raw(r.Records)
+	return e.Bytes()
+}
+
+// DecodeReadoutResult parses a TResult payload of a readout pull. The
+// record count is checked against the remaining bytes before anything is
+// sliced; the records alias data and are validated only when placed
+// (core.Readout.Place).
+func DecodeReadoutResult(data []byte) (ReadoutResult, error) {
+	d := wire.NewDecoder(data)
+	r := ReadoutResult{Tuples: d.I64(), Bitmaps: d.U32()}
+	r.Records = d.Raw(d.Count(core.ReadoutRecordLen) * core.ReadoutRecordLen)
+	if err := d.Done(); err != nil {
+		return ReadoutResult{}, fmt.Errorf("proto: readout result: %w", err)
 	}
 	return r, nil
 }

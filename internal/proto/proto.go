@@ -128,6 +128,12 @@ const (
 	// without configured tenants stay wire-compatible with older clients.
 	// A pinned connection rejects a second TAuth (sessions do not migrate).
 	TAuth Type = 0x0b
+	// TReadout asks for one statement's readout: a small fixed-size record
+	// per bitmap the statement's sketch has observed, the terms every
+	// estimator read folds over (core.Readout). It is the fleet query path
+	// (coord.go); a reader of a shared estimator may ask for one too, since
+	// nothing is merged back.
+	TReadout Type = 0x0c
 
 	// TOK acknowledges an ingest or merge; ingest acks carry the accepted
 	// tuple count.
@@ -176,6 +182,8 @@ func (t Type) String() string {
 		return "Boot"
 	case TAuth:
 		return "Auth"
+	case TReadout:
+		return "Readout"
 	case TOK:
 		return "OK"
 	case TResult:

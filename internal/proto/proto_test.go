@@ -153,7 +153,7 @@ func TestTypeStrings(t *testing.T) {
 	}{
 		{TIngest, "IngestBatch"}, {TQuery, "Query"}, {TMerge, "SnapshotMerge"},
 		{TStats, "Stats"}, {TOK, "OK"}, {TResult, "Result"}, {TError, "Error"},
-		{TBusy, "Busy"}, {TAuth, "Auth"}, {TQuota, "Quota"}, {Type(0xEE), "Type(0xee)"},
+		{TBusy, "Busy"}, {TAuth, "Auth"}, {TQuota, "Quota"}, {TReadout, "Readout"}, {Type(0xEE), "Type(0xee)"},
 	} {
 		if got := tc.t.String(); got != tc.want {
 			t.Errorf("Type %d: %q, want %q", tc.t, got, tc.want)

@@ -318,6 +318,16 @@ func (st *Statement) Exclusive(f func()) {
 	f()
 }
 
+// ReadLocked runs f while holding the statement's lock shared, as Count
+// does: serialized-class Apply and Exclusive sections wait, other readers
+// do not. Callers reading the bound estimator's state from outside the
+// query path (readouts) use this.
+func (st *Statement) ReadLocked(f func()) {
+	st.estMu.RLock()
+	defer st.estMu.RUnlock()
+	f()
+}
+
 // Count returns the query's answer under its mode. It acquires the
 // statement's lock shared, so it may run at any time against a live
 // pipeline: serialized-class writers hold the lock exclusively, and
@@ -325,26 +335,7 @@ func (st *Statement) Exclusive(f func()) {
 func (st *Statement) Count() float64 {
 	st.estMu.RLock()
 	defer st.estMu.RUnlock()
-	return st.count()
-}
-
-func (st *Statement) count() float64 {
-	switch st.query.Mode {
-	case CountNonImplications:
-		return st.est.NonImplicationCount()
-	case CountSupported:
-		return st.est.SupportedDistinct()
-	case CountDistinct:
-		// With the defaulted exact one-to-one conditions and a constant B
-		// key, every itemset trivially implies; the supported count at
-		// τ=1 is the distinct count.
-		return st.est.SupportedDistinct()
-	case AvgMultiplicity:
-		// Compile guarantees the estimator supports the aggregate.
-		return st.est.(imps.MultiplicityAverager).AvgMultiplicity()
-	default:
-		return st.est.ImplicationCount()
-	}
+	return st.query.Mode.Read(st.est)
 }
 
 // Engine runs any number of compiled statements over one tuple stream.

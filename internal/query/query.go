@@ -60,6 +60,35 @@ func (m Mode) String() string {
 	}
 }
 
+// Reader is the read side of an estimator: the counts a mode picks from.
+// Every imps.Estimator is one; so is a fleet's core.Readout.
+type Reader interface {
+	ImplicationCount() float64
+	NonImplicationCount() float64
+	SupportedDistinct() float64
+}
+
+// Read answers mode m off est: what a statement of that mode counts. For
+// AvgMultiplicity est must be an imps.MultiplicityAverager, which Compile
+// checks of every statement's estimator.
+func (m Mode) Read(est Reader) float64 {
+	switch m {
+	case CountNonImplications:
+		return est.NonImplicationCount()
+	case CountSupported:
+		return est.SupportedDistinct()
+	case CountDistinct:
+		// With the defaulted exact one-to-one conditions and a constant B
+		// key, every itemset trivially implies; the supported count at
+		// τ=1 is the distinct count.
+		return est.SupportedDistinct()
+	case AvgMultiplicity:
+		return est.(imps.MultiplicityAverager).AvgMultiplicity()
+	default:
+		return est.ImplicationCount()
+	}
+}
+
 // Filter is one conditional-implication predicate: attribute = value (or
 // != when Negate is set). Only tuples passing every filter feed the
 // estimator.

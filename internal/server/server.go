@@ -630,6 +630,10 @@ func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 		rpc, resp = telemetry.RPCUDPAck, s.handleUDPAck(f)
 	case proto.TSnapshot:
 		rpc, resp = telemetry.RPCSnapshot, s.handleSnapshot(f, cs.tenant)
+	case proto.TReadout:
+		// A readout is a query's read, shipped for the caller to fold: it
+		// is observed as one, so the telemetry format has no new RPC.
+		rpc, resp = telemetry.RPCQuery, s.handleReadout(f, cs.tenant)
 	case proto.TBoot:
 		rpc, resp = telemetry.RPCBoot, s.handleBoot(f)
 	case proto.TAuth:
@@ -814,6 +818,36 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 		return errorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
 	}
 	res.Sketch = blob
+	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
+}
+
+// handleReadout answers a readout pull: one record per bitmap the
+// statement's sketch has observed, plus the engine's applied-tuple count at
+// the capture. It is a read like Query — shared tenant and statement locks,
+// so ingest on other statements and other readers go on — and nothing is
+// merged back, so it answers for a statement aliasing a shared estimator
+// as for the estimator's owner.
+func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
+	req, err := proto.DecodeReadoutReq(f.Payload)
+	if err != nil {
+		return errorFrame(f.ID, err.Error())
+	}
+	stmts := t.Statements()
+	if int(req.Stmt) >= len(stmts) {
+		return errorFrame(f.ID, fmt.Sprintf("readout: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+	}
+	st := stmts[req.Stmt]
+	src, ok := st.Estimator().(*core.Sketch)
+	if !ok {
+		return errorFrame(f.ID, fmt.Sprintf("readout: statement %d estimator (%s) has no readout", req.Stmt, kindOf(st)))
+	}
+	m := src.Options().Bitmaps
+	recs := make([]byte, 0, m*core.ReadoutRecordLen) // at most one record per bitmap
+	t.Mu.RLock()
+	res := proto.ReadoutResult{Tuples: t.Engine().Tuples(), Bitmaps: uint32(m)}
+	st.ReadLocked(func() { recs = src.AppendReadout(recs) })
+	t.Mu.RUnlock()
+	res.Records = recs
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
 }
 

@@ -202,6 +202,18 @@ func (d *Decoder) Blob(maxLen int) []byte {
 	return b
 }
 
+// Raw reads n bytes with no length prefix; the returned slice aliases the
+// input buffer.
+func (d *Decoder) Raw(n int) []byte {
+	if d.err != nil || n < 0 || n > d.Remaining() {
+		d.fail()
+		return nil
+	}
+	b := d.buf[d.off : d.off+n]
+	d.off += n
+	return b
+}
+
 // Count reads a u32 element count and validates it against the remaining
 // input, given that each element occupies at least minElemSize encoded
 // bytes. This is the guard that keeps a corrupt count from sizing a huge

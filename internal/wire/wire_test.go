@@ -17,6 +17,7 @@ func TestRoundTrip(t *testing.T) {
 	e.Bool(false)
 	e.Str("hello")
 	e.Blob([]byte{1, 2, 3})
+	e.Raw([]byte{4, 5})
 
 	d := NewDecoder(e.Bytes())
 	d.Magic("MAGI\x01")
@@ -44,6 +45,14 @@ func TestRoundTrip(t *testing.T) {
 	if got := d.Blob(16); len(got) != 3 || got[2] != 3 {
 		t.Fatalf("Blob = %v", got)
 	}
+	if got := d.Raw(2); len(got) != 2 || got[1] != 5 {
+		t.Fatalf("Raw = %v", got)
+	}
+	if d.Raw(1) != nil || d.Err() == nil {
+		t.Fatal("Raw past the end did not fail")
+	}
+	d = NewDecoder(e.Bytes())
+	d.Raw(len(e.Bytes()))
 	if err := d.Done(); err != nil {
 		t.Fatal(err)
 	}
