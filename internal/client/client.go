@@ -13,10 +13,10 @@
 //     have been enqueued, and re-sending could double-count; the error is
 //     returned to the caller, whose recovery story is the server-side
 //     checkpoint/replay contract.
-//   - Query, Stats, Health, Trace, Snapshot and Cluster are read-only and
-//     idempotent and are retried across redials on connection failures.
-//   - SnapshotMerge is not idempotent (merging twice double-counts) and is
-//     never retried on ambiguous failures.
+//   - Every other request is retried across redials on connection failures
+//     exactly when proto's type table marks its type idempotent
+//     (proto.Type.Idempotent): the reads are, SnapshotMerge is not (merging
+//     twice double-counts) and is never retried on ambiguous failures.
 //
 // Every dial runs a handshake chain before the connection joins the pool:
 // a boot step (proto.TBoot) that records the server incarnation's nonce on
@@ -217,7 +217,7 @@ func (cl *Client) dial() (*conn, error) {
 // identifies the incarnation for the connection's whole life — the
 // invariant the fenced calls build on.
 func (cl *Client) bootStep(c *conn) error {
-	f, err := c.roundTrip(proto.TBoot, nil, cl.opt.DialTimeout)
+	f, err := c.roundTrip(proto.TBoot, nil, proto.TraceContext{}, cl.opt.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("client: boot handshake: %w", err)
 	}
@@ -240,7 +240,7 @@ func (cl *Client) authStep(c *conn) error {
 	if cl.tenant == "" {
 		return nil
 	}
-	f, err := c.roundTrip(proto.TAuth, proto.AuthReq{Tenant: cl.tenant, Token: cl.token}.Encode(), cl.opt.DialTimeout)
+	f, err := c.roundTrip(proto.TAuth, proto.AuthReq{Tenant: cl.tenant, Token: cl.token}.Encode(), proto.TraceContext{}, cl.opt.DialTimeout)
 	if err != nil {
 		return fmt.Errorf("client: auth handshake: %w", err)
 	}
@@ -297,15 +297,6 @@ func (cl *Client) getConn() (*conn, error) {
 	return nc, nil
 }
 
-// call performs one round trip on one connection.
-func (cl *Client) call(t proto.Type, payload []byte) (proto.Frame, error) {
-	c, err := cl.getConn()
-	if err != nil {
-		return proto.Frame{}, err
-	}
-	return c.roundTrip(t, payload, cl.opt.RequestTimeout)
-}
-
 // backoff sleeps for the attempt-th delay of the exponential schedule,
 // honoring an optional server hint as the floor.
 func (cl *Client) backoff(attempt int, hint time.Duration) {
@@ -319,20 +310,54 @@ func (cl *Client) backoff(attempt int, hint time.Duration) {
 	time.Sleep(d)
 }
 
-// callIdempotent retries call across redials on connection failures.
-func (cl *Client) callIdempotent(t proto.Type, payload []byte) (proto.Frame, error) {
-	var lastErr error
-	for attempt := 0; attempt <= cl.opt.NetRetries; attempt++ {
-		if attempt > 0 {
-			cl.backoff(attempt-1, 0)
-		}
-		f, err := cl.call(t, payload)
-		if err == nil {
-			return f, nil
-		}
-		lastErr = err
+// fencedConn returns a live pooled connection like getConn; with a non-nil
+// fence it refuses, before any bytes are written, a connection whose
+// handshake reached another server incarnation than *fence. The pool may
+// still redial a dead slot — a redial to the same incarnation (a transient
+// network failure) passes the fence and proceeds normally.
+func (cl *Client) fencedConn(fence *uint64) (*conn, error) {
+	c, err := cl.getConn()
+	if err != nil || fence == nil || c.boot == *fence {
+		return c, err
 	}
-	return proto.Frame{}, lastErr
+	return nil, fmt.Errorf("%w: connection reached incarnation %016x, fenced to %016x", ErrIncarnation, c.boot, *fence)
+}
+
+// call performs one round trip, fenced when fence is non-nil. A request
+// whose type the proto table marks idempotent is retried across redials on
+// connection failures; a fence mismatch is permanent and returned at once.
+func (cl *Client) call(t proto.Type, payload []byte, fence *uint64) (proto.Frame, error) {
+	for attempt := 0; ; attempt++ {
+		c, err := cl.fencedConn(fence)
+		if err == nil {
+			var f proto.Frame
+			if f, err = c.roundTrip(t, payload, proto.TraceContext{}, cl.opt.RequestTimeout); err == nil {
+				return f, nil
+			}
+		}
+		if !t.Idempotent() || attempt >= cl.opt.NetRetries || errors.Is(err, ErrIncarnation) {
+			return proto.Frame{}, err
+		}
+		cl.backoff(attempt, 0)
+	}
+}
+
+// result performs call and decodes the success reply (TResult, or the TOK
+// a merge is acknowledged with) with decode; a TError reply is a
+// *RemoteError.
+func result[T any](cl *Client, t proto.Type, payload []byte, fence *uint64, decode func([]byte) (T, error)) (T, error) {
+	var zero T
+	f, err := cl.call(t, payload, fence)
+	if err != nil {
+		return zero, err
+	}
+	switch f.Type {
+	case proto.TResult, proto.TOK:
+		return decode(f.Payload)
+	case proto.TError:
+		return zero, remoteError(f)
+	}
+	return zero, fmt.Errorf("client: unexpected %s reply to %s", f.Type, t)
 }
 
 // EncodeBatch serializes tuples in the ingest wire encoding (the stream
@@ -362,13 +387,22 @@ func (cl *Client) IngestBatch(tuples []stream.Tuple) error {
 
 // IngestEncoded sends an already EncodeBatch-serialized batch of n tuples.
 func (cl *Client) IngestEncoded(payload []byte, n int64) error {
+	return cl.ingest(payload, n, nil, proto.TraceContext{})
+}
+
+// ingest sends one batch, fenced when fence is non-nil and stamped with tc
+// when it is valid, and absorbs backpressure replies by re-sending.
+func (cl *Client) ingest(payload []byte, n int64, fence *uint64, tc proto.TraceContext) error {
 	for attempt := 0; ; attempt++ {
-		f, err := cl.call(proto.TIngest, payload)
+		c, err := cl.fencedConn(fence)
 		if err != nil {
 			return err
 		}
-		done, err := cl.ingestReply(f, n, attempt)
-		if done || err != nil {
+		f, err := c.roundTrip(proto.TIngest, payload, tc, cl.opt.RequestTimeout)
+		if err != nil {
+			return err
+		}
+		if done, err := cl.ingestReply(f, n, attempt); done || err != nil {
 			return err
 		}
 	}
@@ -429,42 +463,6 @@ func (cl *Client) Boot() (uint64, error) {
 	return c.boot, nil
 }
 
-// callFenced performs one round trip pinned to the given server
-// incarnation: the connection's handshake nonce is compared BEFORE any
-// bytes are written, so a request can never reach a restarted server. The
-// pool may still redial a dead slot — a redial to the same incarnation
-// (a transient network failure) passes the fence and proceeds normally.
-func (cl *Client) callFenced(t proto.Type, payload []byte, boot uint64) (proto.Frame, error) {
-	c, err := cl.getConn()
-	if err != nil {
-		return proto.Frame{}, err
-	}
-	if c.boot != boot {
-		return proto.Frame{}, fmt.Errorf("%w: connection reached incarnation %016x, fenced to %016x", ErrIncarnation, c.boot, boot)
-	}
-	return c.roundTrip(t, payload, cl.opt.RequestTimeout)
-}
-
-// callFencedIdempotent retries callFenced across redials on connection
-// failures; a fence mismatch is permanent and returned immediately.
-func (cl *Client) callFencedIdempotent(t proto.Type, payload []byte, boot uint64) (proto.Frame, error) {
-	var lastErr error
-	for attempt := 0; attempt <= cl.opt.NetRetries; attempt++ {
-		if attempt > 0 {
-			cl.backoff(attempt-1, 0)
-		}
-		f, err := cl.callFenced(t, payload, boot)
-		if err == nil {
-			return f, nil
-		}
-		if errors.Is(err, ErrIncarnation) {
-			return proto.Frame{}, err
-		}
-		lastErr = err
-	}
-	return proto.Frame{}, lastErr
-}
-
 // IngestFenced is IngestEncoded fenced to one server incarnation (see
 // Boot): a batch is only ever written to a connection whose handshake
 // nonce matches boot, so a server that silently restarted — dropping
@@ -472,85 +470,37 @@ func (cl *Client) callFencedIdempotent(t proto.Type, payload []byte, boot uint64
 // its predecessor. Stateful feeders that track per-server offsets (the
 // coordinator's journal replay) need this: an offset is only meaningful
 // against the incarnation it was established with.
-func (cl *Client) IngestFenced(payload []byte, n int64, boot uint64) error {
-	return cl.IngestFencedTraced(payload, n, boot, proto.TraceContext{})
-}
-
-// IngestFencedTraced is IngestFenced with a trace context stamped on the
-// ingest frame: the receiving server parents the batch's plan, dispatch and
-// apply spans under tc, so a coordinator's delivery span adopts the whole
-// leaf-side story of each routed batch. A zero context sends the exact
-// pre-trace wire bytes; a valid one sets the traced frame flag, which only
-// trace-aware servers accept — callers stamp a context only when they know
-// the peer speaks it (the coordinator arms tracing fleet-wide, never
-// per-leaf).
-func (cl *Client) IngestFencedTraced(payload []byte, n int64, boot uint64, tc proto.TraceContext) error {
-	for attempt := 0; ; attempt++ {
-		c, err := cl.getConn()
-		if err != nil {
-			return err
-		}
-		if c.boot != boot {
-			return fmt.Errorf("%w: connection reached incarnation %016x, fenced to %016x", ErrIncarnation, c.boot, boot)
-		}
-		f, err := c.roundTripTC(proto.TIngest, payload, tc, cl.opt.RequestTimeout)
-		if err != nil {
-			return err
-		}
-		done, err := cl.ingestReply(f, n, attempt)
-		if done || err != nil {
-			return err
-		}
-	}
+//
+// A valid tc is stamped on the ingest frame: the receiving server parents
+// the batch's plan, dispatch and apply spans under it, so a coordinator's
+// delivery span adopts the whole leaf-side story of each routed batch. A
+// zero context sends the exact pre-trace wire bytes; a valid one sets the
+// traced frame flag, which only trace-aware servers accept — callers stamp
+// a context only when they know the peer speaks it (the coordinator arms
+// tracing fleet-wide, never per-leaf).
+func (cl *Client) IngestFenced(payload []byte, n int64, boot uint64, tc proto.TraceContext) error {
+	return cl.ingest(payload, n, &boot, tc)
 }
 
 // QueryFenced is Query fenced to one server incarnation: the result is
 // guaranteed to describe the fenced incarnation's state, never a restarted
 // successor's.
 func (cl *Client) QueryFenced(stmt int, boot uint64) (proto.QueryResult, error) {
-	f, err := cl.callFencedIdempotent(proto.TQuery, proto.QueryReq{Stmt: uint32(stmt)}.Encode(), boot)
-	if err != nil {
-		return proto.QueryResult{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeQueryResult(f.Payload)
-	case proto.TError:
-		return proto.QueryResult{}, remoteError(f)
-	}
-	return proto.QueryResult{}, fmt.Errorf("client: unexpected %s reply to query", f.Type)
+	return result(cl, proto.TQuery, stmtReq(stmt), &boot, proto.DecodeQueryResult)
 }
 
 // SnapshotFenced is Snapshot fenced to one server incarnation.
 func (cl *Client) SnapshotFenced(stmt int, boot uint64) (proto.SnapshotResult, error) {
-	f, err := cl.callFencedIdempotent(proto.TSnapshot, proto.SnapshotReq{Stmt: uint32(stmt)}.Encode(), boot)
-	if err != nil {
-		return proto.SnapshotResult{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeSnapshotResult(f.Payload)
-	case proto.TError:
-		return proto.SnapshotResult{}, remoteError(f)
-	}
-	return proto.SnapshotResult{}, fmt.Errorf("client: unexpected %s reply to snapshot", f.Type)
+	return result(cl, proto.TSnapshot, stmtReq(stmt), &boot, proto.DecodeSnapshotResult)
 }
 
 // ReadoutFenced asks for statement stmt's readout (proto.TReadout), fenced
 // to one server incarnation.
 func (cl *Client) ReadoutFenced(stmt int, boot uint64) (proto.ReadoutResult, error) {
-	f, err := cl.callFencedIdempotent(proto.TReadout, proto.ReadoutReq{Stmt: uint32(stmt)}.Encode(), boot)
-	if err != nil {
-		return proto.ReadoutResult{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeReadoutResult(f.Payload)
-	case proto.TError:
-		return proto.ReadoutResult{}, remoteError(f)
-	}
-	return proto.ReadoutResult{}, fmt.Errorf("client: unexpected %s reply to readout", f.Type)
+	return result(cl, proto.TReadout, stmtReq(stmt), &boot, proto.DecodeReadoutResult)
 }
+
+func stmtReq(stmt int) []byte { return proto.StmtReq{Stmt: uint32(stmt)}.Encode() }
 
 // PendingIngest is one in-flight IngestAsync batch. Wait must be called
 // exactly once; until then the caller must keep the encoded payload
@@ -575,7 +525,7 @@ func (cl *Client) IngestAsync(payload []byte, n int64) (*PendingIngest, error) {
 	if err != nil {
 		return nil, err
 	}
-	id, ch, err := c.send(proto.TIngest, payload)
+	id, ch, err := c.send(proto.TIngest, payload, proto.TraceContext{})
 	if err != nil {
 		return nil, err
 	}
@@ -600,67 +550,25 @@ func (p *PendingIngest) Wait() error {
 	if err != nil {
 		return err
 	}
-	switch f.Type {
-	case proto.TOK:
-		ack, err := proto.DecodeIngestAck(f.Payload)
-		if err != nil {
-			return err
-		}
-		if ack.Tuples != p.n {
-			return fmt.Errorf("client: server acknowledged %d of %d tuples", ack.Tuples, p.n)
-		}
-		return nil
-	case proto.TBusy:
-		busy, err := proto.DecodeBusy(f.Payload)
-		if err != nil {
-			return err
-		}
-		p.cl.backoff(0, busy.RetryAfter)
-		return p.cl.IngestEncoded(p.payload, p.n)
-	case proto.TQuota:
-		q, err := proto.DecodeQuota(f.Payload)
-		if err != nil {
-			return err
-		}
-		return &QuotaRefusal{Msg: q.Msg, RetryAfter: q.RetryAfter}
-	case proto.TError:
-		return remoteError(f)
-	default:
-		return fmt.Errorf("client: unexpected %s reply to ingest", f.Type)
+	if done, err := p.cl.ingestReply(f, p.n, 0); done || err != nil {
+		return err
 	}
+	return p.cl.IngestEncoded(p.payload, p.n)
 }
 
 // Query returns the current answer of the statement registered at index
 // stmt on the server, together with the server's processed-tuple count.
 func (cl *Client) Query(stmt int) (proto.QueryResult, error) {
-	f, err := cl.callIdempotent(proto.TQuery, proto.QueryReq{Stmt: uint32(stmt)}.Encode())
-	if err != nil {
-		return proto.QueryResult{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeQueryResult(f.Payload)
-	case proto.TError:
-		return proto.QueryResult{}, remoteError(f)
-	}
-	return proto.QueryResult{}, fmt.Errorf("client: unexpected %s reply to query", f.Type)
+	return result(cl, proto.TQuery, stmtReq(stmt), nil, proto.DecodeQueryResult)
 }
 
 // SnapshotMerge ships a marshalled sketch for merging into the estimator of
 // the statement registered at index stmt — the upstream hop of the §2
 // aggregation tree.
 func (cl *Client) SnapshotMerge(stmt int, sketch []byte) error {
-	f, err := cl.call(proto.TMerge, proto.MergeReq{Stmt: uint32(stmt), Sketch: sketch}.Encode())
-	if err != nil {
-		return err
-	}
-	switch f.Type {
-	case proto.TOK:
-		return nil
-	case proto.TError:
-		return remoteError(f)
-	}
-	return fmt.Errorf("client: unexpected %s reply to merge", f.Type)
+	_, err := result(cl, proto.TMerge, proto.MergeReq{Stmt: uint32(stmt), Sketch: sketch}.Encode(), nil,
+		func([]byte) (struct{}, error) { return struct{}{}, nil })
+	return err
 }
 
 // Snapshot pulls the marshalled estimator state of the statement registered
@@ -670,33 +578,13 @@ func (cl *Client) SnapshotMerge(stmt int, sketch []byte) error {
 // merged fleet state, so the call works the same against a leaf or a
 // coordinator.
 func (cl *Client) Snapshot(stmt int) (proto.SnapshotResult, error) {
-	f, err := cl.callIdempotent(proto.TSnapshot, proto.SnapshotReq{Stmt: uint32(stmt)}.Encode())
-	if err != nil {
-		return proto.SnapshotResult{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeSnapshotResult(f.Payload)
-	case proto.TError:
-		return proto.SnapshotResult{}, remoteError(f)
-	}
-	return proto.SnapshotResult{}, fmt.Errorf("client: unexpected %s reply to snapshot", f.Type)
+	return result(cl, proto.TSnapshot, stmtReq(stmt), nil, proto.DecodeSnapshotResult)
 }
 
 // Cluster fetches a coordinator's membership view. Leaf servers answer it
 // with an error frame (they do not implement the RPC).
 func (cl *Client) Cluster() (proto.ClusterStatus, error) {
-	f, err := cl.callIdempotent(proto.TCluster, nil)
-	if err != nil {
-		return proto.ClusterStatus{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeClusterStatus(f.Payload)
-	case proto.TError:
-		return proto.ClusterStatus{}, remoteError(f)
-	}
-	return proto.ClusterStatus{}, fmt.Errorf("client: unexpected %s reply to cluster", f.Type)
+	return result(cl, proto.TCluster, nil, nil, proto.DecodeClusterStatus)
 }
 
 // Ping performs one liveness round trip (a Health request whose reports are
@@ -708,39 +596,19 @@ func (cl *Client) Ping(timeout time.Duration) error {
 	if err != nil {
 		return err
 	}
-	_, err = c.roundTrip(proto.THealth, nil, timeout)
+	_, err = c.roundTrip(proto.THealth, nil, proto.TraceContext{}, timeout)
 	return err
 }
 
 // Stats fetches the server's telemetry snapshot.
 func (cl *Client) Stats() (telemetry.Snapshot, error) {
-	f, err := cl.callIdempotent(proto.TStats, nil)
-	if err != nil {
-		return telemetry.Snapshot{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return telemetry.DecodeSnapshot(f.Payload)
-	case proto.TError:
-		return telemetry.Snapshot{}, remoteError(f)
-	}
-	return telemetry.Snapshot{}, fmt.Errorf("client: unexpected %s reply to stats", f.Type)
+	return result(cl, proto.TStats, nil, nil, telemetry.DecodeSnapshot)
 }
 
 // Health fetches the server engine's per-statement estimator health
 // reports, ordered by statement registration index.
 func (cl *Client) Health() ([]imps.HealthReport, error) {
-	f, err := cl.callIdempotent(proto.THealth, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return obs.DecodeHealth(f.Payload)
-	case proto.TError:
-		return nil, remoteError(f)
-	}
-	return nil, fmt.Errorf("client: unexpected %s reply to health", f.Type)
+	return result(cl, proto.THealth, nil, nil, obs.DecodeHealth)
 }
 
 // Trace fetches the server's span ring: the most recent traced events,
@@ -748,28 +616,15 @@ func (cl *Client) Health() ([]imps.HealthReport, error) {
 // Against a coordinator — which answers with an assembled fleet trace —
 // the node labels are dropped; use FleetTrace to keep them.
 func (cl *Client) Trace() ([]obs.Span, error) {
-	f, err := cl.callIdempotent(proto.TTrace, nil)
+	fleet, err := cl.FleetTrace()
 	if err != nil {
 		return nil, err
 	}
-	switch f.Type {
-	case proto.TResult:
-		if obs.IsFleetTrace(f.Payload) {
-			fleet, err := obs.DecodeFleetTrace(f.Payload)
-			if err != nil {
-				return nil, err
-			}
-			spans := make([]obs.Span, len(fleet))
-			for i := range fleet {
-				spans[i] = fleet[i].Span
-			}
-			return spans, nil
-		}
-		return obs.DecodeSpans(f.Payload)
-	case proto.TError:
-		return nil, remoteError(f)
+	spans := make([]obs.Span, len(fleet))
+	for i := range fleet {
+		spans[i] = fleet[i].Span
 	}
-	return nil, fmt.Errorf("client: unexpected %s reply to trace", f.Type)
+	return spans, nil
 }
 
 // FleetTrace fetches a trace with node attribution. A coordinator answers
@@ -778,16 +633,11 @@ func (cl *Client) Trace() ([]obs.Span, error) {
 // which is returned with empty node labels, so the call works the same
 // against either kind of server.
 func (cl *Client) FleetTrace() ([]obs.FleetSpan, error) {
-	f, err := cl.callIdempotent(proto.TTrace, nil)
-	if err != nil {
-		return nil, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		if obs.IsFleetTrace(f.Payload) {
-			return obs.DecodeFleetTrace(f.Payload)
+	return result(cl, proto.TTrace, nil, nil, func(payload []byte) ([]obs.FleetSpan, error) {
+		if obs.IsFleetTrace(payload) {
+			return obs.DecodeFleetTrace(payload)
 		}
-		spans, err := obs.DecodeSpans(f.Payload)
+		spans, err := obs.DecodeSpans(payload)
 		if err != nil {
 			return nil, err
 		}
@@ -796,10 +646,7 @@ func (cl *Client) FleetTrace() ([]obs.FleetSpan, error) {
 			fleet[i] = obs.FleetSpan{Span: spans[i]}
 		}
 		return fleet, nil
-	case proto.TError:
-		return nil, remoteError(f)
-	}
-	return nil, fmt.Errorf("client: unexpected %s reply to trace", f.Type)
+	})
 }
 
 func remoteError(f proto.Frame) error {
@@ -875,15 +722,10 @@ func (c *conn) readLoop() {
 
 // send registers a fresh request id and queues the request frame on the
 // connection's writer. The returned channel yields the response (or closes
-// when the connection dies); pass it to await.
-func (c *conn) send(t proto.Type, payload []byte) (uint64, chan proto.Frame, error) {
-	return c.sendTC(t, payload, proto.TraceContext{})
-}
-
-// sendTC is send with a trace context stamped on the frame. A zero context
-// keeps the frame byte-identical to the pre-trace wire format; a valid one
-// sets the traced flag, which only trace-aware servers accept.
-func (c *conn) sendTC(t proto.Type, payload []byte, tc proto.TraceContext) (uint64, chan proto.Frame, error) {
+// when the connection dies); pass it to await. A zero trace context keeps
+// the frame byte-identical to the pre-trace wire format; a valid one sets
+// the traced flag, which only trace-aware servers accept.
+func (c *conn) send(t proto.Type, payload []byte, tc proto.TraceContext) (uint64, chan proto.Frame, error) {
 	id := c.nextID.Add(1)
 	ch := make(chan proto.Frame, 1)
 	c.pmu.Lock()
@@ -927,12 +769,8 @@ func (c *conn) await(id uint64, ch chan proto.Frame, t proto.Type, timeout time.
 	}
 }
 
-func (c *conn) roundTrip(t proto.Type, payload []byte, timeout time.Duration) (proto.Frame, error) {
-	return c.roundTripTC(t, payload, proto.TraceContext{}, timeout)
-}
-
-func (c *conn) roundTripTC(t proto.Type, payload []byte, tc proto.TraceContext, timeout time.Duration) (proto.Frame, error) {
-	id, ch, err := c.sendTC(t, payload, tc)
+func (c *conn) roundTrip(t proto.Type, payload []byte, tc proto.TraceContext, timeout time.Duration) (proto.Frame, error) {
+	id, ch, err := c.send(t, payload, tc)
 	if err != nil {
 		return proto.Frame{}, err
 	}

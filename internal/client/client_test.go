@@ -177,7 +177,7 @@ func TestPipeliningMatchesResponsesById(t *testing.T) {
 	var mu sync.Mutex
 	seen := 0
 	fs := startFake(t, func(f proto.Frame) proto.Frame {
-		req, err := proto.DecodeQueryReq(f.Payload)
+		req, err := proto.DecodeStmtReq(f.Payload)
 		if err != nil {
 			return proto.Frame{Type: proto.TError, ID: f.ID, Payload: proto.EncodeError(err.Error())}
 		}
@@ -413,7 +413,7 @@ func TestFencedCallsRefuseNewIncarnation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Same incarnation: fenced calls go through.
-	if err := cl.IngestFenced(payload, 1, boot); err != nil {
+	if err := cl.IngestFenced(payload, 1, boot, proto.TraceContext{}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := cl.QueryFenced(0, boot); err != nil {
@@ -431,7 +431,7 @@ func TestFencedCallsRefuseNewIncarnation(t *testing.T) {
 	// The pool will transparently redial — exactly the hole the fence closes.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		err := cl.IngestFenced(payload, 1, boot)
+		err := cl.IngestFenced(payload, 1, boot, proto.TraceContext{})
 		if errors.Is(err, ErrIncarnation) {
 			break
 		}

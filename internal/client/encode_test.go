@@ -172,9 +172,10 @@ func TestReadoutRecordLayout(t *testing.T) {
 }
 
 // TestABI pins the bytes of the formats an ingest, a query or an
-// observability RPC crosses: fixed input, golden output. A change here is a
-// wire-format change — every deployed peer and every journaled batch
-// disagrees with the new build.
+// observability RPC crosses: fixed input, golden output, and a request frame
+// for every request type proto declares — a new type fails here until its
+// frame is pinned. A change here is a wire-format change — every deployed
+// peer and every journaled batch disagrees with the new build.
 func TestABI(t *testing.T) {
 	schema := testSchema(t) // A, B
 	batch, err := EncodeBatch(schema, []stream.Tuple{{"a1", "b1"}, {"", "b"}, {"a3", ""}})
@@ -191,6 +192,11 @@ func TestABI(t *testing.T) {
 		}
 		return out
 	}
+	pinned := make(map[proto.Type]bool)
+	request := func(f proto.Frame) []byte {
+		pinned[f.Type] = true
+		return frame(f)
+	}
 	for _, tc := range []struct {
 		name string
 		got  []byte
@@ -198,7 +204,7 @@ func TestABI(t *testing.T) {
 	}{
 		{"IMPB header", stream.BinaryHeader(schema), "IMPB\x01\x02\x01A\x01B"},
 		{"IMPB 3-record batch", batch, "IMPB\x01\x02\x01A\x01B" + "\x02a1\x02b1" + "\x00\x01b" + "\x02a3\x00"},
-		{"TIngest frame", frame(proto.Frame{Type: proto.TIngest, ID: 7, Payload: batch}),
+		{"TIngest frame", request(proto.Frame{Type: proto.TIngest, ID: 7, Payload: batch}),
 			"\x25\x00\x00\x00" + "\x01\x01" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xea\xc0\x6a\xc3" + string(batch)},
 		{"TIngest frame, traced", frame(proto.Frame{Type: proto.TIngest, ID: 7, TC: proto.TraceContext{Trace: 0x0102, Parent: 0x0304}, Payload: batch}),
 			"\x35\x00\x00\x00" + "\x81\x01" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\x96\x4c\x15\x5c" +
@@ -206,15 +212,33 @@ func TestABI(t *testing.T) {
 		{"IngestAck", proto.IngestAck{Tuples: 3}.Encode(), "\x03\x00\x00\x00\x00\x00\x00\x00"},
 		{"IngestAck frame", frame(proto.Frame{Type: proto.TOK, ID: 7, Payload: proto.IngestAck{Tuples: 3}.Encode()}),
 			"\x16\x00\x00\x00" + "\x01\x10" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xe3\x35\x6c\x57" + "\x03\x00\x00\x00\x00\x00\x00\x00"},
-		{"TQuery frame", frame(proto.Frame{Type: proto.TQuery, ID: 9, Payload: proto.QueryReq{Stmt: 1}.Encode()}),
+		{"TQuery frame", request(proto.Frame{Type: proto.TQuery, ID: 9, Payload: proto.StmtReq{Stmt: 1}.Encode()}),
 			"\x12\x00\x00\x00" + "\x01\x02" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
 		{"Query TResult frame", frame(proto.Frame{Type: proto.TResult, ID: 9, Payload: proto.QueryResult{Count: 2.5, Tuples: 3}.Encode()}),
 			"\x1e\x00\x00\x00" + "\x01\x11" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x89\x51\x9b\x6b" + le64(math.Float64bits(2.5)) + le64(3)},
-		{"TReadout frame", frame(proto.Frame{Type: proto.TReadout, ID: 9, Payload: proto.ReadoutReq{Stmt: 1}.Encode()}),
+		{"TReadout frame", request(proto.Frame{Type: proto.TReadout, ID: 9, Payload: proto.StmtReq{Stmt: 1}.Encode()}),
 			"\x12\x00\x00\x00" + "\x01\x0c" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
 		{"Readout TResult frame", frame(proto.Frame{Type: proto.TResult, ID: 9, Payload: proto.ReadoutResult{Tuples: 3, Bitmaps: 64, Records: []byte(readoutRecord)}.Encode()}),
 			"\x47\x00\x00\x00" + "\x01\x11" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\xfb\x5e\x1c\x0e" +
 				le64(3) + "\x40\x00\x00\x00" + "\x01\x00\x00\x00" + readoutRecord},
+		{"TMerge frame", request(proto.Frame{Type: proto.TMerge, ID: 9, Payload: proto.MergeReq{Stmt: 1, Sketch: []byte("NIPS\x01")}.Encode()}),
+			"\x1b\x00\x00\x00" + "\x01\x03" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\xd8\xfe\x17\xf5" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00NIPS\x01"},
+		{"TStats frame", request(proto.Frame{Type: proto.TStats, ID: 9}),
+			"\x0e\x00\x00\x00" + "\x01\x04" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
+		{"THealth frame", request(proto.Frame{Type: proto.THealth, ID: 9}),
+			"\x0e\x00\x00\x00" + "\x01\x05" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
+		{"TTrace frame", request(proto.Frame{Type: proto.TTrace, ID: 9}),
+			"\x0e\x00\x00\x00" + "\x01\x06" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
+		{"TUDPAck frame", request(proto.Frame{Type: proto.TUDPAck, ID: 9, Payload: proto.UDPAckReq{Source: 5}.Encode()}),
+			"\x16\x00\x00\x00" + "\x01\x07" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\xc0\x4d\x09\xe4" + le64(5)},
+		{"TSnapshot frame", request(proto.Frame{Type: proto.TSnapshot, ID: 9, Payload: proto.StmtReq{Stmt: 1}.Encode()}),
+			"\x12\x00\x00\x00" + "\x01\x08" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
+		{"TCluster frame", request(proto.Frame{Type: proto.TCluster, ID: 9}),
+			"\x0e\x00\x00\x00" + "\x01\x09" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
+		{"TBoot frame", request(proto.Frame{Type: proto.TBoot, ID: 9}),
+			"\x0e\x00\x00\x00" + "\x01\x0a" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
+		{"TAuth frame", request(proto.Frame{Type: proto.TAuth, ID: 9, Payload: proto.AuthReq{Tenant: "acme", Token: "tok"}.Encode()}),
+			"\x1d\x00\x00\x00" + "\x01\x0b" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xa4\x3d\xd5" + "\x04\x00\x00\x00acme" + "\x03\x00\x00\x00tok"},
 		{"ClusterStatus", proto.ClusterStatus{VirtualPartitions: 64, Leaves: []proto.LeafStatus{
 			{Addr: "h:1", State: proto.LeafDown, Epoch: 2, Parts: 22, Journaled: 5, Acked: 3},
 		}}.Encode(),
@@ -244,6 +268,11 @@ func TestABI(t *testing.T) {
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)
+		}
+	}
+	for i := range int(proto.TOK) {
+		if typ := proto.Type(i); !strings.HasPrefix(typ.String(), "Type(") && !pinned[typ] {
+			t.Errorf("request type %s has no pinned frame", typ)
 		}
 	}
 }

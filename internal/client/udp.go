@@ -135,17 +135,7 @@ func (cl *Client) DialUDP(udpAddr string, opt UDPOptions) (*UDPIngester, error) 
 // UDPAck polls the server's cumulative acknowledgement for a UDP source.
 // The poll is idempotent and travels over TCP.
 func (cl *Client) UDPAck(source uint64) (proto.UDPAck, error) {
-	f, err := cl.callIdempotent(proto.TUDPAck, proto.UDPAckReq{Source: source}.Encode())
-	if err != nil {
-		return proto.UDPAck{}, err
-	}
-	switch f.Type {
-	case proto.TResult:
-		return proto.DecodeUDPAck(f.Payload)
-	case proto.TError:
-		return proto.UDPAck{}, remoteError(f)
-	}
-	return proto.UDPAck{}, fmt.Errorf("client: unexpected %s reply to udp ack", f.Type)
+	return result(cl, proto.TUDPAck, proto.UDPAckReq{Source: source}.Encode(), nil, proto.DecodeUDPAck)
 }
 
 // transmit encodes and writes one datagram from its pending record.

@@ -479,30 +479,61 @@ func (co *Coordinator) readout(stmt int) (*core.Readout, int64, error) {
 	return ro, tuples, nil
 }
 
+// fleetState is what the fleet's answer to a read is computed from: a
+// core.Readout of the leaves' records, or the merged core.Sketch.
+type fleetState interface {
+	query.Reader
+	AppendReadout(dst []byte) []byte
+}
+
+// state pulls statement stmt's fleet state: the leaves' readouts whenever
+// they observed disjoint bitmaps, as every leaf does for a statement routed
+// like statement 0, and the merged snapshots for a statement whose bitmaps
+// overlap across leaves. It also returns the state's bitmap count and the
+// fleet-wide applied-tuple total.
+func (co *Coordinator) state(stmt int) (fleetState, int, int64, error) {
+	ro, tuples, err := co.readout(stmt)
+	if errors.Is(err, core.ErrOverlap) {
+		merged, _, tuples, err := co.merged(stmt)
+		if err != nil {
+			return nil, 0, 0, err
+		}
+		return merged, merged.Options().Bitmaps, tuples, nil
+	}
+	if err != nil {
+		return nil, 0, 0, err
+	}
+	return ro, ro.Bitmaps(), tuples, nil
+}
+
 // Query answers statement stmt from the fleet state: the count under the
 // statement's own read mode, and the fleet-wide applied-tuple total. The
-// leaves' readouts answer it whenever they observed disjoint bitmaps, as
-// every leaf does for a statement routed like statement 0; a statement
-// whose bitmaps overlap across leaves is answered from the merged state
-// instead. The answer is a live point-in-time read; call Flush first when
-// it must cover everything ingested.
+// answer is a live point-in-time read; call Flush first when it must cover
+// everything ingested.
 func (co *Coordinator) Query(stmt int) (proto.QueryResult, error) {
-	ro, tuples, err := co.readout(stmt)
-	var est query.Reader = ro
-	if errors.Is(err, core.ErrOverlap) {
-		var merged *core.Sketch
-		merged, _, tuples, err = co.merged(stmt)
-		est = merged
-	}
+	est, _, tuples, err := co.state(stmt)
 	if err != nil {
 		return proto.QueryResult{}, err
 	}
 	return proto.QueryResult{Count: co.queries[stmt].Mode.Read(est), Tuples: tuples}, nil
 }
 
+// Readout answers the Readout RPC as a leaf does, with the fleet state's
+// records: the leaves' own records re-emitted in bitmap order, or the
+// merged sketch's where they overlap. A parent coordinator therefore reads
+// this one like a leaf, which is what lets coordinators stack into deeper
+// aggregation trees (TestThreeTierFleet).
+func (co *Coordinator) Readout(stmt int) (proto.ReadoutResult, error) {
+	est, m, tuples, err := co.state(stmt)
+	if err != nil {
+		return proto.ReadoutResult{}, err
+	}
+	return proto.ReadoutResult{Tuples: tuples, Bitmaps: uint32(m), Records: est.AppendReadout(nil)}, nil
+}
+
 // Snapshot answers the Snapshot RPC with the merged fleet state — the same
-// shape a leaf answers with, which is what lets coordinators stack into
-// deeper aggregation trees.
+// shape a leaf answers with, so a parent coordinator pulls it from this one
+// as from a leaf (TestThreeTierFleet).
 func (co *Coordinator) Snapshot(stmt int) (proto.SnapshotResult, error) {
 	merged, kind, tuples, err := co.merged(stmt)
 	if err != nil {

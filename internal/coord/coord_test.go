@@ -81,6 +81,10 @@ type fleet struct {
 	// period.
 	probeEvery time.Duration
 
+	// flushTuples, when positive, replaces the coordinator's FlushTuples of
+	// 100.
+	flushTuples int
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -217,11 +221,15 @@ func newCoordinator(t *testing.T, fl *fleet, specs []LeafSpec) *Coordinator {
 	if fl.probeEvery > 0 {
 		probeEvery = fl.probeEvery
 	}
+	flushTuples := 100
+	if fl.flushTuples > 0 {
+		flushTuples = fl.flushTuples
+	}
 	co, err := New(Config{
 		Schema:        fl.schema,
 		Statements:    fl.statements(),
 		Leaves:        specs,
-		FlushTuples:   100,
+		FlushTuples:   flushTuples,
 		ProbeEvery:    probeEvery,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFails:    2,

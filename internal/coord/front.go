@@ -4,9 +4,9 @@
 // unchanged. Ingest frames route into the coordinator's partition table on
 // their wire bytes and are acknowledged once journaled within the pending
 // bound (durability at this tier is the journal plus the leaves'
-// checkpoints); Query answers from the leaves' readouts and Snapshot from
-// the merged fleet state (Coordinator.Query, Coordinator.Snapshot); Cluster
-// reports membership.
+// checkpoints); Query and Readout answer from the leaves' readouts and
+// Snapshot from the merged fleet state (Coordinator.Query,
+// Coordinator.Readout, Coordinator.Snapshot); Cluster reports membership.
 //
 // Each connection runs two goroutines besides its writer's flusher. The
 // reader parses frames and answers every request except ingest inline, as
@@ -39,7 +39,6 @@ import (
 
 	"implicate/internal/obs"
 	"implicate/internal/proto"
-	"implicate/internal/telemetry"
 )
 
 const (
@@ -144,7 +143,7 @@ func (fe *Frontend) serveConn(c net.Conn) {
 			// An oversize reply fails alone, so say why. After a write
 			// error this fails too; the fail hook has closed the connection
 			// and the next read ends the loop.
-			w.Write(errFrame(f.ID, err))
+			w.Write(proto.ErrorFrame(f.ID, err.Error()))
 		}
 	}
 	close(ingests)
@@ -181,96 +180,92 @@ func (fe *Frontend) ingestLoop(w *proto.Writer, ingests <-chan queuedIngest, fre
 func (fe *Frontend) ingest(w *proto.Writer, f proto.Frame) error {
 	start := time.Now()
 	n, err := fe.co.ingestEncoded(f.Payload)
-	fe.observe(telemetry.RPCIngest, f, start)
+	fe.observe(f, start)
 	if err != nil {
-		return w.Write(errFrame(f.ID, err))
+		return w.Write(proto.ErrorFrame(f.ID, err.Error()))
 	}
 	return w.WriteFunc(proto.TOK, f.ID, proto.IngestAck{Tuples: n}.AppendTo)
 }
 
+// handle answers one non-ingest request frame. Ingest frames take the
+// connection's ingest goroutine instead.
 func (fe *Frontend) handle(f proto.Frame) proto.Frame {
 	start := time.Now()
-	rpc, resp, ok := fe.dispatch(f)
-	if ok {
-		fe.observe(rpc, f, start)
-	}
-	return resp
-}
-
-// observe records one handled request: one clock read serves both the
-// latency histogram and the RPC span — parented under the inbound trace
-// context when the frame carried one, so a parent coordinator's delivery
-// spans adopt this tier's handling the same way leaf spans adopt this
-// coordinator's.
-func (fe *Frontend) observe(rpc telemetry.RPC, f proto.Frame, start time.Time) {
-	dur := time.Since(start)
-	fe.co.tel.Observe(rpc, dur)
-	fe.co.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent},
-		obs.SpanRPC, int(rpc), 0, start, dur)
-}
-
-// dispatch answers one non-ingest request frame; ok reports whether the
-// type maps to an instrumented RPC code (TCluster and unknown types do
-// not). Ingest frames take the connection's ingest goroutine instead.
-func (fe *Frontend) dispatch(f proto.Frame) (rpc telemetry.RPC, resp proto.Frame, ok bool) {
+	var resp proto.Frame
 	switch f.Type {
 	case proto.TQuery:
-		req, err := proto.DecodeQueryReq(f.Payload)
-		if err != nil {
-			return telemetry.RPCQuery, errFrame(f.ID, err), true
-		}
-		res, err := fe.co.Query(int(req.Stmt))
-		if err != nil {
-			return telemetry.RPCQuery, errFrame(f.ID, err), true
-		}
-		return telemetry.RPCQuery, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}, true
+		resp = stmtReply(f, fe.co.Query)
 	case proto.TSnapshot:
-		req, err := proto.DecodeSnapshotReq(f.Payload)
-		if err != nil {
-			return telemetry.RPCSnapshot, errFrame(f.ID, err), true
-		}
-		res, err := fe.co.Snapshot(int(req.Stmt))
-		if err != nil {
-			return telemetry.RPCSnapshot, errFrame(f.ID, err), true
-		}
-		return telemetry.RPCSnapshot, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}, true
+		resp = stmtReply(f, fe.co.Snapshot)
+	case proto.TReadout:
+		resp = stmtReply(f, fe.co.Readout)
 	case proto.TCluster:
-		return 0, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.Status().Encode()}, false
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.Status().Encode()}
 	case proto.TBoot:
 		// The coordinator journals in memory, so its restart loses routing
 		// state the same way a leaf restart loses uncheckpointed tuples —
 		// stateful feeders fence against it just like against a leaf.
-		return telemetry.RPCBoot, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: fe.co.boot}.Encode()}, true
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: fe.co.boot}.Encode()}
 	case proto.THealth:
 		// The coordinator holds no estimators of its own, and Ping rides
 		// this type — an empty report keeps liveness probes cheap instead of
 		// fanning out to N leaves per probe. The rolled-up fleet health lives
 		// on the admin endpoint and in FleetHealth.
-		return telemetry.RPCHealth, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeHealth(nil)}, true
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeHealth(nil)}
 	case proto.TStats:
-		return telemetry.RPCStats, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.tel.Snapshot().Encode()}, true
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.tel.Snapshot().Encode()}
 	case proto.TTrace:
 		// With tracing off this answers the empty single-node dump any
 		// pre-fleet client decodes; armed, it assembles the cross-node fleet
 		// trace (coordinator spans + every reachable leaf's ring, causally
 		// ordered and node-labeled).
-		if fe.co.tracer == nil {
-			return telemetry.RPCTrace, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(nil)}, true
+		payload := obs.EncodeSpans(nil)
+		if fe.co.tracer != nil {
+			payload = obs.EncodeFleetTrace(fe.co.FleetTrace())
 		}
-		return telemetry.RPCTrace, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeFleetTrace(fe.co.FleetTrace())}, true
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
 	case proto.TUDPAck:
 		// No UDP lane at this tier; the zero watermark is the protocol's
 		// "lane disabled" answer.
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.UDPAck{}.Encode()}
 		if _, err := proto.DecodeUDPAckReq(f.Payload); err != nil {
-			return telemetry.RPCUDPAck, errFrame(f.ID, err), true
+			resp = proto.ErrorFrame(f.ID, err.Error())
 		}
-		return telemetry.RPCUDPAck, proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.UDPAck{}.Encode()}, true
+	default:
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
 	}
-	return 0, errFrame(f.ID, fmt.Errorf("unsupported request type %s", f.Type)), false
+	fe.observe(f, start)
+	return resp
 }
 
-func errFrame(id uint64, err error) proto.Frame {
-	return proto.Frame{Type: proto.TError, ID: id, Payload: proto.EncodeError(err.Error())}
+// stmtReply answers a StmtReq-carrying request frame with read's result for
+// its statement.
+func stmtReply[T interface{ Encode() []byte }](f proto.Frame, read func(stmt int) (T, error)) proto.Frame {
+	req, err := proto.DecodeStmtReq(f.Payload)
+	if err != nil {
+		return proto.ErrorFrame(f.ID, err.Error())
+	}
+	res, err := read(int(req.Stmt))
+	if err != nil {
+		return proto.ErrorFrame(f.ID, err.Error())
+	}
+	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
+}
+
+// observe records one handled request in the histogram its type's row
+// names, if any: one clock read serves both the latency histogram and the
+// RPC span — parented under the inbound trace context when the frame
+// carried one, so a parent coordinator's delivery spans adopt this tier's
+// handling the same way leaf spans adopt this coordinator's.
+func (fe *Frontend) observe(f proto.Frame, start time.Time) {
+	rpc, ok := f.Type.RPC()
+	if !ok {
+		return
+	}
+	dur := time.Since(start)
+	fe.co.tel.Observe(rpc, dur)
+	fe.co.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent},
+		obs.SpanRPC, int(rpc), 0, start, dur)
 }
 
 // Close stops accepting, lets connection readers finish briefly, then cuts

@@ -172,7 +172,7 @@ func TestQueryOvertakesBlockedIngest(t *testing.T) {
 		fed = append(fed, frame...)
 	}
 	const queryID, bootID, pingID = 101, 102, 103
-	out, _ = proto.AppendFrame(out, proto.Frame{Type: proto.TQuery, ID: queryID, Payload: proto.QueryReq{Stmt: 0}.Encode()})
+	out, _ = proto.AppendFrame(out, proto.Frame{Type: proto.TQuery, ID: queryID, Payload: proto.StmtReq{Stmt: 0}.Encode()})
 	out, _ = proto.AppendFrame(out, proto.Frame{Type: proto.TBoot, ID: bootID})
 	out, _ = proto.AppendFrame(out, proto.Frame{Type: proto.THealth, ID: pingID})
 

@@ -86,7 +86,7 @@ func ingestFrame(co *Coordinator, payload []byte) proto.Frame {
 	w.Close()
 	f, err := proto.NewFrameReader(&out).Next()
 	if err != nil {
-		return errFrame(0, err)
+		return proto.ErrorFrame(0, err.Error())
 	}
 	return f
 }

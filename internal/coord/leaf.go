@@ -181,7 +181,7 @@ func (lf *leaf) run() {
 		// redialed it, the send fails BEFORE writing instead of feeding a
 		// server whose applied-tuple offset no longer matches nextSend.
 		start := time.Now()
-		err := cl.IngestFencedTraced(e.payload, e.n, boot, tc)
+		err := cl.IngestFenced(e.payload, e.n, boot, tc)
 		lf.delivery.Observe(time.Since(start))
 		lf.co.tracer.SpanLinked(link, obs.SpanDeliver, lf.idx, e.n, start)
 		if err != nil {

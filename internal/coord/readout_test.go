@@ -1,6 +1,7 @@
 package coord
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"math"
@@ -88,7 +89,8 @@ func TestFleetQueriesSharedEstimators(t *testing.T) {
 // TestFleetQueryOverlapMerges: a statement whose A-projection is not
 // statement 0's is spread over every leaf's bitmaps, so its readouts
 // overlap and the query answers from the merged state — exactly what the
-// merged snapshot reads.
+// merged snapshot reads — and the coordinator's own readout is the merged
+// snapshot's.
 func TestFleetQueryOverlapMerges(t *testing.T) {
 	fl := newFleet(t, fleetSchema(t))
 	co, _, tuples := datasetOneFleet(t, fl, []string{
@@ -115,6 +117,14 @@ func TestFleetQueryOverlapMerges(t *testing.T) {
 	}
 	if want := merged.ImplicationCount(); math.Float64bits(q.Count) != math.Float64bits(want) || q.Tuples != tuples {
 		t.Errorf("fleet %v over %d tuples, merged snapshot %v over %d", q.Count, q.Tuples, want, tuples)
+	}
+	ro, err := co.Readout(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := merged.AppendReadout(nil); !bytes.Equal(ro.Records, want) || ro.Bitmaps != uint32(merged.Options().Bitmaps) || ro.Tuples != tuples {
+		t.Errorf("fleet readout of %d bitmaps, %d record bytes over %d tuples differs from the merged snapshot's (%d bytes)",
+			ro.Bitmaps, len(ro.Records), ro.Tuples, len(want))
 	}
 }
 

@@ -154,6 +154,21 @@ func (r *Readout) Place(recs []byte) error {
 	return nil
 }
 
+// Bitmaps returns m, the readout's bitmap count.
+func (r *Readout) Bitmaps() int { return len(r.recs) }
+
+// AppendReadout is Sketch.AppendReadout: it appends every placed record to
+// dst, in index order, as the bytes it was placed from — so a readout
+// assembled from disjoint sketches re-emits what their Merge would.
+func (r *Readout) AppendReadout(dst []byte) []byte {
+	for i := range r.recs {
+		if r.recs[i].placed {
+			dst = r.recs[i].append(dst, i)
+		}
+	}
+	return dst
+}
+
 // ImplicationCount is Sketch.ImplicationCount.
 func (r *Readout) ImplicationCount() float64 { return implicationCount(r) }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"math"
@@ -34,7 +35,8 @@ func readerValues(r interface {
 
 // TestReadoutEqualsMerge: sketches that split one stream by BitmapOf, read
 // through their placed readout records, answer every read bit for bit as
-// their Merge does — the property that lets a fleet query skip the merge.
+// their Merge does — the property that lets a fleet query skip the merge —
+// and the placed readout re-emits the merged sketch's records.
 func TestReadoutEqualsMerge(t *testing.T) {
 	for seed := uint64(1); seed <= 40; seed++ {
 		rng := rand.New(rand.NewSource(int64(seed)))
@@ -73,8 +75,12 @@ func TestReadoutEqualsMerge(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if n := len(parts[0].AppendReadout(nil)); n != touched*ReadoutRecordLen {
+			merged := parts[0].AppendReadout(nil)
+			if n := len(merged); n != touched*ReadoutRecordLen {
 				t.Errorf("seed=%d/k=%d: %d readout bytes for %d touched bitmaps", seed, k, n, touched)
+			}
+			if !bytes.Equal(ro.AppendReadout(nil), merged) {
+				t.Errorf("seed=%d/k=%d: the readout re-emits other records than the merged sketch writes", seed, k)
 			}
 			want, got := readerValues(parts[0]), readerValues(ro)
 			for name, w := range want {

@@ -1,4 +1,4 @@
-// Coordinator-facing frames (DESIGN.md §12). Two message types extend the
+// Coordinator-facing frames (DESIGN.md §12). Three message types extend the
 // protocol for the managed fleet topology:
 //
 //   - TSnapshot is the pull direction of the paper's §2 aggregation tree:
@@ -11,7 +11,9 @@
 //   - TReadout is the query-sized pull: instead of a statement's whole
 //     marshalled sketch, a leaf answers with one fixed-size record per
 //     bitmap it has observed, which a coordinator places by bitmap index
-//     and reads with the sketch's own estimator code (core.Readout).
+//     and reads with the sketch's own estimator code (core.Readout). A
+//     coordinator answers it too, with its fleet's records, so a parent
+//     reads a child coordinator exactly as it reads a leaf.
 //   - TCluster reports a coordinator's membership view: one record per
 //     leaf with its liveness state, recovery epoch, route share, and
 //     journal/acknowledgement offsets. Leaf servers do not implement it.
@@ -23,29 +25,6 @@ import (
 	"implicate/internal/core"
 	"implicate/internal/wire"
 )
-
-// SnapshotReq asks for the marshalled estimator state of one registered
-// statement.
-type SnapshotReq struct {
-	Stmt uint32
-}
-
-// Encode serializes the request payload.
-func (q SnapshotReq) Encode() []byte {
-	e := wire.NewEncoder(4)
-	e.U32(q.Stmt)
-	return e.Bytes()
-}
-
-// DecodeSnapshotReq parses a TSnapshot payload.
-func DecodeSnapshotReq(data []byte) (SnapshotReq, error) {
-	d := wire.NewDecoder(data)
-	q := SnapshotReq{Stmt: d.U32()}
-	if err := d.Done(); err != nil {
-		return SnapshotReq{}, fmt.Errorf("proto: snapshot request: %w", err)
-	}
-	return q, nil
-}
 
 // SnapshotResult carries one statement's marshalled estimator state and the
 // engine's applied-tuple count at the moment of the marshal — the offset a
@@ -83,28 +62,6 @@ func DecodeSnapshotResult(data []byte) (SnapshotResult, error) {
 		return SnapshotResult{}, fmt.Errorf("proto: snapshot result: %w", err)
 	}
 	return r, nil
-}
-
-// ReadoutReq asks for the readout of one registered statement.
-type ReadoutReq struct {
-	Stmt uint32
-}
-
-// Encode serializes the request payload.
-func (q ReadoutReq) Encode() []byte {
-	e := wire.NewEncoder(4)
-	e.U32(q.Stmt)
-	return e.Bytes()
-}
-
-// DecodeReadoutReq parses a TReadout payload.
-func DecodeReadoutReq(data []byte) (ReadoutReq, error) {
-	d := wire.NewDecoder(data)
-	q := ReadoutReq{Stmt: d.U32()}
-	if err := d.Done(); err != nil {
-		return ReadoutReq{}, fmt.Errorf("proto: readout request: %w", err)
-	}
-	return q, nil
 }
 
 // ReadoutResult carries one statement's readout and, like SnapshotResult,

@@ -1,7 +1,9 @@
 // Package proto is the wire protocol of the serving layer: length-prefixed
-// binary frames over TCP carrying the RPCs of the ingest/query server
-// (IngestBatch, Query, SnapshotMerge, Stats, Health, Trace) and their
-// responses.
+// binary frames over TCP carrying the requests of the ingest/query server
+// and the coordinator (types 0x01–0x0c) and their responses (0x10–0x14).
+// The type table (types, below the Type constants) is the one place a
+// message type is declared: its name, whether a client may retry it, and
+// the telemetry histogram it is observed in.
 //
 // Frame layout (all integers little-endian):
 //
@@ -35,6 +37,7 @@ import (
 	"io"
 	"time"
 
+	"implicate/internal/telemetry"
 	"implicate/internal/wire"
 )
 
@@ -157,45 +160,61 @@ const (
 	TQuota Type = 0x14
 )
 
+// typeInfo is one message type's row of the type table: every fact about a
+// type that more than one package needs is declared here, once.
+type typeInfo struct {
+	// name names the type for error reports and tests.
+	name string
+	// idempotent marks a request a client may retry across a redial after
+	// an ambiguous connection failure: answering it twice changes nothing.
+	idempotent bool
+	// rpc is the latency histogram the request is observed in, when
+	// observed is set; a type without one (TCluster, responses) is not
+	// instrumented.
+	rpc      telemetry.RPC
+	observed bool
+}
+
+// types is the type table, indexed by Type; an undeclared type's row is
+// zero.
+var types = [256]typeInfo{
+	TIngest:   {name: "IngestBatch", rpc: telemetry.RPCIngest, observed: true},
+	TQuery:    {name: "Query", idempotent: true, rpc: telemetry.RPCQuery, observed: true},
+	TMerge:    {name: "SnapshotMerge", rpc: telemetry.RPCMerge, observed: true},
+	TStats:    {name: "Stats", idempotent: true, rpc: telemetry.RPCStats, observed: true},
+	THealth:   {name: "Health", idempotent: true, rpc: telemetry.RPCHealth, observed: true},
+	TTrace:    {name: "Trace", idempotent: true, rpc: telemetry.RPCTrace, observed: true},
+	TUDPAck:   {name: "UDPAck", idempotent: true, rpc: telemetry.RPCUDPAck, observed: true},
+	TSnapshot: {name: "Snapshot", idempotent: true, rpc: telemetry.RPCSnapshot, observed: true},
+	TCluster:  {name: "Cluster", idempotent: true},
+	TBoot:     {name: "Boot", idempotent: true, rpc: telemetry.RPCBoot, observed: true},
+	TAuth:     {name: "Auth", rpc: telemetry.RPCAuth, observed: true},
+	// A readout is a query's read, shipped for the caller to fold: it is
+	// observed as one, so the telemetry format has no RPC of its own.
+	TReadout: {name: "Readout", idempotent: true, rpc: telemetry.RPCQuery, observed: true},
+	TOK:      {name: "OK"},
+	TResult:  {name: "Result"},
+	TError:   {name: "Error"},
+	TBusy:    {name: "Busy"},
+	TQuota:   {name: "Quota"},
+}
+
 // String names the message type for error reports.
 func (t Type) String() string {
-	switch t {
-	case TIngest:
-		return "IngestBatch"
-	case TQuery:
-		return "Query"
-	case TMerge:
-		return "SnapshotMerge"
-	case TStats:
-		return "Stats"
-	case THealth:
-		return "Health"
-	case TTrace:
-		return "Trace"
-	case TUDPAck:
-		return "UDPAck"
-	case TSnapshot:
-		return "Snapshot"
-	case TCluster:
-		return "Cluster"
-	case TBoot:
-		return "Boot"
-	case TAuth:
-		return "Auth"
-	case TReadout:
-		return "Readout"
-	case TOK:
-		return "OK"
-	case TResult:
-		return "Result"
-	case TError:
-		return "Error"
-	case TBusy:
-		return "Busy"
-	case TQuota:
-		return "Quota"
+	if name := types[t].name; name != "" {
+		return name
 	}
 	return fmt.Sprintf("Type(0x%02x)", uint8(t))
+}
+
+// Idempotent reports whether a request of type t may be retried across a
+// redial after an ambiguous connection failure.
+func (t Type) Idempotent() bool { return types[t].idempotent }
+
+// RPC returns the latency histogram a request of type t is observed in; ok
+// is false for a type that is not instrumented.
+func (t Type) RPC() (rpc telemetry.RPC, ok bool) {
+	return types[t].rpc, types[t].observed
 }
 
 // ErrMalformed is returned for any frame that cannot be proven intact:
@@ -261,30 +280,31 @@ func WriteFrame(w io.Writer, f Frame) error {
 // verbatim (magic, schema header, records) and are decoded by the server
 // with stream.NewBinaryReader; they have no codec here.
 
-// QueryReq asks for the answer of the statement at the given registration
-// index.
-type QueryReq struct {
+// StmtReq is the request payload of every RPC that addresses one registered
+// statement and carries nothing else (TQuery, TSnapshot, TReadout): the
+// statement's registration index.
+type StmtReq struct {
 	Stmt uint32
 }
 
 // Encode serializes the request payload.
-func (q QueryReq) Encode() []byte {
+func (q StmtReq) Encode() []byte {
 	e := wire.NewEncoder(4)
 	e.U32(q.Stmt)
 	return e.Bytes()
 }
 
-// DecodeQueryReq parses a TQuery payload.
-func DecodeQueryReq(data []byte) (QueryReq, error) {
+// DecodeStmtReq parses a TQuery, TSnapshot or TReadout payload.
+func DecodeStmtReq(data []byte) (StmtReq, error) {
 	d := wire.NewDecoder(data)
-	q := QueryReq{Stmt: d.U32()}
+	q := StmtReq{Stmt: d.U32()}
 	if err := d.Done(); err != nil {
-		return QueryReq{}, fmt.Errorf("proto: query request: %w", err)
+		return StmtReq{}, fmt.Errorf("proto: statement request: %w", err)
 	}
 	return q, nil
 }
 
-// QueryResult is the answer to a QueryReq: the statement's current count
+// QueryResult is the answer to a TQuery: the statement's current count
 // under its mode and the number of tuples the engine has processed.
 type QueryResult struct {
 	Count  float64
@@ -485,6 +505,11 @@ func EncodeError(msg string) []byte {
 	e := wire.NewEncoder(4 + len(msg))
 	e.Str(msg)
 	return e.Bytes()
+}
+
+// ErrorFrame builds the TError reply to request id.
+func ErrorFrame(id uint64, msg string) Frame {
+	return Frame{Type: TError, ID: id, Payload: EncodeError(msg)}
 }
 
 // DecodeError parses a TError payload.

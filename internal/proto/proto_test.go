@@ -4,10 +4,13 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"io"
 	"strings"
 	"testing"
 	"time"
+
+	"implicate/internal/telemetry"
 )
 
 func TestFrameRoundTrip(t *testing.T) {
@@ -95,9 +98,9 @@ func TestAppendFrameRejectsOversizePayload(t *testing.T) {
 }
 
 func TestPayloadCodecs(t *testing.T) {
-	q, err := DecodeQueryReq(QueryReq{Stmt: 3}.Encode())
+	q, err := DecodeStmtReq(StmtReq{Stmt: 3}.Encode())
 	if err != nil || q.Stmt != 3 {
-		t.Fatalf("query req: %+v %v", q, err)
+		t.Fatalf("statement req: %+v %v", q, err)
 	}
 	r, err := DecodeQueryResult(QueryResult{Count: 42.5, Tuples: -1}.Encode())
 	if err != nil || r.Count != 42.5 || r.Tuples != -1 {
@@ -129,8 +132,8 @@ func TestPayloadCodecs(t *testing.T) {
 	}
 
 	// Trailing bytes poison every codec.
-	if _, err := DecodeQueryReq(append(QueryReq{Stmt: 1}.Encode(), 0)); err == nil {
-		t.Error("query req trailing bytes accepted")
+	if _, err := DecodeStmtReq(append(StmtReq{Stmt: 1}.Encode(), 0)); err == nil {
+		t.Error("statement req trailing bytes accepted")
 	}
 	if _, err := DecodeMergeReq([]byte{1, 2}); err == nil {
 		t.Error("truncated merge req accepted")
@@ -146,17 +149,36 @@ func TestPayloadCodecs(t *testing.T) {
 	}
 }
 
+// TestTypeStrings walks the type table: every declared type has a name no
+// other type has, every undeclared one prints its number, no response is
+// retried or instrumented, and every histogram a row names exists in the
+// telemetry format.
 func TestTypeStrings(t *testing.T) {
-	for _, tc := range []struct {
-		t    Type
-		want string
-	}{
-		{TIngest, "IngestBatch"}, {TQuery, "Query"}, {TMerge, "SnapshotMerge"},
-		{TStats, "Stats"}, {TOK, "OK"}, {TResult, "Result"}, {TError, "Error"},
-		{TBusy, "Busy"}, {TAuth, "Auth"}, {TQuota, "Quota"}, {TReadout, "Readout"}, {Type(0xEE), "Type(0xee)"},
-	} {
-		if got := tc.t.String(); got != tc.want {
-			t.Errorf("Type %d: %q, want %q", tc.t, got, tc.want)
+	seen := make(map[string]Type)
+	for i := range 256 {
+		typ := Type(i)
+		in := types[typ]
+		if in.name == "" {
+			if in != (typeInfo{}) {
+				t.Errorf("Type(0x%02x): row without a name", i)
+			}
+			if got, want := typ.String(), fmt.Sprintf("Type(0x%02x)", i); got != want {
+				t.Errorf("undeclared type prints %q, want %q", got, want)
+			}
+			continue
+		}
+		if prev, dup := seen[in.name]; dup {
+			t.Errorf("types 0x%02x and 0x%02x are both named %q", uint8(prev), i, in.name)
+		}
+		seen[in.name] = typ
+		if got := typ.String(); got != in.name {
+			t.Errorf("Type(0x%02x) prints %q, its row names it %q", i, got, in.name)
+		}
+		if in.observed && in.rpc >= telemetry.NumRPCs {
+			t.Errorf("%s is observed in histogram %d, the telemetry format has %d", in.name, in.rpc, telemetry.NumRPCs)
+		}
+		if typ >= TOK && (in.observed || in.idempotent) {
+			t.Errorf("response %s is marked retried or instrumented", in.name)
 		}
 	}
 }

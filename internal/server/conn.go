@@ -62,7 +62,7 @@ func (s *Server) serveConn(c net.Conn) {
 		if w.Write(s.handle(f, cs)) != nil {
 			// A handler produced a payload no frame can carry (a write
 			// error fails this too, and the fail hook has closed c).
-			w.Write(errorFrame(f.ID, "reply exceeds the frame size limit"))
+			w.Write(proto.ErrorFrame(f.ID, "reply exceeds the frame size limit"))
 		}
 	}
 }
@@ -85,10 +85,10 @@ func (s *Server) handleIngestFast(f proto.Frame, cs *connState, w *proto.Writer)
 	switch {
 	case err != nil:
 		b.Release()
-		w.Write(errorFrame(f.ID, fmt.Sprintf("ingest: %v", err)))
+		w.Write(proto.ErrorFrame(f.ID, fmt.Sprintf("ingest: %v", err)))
 	case s.draining.Load():
 		b.Release()
-		w.Write(errorFrame(f.ID, "ingest: server is shutting down"))
+		w.Write(proto.ErrorFrame(f.ID, "ingest: server is shutting down"))
 	default:
 		s.admitIngest(w, cs.tenant, f.ID, b, tuples, link, start)
 	}
@@ -128,13 +128,13 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 		depth, ok = t.Lane.Enqueue(b)
 		if !ok {
 			b.Release()
-			w.Write(errorFrame(id, "ingest: tenant dropped or server shutting down"))
+			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
 			return
 		}
 	} else if depth, ok = t.Lane.TryEnqueue(b); !ok {
 		b.Release()
 		if t.Lane.Closed() {
-			w.Write(errorFrame(id, "ingest: tenant dropped or server shutting down"))
+			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
 			return
 		}
 		t.AddRejected()

@@ -614,43 +614,41 @@ func (s *Server) dropConn(c net.Conn) {
 func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 	start := time.Now()
 	var resp proto.Frame
-	var rpc telemetry.RPC
 	switch f.Type {
 	case proto.TQuery:
-		rpc, resp = telemetry.RPCQuery, s.handleQuery(f, cs.tenant)
+		resp = s.handleQuery(f, cs.tenant)
 	case proto.TMerge:
-		rpc, resp = telemetry.RPCMerge, s.handleMerge(f, cs.tenant)
+		resp = s.handleMerge(f, cs.tenant)
 	case proto.TStats:
-		rpc, resp = telemetry.RPCStats, s.handleStats(f)
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: s.snapshot().Encode()}
 	case proto.THealth:
-		rpc, resp = telemetry.RPCHealth, s.handleHealth(f, cs.tenant)
+		resp = s.handleHealth(f, cs.tenant)
 	case proto.TTrace:
-		rpc, resp = telemetry.RPCTrace, s.handleTrace(f)
+		// No lock: the tracer is its own synchronization, and a disabled
+		// tracer encodes as an empty dump rather than an error so pollers
+		// need not know the server's configuration.
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(s.tracer.Snapshot())}
 	case proto.TUDPAck:
-		rpc, resp = telemetry.RPCUDPAck, s.handleUDPAck(f)
+		resp = s.handleUDPAck(f)
 	case proto.TSnapshot:
-		rpc, resp = telemetry.RPCSnapshot, s.handleSnapshot(f, cs.tenant)
+		resp = s.handleSnapshot(f, cs.tenant)
 	case proto.TReadout:
-		// A readout is a query's read, shipped for the caller to fold: it
-		// is observed as one, so the telemetry format has no new RPC.
-		rpc, resp = telemetry.RPCQuery, s.handleReadout(f, cs.tenant)
+		resp = s.handleReadout(f, cs.tenant)
 	case proto.TBoot:
-		rpc, resp = telemetry.RPCBoot, s.handleBoot(f)
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: s.boot}.Encode()}
 	case proto.TAuth:
-		rpc, resp = telemetry.RPCAuth, s.handleAuth(f, cs)
+		resp = s.handleAuth(f, cs)
 	default:
-		return errorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
 	}
 	// One clock read serves both the latency histogram and the RPC span —
 	// parented under the inbound trace context when the frame carried one.
-	dur := time.Since(start)
-	s.tel.Observe(rpc, dur)
-	s.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent}, obs.SpanRPC, int(rpc), 0, start, dur)
+	if rpc, ok := f.Type.RPC(); ok {
+		dur := time.Since(start)
+		s.tel.Observe(rpc, dur)
+		s.tracer.RecordLinked(obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent}, obs.SpanRPC, int(rpc), 0, start, dur)
+	}
 	return resp
-}
-
-func errorFrame(id uint64, msg string) proto.Frame {
-	return proto.Frame{Type: proto.TError, ID: id, Payload: proto.EncodeError(msg)}
 }
 
 // handleAuth pins the connection to a tenant. A session authenticates at
@@ -662,21 +660,21 @@ func errorFrame(id uint64, msg string) proto.Frame {
 func (s *Server) handleAuth(f proto.Frame, cs *connState) proto.Frame {
 	req, err := proto.DecodeAuthReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
 	if cs.authed {
-		return errorFrame(f.ID, "auth: session already pinned to a tenant")
+		return proto.ErrorFrame(f.ID, "auth: session already pinned to a tenant")
 	}
 	var t *tenant.Tenant
 	if req.Tenant == tenant.DefaultName {
 		if !tenant.VerifyToken(s.cfg.TokenKey, req.Tenant, req.Token) {
-			return errorFrame(f.ID, fmt.Sprintf("tenant %q: unknown tenant or bad token", req.Tenant))
+			return proto.ErrorFrame(f.ID, fmt.Sprintf("tenant %q: unknown tenant or bad token", req.Tenant))
 		}
 		t = s.def
 	} else {
 		t, err = s.reg.Authenticate(req.Tenant, req.Token)
 		if err != nil {
-			return errorFrame(f.ID, err.Error())
+			return proto.ErrorFrame(f.ID, err.Error())
 		}
 	}
 	cs.tenant = t
@@ -725,20 +723,37 @@ func (s *Server) decodeBatchSlow(payload []byte) ([]stream.Tuple, error) {
 	}
 }
 
-func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	req, err := proto.DecodeQueryReq(f.Payload)
+// statement is the step the Query, Snapshot and Readout handlers start
+// with: decode the frame's StmtReq and look its index up in the tenant.
+func statement(f proto.Frame, t *tenant.Tenant, op string) (uint32, *query.Statement, error) {
+	req, err := proto.DecodeStmtReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return 0, nil, err
 	}
+	st, err := lookup(t, op, req.Stmt)
+	return req.Stmt, st, err
+}
+
+// lookup bounds-checks a request's statement index against the tenant's
+// statements; op names the handler in the error.
+func lookup(t *tenant.Tenant, op string, idx uint32) (*query.Statement, error) {
 	stmts := t.Statements()
-	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("query: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+	if int(idx) >= len(stmts) {
+		return nil, fmt.Errorf("%s: no statement %d (tenant has %d)", op, idx, len(stmts))
+	}
+	return stmts[idx], nil
+}
+
+func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
+	_, st, err := statement(f, t, "query")
+	if err != nil {
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
 	// Shared lock: reads proceed against a live pool. Count takes the
 	// statement's own read lock, so a serialized-class statement is read
 	// between its batches; partition-safe estimators snapshot internally.
 	t.Mu.RLock()
-	res := proto.QueryResult{Count: stmts[req.Stmt].Count(), Tuples: t.Engine().Tuples()}
+	res := proto.QueryResult{Count: st.Count(), Tuples: t.Engine().Tuples()}
 	t.Mu.RUnlock()
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
 }
@@ -746,23 +761,22 @@ func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
 func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	req, err := proto.DecodeMergeReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
-	stmts := t.Statements()
-	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("merge: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
+	st, err := lookup(t, "merge", req.Stmt)
+	if err != nil {
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
-	st := stmts[req.Stmt]
 	if st.Shared() {
-		return errorFrame(f.ID, fmt.Sprintf("merge: statement %d reads a shared estimator; merge into its owner", req.Stmt))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: statement %d reads a shared estimator; merge into its owner", req.Stmt))
 	}
 	dst, ok := st.Estimator().(*core.Sketch)
 	if !ok {
-		return errorFrame(f.ID, fmt.Sprintf("merge: statement %d estimator (%s) does not support merging", req.Stmt, kindOf(st)))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: statement %d estimator (%s) does not support merging", req.Stmt, kindOf(st)))
 	}
 	src, err := core.UnmarshalSketch(req.Sketch)
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("merge: %v", err))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
 	}
 	// Exclusive on both levels: the tenant lock keeps checkpoint captures
 	// and readers out, the statement lock keeps its home worker out (a
@@ -773,7 +787,7 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	st.Exclusive(func() { err = dst.Merge(src) })
 	t.Mu.Unlock()
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("merge: %v", err))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
 	}
 	s.tracer.Span(obs.SpanMerge, int(req.Stmt), int64(len(req.Sketch)), mergeStart)
 	s.tel.AddMerge()
@@ -786,21 +800,16 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 // same restrictions as the merge path apply (no shared estimators, plain
 // sketches only), because the reply is meant to round-trip through Merge.
 func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	req, err := proto.DecodeSnapshotReq(f.Payload)
+	idx, st, err := statement(f, t, "snapshot")
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
-	stmts := t.Statements()
-	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
-	}
-	st := stmts[req.Stmt]
 	if st.Shared() {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: statement %d reads a shared estimator; snapshot its owner", req.Stmt))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: statement %d reads a shared estimator; snapshot its owner", idx))
 	}
 	src, ok := st.Estimator().(*core.Sketch)
 	if !ok {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", req.Stmt, kindOf(st)))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", idx, kindOf(st)))
 	}
 	// Exclusive on both levels, like the merge path: the tenant lock keeps
 	// checkpoint captures and merges out, the statement lock keeps its home
@@ -815,7 +824,7 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	st.Exclusive(func() { blob, err = src.MarshalBinary() })
 	t.Mu.Unlock()
 	if err != nil {
-		return errorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
 	}
 	res.Sketch = blob
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
@@ -828,18 +837,13 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 // merged back, so it answers for a statement aliasing a shared estimator
 // as for the estimator's owner.
 func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	req, err := proto.DecodeReadoutReq(f.Payload)
+	idx, st, err := statement(f, t, "readout")
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
-	stmts := t.Statements()
-	if int(req.Stmt) >= len(stmts) {
-		return errorFrame(f.ID, fmt.Sprintf("readout: no statement %d (tenant has %d)", req.Stmt, len(stmts)))
-	}
-	st := stmts[req.Stmt]
 	src, ok := st.Estimator().(*core.Sketch)
 	if !ok {
-		return errorFrame(f.ID, fmt.Sprintf("readout: statement %d estimator (%s) has no readout", req.Stmt, kindOf(st)))
+		return proto.ErrorFrame(f.ID, fmt.Sprintf("readout: statement %d estimator (%s) has no readout", idx, kindOf(st)))
 	}
 	m := src.Options().Bitmaps
 	recs := make([]byte, 0, m*core.ReadoutRecordLen) // at most one record per bitmap
@@ -851,20 +855,11 @@ func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
 }
 
-// handleBoot answers with the incarnation nonce drawn at Listen.
-func (s *Server) handleBoot(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: s.boot}.Encode()}
-}
-
 func kindOf(st *query.Statement) string {
 	if k := st.EstimatorKind(); k != "" {
 		return k
 	}
 	return fmt.Sprintf("%T", st.Estimator())
-}
-
-func (s *Server) handleStats(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: s.snapshot().Encode()}
 }
 
 // handleHealth answers with the pinned tenant's per-statement health
@@ -878,14 +873,6 @@ func (s *Server) handleHealth(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
 }
 
-// handleTrace answers with the span ring's current contents. No lock: the
-// tracer is its own synchronization, and a disabled tracer encodes as an
-// empty dump rather than an error so pollers need not know the server's
-// configuration.
-func (s *Server) handleTrace(f proto.Frame) proto.Frame {
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(s.tracer.Snapshot())}
-}
-
 // handleUDPAck answers a cumulative-acknowledgement poll for one UDP
 // source. A server without the lane — or a source it has never heard from —
 // answers with the zero watermark, so pollers need not know the server's
@@ -893,7 +880,7 @@ func (s *Server) handleTrace(f proto.Frame) proto.Frame {
 func (s *Server) handleUDPAck(f proto.Frame) proto.Frame {
 	req, err := proto.DecodeUDPAckReq(f.Payload)
 	if err != nil {
-		return errorFrame(f.ID, err.Error())
+		return proto.ErrorFrame(f.ID, err.Error())
 	}
 	var ack proto.UDPAck
 	if s.udp != nil {
