@@ -30,20 +30,18 @@ test-race:
 # race-detector stress suite.
 race: test-race
 
-# Every fuzz target for a fixed 5 s each (go test fuzzes one target per
-# invocation). The kill-and-recover, smoke and soak suites need no target of
-# their own: go test ./... and go test -race ./... already run them.
+# Every fuzz target outside the benchmark module, for a fixed 5 s each (go
+# test fuzzes one target per invocation). Targets are found by their
+# `func Fuzz...` line, so a new one can never be skipped. The
+# kill-and-recover, smoke and soak suites need no target of their own: go
+# test ./... and go test -race ./... already run them.
 fuzz:
-	$(GO) test -run '^$$' -fuzz '^FuzzCheckpointDecode$$' -fuzztime 5s ./internal/checkpoint/
-	$(GO) test -run '^$$' -fuzz '^FuzzUnmarshalSketch$$' -fuzztime 5s ./internal/core/
-	$(GO) test -run '^$$' -fuzz '^FuzzSnapshotUnmarshal$$' -fuzztime 5s ./internal/snapshot/
-	$(GO) test -run '^$$' -fuzz '^FuzzParse$$' -fuzztime 5s ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzLex$$' -fuzztime 5s ./internal/query/
-	$(GO) test -run '^$$' -fuzz '^FuzzFrameReaderEquivalence$$' -fuzztime 5s ./internal/proto/
-	$(GO) test -run '^$$' -fuzz '^FuzzWriterEquivalence$$' -fuzztime 5s ./internal/proto/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeReadout$$' -fuzztime 5s ./internal/proto/
-	$(GO) test -run '^$$' -fuzz '^FuzzFrontendIngest$$' -fuzztime 5s ./internal/coord/
-	$(GO) test -run '^$$' -fuzz '^FuzzDecodeSnapshot$$' -fuzztime 5s ./internal/telemetry/
+	@set -e; for f in $$(grep -rlE '^func Fuzz' --include='*_test.go' --exclude-dir=benchmark --exclude-dir=.bench_build . | sort); do \
+		for t in $$(sed -nE 's/^func (Fuzz[A-Za-z0-9_]*)\(.*/\1/p' $$f); do \
+			echo "$$(dirname $$f) $$t"; \
+			$(GO) test -run '^$$' -fuzz "^$$t\$$" -fuzztime 5s $$(dirname $$f)/; \
+		done; \
+	done
 
 bench:
 	$(GO) test -bench=. -benchmem ./...

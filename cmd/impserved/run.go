@@ -40,7 +40,6 @@ type config struct {
 	dsBound   int
 	queue     int
 	workers   int
-	shards    int
 
 	checkpoint string
 	every      int64
@@ -69,7 +68,6 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.IntVar(&cfg.dsBound, "ds-bound", 39, "Distinct Sampling per-value bound")
 	fs.IntVar(&cfg.queue, "queue", 64, "ingest queue depth in batches (full queue => backpressure)")
 	fs.IntVar(&cfg.workers, "workers", 0, "pipeline worker pool size (0: GOMAXPROCS); results are identical at any size")
-	fs.IntVar(&cfg.shards, "dispatch-shards", 0, "fair-dispatch shards per tenant lane (0: 1, the single-dispatcher path); results are identical at any count")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-recovery checkpoints to this file")
 	fs.Int64Var(&cfg.every, "every", 0, "checkpoint every N applied tuples (with -checkpoint; 0: only on shutdown)")
 	fs.StringVar(&cfg.resume, "resume", "", "restore engine state from this checkpoint file")
@@ -107,9 +105,6 @@ func (cfg *config) validate() error {
 	}
 	if cfg.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", cfg.workers)
-	}
-	if cfg.shards < 0 {
-		return fmt.Errorf("-dispatch-shards must be >= 0, got %d", cfg.shards)
 	}
 	if cfg.traceSpans < 0 {
 		return fmt.Errorf("-trace-spans must be >= 0, got %d", cfg.traceSpans)
@@ -259,7 +254,6 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 		Engine:          eng,
 		QueueDepth:      cfg.queue,
 		Workers:         cfg.workers,
-		DispatchShards:  cfg.shards,
 		CheckpointPath:  cfg.checkpoint,
 		CheckpointEvery: cfg.every,
 		TraceSpans:      cfg.traceSpans,

@@ -51,7 +51,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"negative every", config{schema: "A,B", queries: queryList{"x"}, queue: 1, every: -1, checkpoint: "f"}, "-every"},
 		{"zero queue", config{schema: "A,B", queries: queryList{"x"}, queue: 0}, "-queue"},
 		{"negative workers", config{schema: "A,B", queries: queryList{"x"}, queue: 1, workers: -2}, "-workers"},
-		{"negative dispatch shards", config{schema: "A,B", queries: queryList{"x"}, queue: 1, shards: -1}, "-dispatch-shards"},
 		{"negative udp window", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udp: ":0", udpWindow: -1}, "-udp-window"},
 		{"zero udp window", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udp: ":0", udpWindow: 0}, "-udp-window"},
 		{"udp window without udp ok", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udpWindow: -1}, ""},
@@ -114,7 +113,6 @@ func TestServeSmoke(t *testing.T) {
 		backend:    "exact-striped",
 		queue:      16,
 		workers:    4,
-		shards:     2,
 		checkpoint: ckpt,
 	}
 	if err := cfg.validate(); err != nil {

@@ -182,6 +182,10 @@ func TestABI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	datagram, err := proto.AppendDatagram(nil, proto.Datagram{Source: 5, Seq: 1, Payload: batch})
+	if err != nil {
+		t.Fatal(err)
+	}
 	// A default-config server's Stats reply after one 1µs ingest.
 	var quiet telemetry.Set
 	quiet.Observe(telemetry.RPCIngest, time.Microsecond)
@@ -262,9 +266,11 @@ func TestABI(t *testing.T) {
 			"IMPF\x01" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00coord" + le64(1) + "\x06" + "\x02\x00\x00\x00" +
 				le64(3) + le64(4) + le64(5) + le64(6) + le64(0) + le64(7)},
 		{"Telemetry snapshot", quiet.Snapshot().Encode(),
-			"IMPT\x05" + strings.Repeat(le64(0), 9) + "\x00\x00\x00\x00" + "\x0a\x00\x00\x00" + "\x32\x00\x00\x00" +
+			"IMPT\x06" + strings.Repeat(le64(0), 9) + "\x00\x00\x00\x00" + "\x0a\x00\x00\x00" + "\x32\x00\x00\x00" +
 				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 9*50) +
-				"\x00\x00\x00\x00" + strings.Repeat(le64(0), 5) + "\x00\x00\x00\x00"},
+				"\x00\x00\x00\x00" + strings.Repeat(le64(0), 5)},
+		{"UDP datagram", datagram, "\x01\x01" + le64(5) + le64(1) + "\xea\xc0\x6a\xc3" + string(batch)},
+		{"UDPAck reply", proto.UDPAck{Cum: 4, Applied: 3, Dups: 2, Drops: 1}.Encode(), le64(4) + le64(3) + le64(2) + le64(1)},
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)

@@ -37,21 +37,6 @@ func WriteMetrics(w io.Writer, sn telemetry.Snapshot, health []imps.HealthReport
 	mw.counter("imps_udp_reorders_total", "Out-of-order UDP datagrams parked in the reorder window.", sn.UDPReorders)
 	mw.counter("imps_udp_crc_failures_total", "UDP datagrams rejected before sequencing (truncated, version-skewed or bad checksum).", sn.UDPCRCFailures)
 
-	if len(sn.Shards) > 0 {
-		mw.help("imps_dispatch_shard_tasks_total", "Worker tasks enqueued, per dispatch shard.", "counter")
-		for i := range sn.Shards {
-			sh := &sn.Shards[i]
-			mw.series("imps_dispatch_shard_tasks_total",
-				fmt.Sprintf(`lane="%s",shard="%d"`, escapeLabel(sh.Lane), sh.Shard), float64(sh.Tasks))
-		}
-		mw.help("imps_dispatch_shard_high_water", "Deepest unconsumed lane backlog observed, per dispatch shard.", "gauge")
-		for i := range sn.Shards {
-			sh := &sn.Shards[i]
-			mw.series("imps_dispatch_shard_high_water",
-				fmt.Sprintf(`lane="%s",shard="%d"`, escapeLabel(sh.Lane), sh.Shard), float64(sh.HighWater))
-		}
-	}
-
 	mw.help("imps_worker_tasks_total", "Pipeline tasks applied, per worker.", "counter")
 	for i, ws := range sn.Workers {
 		mw.series("imps_worker_tasks_total", fmt.Sprintf(`worker="%d"`, i), float64(ws.Tasks))

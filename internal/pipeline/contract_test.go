@@ -35,8 +35,8 @@ func addDirect(t *testing.T, schema *stream.Schema, st *query.Statement, ts []st
 }
 
 // TestIngestContract is the one-path contract over every backend: per-tuple
-// Add, Engine.Process, Engine.ProcessBatch, and the pool at workers {1,2,4}
-// × fair dispatch shards {1,2} all leave the engine in the same state —
+// Add, Engine.Process, Engine.ProcessBatch, and the pool behind a fair lane
+// at workers {1,2,4} all leave the engine in the same state —
 // identical marshalled bytes, or for the one backend with no binary form
 // (Sticky) identical answers to every read. The statements cover a filter,
 // a single-attribute projection and a two-attribute one.
@@ -130,13 +130,10 @@ func TestIngestContract(t *testing.T) {
 			}
 
 			for _, workers := range []int{1, 2, 4} {
-				for _, shards := range []int{1, 2} {
-					eng := newEngine()
-					feedFair(t, eng, batches, workers, shards)
-					got := state(eng)
-					if !bytes.Equal(got, want) {
-						t.Errorf("pool workers=%d shards=%d diverged from per-tuple Add", workers, shards)
-					}
+				eng := newEngine()
+				feedFair(t, eng, batches, workers)
+				if !bytes.Equal(state(eng), want) {
+					t.Errorf("pool workers=%d diverged from per-tuple Add", workers)
 				}
 			}
 		})

@@ -4,9 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"implicate/internal/imps"
+	"implicate/internal/obs"
 	"implicate/internal/query"
 	"implicate/internal/snapshot"
 	"implicate/internal/stream"
@@ -75,8 +78,8 @@ func blobsEqual(a, b [][]byte) bool {
 	return true
 }
 
-// runDirect drives batches through Pool.Dispatch — the single-dispatcher
-// path — and returns the per-statement state blobs.
+// runDirect drives batches through Pool.Dispatch from the test goroutine
+// and returns the per-statement state blobs.
 func runDirect(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers int) [][]byte {
 	t.Helper()
 	eng := query.NewEngine(testSchema(t))
@@ -94,16 +97,16 @@ func runDirect(t *testing.T, backend query.Backend, batches [][]stream.Tuple, wo
 	return blobs
 }
 
-// feedFair drives batches through a Fair lane over a pool of the given size
-// with the given dispatch shard count, and returns once all are applied.
-func feedFair(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers, shards int) {
+// feedFair drives batches through a Fair lane over a pool of the given
+// size, and returns once all are applied.
+func feedFair(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers int) {
 	t.Helper()
 	pool, err := New(eng, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFair(64, shards)
-	l := f.AddLane("t", 1, 8, pool, nil)
+	f := NewFair()
+	l := f.AddLane(1, 8, pool, nil)
 	for _, ts := range batches {
 		if _, ok := l.Enqueue(pool.Plan(ts)); !ok {
 			t.Fatal("lane refused an enqueue")
@@ -117,21 +120,19 @@ func feedFair(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers
 
 // runFair feeds the property suite through feedFair and returns the
 // per-statement state blobs.
-func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers, shards int) [][]byte {
+func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers int) [][]byte {
 	t.Helper()
 	eng := query.NewEngine(testSchema(t))
 	registerPropSuite(t, eng, backend)
-	feedFair(t, eng, batches, workers, shards)
+	feedFair(t, eng, batches, workers)
 	return estBlobs(t, eng)
 }
 
-// TestShardedDispatchDeterminism is the sharded-dispatch property test: for
-// every partition-safe backend, engine state is bit-identical across
-// {single dispatcher, fair dispatch at 1/2/4 shards} × workers {1,2,4,8} ×
-// {hashed, generic} Apply, and every combination equals the serial
-// reference. Run with -race: the sharded runs exercise concurrent
-// DispatchShard calls over shared batches.
-func TestShardedDispatchDeterminism(t *testing.T) {
+// TestDispatchDeterminism is the dispatch property test: for every
+// partition-safe backend, engine state is bit-identical across
+// {Pool.Dispatch, fair lane} × workers {1,2,4,8} × {hashed, generic}
+// Apply, and every combination equals the serial reference.
+func TestDispatchDeterminism(t *testing.T) {
 	batches := workload(24, 300)
 	for _, name := range []string{"sharded", "exact-striped"} {
 		base := backends(42)[name]
@@ -158,12 +159,10 @@ func TestShardedDispatchDeterminism(t *testing.T) {
 				for _, workers := range []int{1, 2, 4, 8} {
 					label := fmt.Sprintf("hashed=%v/workers=%d", hashed, workers)
 					if got := runDirect(t, backend, batches, workers); !blobsEqual(got, want) {
-						t.Errorf("%s: single-dispatcher state diverged from serial", label)
+						t.Errorf("%s: Pool.Dispatch state diverged from serial", label)
 					}
-					for _, shards := range []int{1, 2, 4} {
-						if got := runFair(t, backend, batches, workers, shards); !blobsEqual(got, want) {
-							t.Errorf("%s/shards=%d: fair-dispatch state diverged from serial", label, shards)
-						}
+					if got := runFair(t, backend, batches, workers); !blobsEqual(got, want) {
+						t.Errorf("%s: fair-lane state diverged from serial", label)
 					}
 				}
 			}
@@ -171,11 +170,12 @@ func TestShardedDispatchDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardedDispatchMultiTenant checks that DRR interleaving across lanes
-// never leaks into per-tenant state: two lanes with unequal weights, fed
-// concurrently through sharded dispatch, each finish bit-identical to their
-// own serial reference at every shard count.
-func TestShardedDispatchMultiTenant(t *testing.T) {
+// TestDispatchMultiTenant checks that DRR interleaving across lanes never
+// leaks into per-tenant state: two lanes with unequal weights, fed
+// concurrently, each finish bit-identical to their own serial reference.
+// Lane 1 fences its pool after every batch from its after hook — the
+// server's periodic-checkpoint shape.
+func TestDispatchMultiTenant(t *testing.T) {
 	batches := workload(30, 200)
 	backend := backends(9)["sharded"]
 	serial := query.NewEngine(testSchema(t))
@@ -187,49 +187,58 @@ func TestShardedDispatchMultiTenant(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, shards := range []int{1, 2, 4} {
-		f := NewFair(64, shards)
-		engines := make([]*query.Engine, 2)
-		pools := make([]*Pool, 2)
-		lanes := make([]*Lane, 2)
-		for i := range engines {
-			engines[i] = query.NewEngine(testSchema(t))
-			registerPropSuite(t, engines[i], backend)
-			var err error
-			pools[i], err = New(engines[i], Config{Workers: 4})
-			if err != nil {
-				t.Fatal(err)
-			}
-			lanes[i] = f.AddLane(fmt.Sprintf("t%d", i), 1+2*i, 4, pools[i], nil)
+	f := NewFair()
+	engines := make([]*query.Engine, 2)
+	pools := make([]*Pool, 2)
+	lanes := make([]*Lane, 2)
+	var fences atomic.Int64
+	for i := range engines {
+		engines[i] = query.NewEngine(testSchema(t))
+		registerPropSuite(t, engines[i], backend)
+		pool, err := New(engines[i], Config{Workers: 4})
+		if err != nil {
+			t.Fatal(err)
 		}
-		var wg sync.WaitGroup
-		for i := range lanes {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				for _, ts := range batches {
-					if _, ok := lanes[i].Enqueue(pools[i].Plan(ts)); !ok {
-						t.Error("lane refused an enqueue")
-						return
-					}
+		pools[i] = pool
+		var after func(obs.Link, int, time.Time)
+		if i == 1 {
+			after = func(obs.Link, int, time.Time) {
+				pool.Fence()
+				fences.Add(1)
+			}
+		}
+		lanes[i] = f.AddLane(1+2*i, 4, pool, after)
+	}
+	var wg sync.WaitGroup
+	for i := range lanes {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			for _, ts := range batches {
+				if _, ok := lanes[i].Enqueue(pools[i].Plan(ts)); !ok {
+					t.Error("lane refused an enqueue")
+					return
 				}
-			}(i)
-		}
-		wg.Wait()
-		for i := range lanes {
-			f.RemoveLane(lanes[i])
-		}
-		f.Close()
-		for i := range engines {
-			pools[i].Fence()
-			got, err := engines[i].MarshalBinary()
-			if err != nil {
-				t.Fatal(err)
 			}
-			pools[i].Close()
-			if !bytes.Equal(got, want) {
-				t.Errorf("shards=%d lane %d: state diverged from serial", shards, i)
-			}
+		}(i)
+	}
+	wg.Wait()
+	for i := range lanes {
+		f.RemoveLane(lanes[i])
+	}
+	f.Close()
+	if n := fences.Load(); n != int64(len(batches)) {
+		t.Errorf("after hook fenced %d times, want %d", n, len(batches))
+	}
+	for i := range engines {
+		pools[i].Fence()
+		got, err := engines[i].MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		pools[i].Close()
+		if !bytes.Equal(got, want) {
+			t.Errorf("lane %d: state diverged from serial", i)
 		}
 	}
 }

@@ -29,33 +29,25 @@ func planN(p *Pool, n int) *Batch {
 	return p.Plan(make([]stream.Tuple, n))
 }
 
-// TestFairDRRWeights saturates two lanes with equal-cost batches and
-// checks the drained share tracks the 3:1 dispatch weights.
-func TestFairDRRWeights(t *testing.T) {
-	// Quantum 64 = one batch of credit per weight unit per round; deep
-	// backlogged lanes make the credit (not the backlog) the binding
-	// constraint, which is where the weights bite.
-	f := NewFair(64, 1)
-	var a, b atomic.Int64
-	counts := map[string]*atomic.Int64{"a": &a, "b": &b}
-	var dispatched atomic.Int64
-	const observe = 400
-	f.afterDispatch = func(l *Lane, _ int) {
-		if dispatched.Add(1) <= observe {
-			counts[l.Name()].Add(1)
+// countDispatch returns a lane after hook that counts the lane's batches
+// in n until total, the count over every lane, reaches limit. It throttles
+// the dispatcher so the blocking producers keep every lane backlogged —
+// the regime DRR's guarantee speaks to.
+func countDispatch(n, total *atomic.Int64, limit int64) func(obs.Link, int, time.Time) {
+	return func(obs.Link, int, time.Time) {
+		if total.Add(1) <= limit {
+			n.Add(1)
 		}
-		// Throttle the dispatcher so the blocking producers keep both
-		// lanes backlogged — the regime DRR's guarantee speaks to.
 		time.Sleep(50 * time.Microsecond)
 	}
-	la := f.AddLane("a", 3, 32, fairPool(t), nil)
-	lb := f.AddLane("b", 1, 32, fairPool(t), nil)
+}
 
-	var wg sync.WaitGroup
-	stop := make(chan struct{})
-	for _, l := range []*Lane{la, lb} {
+// produce starts conns goroutines that keep enqueueing 64-tuple batches on
+// l until stop closes.
+func produce(wg *sync.WaitGroup, stop <-chan struct{}, l *Lane, p *Pool, conns int) {
+	for i := 0; i < conns; i++ {
 		wg.Add(1)
-		go func(l *Lane) {
+		go func() {
 			defer wg.Done()
 			for {
 				select {
@@ -63,10 +55,29 @@ func TestFairDRRWeights(t *testing.T) {
 					return
 				default:
 				}
-				l.Enqueue(planN(l.Pool(), 64))
+				l.Enqueue(planN(p, 64))
 			}
-		}(l)
+		}()
 	}
+}
+
+// TestFairDRRWeights saturates two lanes with equal-cost batches and
+// checks the drained share tracks the 3:1 dispatch weights.
+func TestFairDRRWeights(t *testing.T) {
+	// Quantum 64 = one batch of credit per weight unit per round; deep
+	// backlogged lanes make the credit (not the backlog) the binding
+	// constraint, which is where the weights bite.
+	f := newFair(64)
+	var a, b, dispatched atomic.Int64
+	const observe = 400
+	pa, pb := fairPool(t), fairPool(t)
+	la := f.AddLane(3, 32, pa, countDispatch(&a, &dispatched, observe))
+	lb := f.AddLane(1, 32, pb, countDispatch(&b, &dispatched, observe))
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	produce(&wg, stop, la, pa, 1)
+	produce(&wg, stop, lb, pb, 1)
 	for dispatched.Load() < observe {
 		time.Sleep(time.Millisecond)
 	}
@@ -84,40 +95,17 @@ func TestFairDRRWeights(t *testing.T) {
 // flooding lane must not push the steady lane below ~half the drained
 // batches. This is the noisy-neighbor property at the dispatch layer.
 func TestFairEqualShareUnderSkewedLoad(t *testing.T) {
-	f := NewFair(256, 1)
-	var flood, steady atomic.Int64
-	counts := map[string]*atomic.Int64{"flood": &flood, "steady": &steady}
-	var dispatched atomic.Int64
+	f := newFair(256)
+	var flood, steady, dispatched atomic.Int64
 	const observe = 400
-	f.afterDispatch = func(l *Lane, _ int) {
-		if dispatched.Add(1) <= observe {
-			counts[l.Name()].Add(1)
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-	lf := f.AddLane("flood", 1, 8, fairPool(t), nil)
-	ls := f.AddLane("steady", 1, 8, fairPool(t), nil)
+	pf, ps := fairPool(t), fairPool(t)
+	lf := f.AddLane(1, 8, pf, countDispatch(&flood, &dispatched, observe))
+	ls := f.AddLane(1, 8, ps, countDispatch(&steady, &dispatched, observe))
 
 	var wg sync.WaitGroup
 	stop := make(chan struct{})
-	producer := func(l *Lane, conns int) {
-		for i := 0; i < conns; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					default:
-					}
-					l.Enqueue(planN(l.Pool(), 64))
-				}
-			}()
-		}
-	}
-	producer(lf, 10) // 10× the offered load...
-	producer(ls, 1)  // ...but the same dispatch weight.
+	produce(&wg, stop, lf, pf, 10) // 10× the offered load...
+	produce(&wg, stop, ls, ps, 1)  // ...but the same dispatch weight.
 	for dispatched.Load() < observe {
 		time.Sleep(time.Millisecond)
 	}
@@ -136,16 +124,15 @@ func TestFairEqualShareUnderSkewedLoad(t *testing.T) {
 // per-lane FIFO dispatch order (the bit-identity prerequisite), TryEnqueue
 // refusing at capacity, and RemoveLane/Close draining what was admitted.
 func TestFairLaneOrderAndBounds(t *testing.T) {
-	f := NewFair(0, 1)
+	f := NewFair()
 	var mu sync.Mutex
 	var order []int
-	f.afterDispatch = func(_ *Lane, tuples int) {
+	p := fairPool(t)
+	l := f.AddLane(1, 1000, p, func(_ obs.Link, tuples int, _ time.Time) {
 		mu.Lock()
 		order = append(order, tuples)
 		mu.Unlock()
-	}
-	p := fairPool(t)
-	l := f.AddLane("t", 1, 1000, p, nil)
+	})
 	const n = 200
 	for i := 1; i <= n; i++ {
 		if _, ok := l.Enqueue(planN(p, i)); !ok {
@@ -175,10 +162,9 @@ func TestFairLaneOrderAndBounds(t *testing.T) {
 
 	// A capacity-1 lane refuses the second TryEnqueue while the dispatcher
 	// is held off the first.
-	f2 := NewFair(0, 1)
+	f2 := NewFair()
 	gate := make(chan struct{})
-	f2.afterDispatch = func(*Lane, int) { <-gate }
-	l2 := f2.AddLane("t", 1, 1, p, nil)
+	l2 := f2.AddLane(1, 1, p, func(obs.Link, int, time.Time) { <-gate })
 	if _, ok := l2.TryEnqueue(planN(p, 1)); !ok {
 		t.Fatal("first TryEnqueue refused")
 	}
@@ -202,10 +188,10 @@ func TestFairLaneOrderAndBounds(t *testing.T) {
 // Fence the lane's pool, which is only legal from the dispatching
 // goroutine.
 func TestFairAfterHook(t *testing.T) {
-	f := NewFair(0, 1)
+	f := NewFair()
 	p := fairPool(t)
 	var fenced atomic.Int64
-	l := f.AddLane("t", 1, 16, p, func(_ obs.Link, tuples int, _ time.Time) {
+	l := f.AddLane(1, 16, p, func(_ obs.Link, tuples int, _ time.Time) {
 		p.Fence()
 		fenced.Add(1)
 	})

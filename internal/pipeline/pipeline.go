@@ -269,41 +269,8 @@ func (p *Pool) Dispatch(b *Batch) {
 		return
 	}
 	b.remaining.Store(int32(len(b.tasks)))
-	p.enqueueShard(b, 0, 1)
-}
-
-// prepareShared arms a batch for sharded dispatch: the refcount counts
-// every task plus one guard per dispatch shard, so the batch cannot be
-// applied-and-recycled while any shard still has tasks to enqueue. It must
-// run before the first DispatchShard — the fair dispatcher calls it at
-// admission, under its lock, strictly before any shard sees the batch.
-func (b *Batch) prepareShared(shards int) {
-	b.remaining.Store(int32(len(b.tasks) + shards))
-}
-
-// DispatchShard enqueues one shard's slice of a prepared batch: the tasks
-// whose worker w satisfies w % shards == shard. Each shard index must be
-// dispatched exactly once per batch, each from a single goroutine that
-// processes batches in admission order; distinct shards may run
-// concurrently. Because worker w only ever receives tasks from shard
-// w % shards, every worker queue still sees its tasks in admission order —
-// the per-partition FIFO the bit-identity argument needs (DESIGN.md §7).
-// It returns the number of tasks this shard enqueued, for the per-shard
-// dispatch telemetry.
-func (p *Pool) DispatchShard(b *Batch, shard, shards int) int {
-	n := p.enqueueShard(b, shard, shards)
-	b.finish()
-	return n
-}
-
-func (p *Pool) enqueueShard(b *Batch, shard, shards int) int {
-	n := 0
 	for i := range b.tasks {
 		t := &b.tasks[i]
-		if shards > 1 && t.worker%shards != shard {
-			continue
-		}
-		n++
 		select {
 		case p.queues[t.worker] <- t:
 		default:
@@ -313,10 +280,9 @@ func (p *Pool) enqueueShard(b *Batch, shard, shards int) int {
 			p.queues[t.worker] <- t
 		}
 	}
-	return n
 }
 
-// finish drops one guard reference; the last drop applies the batch.
+// finish drops one task's reference; the last drop applies the batch.
 func (b *Batch) finish() {
 	if b.remaining.Add(-1) == 0 {
 		b.pool.applied(b)

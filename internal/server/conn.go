@@ -117,21 +117,7 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 		return
 	}
 	s.planInto(t, b, tuples, link)
-	var depth int
-	var ok bool
-	if s.cfg.BlockOnFull {
-		// Blocking backpressure: the reader waits for lane room, so
-		// pipelined frames on this connection are never refused and never
-		// reordered by a re-send (the dispatcher keeps draining, so the
-		// wait always ends, including during shutdown). The wait holds up
-		// this tenant's producers only.
-		depth, ok = t.Lane.Enqueue(b)
-		if !ok {
-			b.Release()
-			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
-			return
-		}
-	} else if depth, ok = t.Lane.TryEnqueue(b); !ok {
+	if !s.enqueue(t, b, s.cfg.BlockOnFull) {
 		b.Release()
 		if t.Lane.Closed() {
 			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
@@ -142,9 +128,6 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 		w.WriteFunc(proto.TBusy, id, proto.Busy{RetryAfter: s.cfg.RetryAfter}.AppendTo)
 		return
 	}
-	t.AddBatch()
-	s.tel.AddBatch()
-	s.tel.ObserveQueueDepth(depth)
 	w.WriteFunc(proto.TOK, id, proto.IngestAck{Tuples: n}.AppendTo)
 }
 
@@ -181,17 +164,26 @@ func (s *Server) planInto(t *tenant.Tenant, b *pipeline.Batch, tuples []stream.T
 	return b
 }
 
-// enqueueWait enqueues a planned batch on the tenant's lane, blocking
-// until it has room — the UDP lane's flow control (its socket buffer
-// absorbs the wait). False means the lane closed before the batch was
-// admitted; the batch was not applied.
-func (s *Server) enqueueWait(t *tenant.Tenant, b *pipeline.Batch) bool {
-	depth, ok := t.Lane.Enqueue(b)
-	if !ok {
-		return false
+// enqueue offers a planned batch to the tenant's lane and records an
+// admitted batch in the tenant and server counters. With block set it waits
+// for lane room, holding up this tenant's producers only: under
+// BlockOnFull pipelined frames are then never refused or reordered by a
+// re-send, and the UDP lane's socket buffer absorbs the wait. The wait
+// always ends, because the dispatcher keeps draining, shutdown included.
+// Without block a full lane refuses at once. False means the batch was not
+// admitted and still belongs to the caller.
+func (s *Server) enqueue(t *tenant.Tenant, b *pipeline.Batch, block bool) bool {
+	var depth int
+	var ok bool
+	if block {
+		depth, ok = t.Lane.Enqueue(b)
+	} else {
+		depth, ok = t.Lane.TryEnqueue(b)
 	}
-	t.AddBatch()
-	s.tel.AddBatch()
-	s.tel.ObserveQueueDepth(depth)
-	return true
+	if ok {
+		t.AddBatch()
+		s.tel.AddBatch()
+		s.tel.ObserveQueueDepth(depth)
+	}
+	return ok
 }

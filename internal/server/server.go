@@ -96,14 +96,6 @@ type Config struct {
 	// fanned out to. Zero selects GOMAXPROCS. Whatever the pool size,
 	// results are bit-identical to a single-worker run.
 	Workers int
-	// DispatchShards is the fair dispatcher's goroutine count: shard k
-	// enqueues the tasks of workers w with w % shards == k, so dispatch
-	// work parallelizes across tenants and partitions while every worker
-	// queue stays single-producer — results remain bit-identical to a
-	// single dispatcher at any shard count. Tenants with periodic
-	// checkpoints are pinned to the serial path regardless. Zero selects 1
-	// (the single-dispatcher mode).
-	DispatchShards int
 	// MaxBatchTuples bounds one ingest batch; larger batches are rejected
 	// as errors. Default 65536.
 	MaxBatchTuples int
@@ -185,9 +177,6 @@ func (c Config) withDefaults() Config {
 	if c.UDPWindow == 0 {
 		c.UDPWindow = 256
 	}
-	if c.DispatchShards == 0 {
-		c.DispatchShards = 1
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -256,9 +245,6 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.Workers < 1 {
 		return nil, fmt.Errorf("server: worker count %d must be >= 1", cfg.Workers)
 	}
-	if cfg.DispatchShards < 1 {
-		return nil, fmt.Errorf("server: dispatch shard count %d must be >= 1", cfg.DispatchShards)
-	}
 	// The remaining knobs default on zero; a negative value is a caller
 	// bug that would otherwise fail obscurely (every batch rejected, a
 	// checkpoint per batch, a negative retry hint on the wire).
@@ -300,7 +286,7 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.TraceSpans > 0 {
 		s.tracer = obs.NewTracer(cfg.TraceSpans)
 	}
-	s.fair = pipeline.NewFair(0, cfg.DispatchShards)
+	s.fair = pipeline.NewFair()
 	if cfg.gate != nil {
 		s.fair.SetGate(cfg.gate)
 	}
@@ -353,16 +339,14 @@ func (s *Server) attach(t *tenant.Tenant) error {
 		qlen = s.cfg.QueueDepth
 	}
 	t.Pool = pool
-	t.Lane = s.fair.AddLane(t.Name(), t.Weight(), qlen, pool, s.afterDispatch(t))
+	t.Lane = s.fair.AddLane(t.Weight(), qlen, pool, s.afterDispatch(t))
 	return nil
 }
 
 // afterDispatch builds the tenant's post-dispatch hook: the dispatch span
 // and the periodic-checkpoint cadence, both running in the dispatcher
-// goroutine (the only legal place to fence the tenant's pool — a non-nil
-// hook pins the tenant's lane to the serial dispatch path, see
-// pipeline.Fair.AddLane). Nil when neither applies, so the plain fast path
-// takes no per-batch clock reads and stays eligible for sharded dispatch.
+// goroutine (the only legal place to fence the tenant's pool). Nil when
+// neither applies, so the plain fast path takes no per-batch clock reads.
 // The hook receives the batch's tuple count rather than the batch: the
 // pool may have recycled the batch by the time the hook runs.
 func (s *Server) afterDispatch(t *tenant.Tenant) func(link obs.Link, tuples int, start time.Time) {
@@ -484,8 +468,7 @@ func (s *Server) DropTenant(name string) error {
 func (s *Server) TenantStats() []telemetry.TenantStats { return s.snapshot().Tenants }
 
 // snapshot freezes the telemetry set, appending per-tenant rows when named
-// tenants exist and per-shard dispatch rows when dispatch is sharded —
-// default-config servers keep the v3 wire encoding byte-for-byte.
+// tenants exist.
 func (s *Server) snapshot() telemetry.Snapshot {
 	sn := s.tel.Snapshot()
 	if s.reg.Len() > 0 {
@@ -495,18 +478,6 @@ func (s *Server) snapshot() telemetry.Snapshot {
 		}
 		sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
 		sn.Tenants = ts
-	}
-	if s.cfg.DispatchShards > 1 {
-		tens := []*tenant.Tenant{s.def}
-		tens = append(tens, s.reg.List()...)
-		sort.Slice(tens, func(i, j int) bool { return tens[i].Name() < tens[j].Name() })
-		for _, t := range tens {
-			for k, st := range t.Lane.ShardStats() {
-				sn.Shards = append(sn.Shards, telemetry.ShardStats{
-					Lane: t.Name(), Shard: int64(k), Tasks: st.Tasks, HighWater: st.HighWater,
-				})
-			}
-		}
 	}
 	return sn
 }

@@ -465,9 +465,6 @@ func TestListenValidation(t *testing.T) {
 	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, Workers: -1}); err == nil {
 		t.Error("negative workers accepted")
 	}
-	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, DispatchShards: -1}); err == nil {
-		t.Error("negative dispatch shards accepted")
-	}
 	if _, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: eng, MaxBatchTuples: -1}); err == nil {
 		t.Error("negative max batch tuples accepted")
 	}

@@ -108,8 +108,8 @@ func TestTenantAuthAndIsolation(t *testing.T) {
 	waitTuples(t, globex, 70)
 	waitTuples(t, def, 40)
 
-	// Stats carries per-tenant rows (v4 snapshot) only on multi-tenant
-	// servers; the default tenant appears alongside the named ones.
+	// Stats carries per-tenant rows only on multi-tenant servers; the
+	// default tenant appears alongside the named ones.
 	sn, err := def.Stats()
 	if err != nil {
 		t.Fatal(err)

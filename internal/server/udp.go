@@ -186,7 +186,7 @@ func (l *udpLane) apply(src *udpSource, seq uint64, payload []byte, retained boo
 	} else {
 		// Datagrams carry no trace context (the lane is fire-and-forget), so
 		// the batch's spans are roots.
-		if !l.s.enqueueWait(l.s.def, l.s.planInto(l.s.def, b, tuples, obs.Link{})) {
+		if !l.s.enqueue(l.s.def, l.s.planInto(l.s.def, b, tuples, obs.Link{}), true) {
 			// The default lane closed mid-shutdown: the batch was not
 			// applied, so like the draining branch this refuses WITHOUT
 			// advancing the watermark.

@@ -61,7 +61,7 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 	if _, err := DecodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 6, 0xff} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 7, 0xff} {
 		other := append([]byte(nil), good...)
 		other[len(snapshotMagic)-1] = v
 		if _, err := DecodeSnapshot(other); err == nil {
@@ -89,7 +89,6 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 		for i := 0; i < 5; i++ {
 			e.I64(0)
 		}
-		e.U32(0) // no shards
 		return e.Bytes()
 	}
 	if _, err := DecodeSnapshot(encode(int(NumRPCs))); err != nil {

@@ -28,7 +28,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	busy.AddWorkerTask(1, 64)
 	full := busy.Snapshot()
 	full.Tenants = []TenantStats{{Name: "acme", Weight: 2, Tuples: 9}}
-	full.Shards = []ShardStats{{Lane: "acme", Shard: 1, Tasks: 3, HighWater: 2}}
 	f.Add(full.Encode())
 	f.Add([]byte(snapshotMagic))
 

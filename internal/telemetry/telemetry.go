@@ -6,7 +6,7 @@
 // consistent-enough copy for the Stats RPC, which ships it in the
 // internal/wire encoding.
 //
-// The snapshot has one wire format, magic "IMPT\x05", because a coordinator
+// The snapshot has one wire format, magic "IMPT\x06", because a coordinator
 // and its leaves are deployed from one build. A peer whose Stats reply does
 // not decode — another build's format, another RPC list — is treated like
 // an unreachable one (the coordinator's fleet roll-up skips it) rather than
@@ -368,22 +368,6 @@ type Snapshot struct {
 	// Tenants holds per-tenant counters, one entry per registered tenant,
 	// sorted by name. Nil on single-tenant servers.
 	Tenants []TenantStats
-	// Shards holds per-dispatch-shard counters for servers running the
-	// sharded Fair dispatcher, ordered (lane, shard). Nil on the
-	// single-dispatcher path.
-	Shards []ShardStats
-}
-
-// ShardStats is one (lane, dispatch shard) pair's frozen counters.
-type ShardStats struct {
-	// Lane is the name of the tenant lane the shard dispatches for.
-	Lane string
-	// Shard is the dispatch shard index within the lane.
-	Shard int64
-	// Tasks counts worker tasks the shard enqueued.
-	Tasks int64
-	// HighWater is the shard's deepest unconsumed backlog in batches.
-	HighWater int64
 }
 
 // TenantStats is one tenant's frozen counters.
@@ -419,7 +403,7 @@ type WorkerStats struct {
 
 // snapshotMagic heads every encoded snapshot; see the package doc for why
 // there is exactly one.
-const snapshotMagic = "IMPT\x05"
+const snapshotMagic = "IMPT\x06"
 
 // Encode serializes the snapshot for the Stats RPC. Every block is written,
 // empty or not, so the encoding is canonical: a decoded snapshot re-encodes
@@ -465,13 +449,6 @@ func (sn Snapshot) Encode() []byte {
 	e.I64(sn.UDPDecodeDrops)
 	e.I64(sn.UDPReorders)
 	e.I64(sn.UDPCRCFailures)
-	e.U32(uint32(len(sn.Shards)))
-	for _, sh := range sn.Shards {
-		e.Str(sh.Lane)
-		e.I64(sh.Shard)
-		e.I64(sh.Tasks)
-		e.I64(sh.HighWater)
-	}
 	return e.Bytes()
 }
 
@@ -536,20 +513,6 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	sn.UDPDecodeDrops = d.I64()
 	sn.UDPReorders = d.I64()
 	sn.UDPCRCFailures = d.I64()
-	// 28 is the smallest possible shard row: empty-lane length prefix plus
-	// three i64 counters.
-	nshards := d.Count(28)
-	if d.Err() == nil && nshards > 0 {
-		sn.Shards = make([]ShardStats, nshards)
-		for i := 0; i < nshards && d.Err() == nil; i++ {
-			sn.Shards[i] = ShardStats{
-				Lane:      d.Str(256),
-				Shard:     d.I64(),
-				Tasks:     d.I64(),
-				HighWater: d.I64(),
-			}
-		}
-	}
 	if err := d.Done(); err != nil {
 		return Snapshot{}, fmt.Errorf("telemetry: %w", err)
 	}
@@ -558,11 +521,6 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	}
 	if sn.UDPApplied < 0 || sn.UDPWindowDrops < 0 || sn.UDPDecodeDrops < 0 || sn.UDPReorders < 0 || sn.UDPCRCFailures < 0 {
 		return Snapshot{}, fmt.Errorf("%w: negative counter", wire.ErrCorrupt)
-	}
-	for _, sh := range sn.Shards {
-		if sh.Shard < 0 || sh.Tasks < 0 || sh.HighWater < 0 {
-			return Snapshot{}, fmt.Errorf("%w: negative shard counter", wire.ErrCorrupt)
-		}
 	}
 	for _, w := range sn.Workers {
 		if w.Tasks < 0 || w.Units < 0 {

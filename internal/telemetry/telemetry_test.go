@@ -259,9 +259,9 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotV5RoundTrip: fine-grained UDP counters and per-shard rows
-// round-trip, alone and beside tenants.
-func TestSnapshotV5RoundTrip(t *testing.T) {
+// TestSnapshotRoundTrip: fine-grained UDP counters round-trip, alone and
+// beside tenants.
+func TestSnapshotRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
 	s.AddUDPApplied()
@@ -271,10 +271,6 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 	s.AddUDPReorder()
 	s.AddUDPCRCFailure()
 	want := s.Snapshot()
-	want.Shards = []ShardStats{
-		{Lane: "", Shard: 0, Tasks: 40, HighWater: 3},
-		{Lane: "acme", Shard: 1, Tasks: 7, HighWater: 2},
-	}
 	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
 		t.Fatal(err)
@@ -295,12 +291,5 @@ func TestSnapshotV5RoundTrip(t *testing.T) {
 	}
 	if !reflect.DeepEqual(got2, withTenants) {
 		t.Fatalf("tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
-	}
-
-	// Negative shard counter is corruption.
-	bad := want
-	bad.Shards = []ShardStats{{Lane: "x", Tasks: -1}}
-	if _, err := DecodeSnapshot(bad.Encode()); err == nil || !strings.Contains(err.Error(), "negative shard") {
-		t.Errorf("negative shard counter accepted: %v", err)
 	}
 }
