@@ -197,10 +197,11 @@ func run(cfg *config, in io.Reader, out io.Writer) error {
 	}
 
 	if bs, ok := r.(stream.BatchSource); ok {
-		// Binary inputs decode in batches: one string allocation per record
-		// and one engine dispatch per batch instead of per tuple. Batches are
-		// clipped to the reporting interval so -interval output is unchanged,
-		// and to the checkpoint interval so -every is honored exactly.
+		// Binary inputs decode in batches: one string allocation per read
+		// window and one engine dispatch per batch instead of per tuple.
+		// Batches are clipped to the reporting interval so -interval output
+		// is unchanged, and to the checkpoint interval so -every is honored
+		// exactly.
 		batch := make([]stream.Tuple, 256)
 		for {
 			want := int64(len(batch))

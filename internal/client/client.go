@@ -629,24 +629,11 @@ func (cl *Client) Trace() ([]obs.Span, error) {
 
 // FleetTrace fetches a trace with node attribution. A coordinator answers
 // with its assembled, causally-ordered fleet trace — every span labeled
-// with the node that recorded it. A leaf answers with its own span dump,
-// which is returned with empty node labels, so the call works the same
+// with the node that recorded it. A leaf answers with its own span dump in
+// the same layout, with empty node labels, so the call works the same
 // against either kind of server.
 func (cl *Client) FleetTrace() ([]obs.FleetSpan, error) {
-	return result(cl, proto.TTrace, nil, nil, func(payload []byte) ([]obs.FleetSpan, error) {
-		if obs.IsFleetTrace(payload) {
-			return obs.DecodeFleetTrace(payload)
-		}
-		spans, err := obs.DecodeSpans(payload)
-		if err != nil {
-			return nil, err
-		}
-		fleet := make([]obs.FleetSpan, len(spans))
-		for i := range spans {
-			fleet[i] = obs.FleetSpan{Span: spans[i]}
-		}
-		return fleet, nil
-	})
+	return result(cl, proto.TTrace, nil, nil, obs.DecodeFleetTrace)
 }
 
 func remoteError(f proto.Frame) error {

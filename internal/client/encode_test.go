@@ -21,13 +21,14 @@ import (
 )
 
 // writerBytes is the reference encoding: a stream.BinaryWriter fed the
-// tuples and flushed.
+// tuples and flushed. A tuple the writer refuses is reported with the
+// writer's reason, named by its index the way a batch refusal names it.
 func writerBytes(schema *stream.Schema, tuples []stream.Tuple) ([]byte, error) {
 	var buf bytes.Buffer
 	w := stream.NewBinaryWriter(&buf, schema)
-	for _, t := range tuples {
+	for i, t := range tuples {
 		if err := w.Write(t); err != nil {
-			return nil, err
+			return nil, fmt.Errorf("stream: tuple %d of %d: %s", i, len(tuples), strings.TrimPrefix(err.Error(), "stream: "))
 		}
 	}
 	if err := w.Flush(); err != nil {
@@ -182,6 +183,10 @@ func TestABI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	written, err := writerBytes(schema, []stream.Tuple{{"a1", "b1"}, {"", "b"}, {"a3", ""}})
+	if err != nil {
+		t.Fatal(err)
+	}
 	datagram, err := proto.AppendDatagram(nil, proto.Datagram{Source: 5, Seq: 1, Payload: batch})
 	if err != nil {
 		t.Fatal(err)
@@ -208,6 +213,7 @@ func TestABI(t *testing.T) {
 	}{
 		{"IMPB header", stream.BinaryHeader(schema), "IMPB\x01\x02\x01A\x01B"},
 		{"IMPB 3-record batch", batch, "IMPB\x01\x02\x01A\x01B" + "\x02a1\x02b1" + "\x00\x01b" + "\x02a3\x00"},
+		{"IMPB 3-record BinaryWriter stream", written, "IMPB\x01\x02\x01A\x01B" + "\x02a1\x02b1" + "\x00\x01b" + "\x02a3\x00"},
 		{"TIngest frame", request(proto.Frame{Type: proto.TIngest, ID: 7, Payload: batch}),
 			"\x25\x00\x00\x00" + "\x01\x01" + "\x07\x00\x00\x00\x00\x00\x00\x00" + "\xea\xc0\x6a\xc3" + string(batch)},
 		{"TIngest frame, traced", frame(proto.Frame{Type: proto.TIngest, ID: 7, TC: proto.TraceContext{Trace: 0x0102, Parent: 0x0304}, Payload: batch}),
@@ -258,8 +264,9 @@ func TestABI(t *testing.T) {
 			"IMPH\x01" + "\x01\x00\x00\x00" + "\x01\x00\x00\x00" + "\x04\x00\x00\x00nips" + "\x01\x00\x00\x00q" + "\x01" +
 				le64(3) + le64(2) + le64(5) + le64(math.Float64bits(0.5)) + le64(math.Float64bits(1)) +
 				le64(1) + le64(2) + le64(3) + le64(4) + le64(5) + le64(math.Float64bits(0.25))},
-		{"Span dump", obs.EncodeSpans([]obs.Span{{Seq: 1, Kind: obs.SpanApply, Arg: -1, Start: 2, Dur: 3, Units: 4}}),
-			"IMPS\x01" + "\x01\x00\x00\x00" + le64(1) + "\x02" + "\xff\xff\xff\xff" + le64(2) + le64(3) + le64(4)},
+		{"Span dump", obs.EncodeFleetTrace([]obs.FleetSpan{{Span: obs.Span{Seq: 1, Kind: obs.SpanApply, Arg: -1, Start: 2, Dur: 3, Units: 4}}}),
+			"IMPF\x01" + "\x01\x00\x00\x00" + "\x00\x00\x00\x00" + le64(1) + "\x02" + "\xff\xff\xff\xff" + le64(2) + le64(3) + le64(4) +
+				le64(0) + le64(0) + le64(0)},
 		{"Fleet trace", obs.EncodeFleetTrace([]obs.FleetSpan{{Node: "coord", Span: obs.Span{
 			Seq: 1, Kind: obs.SpanDeliver, Arg: 2, Start: 3, Dur: 4, Units: 5, Trace: 6, ID: 7,
 		}}}),

@@ -285,31 +285,19 @@ func (co *Coordinator) initStaging() {
 // it returns an error if the coordinator closes or that leaf turns out
 // unrecoverable while it waits. The tuples are copied, not retained.
 func (co *Coordinator) Ingest(tuples []stream.Tuple) error {
-	for i, t := range tuples {
-		if err := stream.CheckTuple(t, co.arity); err != nil {
-			return fmt.Errorf("coord: tuple %d of %d refused, none routed: %w", i, len(tuples), err)
-		}
+	payload, err := stream.EncodeBinaryBatch(co.cfg.Schema, tuples)
+	if err != nil {
+		return fmt.Errorf("coord: batch refused, none routed: %w", err)
 	}
-	co.tel.AddBatch()
-	co.tel.AddTuples(int64(len(tuples)))
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for _, t := range tuples {
-		co.key = co.rt.proj.AppendKey(co.key[:0], t)
-		idx := co.rt.leafOf(co.key)
-		co.stage[idx].buf = stream.AppendBinaryRecord(co.stage[idx].buf, t)
-		if err := co.stagedLocked(idx); err != nil {
-			return err
-		}
-	}
-	return nil
+	_, err = co.ingestEncoded(payload)
+	return err
 }
 
-// ingestEncoded is Ingest for a batch still in its wire encoding (the
-// front-end's path): the header is compared, the whole record region
-// validated, then each record's bytes are routed and copied into its leaf's
-// staging buffer without ever becoming a stream.Tuple. It returns the
-// number of tuples routed.
+// ingestEncoded routes a batch in its wire encoding (the front-end's path,
+// and Ingest's once it has encoded the tuples): the header is compared, the
+// whole record region validated, then each record's bytes are routed and
+// copied into its leaf's staging buffer without ever becoming a
+// stream.Tuple. It returns the number of tuples routed.
 func (co *Coordinator) ingestEncoded(payload []byte) (int64, error) {
 	if !bytes.HasPrefix(payload, co.hdr) {
 		return 0, fmt.Errorf("batch header does not match the coordinator schema %v", co.cfg.Schema.Names())
@@ -638,15 +626,14 @@ func (co *Coordinator) FleetTrace() []obs.FleetSpan {
 	}
 	rows := make([][]obs.FleetSpan, len(co.leaves))
 	co.eachUpLeaf(func(i int, lf *leaf, cl *client.Client) {
-		spans, err := cl.Trace()
+		spans, err := cl.FleetTrace()
 		if err != nil {
 			return
 		}
-		row := make([]obs.FleetSpan, len(spans))
 		for j := range spans {
-			row[j] = obs.FleetSpan{Node: lf.name, Span: spans[j]}
+			spans[j].Node = lf.name
 		}
-		rows[i] = row
+		rows[i] = spans
 	})
 	for _, row := range rows {
 		out = append(out, row...)

@@ -215,11 +215,10 @@ func (fe *Frontend) handle(f proto.Frame) proto.Frame {
 	case proto.TStats:
 		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: fe.co.tel.Snapshot().Encode()}
 	case proto.TTrace:
-		// With tracing off this answers the empty single-node dump any
-		// pre-fleet client decodes; armed, it assembles the cross-node fleet
-		// trace (coordinator spans + every reachable leaf's ring, causally
-		// ordered and node-labeled).
-		payload := obs.EncodeSpans(nil)
+		// With tracing off this answers an empty dump; armed, it assembles
+		// the cross-node fleet trace (coordinator spans + every reachable
+		// leaf's ring, causally ordered and node-labeled).
+		payload := obs.EncodeFleetTrace(nil)
 		if fe.co.tracer != nil {
 			payload = obs.EncodeFleetTrace(fe.co.FleetTrace())
 		}

@@ -576,7 +576,7 @@ func FuzzFrontendIngest(f *testing.F) {
 		wire := offlineCoordinator(t, schema, 3, 4)
 		resp := ingestFrame(wire, append(append([]byte(nil), hdr...), recs...))
 
-		tuples, oracleErr := stream.DecodeBinaryRecords(recs, schema.Len(), len(recs)+1)
+		tuples, oracleErr := new(stream.RecordArena).DecodeBinaryRecords(recs, schema.Len(), len(recs)+1)
 		for _, tu := range tuples {
 			if oracleErr == nil {
 				oracleErr = stream.CheckTuple(tu, schema.Len())

@@ -7,109 +7,15 @@ import (
 	"implicate/internal/wire"
 )
 
-// The Health and Trace RPC payload encodings. Like the telemetry snapshot
-// (and unlike ingest batches), they have versioned magics of their own: the
-// frame layer authenticates bytes, the payload codec proves structure.
-// Spans have two versions: v1 is the pre-fleet 37-byte record, v2 appends
-// the causal identity (trace id, parent span id, own span id). The encoder
-// emits v1 whenever no span carries identity — a single node that never
-// saw a traced frame keeps producing byte-identical dumps, so old readers
-// keep working — and v2 only when the extra fields carry information.
-const (
-	spansMagic   = "IMPS\x01"
-	spansMagicV2 = "IMPS\x02"
-	healthMagic  = "IMPH\x01"
-)
-
-// maxDumpSpans bounds a decoded span dump; a frame claiming more is corrupt
-// (no tracer ships rings anywhere near this deep).
-const maxDumpSpans = 1 << 20
+// The Health RPC payload encoding. Like the telemetry snapshot (and unlike
+// ingest batches), it has a versioned magic of its own: the frame layer
+// authenticates bytes, the payload codec proves structure. The Trace RPC's
+// payload is the fleet-trace layout (fleet.go) on every node.
+const healthMagic = "IMPH\x01"
 
 // maxHealthReports bounds a decoded health dump — one report per registered
 // statement, so anything huge is corruption, not scale.
 const maxHealthReports = 1 << 16
-
-// EncodeSpans serializes a span dump for the Trace RPC: v1 when no span
-// carries causal identity, v2 otherwise.
-func EncodeSpans(spans []Span) []byte {
-	linked := false
-	for i := range spans {
-		if spans[i].Trace != 0 || spans[i].Parent != 0 || spans[i].ID != 0 {
-			linked = true
-			break
-		}
-	}
-	e := wire.NewEncoder(16 + len(spans)*61)
-	if linked {
-		e.Raw([]byte(spansMagicV2))
-	} else {
-		e.Raw([]byte(spansMagic))
-	}
-	e.U32(uint32(len(spans)))
-	for i := range spans {
-		s := &spans[i]
-		e.U64(s.Seq)
-		e.U8(uint8(s.Kind))
-		e.U32(uint32(s.Arg))
-		e.I64(s.Start)
-		e.I64(s.Dur)
-		e.I64(s.Units)
-		if linked {
-			e.U64(s.Trace)
-			e.U64(s.Parent)
-			e.U64(s.ID)
-		}
-	}
-	return e.Bytes()
-}
-
-// decodeSpanInto reads one span record (v1: 37 bytes; v2: +24 bytes of
-// causal identity), validating the kind.
-func decodeSpanInto(d *wire.Decoder, s *Span, linked bool) {
-	s.Seq = d.U64()
-	s.Kind = SpanKind(d.U8())
-	s.Arg = int32(d.U32())
-	s.Start = d.I64()
-	s.Dur = d.I64()
-	s.Units = d.I64()
-	if linked {
-		s.Trace = d.U64()
-		s.Parent = d.U64()
-		s.ID = d.U64()
-	}
-	if s.Kind >= numSpanKinds {
-		d.Failf("unknown span kind %d", s.Kind)
-	}
-}
-
-// DecodeSpans parses a span dump (either version), rejecting structurally
-// implausible input.
-func DecodeSpans(data []byte) ([]Span, error) {
-	d := wire.NewDecoder(data)
-	linked := len(data) >= len(spansMagicV2) && string(data[:len(spansMagicV2)]) == spansMagicV2
-	size := 37
-	if linked {
-		d.Magic(spansMagicV2)
-		size = 61
-	} else {
-		d.Magic(spansMagic)
-	}
-	n := d.Count(size)
-	if d.Err() == nil && n > maxDumpSpans {
-		return nil, fmt.Errorf("%w: span dump claims %d spans", wire.ErrCorrupt, n)
-	}
-	var spans []Span
-	if d.Err() == nil && n > 0 {
-		spans = make([]Span, n)
-		for i := 0; i < n; i++ {
-			decodeSpanInto(d, &spans[i], linked)
-		}
-	}
-	if err := d.Done(); err != nil {
-		return nil, fmt.Errorf("obs: %w", err)
-	}
-	return spans, nil
-}
 
 // EncodeHealth serializes the engine's health reports for the Health RPC.
 func EncodeHealth(reports []imps.HealthReport) []byte {

@@ -7,27 +7,32 @@ import (
 	"implicate/internal/wire"
 )
 
-// The fleet trace: the coordinator's answer to the Trace RPC. Where a leaf
-// serves its own span ring, the coordinator fans the RPC out, collects
-// every leaf's ring next to its own, and assembles one causally-ordered
-// trace — each span labeled with the node it was recorded on, children
-// sorted under their parents by the cross-node links the traced frames
-// carried.
+// The fleet trace: the one span dump the Trace RPC answers with. A leaf
+// serves its own span ring with empty node labels; the coordinator fans the
+// RPC out, collects every leaf's ring next to its own, and assembles one
+// causally-ordered trace — each span labeled with the node it was recorded
+// on, children sorted under their parents by the cross-node links the
+// traced frames carried.
 const fleetMagic = "IMPF\x01"
 
 // maxNodeNameLen bounds a node label on the wire.
 const maxNodeNameLen = 256
 
+// maxDumpSpans bounds a decoded span dump; a frame claiming more is corrupt
+// (no tracer ships rings anywhere near this deep).
+const maxDumpSpans = 1 << 20
+
 // FleetSpan is one span of an assembled fleet trace: the node that
 // recorded it plus the span itself.
 type FleetSpan struct {
 	// Node names the recording process: "coord" for the coordinator's own
-	// spans, the leaf's configured name otherwise.
+	// spans, the leaf's configured name otherwise; empty in the dump a leaf
+	// serves, which does not know its name.
 	Node string
 	Span
 }
 
-// EncodeFleetTrace serializes an assembled fleet trace.
+// EncodeFleetTrace serializes a span dump for the Trace RPC.
 func EncodeFleetTrace(spans []FleetSpan) []byte {
 	e := wire.NewEncoder(16 + len(spans)*80)
 	e.Raw([]byte(fleetMagic))
@@ -48,7 +53,7 @@ func EncodeFleetTrace(spans []FleetSpan) []byte {
 	return e.Bytes()
 }
 
-// DecodeFleetTrace parses a fleet trace, rejecting structurally
+// DecodeFleetTrace parses a span dump, rejecting structurally
 // implausible input.
 func DecodeFleetTrace(data []byte) ([]FleetSpan, error) {
 	d := wire.NewDecoder(data)
@@ -81,13 +86,6 @@ func DecodeFleetTrace(data []byte) ([]FleetSpan, error) {
 		return nil, fmt.Errorf("obs: %w", err)
 	}
 	return spans, nil
-}
-
-// IsFleetTrace reports whether a Trace RPC payload is a fleet trace (as
-// opposed to a single node's span dump): clients use it to pick a decoder
-// without knowing what kind of server answered.
-func IsFleetTrace(data []byte) bool {
-	return len(data) >= len(fleetMagic) && string(data[:len(fleetMagic)]) == fleetMagic
 }
 
 // OrderFleetTrace sorts an assembled trace causally: root spans (no parent

@@ -14,8 +14,8 @@ import (
 )
 
 // TestFleetTraceCodecRoundTrip pins the IMPF wire format: node labels and
-// full span identity survive, the sniffer tells the two Trace payloads
-// apart, and corruption is refused rather than misread.
+// full span identity survive, and corruption is refused rather than
+// misread.
 func TestFleetTraceCodecRoundTrip(t *testing.T) {
 	now := time.Now().UnixNano()
 	spans := []FleetSpan{
@@ -24,12 +24,6 @@ func TestFleetTraceCodecRoundTrip(t *testing.T) {
 		{Node: "leaf0", Span: Span{Seq: 3, Kind: SpanApply, Arg: 1, Start: now + 20, Dur: 300, Units: 250, Trace: 0xa1, Parent: 0xb1}},
 	}
 	enc := EncodeFleetTrace(spans)
-	if !IsFleetTrace(enc) {
-		t.Fatal("fleet trace not recognized by the sniffer")
-	}
-	if IsFleetTrace(EncodeSpans(nil)) {
-		t.Fatal("single-node dump misread as a fleet trace")
-	}
 	got, err := DecodeFleetTrace(enc)
 	if err != nil {
 		t.Fatal(err)
@@ -50,9 +44,9 @@ func TestFleetTraceCodecRoundTrip(t *testing.T) {
 		t.Error("fleet trace with trailing bytes accepted")
 	}
 
-	// A span kind from a future build must be refused, exactly like the
-	// single-node codec: the append-only kind list is only safe to extend
-	// because old decoders refuse what they cannot name.
+	// A span kind from a future build must be refused: the append-only
+	// kind list is only safe to extend because old decoders refuse what
+	// they cannot name.
 	e := wire.NewEncoder(96)
 	e.Raw([]byte(fleetMagic))
 	e.U32(1)
@@ -72,14 +66,13 @@ func TestFleetTraceCodecRoundTrip(t *testing.T) {
 }
 
 // TestSpanDeliverKind pins the new kind's name and its acceptance by the
-// single-node codec (the coordinator's own ring travels through it when a
-// plain leaf client asks for a trace).
+// span dump codec in an unlabeled (leaf) dump.
 func TestSpanDeliverKind(t *testing.T) {
 	if got := SpanDeliver.String(); got != "deliver" {
 		t.Fatalf("SpanDeliver.String() = %q", got)
 	}
-	enc := EncodeSpans([]Span{{Seq: 1, Kind: SpanDeliver, Arg: 0, Units: 9}})
-	got, err := DecodeSpans(enc)
+	enc := EncodeFleetTrace([]FleetSpan{{Span: Span{Seq: 1, Kind: SpanDeliver, Arg: 0, Units: 9}}})
+	got, err := DecodeFleetTrace(enc)
 	if err != nil {
 		t.Fatal(err)
 	}

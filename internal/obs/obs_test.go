@@ -117,14 +117,20 @@ func TestTracerConcurrent(t *testing.T) {
 	wg.Wait()
 }
 
+// TestSpanCodecRoundTrip: a leaf's dump — its tracer's ring with empty
+// node labels — survives the span dump codec, and corruption is refused.
 func TestSpanCodecRoundTrip(t *testing.T) {
 	tr := NewTracer(8)
 	base := time.Now()
 	tr.Record(SpanCheckpoint, 2, 4096, base, 3*time.Millisecond)
 	tr.Record(SpanMerge, -1, 512, base, 40*time.Microsecond)
-	want := tr.Snapshot()
+	var want []FleetSpan
+	for _, sp := range tr.Snapshot() {
+		want = append(want, FleetSpan{Span: sp})
+	}
 
-	got, err := DecodeSpans(EncodeSpans(want))
+	enc := EncodeFleetTrace(want)
+	got, err := DecodeFleetTrace(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,16 +143,15 @@ func TestSpanCodecRoundTrip(t *testing.T) {
 		}
 	}
 
-	if _, err := DecodeSpans(EncodeSpans(nil)); err != nil {
+	if _, err := DecodeFleetTrace(EncodeFleetTrace(nil)); err != nil {
 		t.Errorf("empty dump: %v", err)
 	}
-	enc := EncodeSpans(want)
-	if _, err := DecodeSpans(enc[:len(enc)-1]); err == nil {
+	if _, err := DecodeFleetTrace(enc[:len(enc)-1]); err == nil {
 		t.Error("truncated span dump accepted")
 	}
 	bad := append([]byte(nil), enc...)
-	bad[len(spansMagic)+4+8] = 0xFF // first span's kind byte
-	if _, err := DecodeSpans(bad); err == nil {
+	bad[len(fleetMagic)+4+4+8] = 0xFF // first span's kind byte, after its empty label
+	if _, err := DecodeFleetTrace(bad); err == nil {
 		t.Error("unknown span kind accepted")
 	}
 }

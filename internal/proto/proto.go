@@ -101,7 +101,8 @@ const (
 	// (the obs package's IMPH encoding).
 	THealth Type = 0x05
 	// TTrace asks for a dump of the server's span ring (the obs package's
-	// IMPS encoding); an untraced server answers with an empty dump.
+	// IMPF encoding, node labels empty on a leaf); an untraced server
+	// answers with an empty dump.
 	TTrace Type = 0x06
 	// TUDPAck asks for the cumulative state of one UDP ingest source: the
 	// datagram lane's acknowledgements travel over the TCP control
@@ -278,7 +279,7 @@ func WriteFrame(w io.Writer, f Frame) error {
 //
 // Ingest request payloads are the stream package's binary batch encoding
 // verbatim (magic, schema header, records) and are decoded by the server
-// with stream.NewBinaryReader; they have no codec here.
+// with stream.RecordArena.DecodeBinaryRecords; they have no codec here.
 
 // StmtReq is the request payload of every RPC that addresses one registered
 // statement and carries nothing else (TQuery, TSnapshot, TReadout): the

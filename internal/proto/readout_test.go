@@ -43,15 +43,26 @@ func TestReadoutCodecs(t *testing.T) {
 	// A record count no remaining input can hold is refused before
 	// anything is sized by it: the refusal costs the same few bytes as any
 	// other, not 2^31 records' worth.
+	// TotalAlloc is process-wide, so the measurement is isolated the way
+	// testing.AllocsPerRun isolates its count: one P while it runs, one
+	// warm-up call, and the mean over many calls.
 	huge := binary.LittleEndian.AppendUint32(append([]byte(nil), full[:12]...), 1<<31)
+	refuse := func() {
+		if _, err := DecodeReadoutResult(huge); err == nil {
+			t.Fatal("record count beyond the input accepted")
+		}
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	refuse()
+	const runs = 100
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
-	if _, err := DecodeReadoutResult(huge); err == nil {
-		t.Fatal("record count beyond the input accepted")
+	for range runs {
+		refuse()
 	}
 	runtime.ReadMemStats(&after)
-	if n := after.TotalAlloc - before.TotalAlloc; n > 4096 {
-		t.Errorf("refusing a huge record count allocated %d bytes", n)
+	if n := (after.TotalAlloc - before.TotalAlloc) / runs; n > 4096 {
+		t.Errorf("refusing a huge record count allocated %d bytes per refusal", n)
 	}
 }
 

@@ -132,16 +132,30 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 }
 
 // decodeBatch parses an ingest payload — a complete binary stream (header
-// included) — validating the schema and the batch size. The fast path
-// compares the header bytes against the server schema's canonical encoding
-// and decodes the records into the leased batch's arena (one allocation
-// per batch, the record string); anything else takes the slow path, whose
-// job is the precise error message.
+// included) — validating the schema and the batch size, and decodes the
+// records into the leased batch's arena (one allocation per batch, the
+// record string). A header that is not byte-for-byte the server schema's
+// canonical encoding is parsed, so a mismatch gets a precise error and a
+// non-canonical spelling of the same schema is still served.
 func (s *Server) decodeBatch(ar *stream.RecordArena, payload []byte) ([]stream.Tuple, error) {
-	if bytes.HasPrefix(payload, s.hdr) {
-		return ar.DecodeBinaryRecords(payload[len(s.hdr):], s.arity, s.cfg.MaxBatchTuples)
+	n := len(s.hdr)
+	if !bytes.HasPrefix(payload, s.hdr) {
+		schema, m, err := stream.ParseBinaryHeader(payload)
+		if err != nil {
+			return nil, err
+		}
+		got, want := schema.Names(), s.cfg.Schema.Names()
+		if len(got) != len(want) {
+			return nil, fmt.Errorf("batch schema has %d attributes, server schema has %d", len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				return nil, fmt.Errorf("batch schema attribute %d is %q, server schema has %q", i, got[i], want[i])
+			}
+		}
+		n = m
 	}
-	return s.decodeBatchSlow(payload)
+	return ar.DecodeBinaryRecords(payload[n:], s.arity, s.cfg.MaxBatchTuples)
 }
 
 // planInto runs the pure planning stage — filters, projections, partition

@@ -52,9 +52,7 @@
 package server
 
 import (
-	"bytes"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sort"
@@ -597,8 +595,14 @@ func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 	case proto.TTrace:
 		// No lock: the tracer is its own synchronization, and a disabled
 		// tracer encodes as an empty dump rather than an error so pollers
-		// need not know the server's configuration.
-		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeSpans(s.tracer.Snapshot())}
+		// need not know the server's configuration. The dump is the fleet
+		// trace's layout with empty node labels.
+		spans := s.tracer.Snapshot()
+		dump := make([]obs.FleetSpan, len(spans))
+		for i := range spans {
+			dump[i].Span = spans[i]
+		}
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeFleetTrace(dump)}
 	case proto.TUDPAck:
 		resp = s.handleUDPAck(f)
 	case proto.TSnapshot:
@@ -651,47 +655,6 @@ func (s *Server) handleAuth(f proto.Frame, cs *connState) proto.Frame {
 	cs.tenant = t
 	cs.authed = true
 	return proto.Frame{Type: proto.TOK, ID: f.ID}
-}
-
-// decodeBatchSlow parses an ingest payload through the general
-// BinaryReader — the fallback for payloads whose header is not the
-// server schema's canonical encoding, where the job is the precise
-// schema-mismatch error. The fast path is decodeBatch in conn.go.
-func (s *Server) decodeBatchSlow(payload []byte) ([]stream.Tuple, error) {
-	br, err := stream.NewBinaryReader(bytes.NewReader(payload))
-	if err != nil {
-		return nil, err
-	}
-	got := br.Schema().Names()
-	want := s.cfg.Schema.Names()
-	if len(got) != len(want) {
-		return nil, fmt.Errorf("batch schema has %d attributes, server schema has %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return nil, fmt.Errorf("batch schema attribute %d is %q, server schema has %q", i, got[i], want[i])
-		}
-	}
-	var tuples []stream.Tuple
-	buf := make([]stream.Tuple, 256)
-	for {
-		n, err := br.NextBatch(buf)
-		for i := 0; i < n; i++ {
-			// NextBatch reuses the slot backing arrays; the queue outlives
-			// this call, so each tuple gets its own slice (the field strings
-			// are already freshly allocated per batch).
-			tuples = append(tuples, append(stream.Tuple(nil), buf[i]...))
-		}
-		if len(tuples) > s.cfg.MaxBatchTuples {
-			return nil, fmt.Errorf("batch exceeds %d tuples", s.cfg.MaxBatchTuples)
-		}
-		if err == io.EOF {
-			return tuples, nil
-		}
-		if err != nil {
-			return nil, err
-		}
-	}
 }
 
 // statement is the step the Query, Snapshot and Readout handlers start

@@ -1,6 +1,7 @@
 package server
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"net"
@@ -184,6 +185,76 @@ func TestServerIngestRejectsBadBatches(t *testing.T) {
 	}
 	if sn.TuplesIngested != 0 || sn.Batches != 0 {
 		t.Fatalf("rejected batches leaked into counters: %+v", sn)
+	}
+}
+
+// TestServerHeaderMismatch drives the parsed-header path of decodeBatch on
+// one raw connection. A header that names another schema, or is cut short,
+// is refused with a TError naming the mismatch and the connection serves
+// the next request; a header that spells the server's own schema
+// non-canonically (an over-long attribute count) is applied exactly like
+// the canonical batch.
+func TestServerHeaderMismatch(t *testing.T) {
+	schema := testSchema(t)
+	tuples := makeTuples(40, 7)
+	canon, err := client.EncodeBatch(schema, tuples)
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := canon[len(stream.BinaryHeader(schema)):]
+	withHeader := func(hdr string) []byte { return append([]byte(hdr), records...) }
+	srv := startServer(t, Config{Schema: schema, Engine: determinismEngine(t, schema, 11)})
+	nc, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	fr := proto.NewFrameReader(nc)
+	send := func(id uint64, payload []byte) proto.Frame {
+		t.Helper()
+		if err := proto.WriteFrame(nc, proto.Frame{Type: proto.TIngest, ID: id, Payload: payload}); err != nil {
+			t.Fatal(err)
+		}
+		f, err := fr.Next()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if f.ID != id {
+			t.Fatalf("response id %d for request %d", f.ID, id)
+		}
+		return f
+	}
+
+	for i, tc := range []struct {
+		name    string
+		payload []byte
+		want    string
+	}{
+		{"extra attribute", withHeader("IMPB\x01\x03\x01A\x01B\x01C"), "batch schema has 3 attributes, server schema has 2"},
+		{"swapped names", withHeader("IMPB\x01\x02\x01B\x01A"), `batch schema attribute 0 is "B", server schema has "A"`},
+		{"header cut short", []byte("IMPB\x01\x02\x01A\x01"), "binary header: unexpected EOF"},
+	} {
+		f := send(uint64(i+1), tc.payload)
+		msg, err := proto.DecodeError(f.Payload)
+		if f.Type != proto.TError || err != nil || !strings.Contains(msg, tc.want) {
+			t.Fatalf("%s: reply %s %q (%v), want a TError naming %q", tc.name, f.Type, msg, err, tc.want)
+		}
+	}
+	f := send(9, withHeader("IMPB\x01\x82\x00\x01A\x01B"))
+	if ack, err := proto.DecodeIngestAck(f.Payload); f.Type != proto.TOK || err != nil || ack.Tuples != int64(len(tuples)) {
+		t.Fatalf("over-long attribute count: reply %s %+v (%v), want the batch acknowledged", f.Type, ack, err)
+	}
+
+	waitTuples(t, dialClient(t, srv, schema, client.Options{}), int64(len(tuples)))
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.Engine().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := serialState(t, schema, 11, [][]stream.Tuple{tuples}); !bytes.Equal(got, want) {
+		t.Error("engine fed the non-canonical header diverged from one fed the canonical batch")
 	}
 }
 

@@ -49,7 +49,7 @@ func TestDecodeBinaryRecordsMatchesReader(t *testing.T) {
 	for ci, tuples := range cases {
 		full, records := encodeBinary(t, schema, tuples)
 
-		got, err := DecodeBinaryRecords(records, schema.Len(), len(tuples)+1)
+		got, err := new(RecordArena).DecodeBinaryRecords(records, schema.Len(), len(tuples)+1)
 		if err != nil {
 			t.Fatalf("case %d: DecodeBinaryRecords: %v", ci, err)
 		}
@@ -85,18 +85,18 @@ func TestDecodeBinaryRecordsRejects(t *testing.T) {
 	tuples := []Tuple{{"aa", "bb"}, {"cc", "dd"}}
 	_, records := encodeBinary(t, schema, tuples)
 
-	if _, err := DecodeBinaryRecords(records, schema.Len(), 1); err == nil {
+	if _, err := new(RecordArena).DecodeBinaryRecords(records, schema.Len(), 1); err == nil {
 		t.Fatal("expected a too-many-tuples error")
 	}
-	if _, err := DecodeBinaryRecords(records[:len(records)-1], schema.Len(), 10); err == nil {
+	if _, err := new(RecordArena).DecodeBinaryRecords(records[:len(records)-1], schema.Len(), 10); err == nil {
 		t.Fatal("expected a truncated-value error")
 	}
 	// An odd field count ends mid-record for arity 2.
 	oneField := append([]byte{1}, 'z')
-	if _, err := DecodeBinaryRecords(oneField, 2, 10); err == nil {
+	if _, err := new(RecordArena).DecodeBinaryRecords(oneField, 2, 10); err == nil {
 		t.Fatal("expected a mid-record error")
 	}
-	if _, err := DecodeBinaryRecords(records, 0, 10); err == nil {
+	if _, err := new(RecordArena).DecodeBinaryRecords(records, 0, 10); err == nil {
 		t.Fatal("expected an arity error")
 	}
 }
@@ -107,7 +107,7 @@ func TestDecodeBinaryRecordsNoAliasing(t *testing.T) {
 	schema := MustSchema("A", "B")
 	_, records := encodeBinary(t, schema, []Tuple{{"alpha", "beta"}})
 	buf := append([]byte(nil), records...)
-	got, err := DecodeBinaryRecords(buf, 2, 10)
+	got, err := new(RecordArena).DecodeBinaryRecords(buf, 2, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +126,12 @@ func BenchmarkDecodeBinaryRecords(b *testing.B) {
 		tuples[i] = Tuple{fmt.Sprintf("a%d", i), fmt.Sprintf("b%d", i%11)}
 	}
 	_, records := encodeBinary(b, schema, tuples)
+	var ar RecordArena
 	b.SetBytes(int64(len(records)))
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := DecodeBinaryRecords(records, 2, len(tuples)); err != nil {
+		if _, err := ar.DecodeBinaryRecords(records, 2, len(tuples)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -176,7 +177,7 @@ func TestValidateBinaryRecords(t *testing.T) {
 	if _, err := ValidateBinaryRecords(poison, 2); err == nil {
 		t.Error("key separator inside a value accepted")
 	}
-	if _, err := DecodeBinaryRecords(poison, 2, 10); err != nil {
+	if _, err := new(RecordArena).DecodeBinaryRecords(poison, 2, 10); err != nil {
 		t.Errorf("the serving decoder's admission changed: %v", err)
 	}
 	for name, bad := range map[string][]byte{

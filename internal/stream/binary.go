@@ -2,7 +2,7 @@ package stream
 
 import (
 	"bufio"
-	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"slices"
@@ -28,75 +28,36 @@ type BinaryWriter struct {
 
 // NewBinaryWriter returns a BinaryWriter for the schema.
 func NewBinaryWriter(w io.Writer, schema *Schema) *BinaryWriter {
-	return &BinaryWriter{w: bufio.NewWriterSize(w, 1<<16), schema: schema, buf: make([]byte, binary.MaxVarintLen64)}
-}
-
-func (w *BinaryWriter) header() error {
-	if _, err := w.w.WriteString(binaryMagic); err != nil {
-		return err
-	}
-	if err := w.uvarint(uint64(w.schema.Len())); err != nil {
-		return err
-	}
-	for _, name := range w.schema.names {
-		if err := w.bytes([]byte(name)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (w *BinaryWriter) uvarint(v uint64) error {
-	n := binary.PutUvarint(w.buf, v)
-	_, err := w.w.Write(w.buf[:n])
-	return err
-}
-
-func (w *BinaryWriter) bytes(b []byte) error {
-	if err := w.uvarint(uint64(len(b))); err != nil {
-		return err
-	}
-	_, err := w.w.Write(b)
-	return err
-}
-
-func (w *BinaryWriter) str(v string) error {
-	if err := w.uvarint(uint64(len(v))); err != nil {
-		return err
-	}
-	_, err := w.w.WriteString(v)
-	return err
+	return &BinaryWriter{w: bufio.NewWriterSize(w, 1<<16), schema: schema}
 }
 
 // Write implements Sink.
 func (w *BinaryWriter) Write(t Tuple) error {
-	if !w.wrote {
-		w.wrote = true
-		if err := w.header(); err != nil {
-			return err
-		}
-	}
 	if err := CheckTuple(t, w.schema.Len()); err != nil {
-		return err
+		return fmt.Errorf("stream: %w", err)
 	}
-	for _, v := range t {
-		if err := w.str(v); err != nil {
-			return err
-		}
-	}
-	return nil
+	return w.write(t)
 }
 
 // Flush flushes buffered output (writing the header even for empty
 // streams).
 func (w *BinaryWriter) Flush() error {
-	if !w.wrote {
-		w.wrote = true
-		if err := w.header(); err != nil {
-			return err
-		}
+	if err := w.write(nil); err != nil {
+		return err
 	}
 	return w.w.Flush()
+}
+
+// write emits t's record, preceded by the header on the first call.
+func (w *BinaryWriter) write(t Tuple) error {
+	w.buf = w.buf[:0]
+	if !w.wrote {
+		w.wrote = true
+		w.buf = AppendBinaryHeader(w.buf, w.schema)
+	}
+	w.buf = AppendBinaryRecord(w.buf, t)
+	_, err := w.w.Write(w.buf)
+	return err
 }
 
 // BatchSource is implemented by sources that can decode many tuples per
@@ -110,177 +71,127 @@ type BatchSource interface {
 	NextBatch(dst []Tuple) (int, error)
 }
 
-// countingReader wraps the buffered input and counts every byte consumed,
-// so decode errors can name the exact offset of the corrupt frame — what
-// makes a server's "bad batch from peer X" report actionable.
-type countingReader struct {
-	br *bufio.Reader
-	n  int64
-}
-
-func (c *countingReader) Read(p []byte) (int, error) {
-	n, err := c.br.Read(p)
-	c.n += int64(n)
-	return n, err
-}
-
-func (c *countingReader) ReadByte() (byte, error) {
-	b, err := c.br.ReadByte()
-	if err == nil {
-		c.n++
-	}
-	return b, err
-}
-
-func (c *countingReader) Discard(n int) (int, error) {
-	m, err := c.br.Discard(n)
-	c.n += int64(m)
-	return m, err
-}
-
-// BinaryReader decodes tuples written by BinaryWriter.
+// BinaryReader decodes tuples written by BinaryWriter. It reads its input
+// into a window and decodes every complete record in the window at once
+// with the slice decoder the server uses, so a window's records cost one
+// string allocation between them.
 type BinaryReader struct {
-	r      *countingReader
+	r      io.Reader
 	schema *Schema
-	fields []string
+	arity  int
 
-	// arena stages one tuple's raw field bytes during batch decoding so the
-	// whole record costs a single string allocation.
-	arena []byte
-	lens  []int
+	buf  []byte // the window; buf[off:] is not decoded yet
+	off  int
+	base int64 // stream offset of buf[0]
+	eof  bool  // r has returned io.EOF
+
+	arena RecordArena
+	dec   []Tuple // decoded records not yet handed out
+	err   error   // returned once dec is empty: io.EOF or a decode error
 	pos   int64
+	one   [1]Tuple // Next's slot
 }
 
 // NewBinaryReader reads the header and returns a reader positioned at the
 // first tuple.
 func NewBinaryReader(r io.Reader) (*BinaryReader, error) {
-	br := &BinaryReader{r: &countingReader{br: bufio.NewReaderSize(r, 1<<16)}}
-	magic := make([]byte, len(binaryMagic))
-	if _, err := io.ReadFull(br.r, magic); err != nil {
-		return nil, fmt.Errorf("stream: binary header: %w", err)
-	}
-	if string(magic) != binaryMagic {
-		return nil, fmt.Errorf("stream: not a binary stream file")
-	}
-	n, err := binary.ReadUvarint(br.r)
-	if err != nil {
-		return nil, fmt.Errorf("stream: binary header: %w", err)
-	}
-	if n == 0 || n > 4096 {
-		return nil, fmt.Errorf("stream: implausible attribute count %d", n)
-	}
-	names := make([]string, n)
-	for i := range names {
-		v, err := br.value(1 << 16)
-		if err != nil {
+	br := &BinaryReader{r: r, buf: make([]byte, 0, 1<<16)}
+	for {
+		schema, n, err := ParseBinaryHeader(br.buf)
+		if err == nil {
+			br.schema, br.arity, br.off = schema, schema.Len(), n
+			return br, nil
+		}
+		if !errors.Is(err, io.ErrUnexpectedEOF) || br.eof {
+			return nil, err
+		}
+		if err := br.read(); err != nil {
 			return nil, fmt.Errorf("stream: binary header: %w", err)
 		}
-		names[i] = v
 	}
-	schema, err := NewSchema(names...)
-	if err != nil {
-		return nil, fmt.Errorf("stream: bad binary header: %w", err)
-	}
-	br.schema = schema
-	br.fields = make([]string, n)
-	return br, nil
-}
-
-func (r *BinaryReader) value(maxLen uint64) (string, error) {
-	n, err := binary.ReadUvarint(r.r)
-	if err != nil {
-		return "", err
-	}
-	if n > maxLen {
-		return "", fmt.Errorf("value length %d exceeds limit", n)
-	}
-	buf := make([]byte, n)
-	if _, err := io.ReadFull(r.r, buf); err != nil {
-		if err == io.EOF {
-			err = io.ErrUnexpectedEOF
-		}
-		return "", err
-	}
-	return string(buf), nil
 }
 
 // Schema returns the schema read from the header.
 func (r *BinaryReader) Schema() *Schema { return r.schema }
 
-// recordErr annotates a record-level decode failure with the byte offset
-// and tuple index the reader had reached.
-func (r *BinaryReader) recordErr(err error) error {
-	return fmt.Errorf("stream: binary record at byte offset %d (after tuple %d): %w", r.r.n, r.pos, err)
-}
-
 // Next implements Source. The returned tuple aliases an internal buffer and
 // is only valid until the next call.
 func (r *BinaryReader) Next() (Tuple, error) {
-	for i := range r.fields {
-		v, err := r.value(1 << 24)
-		if err != nil {
-			if i == 0 && err == io.EOF {
-				return nil, io.EOF
-			}
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
-			}
-			return nil, r.recordErr(err)
-		}
-		r.fields[i] = v
+	if n, err := r.NextBatch(r.one[:]); n == 0 {
+		return nil, err
 	}
-	r.pos++
-	return Tuple(r.fields), nil
+	return r.one[0], nil
 }
 
-// NextBatch implements BatchSource: it decodes up to len(dst) tuples,
-// reusing each slot's field slice across calls. Each record's field bytes
-// are staged in a shared arena and converted with one string allocation per
-// tuple (instead of one per field), which roughly halves decode cost on
-// wide schemas. Returns the number of tuples decoded and io.EOF once the
-// stream is exhausted.
+// NextBatch implements BatchSource: it hands out up to len(dst) decoded
+// tuples, reusing each slot's field slice across calls. Tuples decoded
+// before a malformed or truncated record are returned first, the error with
+// them. Returns io.EOF once the stream is exhausted.
 func (r *BinaryReader) NextBatch(dst []Tuple) (int, error) {
-	arity := len(r.fields)
 	for k := range dst {
-		r.arena = r.arena[:0]
-		r.lens = r.lens[:0]
-		for i := 0; i < arity; i++ {
-			n, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				if i == 0 && err == io.EOF {
-					return k, io.EOF
-				}
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return k, r.recordErr(err)
-			}
-			if n > 1<<24 {
-				return k, r.recordErr(fmt.Errorf("value length %d exceeds limit", n))
-			}
-			off := len(r.arena)
-			r.arena = slices.Grow(r.arena, int(n))[:off+int(n)]
-			if _, err := io.ReadFull(r.r, r.arena[off:]); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return k, r.recordErr(err)
-			}
-			r.lens = append(r.lens, int(n))
+		if len(r.dec) == 0 && !r.fill() {
+			return k, r.err
 		}
-		if cap(dst[k]) < arity {
-			dst[k] = make(Tuple, arity)
-		}
-		dst[k] = dst[k][:arity]
-		rec := string(r.arena)
-		off := 0
-		for i, n := range r.lens {
-			dst[k][i] = rec[off : off+n]
-			off += n
-		}
+		// Copy the field headers out: a refill reuses the arena.
+		dst[k] = append(dst[k][:0], r.dec[0]...)
+		r.dec = r.dec[1:]
 		r.pos++
 	}
 	return len(dst), nil
+}
+
+// fill decodes every complete record in the window, reading more input
+// while there is none. It reports whether any record was decoded; if not,
+// r.err says why.
+func (r *BinaryReader) fill() bool {
+	for r.err == nil {
+		data := r.buf[r.off:]
+		count, end, err := scanBinaryRecords(data, r.arity, false, true)
+		if re, ok := err.(*recordError); ok {
+			re.off += r.base + int64(r.off)
+			re.tuple += r.pos
+		}
+		r.err = err
+		if count > 0 {
+			r.dec = r.arena.decode(data[:end], r.arity, count)
+			r.off += end
+			return true
+		}
+		switch {
+		case r.err != nil:
+		case r.eof && len(data) == 0:
+			r.err = io.EOF
+		case r.eof:
+			r.err = &recordError{off: r.base + int64(r.off), tuple: r.pos, err: io.ErrUnexpectedEOF}
+		default:
+			if err := r.read(); err != nil {
+				r.err = &recordError{off: r.base + int64(len(r.buf)), tuple: r.pos, err: err}
+			}
+		}
+	}
+	return false
+}
+
+// read appends more input to the window, first moving the undecoded bytes
+// to its front and, when they fill it, doubling it: a window always grows
+// to fit one record (at most arity × maxBatchValueLen plus prefixes, since
+// the scan refuses a longer value before its bytes are waited for).
+func (r *BinaryReader) read() error {
+	if r.off > 0 {
+		n := copy(r.buf, r.buf[r.off:])
+		r.base += int64(r.off)
+		r.buf, r.off = r.buf[:n], 0
+	}
+	if len(r.buf) == cap(r.buf) {
+		r.buf = slices.Grow(r.buf, cap(r.buf))
+	}
+	n, err := r.r.Read(r.buf[len(r.buf):cap(r.buf)])
+	r.buf = r.buf[:len(r.buf)+n]
+	if err == io.EOF {
+		r.eof = true
+		return nil
+	}
+	return err
 }
 
 // OpenReader sniffs the format (binary magic vs text header) and returns

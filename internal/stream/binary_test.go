@@ -2,10 +2,13 @@ package stream
 
 import (
 	"bytes"
+	"errors"
+	"fmt"
 	"io"
 	"reflect"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
 
@@ -248,4 +251,130 @@ func TestOpenReaderSniffs(t *testing.T) {
 			t.Fatalf("%s: expected EOF, got %v", name, err)
 		}
 	}
+}
+
+// drainBinary skips the first skip tuples, then reads r to the end in
+// batches of size, returning copies of the tuples and the error that ended
+// the stream (io.EOF for a clean end).
+func drainBinary(r *BinaryReader, size int, skip int64) ([]Tuple, error) {
+	if err := r.SkipTuples(skip); err != nil {
+		return nil, err
+	}
+	var got []Tuple
+	batch := make([]Tuple, size)
+	for {
+		n, err := r.NextBatch(batch)
+		for _, tup := range batch[:n] {
+			got = append(got, append(Tuple(nil), tup...))
+		}
+		if err != nil {
+			return got, err
+		}
+	}
+}
+
+func sameTuples(a, b []Tuple) bool {
+	return len(a) == len(b) && (len(a) == 0 || reflect.DeepEqual(a, b))
+}
+
+// FuzzBinaryReader: for any input, BinaryReader — whatever its read and
+// batch boundaries — yields the tuples and the outcome of the slice
+// decoder over the whole input. Where the input is malformed it yields
+// every complete record before the damage, then an error; and SkipTuples(k)
+// then reading equals reading and dropping k tuples.
+func FuzzBinaryReader(f *testing.F) {
+	schema := MustSchema("Source", "Destination", "Service")
+	written := func(n int) []byte {
+		var buf bytes.Buffer
+		w := NewBinaryWriter(&buf, schema)
+		for i := 0; i < n; i++ {
+			// Every 100th tuple carries a value with a two-byte length prefix.
+			if err := w.Write(Tuple{fmt.Sprint("S", i%97), strings.Repeat("d", i%5+200*(i%100/99)), ""}); err != nil {
+				f.Fatal(err)
+			}
+		}
+		if err := w.Flush(); err != nil {
+			f.Fatal(err)
+		}
+		return buf.Bytes()
+	}
+	big := written(1000)
+	for _, seed := range [][]byte{written(0), written(1), big, big[:len(big)-3]} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		sch, hdr, herr := ParseBinaryHeader(data)
+		var want []Tuple
+		werr := herr
+		if herr == nil {
+			want, werr = new(RecordArena).DecodeBinaryRecords(data[hdr:], sch.Len(), len(data)+1)
+		}
+		var ref []Tuple // the first reader's tuples: every reader must agree
+		first := true
+		for _, oneByte := range []bool{false, true} {
+			for _, size := range []int{1, 7, 256} {
+				var in io.Reader = bytes.NewReader(data)
+				if oneByte {
+					in = iotest.OneByteReader(in)
+				}
+				r, err := NewBinaryReader(in)
+				if (err == nil) != (herr == nil) {
+					t.Fatalf("header: reader error %v, slice parser error %v", err, herr)
+				}
+				if err != nil {
+					return
+				}
+				got, err := drainBinary(r, size, 0)
+				if werr == nil && (err != io.EOF || !sameTuples(got, want)) {
+					t.Fatalf("one-byte %v size %d: %d tuples ending in %v; slice decoder: %d tuples", oneByte, size, len(got), err, len(want))
+				}
+				if werr != nil && (err == nil || err == io.EOF) {
+					t.Fatalf("one-byte %v size %d: reader ended cleanly, slice decoder refused: %v", oneByte, size, werr)
+				}
+				if first {
+					ref, first = got, false
+				} else if !sameTuples(got, ref) {
+					t.Fatalf("one-byte %v size %d: %d tuples, another reader %d", oneByte, size, len(got), len(ref))
+				}
+			}
+		}
+		if werr != nil {
+			// What the reader yielded before the error is what the slice
+			// decoder reads from the records it spans.
+			recs := data[hdr:]
+			end, spans := 0, make([]Span, sch.Len())
+			for range ref {
+				end = RecordSpans(recs, end, spans)
+			}
+			prefix, err := new(RecordArena).DecodeBinaryRecords(recs[:end], sch.Len(), len(ref))
+			if err != nil || !sameTuples(prefix, ref) {
+				t.Fatalf("reader's %d tuples before the error are not the input's complete records (%v)", len(ref), err)
+			}
+		}
+		for _, k := range []int{1, len(ref) / 2, len(ref)} {
+			r, err := NewBinaryReader(iotest.OneByteReader(bytes.NewReader(data)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := drainBinary(r, 7, int64(k))
+			if k > len(ref) {
+				if err == nil || err == io.EOF {
+					t.Fatalf("skipping %d of %d tuples: %v", k, len(ref), err)
+				}
+				continue
+			}
+			if !sameTuples(got, ref[k:]) || (err == io.EOF) != (werr == nil) {
+				t.Fatalf("skip %d: %d tuples ending in %v, want %d", k, len(got), err, len(ref)-k)
+			}
+		}
+		if werr == nil {
+			r, err := NewBinaryReader(bytes.NewReader(data))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := r.SkipTuples(int64(len(ref) + 1)); err == nil || errors.Is(err, io.EOF) {
+				t.Fatalf("skipping past the end of %d tuples: %v", len(ref), err)
+			}
+		}
+	})
 }

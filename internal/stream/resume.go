@@ -1,7 +1,6 @@
 package stream
 
 import (
-	"encoding/binary"
 	"fmt"
 	"io"
 )
@@ -59,36 +58,22 @@ func (r *Reader) SkipTuples(n int64) error {
 // Pos implements Resumable.
 func (r *BinaryReader) Pos() int64 { return r.pos }
 
-// SkipTuples implements Resumable: skipped records are consumed by length
-// field only, discarding the value bytes unread.
+// SkipTuples implements Resumable: skipped records are decoded and dropped.
 func (r *BinaryReader) SkipTuples(n int64) error {
 	if n < 0 {
 		return fmt.Errorf("stream: cannot skip %d tuples", n)
 	}
-	arity := len(r.fields)
-	for i := int64(0); i < n; i++ {
-		for f := 0; f < arity; f++ {
-			v, err := binary.ReadUvarint(r.r)
-			if err != nil {
-				if f == 0 && err == io.EOF {
-					return fmt.Errorf("stream: cannot skip %d tuples, stream ended after %d", n, i)
-				}
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return r.recordErr(err)
+	for i := int64(0); i < n; {
+		if len(r.dec) == 0 && !r.fill() {
+			if r.err == io.EOF {
+				return fmt.Errorf("stream: cannot skip %d tuples, stream ended after %d", n, i)
 			}
-			if v > 1<<24 {
-				return r.recordErr(fmt.Errorf("value length %d exceeds limit", v))
-			}
-			if _, err := r.r.Discard(int(v)); err != nil {
-				if err == io.EOF {
-					err = io.ErrUnexpectedEOF
-				}
-				return r.recordErr(err)
-			}
+			return r.err
 		}
-		r.pos++
+		k := min(int64(len(r.dec)), n-i)
+		r.dec = r.dec[k:]
+		r.pos += k
+		i += k
 	}
 	return nil
 }
