@@ -17,9 +17,9 @@
 //	    -q "SELECT ..."
 //
 // Leaves must serve the same schema and statements with merge-compatible
-// estimators: the plain "nips" sketch backend with one shared -seed on
-// every leaf, checked at startup; the fleet splits their m bitmaps, so run
-// at most m leaves. Leaf NAMES are the stable routing identities — keep them
+// estimators: the "nips" sketch backend with one shared -seed on every
+// leaf, checked at startup; the fleet splits their m bitmaps, so run at
+// most m leaves. Leaf NAMES are the stable routing identities — keep them
 // fixed across restarts and address changes, or tuples re-route and the
 // fleet's determinism contract breaks.
 //

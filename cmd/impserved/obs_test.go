@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -101,13 +102,17 @@ func TestObsSmoke(t *testing.T) {
 		t.Fatalf("/healthz: %q", body)
 	}
 	metrics := get("/metrics")
+	kind := "nips" // -backend nips gives a sketch a lock stripe per core
+	if runtime.GOMAXPROCS(0) > 1 {
+		kind = "sharded"
+	}
 	for _, want := range []string{
 		fmt.Sprintf("imps_tuples_ingested_total %d", total),
 		"imps_queue_high_water",
 		"imps_pool_saturation_total",
 		`imps_worker_units_total{worker="3"}`,
 		`imps_rpc_latency_seconds{rpc="IngestBatch",quantile="0.5"}`,
-		`imps_stmt_bitmap_fill{stmt="0",kind="nips",shared="false"}`,
+		`imps_stmt_bitmap_fill{stmt="0",kind="` + kind + `",shared="false"}`,
 		`imps_stmt_fringe_evictions_total{stmt="0"`,
 	} {
 		if !strings.Contains(metrics, want) {

@@ -61,7 +61,7 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.IntVar(&cfg.udpWindow, "udp-window", 256, "UDP lane per-source reorder window in sequence numbers (with -udp)")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query to serve (repeatable; required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, sharded, exact, exact-striped, ilc, ds")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, exact-striped, ilc, ds")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
 	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
 	fs.IntVar(&cfg.dsSize, "ds-size", 1920, "Distinct Sampling entry budget")
@@ -170,10 +170,10 @@ func parseTenants(cfg *config) ([]implicate.TenantConfig, error) {
 }
 
 // backendsFor builds the named backend factories the command line selects.
+// The names are impstat's, so either tool resumes the other's checkpoints.
 func backendsFor(cfg *config) map[string]implicate.Backend {
 	return map[string]implicate.Backend{
 		"nips":          implicate.SketchBackend(implicate.Options{Seed: cfg.seed}),
-		"sharded":       implicate.ShardedSketchBackend(implicate.Options{Seed: cfg.seed}, 0),
 		"exact":         implicate.ExactBackend(),
 		"exact-striped": implicate.StripedExactBackend(0),
 		"ilc": func(cond implicate.Conditions) (implicate.Estimator, error) {

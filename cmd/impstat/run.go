@@ -30,7 +30,7 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs := flag.NewFlagSet("impstat", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.sql, "q", "", "implication query (required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, ilc, ds, all")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, exact-striped, ilc, ds, or all")
 	fs.Int64Var(&cfg.interval, "interval", 0, "print counts every N tuples (0: only at the end)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
 	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
@@ -69,11 +69,13 @@ func (cfg *config) validate() error {
 }
 
 // backendsFor builds the named backend factories the command line selects.
+// The names are impserved's, so either tool resumes the other's
+// checkpoints.
 func backendsFor(cfg *config) map[string]implicate.Backend {
 	return map[string]implicate.Backend{
-		"nips":    implicate.SketchBackend(implicate.Options{Seed: cfg.seed}),
-		"sharded": implicate.ShardedSketchBackend(implicate.Options{Seed: cfg.seed}, 0),
-		"exact":   implicate.ExactBackend(),
+		"nips":          implicate.SketchBackend(implicate.Options{Seed: cfg.seed}),
+		"exact":         implicate.ExactBackend(),
+		"exact-striped": implicate.StripedExactBackend(0),
 		"ilc": func(cond implicate.Conditions) (implicate.Estimator, error) {
 			return implicate.NewILC(cond, cfg.ilcEps, cfg.ilcEps)
 		},
@@ -115,7 +117,11 @@ func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, 
 		}
 		var stmts []namedStmt
 		for _, st := range eng.Statements() {
-			stmts = append(stmts, namedStmt{name: st.EstimatorKind(), st: st})
+			name := st.EstimatorKind()
+			if name == "sharded" {
+				name = "nips" // the backend that builds a sketch with several lock stripes
+			}
+			stmts = append(stmts, namedStmt{name: name, st: st})
 		}
 		return eng, stmts, snap.Offset, nil
 	}
@@ -123,21 +129,22 @@ func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, 
 	if cfg.sql == "" {
 		return nil, nil, 0, fmt.Errorf("missing -q query")
 	}
-	order := []string{"nips", "exact", "ilc", "ds"}
+	names := []string{cfg.backend}
+	if cfg.backend == "all" {
+		names = []string{"nips", "exact", "ilc", "ds"}
+	}
 	eng := implicate.NewEngine(schema)
 	var stmts []namedStmt
-	for _, name := range order {
-		if cfg.backend != name && cfg.backend != "all" {
-			continue
+	for _, name := range names {
+		backend, ok := factories[name]
+		if !ok {
+			return nil, nil, 0, fmt.Errorf("unknown backend %q", cfg.backend)
 		}
-		st, err := eng.RegisterSQL(cfg.sql, factories[name])
+		st, err := eng.RegisterSQL(cfg.sql, backend)
 		if err != nil {
 			return nil, nil, 0, err
 		}
 		stmts = append(stmts, namedStmt{name: name, st: st})
-	}
-	if len(stmts) == 0 {
-		return nil, nil, 0, fmt.Errorf("unknown backend %q", cfg.backend)
 	}
 	return eng, stmts, 0, nil
 }

@@ -221,6 +221,64 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	}
 }
 
+// TestRunResumeWindowedCheckpoints: impstat resumes windowed checkpoints
+// of the kinds impserved's backends write — the striped exact counter's,
+// and the sketch's at one and at several lock stripes — and finishes with
+// the answer an uninterrupted impstat run of that backend gives.
+func TestRunResumeWindowedCheckpoints(t *testing.T) {
+	full := longStream(60)
+	sql := `SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 20 EVERY 5`
+	sketch := func(shards int) implicate.Backend {
+		return func(cond implicate.Conditions) (implicate.Estimator, error) {
+			return implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, shards)
+		}
+	}
+	for _, c := range []struct {
+		kind, backend string
+		build         implicate.Backend
+	}{
+		{"exact-striped", "exact-striped", implicate.StripedExactBackend(0)},
+		{"nips", "nips", sketch(1)},
+		{"sharded", "nips", sketch(2)},
+	} {
+		t.Run(c.kind, func(t *testing.T) {
+			schema, err := implicate.NewSchema("Source", "Destination", "Service", "Time")
+			if err != nil {
+				t.Fatal(err)
+			}
+			eng := implicate.NewEngine(schema)
+			st, err := eng.RegisterSQL(sql, c.build)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, line := range strings.Split(full, "\n")[1 : 1+25] {
+				eng.Process(strings.Split(line, "\t"))
+			}
+			if got := st.EstimatorKind(); got != c.kind {
+				t.Fatalf("checkpointed kind %q, want %q", got, c.kind)
+			}
+			snap, err := implicate.CaptureCheckpoint(eng, 25)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ckpt := filepath.Join(t.TempDir(), "run.ckpt")
+			if err := implicate.WriteCheckpoint(ckpt, snap); err != nil {
+				t.Fatal(err)
+			}
+			var got, want strings.Builder
+			if err := run(&config{resume: ckpt, seed: 1}, strings.NewReader(full), &got); err != nil {
+				t.Fatalf("resume: %v", err)
+			}
+			if err := run(&config{sql: sql, backend: c.backend, seed: 1}, strings.NewReader(full), &want); err != nil {
+				t.Fatal(err)
+			}
+			if g, w := lastLine(got.String()), lastLine(want.String()); g != w || !strings.Contains(g, "tuples=60") {
+				t.Fatalf("resumed run final report:\n  %s\nuninterrupted run:\n  %s", g, w)
+			}
+		})
+	}
+}
+
 func lastLine(s string) string {
 	lines := strings.Split(strings.TrimRight(s, "\n"), "\n")
 	return lines[len(lines)-1]

@@ -93,9 +93,10 @@ func main() {
 
 	// Forensic pass: after the trigger, re-analyze the attack segment of the
 	// recorded capture on all cores at once. Producers split the segment,
-	// hash their own tuples outside any lock, and feed one ShardedSketch in
-	// batches; each batch touches each shard's lock at most once, so the pass
-	// scales with GOMAXPROCS instead of serializing on a single sketch mutex.
+	// hash their own tuples outside any lock, and feed one Sketch striped for
+	// GOMAXPROCS in batches; each batch touches each stripe's lock at most
+	// once, so the pass scales with the cores instead of serializing on one
+	// lock.
 	workers := runtime.GOMAXPROCS(0)
 	ss, err := implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, 0)
 	if err != nil {

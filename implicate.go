@@ -61,13 +61,29 @@ type Estimator = imps.Estimator
 // seed).
 type Options = core.Options
 
-// Sketch is the NIPS/CI estimator, the paper's primary contribution.
+// Sketch is the NIPS/CI estimator, the paper's primary contribution. Its
+// bitmaps sit behind lock stripes keyed by the tuple hash, so all its
+// methods are safe for concurrent use and producers ingest in parallel.
 type Sketch = core.Sketch
 
-// NewSketch returns a NIPS/CI sketch for the given implication conditions.
+// NewSketch returns a NIPS/CI sketch with one lock stripe for the given
+// implication conditions.
 func NewSketch(cond Conditions, opts Options) (*Sketch, error) {
 	return core.NewSketch(cond, opts)
 }
+
+// NewShardedSketch returns a NIPS/CI sketch with the given number of lock
+// stripes for parallel ingestion. shards must be a power of two no larger
+// than the bitmap count; 0 selects a count matched to GOMAXPROCS.
+func NewShardedSketch(cond Conditions, opts Options, shards int) (*Sketch, error) {
+	return core.NewShardedSketch(cond, opts, shards)
+}
+
+// HashedPair is one projected tuple of the batched ingest path: the encoded
+// A- and B-itemsets plus the sketch's own hashes of them. Fill AH and BH
+// with Sketch.HashPairKeys — on the producer's goroutine, outside any lock
+// — and hand batches to Sketch.AddHashedPairs.
+type HashedPair = imps.HashedPair
 
 // Exact is the exact hash-table implication counter (ground truth; memory
 // proportional to the number of distinct itemsets).
@@ -157,14 +173,15 @@ func NewEngine(schema *Schema) *Engine { return query.NewEngine(schema) }
 func ParseQuery(sql string) (*Query, error) { return query.Parse(sql) }
 
 // SketchBackend returns a Backend producing NIPS/CI sketches with the given
-// options (seeds are derived per statement, atomically, so one backend can
-// serve statement registration from concurrent goroutines).
+// options, striped for GOMAXPROCS (seeds are derived per statement,
+// atomically, so one backend can serve statement registration from
+// concurrent goroutines).
 func SketchBackend(opts Options) Backend {
 	var n atomic.Uint64
 	return func(cond Conditions) (Estimator, error) {
 		o := opts
 		o.Seed = opts.Seed + n.Add(1)*0x9e3779b97f4a7c15
-		return core.NewSketch(cond, o)
+		return core.NewShardedSketch(cond, o, 0)
 	}
 }
 

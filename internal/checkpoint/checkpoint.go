@@ -62,10 +62,21 @@ func Capture(eng *query.Engine, offset int64) (Snapshot, error) {
 }
 
 // Restore rebuilds the engine from a snapshot; see query.UnmarshalEngine
-// for the validation it performs. The caller then skips the source to
-// snap.Offset and resumes consuming.
+// for the validation it performs. resolve is asked for backends by name,
+// so a window of sketches resolves as "nips" whatever its slots' kind: one
+// backend builds a sketch at every stripe count. The caller then skips the
+// source to snap.Offset and resumes consuming.
 func Restore(snap Snapshot, schema *stream.Schema, resolve query.BackendResolver) (*query.Engine, error) {
-	return query.UnmarshalEngine(snap.Engine, schema, resolve)
+	byName := resolve
+	if resolve != nil {
+		byName = func(q query.Query, kind string) (query.Backend, error) {
+			if kind == "sharded" {
+				kind = "nips"
+			}
+			return resolve(q, kind)
+		}
+	}
+	return query.UnmarshalEngine(snap.Engine, schema, byName)
 }
 
 // Encode frames a snapshot into the checkpoint file format.

@@ -17,11 +17,11 @@
 // fleet fed the same stream, which is the property the cluster smoke test
 // enforces.
 //
-// Restrictions: every leaf must run the plain "nips" sketch with identical
-// seeds and parameters for every statement — routing hashes with statement
-// 0's, and the fan-in is a core.Readout or core.Sketch.Merge — and there
-// may be at most as many leaves as bitmaps; New refuses a fleet that breaks
-// either, as it does windowed statements.
+// Restrictions: every leaf must run the NIPS sketch, at any stripe count,
+// with identical seeds and parameters for every statement — routing hashes
+// with statement 0's, and the fan-in is a core.Readout or core.Sketch.Merge
+// — and there may be at most as many leaves as bitmaps; New refuses a fleet
+// that breaks either, as it does windowed statements.
 package coord
 
 import (

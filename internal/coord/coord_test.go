@@ -85,6 +85,10 @@ type fleet struct {
 	// 100.
 	flushTuples int
 
+	// shards, when positive, gives every leaf sketch that many lock
+	// stripes.
+	shards int
+
 	mu      sync.Mutex
 	servers map[string]*server.Server
 }
@@ -95,7 +99,7 @@ func newFleet(t *testing.T, schema *stream.Schema) *fleet {
 
 func (f *fleet) backend() query.Backend {
 	return func(cond imps.Conditions) (imps.Estimator, error) {
-		return core.NewSketch(cond, core.Options{Seed: fleetSeed})
+		return core.NewShardedSketch(cond, core.Options{Seed: fleetSeed}, max(f.shards, 1))
 	}
 }
 

@@ -10,14 +10,14 @@ import (
 
 	"implicate/internal/core"
 	"implicate/internal/gen"
+	"implicate/internal/query"
 	"implicate/internal/stream"
 )
 
 // datasetOneFleet starts a coordinator over three leaves serving sql (which
 // may name the conditions with %s) and feeds it and a one-node engine
-// Dataset One, returning the coordinator and the flushed one-node engine's
-// statements' counts and tuple total.
-func datasetOneFleet(t *testing.T, fl *fleet, sql []string) (*Coordinator, []float64, int64) {
+// Dataset One, returning the flushed coordinator and the one-node engine.
+func datasetOneFleet(t *testing.T, fl *fleet, sql []string) (*Coordinator, *query.Engine) {
 	t.Helper()
 	d := gen.MustDatasetOne(gen.DatasetOneConfig{CardA: 3000, Count: 1000, C: 2, Support: 50, Seed: 3})
 	c := d.Conditions
@@ -46,11 +46,7 @@ func datasetOneFleet(t *testing.T, fl *fleet, sql []string) (*Coordinator, []flo
 	if err := co.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	counts := make([]float64, len(fl.sql))
-	for i, st := range one.Statements() {
-		counts[i] = st.Count()
-	}
-	return co, counts, one.Tuples()
+	return co, one
 }
 
 // TestFleetQueriesSharedEstimators: statements that read one predicate in
@@ -60,11 +56,12 @@ func datasetOneFleet(t *testing.T, fl *fleet, sql []string) (*Coordinator, []flo
 // only the first of them.
 func TestFleetQueriesSharedEstimators(t *testing.T) {
 	fl := newFleet(t, fleetSchema(t))
-	co, want, tuples := datasetOneFleet(t, fl, []string{
+	co, one := datasetOneFleet(t, fl, []string{
 		"SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B %s",
 		"SELECT COUNT(DISTINCT A) FROM t WHERE A NOT IMPLIES B %s",
 		"SELECT AVG(MULTIPLICITY(A)) FROM t WHERE A IMPLIES B %s",
 	})
+	tuples := one.Tuples()
 	for _, name := range leafNames(3) {
 		for stmt, st := range fl.servers[name].Engine().Statements() {
 			if st.Shared() != (stmt > 0) {
@@ -77,11 +74,60 @@ func TestFleetQueriesSharedEstimators(t *testing.T) {
 		if err != nil {
 			t.Fatalf("stmt %d: %v", stmt, err)
 		}
-		if math.Float64bits(q.Count) != math.Float64bits(want[stmt]) || q.Tuples != tuples {
-			t.Errorf("stmt %d: fleet %v over %d tuples, one node %v over %d", stmt, q.Count, q.Tuples, want[stmt], tuples)
+		want := one.Statements()[stmt].Count()
+		if math.Float64bits(q.Count) != math.Float64bits(want) || q.Tuples != tuples {
+			t.Errorf("stmt %d: fleet %v over %d tuples, one node %v over %d", stmt, q.Count, q.Tuples, want, tuples)
 		}
-		if want[stmt] == 0 {
+		if want == 0 {
 			t.Errorf("stmt %d: one node reads 0; the stream must exercise every mode", stmt)
+		}
+	}
+}
+
+// TestFleetOverStripedLeaves: leaves whose sketches have four lock stripes
+// answer every pull a fleet makes of them — the route pull, Readout and
+// Snapshot — so the coordinator answers every read mode, its readouts and
+// its merged snapshots bit for bit like one same-seed striped sketch fed
+// the same tuples.
+func TestFleetOverStripedLeaves(t *testing.T) {
+	fl := newFleet(t, fleetSchema(t))
+	fl.shards = 4
+	co, one := datasetOneFleet(t, fl, []string{
+		"SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B %s",
+		"SELECT COUNT(DISTINCT A) FROM t WHERE A NOT IMPLIES B %s",
+		"SELECT AVG(MULTIPLICITY(A)) FROM t WHERE A IMPLIES B %s",
+		"SELECT COUNT(DISTINCT A) FROM t%.0s", // a plain distinct count takes no conditions
+	})
+	tuples := one.Tuples()
+	for stmt, st := range one.Statements() {
+		q, err := co.Query(stmt)
+		if err != nil {
+			t.Fatalf("stmt %d: %v", stmt, err)
+		}
+		if want := st.Count(); math.Float64bits(q.Count) != math.Float64bits(want) || q.Tuples != tuples || want == 0 {
+			t.Errorf("stmt %d: fleet %v over %d tuples, one sketch %v over %d", stmt, q.Count, q.Tuples, want, tuples)
+		}
+		ref := st.Estimator().(*core.Sketch)
+		ro, err := co.Readout(stmt)
+		if err != nil {
+			t.Fatalf("stmt %d readout: %v", stmt, err)
+		}
+		if want := ref.AppendReadout(nil); !bytes.Equal(ro.Records, want) || ro.Tuples != tuples {
+			t.Errorf("stmt %d: fleet readout differs from one sketch's (%d vs %d bytes)", stmt, len(ro.Records), len(want))
+		}
+		if st.Shared() {
+			continue // a snapshot pull refuses an alias; its owner's is checked
+		}
+		snap, err := co.Snapshot(stmt)
+		if err != nil {
+			t.Fatalf("stmt %d snapshot: %v", stmt, err)
+		}
+		want, err := ref.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(snap.Sketch, want) || snap.Tuples != tuples || snap.Kind != "sharded" {
+			t.Errorf("stmt %d: merged snapshot (%d bytes, kind %q) differs from one sketch's (%d bytes)", stmt, len(snap.Sketch), snap.Kind, len(want))
 		}
 	}
 }
@@ -93,10 +139,11 @@ func TestFleetQueriesSharedEstimators(t *testing.T) {
 // snapshot's.
 func TestFleetQueryOverlapMerges(t *testing.T) {
 	fl := newFleet(t, fleetSchema(t))
-	co, _, tuples := datasetOneFleet(t, fl, []string{
+	co, one := datasetOneFleet(t, fl, []string{
 		"SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B %s",
 		"SELECT COUNT(DISTINCT B) FROM t WHERE B IMPLIES A %s",
 	})
+	tuples := one.Tuples()
 	if _, _, err := co.readout(0); err != nil {
 		t.Fatalf("statement 0 readouts: %v", err)
 	}

@@ -201,7 +201,7 @@ func (s *Sketch) pushOut(ct *counters, b *bitmap, i int) {
 }
 
 // add is Algorithm 1 (NIPS) for one routed tuple. It books entries and
-// top-c scratch on the writer's ct, never on the Sketch itself.
+// top-c scratch on the writer's stripe counters ct.
 func (s *Sketch) add(ct *counters, b *bitmap, i int, ah, bh uint64) {
 	b.touched[i] = true
 	if b.hi < 0 {

@@ -11,14 +11,16 @@ import (
 // operational "what is this sketch doing" question. It prints at most
 // maxBitmaps bitmaps (0 means all).
 func (s *Sketch) Dump(w io.Writer, maxBitmaps int) {
+	s.lockAll()
+	defer s.unlockAll()
 	fmt.Fprintf(w, "NIPS/CI sketch: %s, m=%d fringe=%d slack=%d unbounded=%v seed=%#x\n",
 		s.cond, s.opts.Bitmaps, s.opts.FringeSize, s.opts.Slack, s.opts.Unbounded, s.opts.Seed)
-	fmt.Fprintf(w, "tuples=%d entries=%d (peak %d)\n", s.tuples, s.entries, s.peak)
-	lo, hi := s.ImplicationCountInterval(2)
+	c := s.counts()
+	fmt.Fprintf(w, "tuples=%d entries=%d (peak %d)\n", c.tuples, c.entries, c.peak)
+	lo, hi := implicationCountInterval(s, 2)
 	fmt.Fprintf(w, "estimates: S=%.1f [%.1f, %.1f]  ~S=%.1f  F0sup=%.1f  F0=%.1f  avg|φ|=%.2f\n",
-		s.ImplicationCount(), lo, hi,
-		s.NonImplicationCount(), s.SupportedDistinct(), s.DistinctCount(), s.AvgMultiplicity())
-	fst := s.Fringe()
+		implicationCount(s), lo, hi, nonImplicationCount(s), supportedDistinct(s), distinctCount(s), avgMultiplicity(s))
+	fst := s.fringeStats()
 	fmt.Fprintf(w, "fringe: tracked=%d pairs=%d tombstones=%d maxWidth=%d overflows=%d\n",
 		fst.TrackedItemsets, fst.PairCounters, fst.Tombstones, fst.MaxFringeWidth, fst.Overflows)
 
@@ -63,6 +65,8 @@ func (s *Sketch) DumpCells(w io.Writer, bitmap int) {
 		fmt.Fprintf(w, "bitmap %d out of range\n", bitmap)
 		return
 	}
+	s.lockAll()
+	defer s.unlockAll()
 	b := &s.bms[bitmap]
 	for j := 0; j < Levels; j++ {
 		c := b.cells[j]

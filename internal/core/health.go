@@ -9,9 +9,11 @@ import (
 
 // Health reports the sketch's runtime health: bitmap saturation, fringe
 // occupancy, memory footprint and the estimator's own relative-error
-// assessment. It implements imps.HealthReporter. Like every other reader,
-// it is not safe to call concurrently with Add.
+// assessment, all read under one hold of every stripe lock. It implements
+// imps.HealthReporter.
 func (s *Sketch) Health() imps.HealthReport {
+	s.lockAll()
+	defer s.unlockAll()
 	var set, dead int
 	var memBytes int64
 	for bi := range s.bms {
@@ -35,11 +37,12 @@ func (s *Sketch) Health() imps.HealthReport {
 			}
 		}
 	}
-	fs := s.Fringe()
-	_, hi := s.ImplicationCountInterval(1)
+	fs := s.fringeStats()
+	_, hi := implicationCountInterval(s, 1)
+	c := s.counts()
 	return imps.HealthReport{
-		Tuples:           s.tuples,
-		MemEntries:       s.entries,
+		Tuples:           c.tuples,
+		MemEntries:       c.entries,
 		MemBytes:         memBytes,
 		BitmapFill:       float64(set) / float64(len(s.bms)*Levels),
 		LeftmostZero:     meanR(s, posHashed),
@@ -48,13 +51,8 @@ func (s *Sketch) Health() imps.HealthReport {
 		FringeTombstones: fs.Tombstones,
 		FringeEvictions:  int64(dead),
 		FringeWidth:      fs.MaxFringeWidth,
-		RelErr:           metrics.IntervalRelErr(s.ImplicationCount(), hi, 1),
+		RelErr:           metrics.IntervalRelErr(implicationCount(s), hi, 1),
 	}
 }
 
-// Health reports the health of the one sketch the stripes guard, under a
-// consistent snapshot (every stripe lock held). Safe for concurrent use.
-func (ss *ShardedSketch) Health() imps.HealthReport { return read(ss, (*Sketch).Health) }
-
 var _ imps.HealthReporter = (*Sketch)(nil)
-var _ imps.HealthReporter = (*ShardedSketch)(nil)

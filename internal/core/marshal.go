@@ -1,7 +1,10 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
+	"math"
+	"math/bits"
 
 	"implicate/internal/imps"
 	"implicate/internal/wire"
@@ -20,8 +23,13 @@ const marshalMagic = "NIPS\x01"
 // other format.
 var ErrCorrupt = wire.ErrCorrupt
 
-// MarshalBinary encodes the complete sketch state.
+// MarshalBinary encodes the complete sketch state under every stripe lock,
+// a serializable cut that includes every Add that returned before the call.
+// The stripe count is not encoded.
 func (s *Sketch) MarshalBinary() ([]byte, error) {
+	s.lockAll()
+	defer s.unlockAll()
+	c := s.counts()
 	e := wire.NewEncoder(4096)
 	e.Raw([]byte(marshalMagic))
 
@@ -36,8 +44,8 @@ func (s *Sketch) MarshalBinary() ([]byte, error) {
 	e.U32(uint32(s.opts.Slack))
 	e.U64(s.opts.Seed)
 
-	e.I64(s.tuples)
-	e.I64(int64(s.peak))
+	e.I64(c.tuples)
+	e.I64(int64(c.peak))
 
 	for bi := range s.bms {
 		b := &s.bms[bi]
@@ -118,8 +126,13 @@ func decodeHeader(d *wire.Decoder) (imps.Conditions, Options) {
 	return cond, opts
 }
 
-// UnmarshalSketch decodes a sketch previously encoded with MarshalBinary.
-func UnmarshalSketch(data []byte) (*Sketch, error) {
+// UnmarshalSketch decodes a sketch previously encoded with MarshalBinary
+// into a one-stripe sketch.
+func UnmarshalSketch(data []byte) (*Sketch, error) { return unmarshalSketch(data, 1) }
+
+// unmarshalSketch decodes a NIPS\x01 encoding into a sketch with the given
+// stripe count, booking its counts on stripe 0.
+func unmarshalSketch(data []byte, shards int) (*Sketch, error) {
 	d := wire.NewDecoder(data)
 	d.Magic(marshalMagic)
 	if d.Err() != nil {
@@ -129,13 +142,12 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	s, err := NewSketch(cond, opts)
+	s, err := NewShardedSketch(cond, opts, shards)
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}
-	s.tuples = d.I64()
-	s.peak = int(d.I64())
-	if s.tuples < 0 || s.peak < 0 {
+	tuples, peak := d.I64(), int(d.I64())
+	if tuples < 0 || peak < 0 {
 		return nil, ErrCorrupt
 	}
 
@@ -209,6 +221,70 @@ func UnmarshalSketch(data []byte) (*Sketch, error) {
 	if err := d.Done(); err != nil {
 		return nil, err
 	}
-	s.recountEntries() // also lifts peak to at least the live entry count
+	s.rebook(tuples, peak)
 	return s, nil
+}
+
+// shardedMagic tags the sharded encoding of earlier builds. It is
+// decode-only: checkpoints outlive the build that wrote them (DESIGN §8).
+const shardedMagic = "NIPS\x02"
+
+// UnmarshalShardedSketch decodes a sketch from its MarshalBinary bytes
+// (NIPS\x01) or from an earlier build's NIPS\x02 encoding. The shard count
+// is not part of the state: the result has NewShardedSketch's default count
+// and continues streaming bit-identically to the original.
+func UnmarshalShardedSketch(data []byte) (*Sketch, error) {
+	if bytes.HasPrefix(data, []byte(shardedMagic)) {
+		return unmarshalNIPS2(data)
+	}
+	return unmarshalSketch(data, 0)
+}
+
+// unmarshalNIPS2 decodes the sharded encoding — the global conditions and
+// options, a shard count n, then each shard's length-prefixed NIPS\x01
+// sub-sketch of m/n bitmaps — into the one global-index Sketch it describes:
+// shard s's local bitmap j is global bitmap j<<log2(n) | s. Tuple counts
+// add up; the shards' high-water marks do not, so the peak is the live
+// entry count.
+func unmarshalNIPS2(data []byte) (*Sketch, error) {
+	d := wire.NewDecoder(data)
+	d.Magic(shardedMagic)
+	cond, opts := decodeHeader(d)
+	n := int(d.U32())
+	if err := d.Err(); err != nil {
+		return nil, err
+	}
+	sk, err := NewShardedSketch(cond, opts, 0)
+	if err != nil {
+		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
+	}
+	if n < 1 || n&(n-1) != 0 || n > len(sk.bms) {
+		return nil, fmt.Errorf("%w: shard count %d", ErrCorrupt, n)
+	}
+	shift := bits.TrailingZeros(uint(n))
+	want := sk.opts
+	want.Bitmaps /= n
+	var tuples int64
+	for s := 0; s < n; s++ {
+		blob := d.Blob(len(data))
+		if err := d.Err(); err != nil {
+			return nil, err
+		}
+		sub, err := UnmarshalSketch(blob)
+		if err != nil {
+			return nil, fmt.Errorf("shard %d: %w", s, err)
+		}
+		if sub.cond != sk.cond || sub.opts != want || sub.Tuples() > math.MaxInt64-tuples {
+			return nil, fmt.Errorf("%w: shard %d does not match the header", ErrCorrupt, s)
+		}
+		for j := range sub.bms {
+			sk.bms[j<<shift|s] = sub.bms[j]
+		}
+		tuples += sub.Tuples()
+	}
+	if err := d.Done(); err != nil {
+		return nil, err
+	}
+	sk.rebook(tuples, 0)
+	return sk, nil
 }

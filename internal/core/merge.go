@@ -28,9 +28,11 @@ var ErrIncompatible = errors.New("core: sketches are not merge-compatible")
 // preserved.
 //
 // other is left in an unspecified state and must not be used afterwards.
+// Merge holds every stripe lock of both sketches, taken in an order of its
+// own, so a.Merge(b) racing b.Merge(a) cannot deadlock.
 func (s *Sketch) Merge(other *Sketch) error {
-	if other == nil {
-		return fmt.Errorf("%w: nil sketch", ErrIncompatible)
+	if other == nil || other == s {
+		return fmt.Errorf("%w: nil or same sketch", ErrIncompatible)
 	}
 	if s.cond != other.cond {
 		return fmt.Errorf("%w: conditions %v vs %v", ErrIncompatible, s.cond, other.cond)
@@ -38,16 +40,24 @@ func (s *Sketch) Merge(other *Sketch) error {
 	if s.opts != other.opts {
 		return fmt.Errorf("%w: options differ", ErrIncompatible)
 	}
-	for i := range s.bms {
-		s.mergeBitmap(&s.bms[i], &other.bms[i])
+	first, second := s, other
+	if other.id < s.id {
+		first, second = other, s
 	}
-	s.tuples += other.tuples
-	s.peak += other.peak
-	s.recountEntries()
+	first.lockAll()
+	defer first.unlockAll()
+	second.lockAll()
+	defer second.unlockAll()
+	mine, theirs := s.counts(), other.counts()
+	for i := range s.bms {
+		s.mergeBitmap(&s.stripes[0].counters, &s.bms[i], &other.bms[i])
+	}
+	s.rebook(mine.tuples+theirs.tuples, mine.peak+theirs.peak)
 	return nil
 }
 
-func (s *Sketch) mergeBitmap(dst, src *bitmap) {
+// mergeBitmap folds src into dst, booking on ct.
+func (s *Sketch) mergeBitmap(ct *counters, dst, src *bitmap) {
 	if src.pristine() {
 		return
 	}
@@ -81,12 +91,12 @@ func (s *Sketch) mergeBitmap(dst, src *bitmap) {
 	}
 	if dst.hi >= 0 {
 		for j := dst.lo; j < newLo && j <= dst.hi; j++ {
-			s.pushOut(&s.counters, dst, j)
+			s.pushOut(ct, dst, j)
 		}
 	}
 	if src.hi >= 0 {
 		for j := src.lo; j < newLo && j <= src.hi; j++ {
-			s.pushOut(&s.counters, src, j)
+			s.pushOut(ct, src, j)
 			dst.value[j] = dst.value[j] || src.value[j]
 			dst.supped[j] = dst.supped[j] || src.supped[j]
 			dst.dead[j] = dst.dead[j] || src.dead[j]
@@ -109,13 +119,13 @@ func (s *Sketch) mergeBitmap(dst, src *bitmap) {
 			src.cells[i] = nil
 			continue
 		}
-		s.mergeCell(dst, i, src.cells[i])
+		s.mergeCell(ct, dst, i, src.cells[i])
 		src.cells[i] = nil
 	}
 }
 
 // mergeCell folds one source cell into dst's cell at position i.
-func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
+func (s *Sketch) mergeCell(ct *counters, b *bitmap, i int, from *cell) {
 	if from == nil || len(from.items) == 0 {
 		return
 	}
@@ -138,7 +148,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 			} else {
 				if len(c.items) >= s.capFor(b, i) {
 					b.overflows++
-					s.kill(&s.counters, b, i)
+					s.kill(ct, b, i)
 					return
 				}
 				c.items = append(c.items, item{ah: ah, st: aState{excluded: true}})
@@ -155,7 +165,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 				b.overflows++
 				b.value[i] = true
 				b.supped[i] = true
-				s.kill(&s.counters, b, i)
+				s.kill(ct, b, i)
 				return
 			}
 			moved := aState{supp: st.supp, doomed: st.doomed}
@@ -194,7 +204,7 @@ func (s *Sketch) mergeCell(b *bitmap, i int, from *cell) {
 		}
 		// Re-evaluate the conditions on the merged counters.
 		if !c.suppOnly && cur.supp >= s.cond.MinSupport {
-			if cur.doomed || s.topConfidence(&s.counters, cur) < s.cond.MinTopConfidence {
+			if cur.doomed || s.topConfidence(ct, cur) < s.cond.MinTopConfidence {
 				b.value[i] = true
 				b.supped[i] = true
 				cur.excluded = true
@@ -225,8 +235,11 @@ func (s *Sketch) recountCell(c *cell) {
 	}
 }
 
-// recountEntries rebuilds the sketch-wide entry counter after a merge.
-func (s *Sketch) recountEntries() {
+// rebook recounts the live entries after a merge or a decode and books the
+// whole count on stripe 0: the given tuples, the entries, and a peak of at
+// least the entries. The caller holds every stripe lock, or decodes a
+// sketch no one else holds.
+func (s *Sketch) rebook(tuples int64, peak int) {
 	n := 0
 	for bi := range s.bms {
 		for _, c := range s.bms[bi].cells {
@@ -239,8 +252,9 @@ func (s *Sketch) recountEntries() {
 			}
 		}
 	}
-	s.entries = n
-	if n > s.peak {
-		s.peak = n
+	for i := range s.stripes {
+		s.stripes[i].tuples, s.stripes[i].entries = 0, 0
 	}
+	ct := &s.stripes[0].counters
+	ct.tuples, ct.entries, ct.peak = tuples, n, max(peak, n)
 }

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"implicate/internal/exact"
 	"implicate/internal/imps"
@@ -18,6 +19,9 @@ func TestMergeCompatibilityChecks(t *testing.T) {
 	if err := a.Merge(nil); err == nil {
 		t.Error("nil sketch accepted")
 	}
+	if err := a.Merge(a); err == nil {
+		t.Error("merge into itself accepted")
+	}
 	otherCond := cond
 	otherCond.MinSupport++
 	if err := a.Merge(MustSketch(otherCond, Options{Seed: 1})); err == nil {
@@ -28,6 +32,31 @@ func TestMergeCompatibilityChecks(t *testing.T) {
 	}
 	if err := a.Merge(MustSketch(cond, Options{FringeSize: 8, Seed: 1})); err == nil {
 		t.Error("different fringe accepted")
+	}
+}
+
+// TestCrossedMergesDoNotDeadlock: a.Merge(b) racing b.Merge(a) takes the
+// two sketches' stripe locks in one order, whatever the caller's, so both
+// calls return.
+func TestCrossedMergesDoNotDeadlock(t *testing.T) {
+	cond := testConditions()
+	for round := 0; round < 200; round++ {
+		a, _ := NewShardedSketch(cond, Options{Seed: 1}, 4)
+		b, _ := NewShardedSketch(cond, Options{Seed: 1}, 2)
+		for i := 0; i < 200; i++ {
+			a.Add(fmt.Sprint("a", i), "x")
+			b.Add(fmt.Sprint("b", i), "y")
+		}
+		done := make(chan struct{}, 2)
+		go func() { a.Merge(b); done <- struct{}{} }()
+		go func() { b.Merge(a); done <- struct{}{} }()
+		for range 2 {
+			select {
+			case <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatalf("round %d: crossed merges deadlocked", round)
+			}
+		}
 	}
 }
 
@@ -299,7 +328,7 @@ func requireSameState(t *testing.T, want, got *Sketch) {
 	if got.PeakMemEntries() < want.PeakMemEntries() {
 		t.Fatalf("peak %d below the single sketch's %d; it must bound it", got.PeakMemEntries(), want.PeakMemEntries())
 	}
-	got.peak = want.peak
+	got.stripes[0].peak = want.PeakMemEntries()
 	if got.Tuples() != want.Tuples() || got.MemEntries() != want.MemEntries() {
 		t.Fatalf("tuples/entries %d/%d, want %d/%d", got.Tuples(), got.MemEntries(), want.Tuples(), want.MemEntries())
 	}

@@ -47,8 +47,11 @@ var pristineRecord = record{hi: -1}
 
 // AppendReadout appends to dst one ReadoutRecordLen-byte record, in index
 // order, for every bitmap whose terms are not a pristine bitmap's — every
-// bitmap that observed a tuple, and only those.
+// bitmap that observed a tuple, and only those. It reads under every stripe
+// lock, a serializable cut like MarshalBinary's.
 func (s *Sketch) AppendReadout(dst []byte) []byte {
+	s.lockAll()
+	defer s.unlockAll()
 	for i := range s.bms {
 		var r record
 		r.lo, r.hi, r.dead, r.census = s.fringe(i)
@@ -178,13 +181,13 @@ func (r *Readout) ImplicationCountInterval(z float64) (lo, hi float64) {
 }
 
 // NonImplicationCount is Sketch.NonImplicationCount.
-func (r *Readout) NonImplicationCount() float64 { return positionCount(r, posNonImplication) }
+func (r *Readout) NonImplicationCount() float64 { return nonImplicationCount(r) }
 
 // SupportedDistinct is Sketch.SupportedDistinct.
-func (r *Readout) SupportedDistinct() float64 { return positionCount(r, posSupported) }
+func (r *Readout) SupportedDistinct() float64 { return supportedDistinct(r) }
 
 // DistinctCount is Sketch.DistinctCount.
-func (r *Readout) DistinctCount() float64 { return positionCount(r, posHashed) }
+func (r *Readout) DistinctCount() float64 { return distinctCount(r) }
 
 // AvgMultiplicity is Sketch.AvgMultiplicity.
 func (r *Readout) AvgMultiplicity() float64 { return avgMultiplicity(r) }

@@ -54,7 +54,7 @@ func TestShardedMarshalRoundTrip(t *testing.T) {
 	assertShardedEqual(t, ss, got)
 }
 
-func assertShardedEqual(t *testing.T, want, got *ShardedSketch) {
+func assertShardedEqual(t *testing.T, want, got *Sketch) {
 	t.Helper()
 	if got.Tuples() != want.Tuples() {
 		t.Fatalf("Tuples: got %d, want %d", got.Tuples(), want.Tuples())
@@ -119,7 +119,4 @@ func TestShardedUnmarshalRejectsBadShardCount(t *testing.T) {
 	}
 }
 
-var (
-	_ imps.ConfigFingerprinter = (*ShardedSketch)(nil)
-	_ imps.ConfigFingerprinter = (*Sketch)(nil)
-)
+var _ imps.ConfigFingerprinter = (*Sketch)(nil)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -56,20 +57,6 @@ func estimatesOfSketch(s *Sketch) estimates {
 	}
 }
 
-func estimatesOfSharded(s *ShardedSketch) estimates {
-	return estimates{
-		impl:      s.ImplicationCount(),
-		nonImpl:   s.NonImplicationCount(),
-		supported: s.SupportedDistinct(),
-		distinct:  s.DistinctCount(),
-		avgMult:   s.AvgMultiplicity(),
-		ci:        s.CIImplicationCount(),
-		tuples:    s.Tuples(),
-		mem:       s.MemEntries(),
-		fringe:    s.Fringe(),
-	}
-}
-
 func TestNewShardedSketchValidation(t *testing.T) {
 	cond := testConditions()
 	if _, err := NewShardedSketch(cond, Options{}, 3); err == nil {
@@ -93,9 +80,9 @@ func TestNewShardedSketchValidation(t *testing.T) {
 	}
 }
 
-// TestShardedDeterminism is the core contract: a ShardedSketch with any
+// TestShardedDeterminism is the core contract: a Sketch with any
 // shard count, fed any permutation of the stream, reports bit-identical
-// estimates to a single same-seed Sketch fed the same order.
+// estimates to a one-stripe same-seed Sketch fed the same order.
 func TestShardedDeterminism(t *testing.T) {
 	cond := testConditions()
 	opts := Options{Seed: 42}
@@ -123,17 +110,17 @@ func TestShardedDeterminism(t *testing.T) {
 			for _, p := range tuples {
 				ss.Add(p.A, p.B)
 			}
-			ss.Flush()
-			if got := estimatesOfSharded(ss); got != want {
+			if got := estimatesOfSketch(ss); got != want {
 				t.Errorf("perm %d, %d shards: estimates diverge\n got %+v\nwant %+v", perm, n, got, want)
 			}
 		}
 	}
 }
 
-// TestShardedIsOneSketch: a ShardedSketch at any stripe count, fed a seeded
+// TestShardedIsOneSketch: a Sketch at any stripe count, fed a seeded
 // random stream in random batches, encodes as the Sketch fed the same stream
-// — byte for byte outside the peak field — and its bytes decode to a Sketch
+// — byte for byte outside the peak field, and inside it for one stripe — and
+// its bytes decode to a Sketch
 // in the same state: every bitmap, every cell and every estimator read.
 func TestShardedIsOneSketch(t *testing.T) {
 	for seed := uint64(1); seed <= 12; seed++ {
@@ -168,14 +155,17 @@ func TestShardedIsOneSketch(t *testing.T) {
 			}
 			t.Run(fmt.Sprintf("seed=%d/n=%d", seed, n), func(t *testing.T) {
 				requireNIPS1ButPeak(t, got, want)
+				if n == 1 && !bytes.Equal(got, want) {
+					t.Fatal("a one-stripe sketch's peak field differs from the plain sketch's")
+				}
 				restored, err := UnmarshalSketch(got)
 				if err != nil {
 					t.Fatal(err)
 				}
-				if restored.peak != restored.entries {
-					t.Fatalf("peak field %d, want the live entry count %d", restored.peak, restored.entries)
+				if n > 1 && restored.PeakMemEntries() != restored.MemEntries() {
+					t.Fatalf("peak field %d, want the live entry count %d", restored.PeakMemEntries(), restored.MemEntries())
 				}
-				restored.peak = single.peak // the one figure a sharded sketch does not keep
+				restored.stripes[0].peak = single.PeakMemEntries() // the one figure several stripes do not keep
 				requireSameState(t, single, restored)
 			})
 		}
@@ -184,7 +174,7 @@ func TestShardedIsOneSketch(t *testing.T) {
 
 // hashPairs fills every pair's hashes with the sketch's own functions, as a
 // planner would.
-func hashPairs(ss *ShardedSketch, pairs []imps.HashedPair) []imps.HashedPair {
+func hashPairs(ss *Sketch, pairs []imps.HashedPair) []imps.HashedPair {
 	out := append([]imps.HashedPair(nil), pairs...)
 	for i := range out {
 		out[i].AH, out[i].BH = ss.HashPairKeys(out[i].A, out[i].B)
@@ -207,14 +197,14 @@ func TestShardedBatchPathsMatch(t *testing.T) {
 	for _, p := range tuples {
 		ref.Add(p.A, p.B)
 	}
-	want := estimatesOfSharded(ref)
+	want := estimatesOfSketch(ref)
 	hashed := hashPairs(ref, tuples)
 
 	byHash, _ := NewShardedSketch(cond, opts, 4)
 	for _, p := range hashed {
 		byHash.AddHashed(p.AH, p.BH)
 	}
-	if got := estimatesOfSharded(byHash); got != want {
+	if got := estimatesOfSketch(byHash); got != want {
 		t.Errorf("AddHashed diverges:\n got %+v\nwant %+v", got, want)
 	}
 
@@ -223,13 +213,13 @@ func TestShardedBatchPathsMatch(t *testing.T) {
 		for off := 0; off < len(hashed); off += size {
 			byPairs.AddHashedPairs(hashed[off:min(off+size, len(hashed))])
 		}
-		if got := estimatesOfSharded(byPairs); got != want {
+		if got := estimatesOfSketch(byPairs); got != want {
 			t.Errorf("AddHashedPairs in batches of %d diverges:\n got %+v\nwant %+v", size, got, want)
 		}
 	}
 
 	// The plain Sketch hashes with the same seeded functions: forwarding the
-	// sharded sketch's hashes to it equals its own per-tuple path.
+	// four-stripe sketch's hashes to it equals its own per-tuple path.
 	single := MustSketch(cond, opts)
 	for _, p := range tuples {
 		single.Add(p.A, p.B)
@@ -272,12 +262,12 @@ func TestShardedIntervalAndReset(t *testing.T) {
 	for _, p := range tuples {
 		ss.Add(p.A, p.B)
 	}
-	if got, want := estimatesOfSharded(ss), estimatesOfSketch(single); got != want {
+	if got, want := estimatesOfSketch(ss), estimatesOfSketch(single); got != want {
 		t.Errorf("post-Reset estimates diverge:\n got %+v\nwant %+v", got, want)
 	}
 }
 
-// TestShardedConcurrentStress hammers one ShardedSketch with 8 producers
+// TestShardedConcurrentStress hammers one eight-stripe Sketch with 8 producers
 // using mixed ingest paths while readers query concurrently; run under
 // -race this is the data-race proof. Estimates that are pure functions of
 // the observed SET of tuples (tuple count, distinct count) must come out
@@ -343,7 +333,6 @@ func TestShardedConcurrentStress(t *testing.T) {
 	wg.Wait()
 	close(stop)
 	readers.Wait()
-	ss.Flush()
 
 	total := int64(per * producers)
 	if got := ss.Tuples(); got != total {

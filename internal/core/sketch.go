@@ -3,6 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/bits"
+	"runtime"
+	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"implicate/internal/fm"
 	"implicate/internal/imps"
@@ -59,9 +64,21 @@ func (o Options) withDefaults() Options {
 
 // Sketch is the NIPS/CI estimator: it samples O(K) itemset pairs per bitmap,
 // driven by the hash representation of the A-itemsets, and answers
-// implication-count queries at any moment. It implements imps.Estimator.
+// implication-count queries at any moment. It implements imps.Estimator and
+// imps.HashedPartitionedAdder, and all its methods are safe for concurrent
+// use.
 //
-// A Sketch is not safe for concurrent use.
+// The stochastic-averaging router sends every tuple to one of the m bitmaps
+// by the low bits of its A-itemset hash, so the bitmaps sit behind n lock
+// stripes with no cross-stripe coordination on the write path: concurrent
+// producers contend only when their tuples hash to the same stripe, and
+// AddHashedPairs takes each stripe lock once per batch. Every reader, Merge,
+// MarshalBinary and Reset holds every stripe lock, a serializable cut that
+// includes every Add that returned before it began. The stripe count is not
+// state: schedules that deliver the same per-bitmap tuple order leave
+// bit-identical state at any count, except for the entry high-water mark,
+// which depends on how adds to different stripes interleave, so one stripe
+// records it exactly and several report the live entry count instead.
 type Sketch struct {
 	cond   imps.Conditions
 	opts   Options
@@ -70,27 +87,47 @@ type Sketch struct {
 	bhash  xhash.Hash
 	bms    []bitmap
 
+	id      uint64 // orders the lock acquisition of two sketches in Merge
+	mask    uint64 // len(stripes)-1: a tuple's stripe is ah & mask
+	stripes []stripe
+}
+
+// stripe guards the bitmaps whose index is congruent to its own modulo the
+// stripe count, and counts the adds to them with its own top-c scratch.
+// Only the sums over all stripes are read, so a decode or a merge books its
+// whole count on stripe 0. The padding keeps neighbouring stripes off one
+// cache line.
+type stripe struct {
+	mu sync.Mutex
 	counters
+	_ [64 - (unsafe.Sizeof(sync.Mutex{})+unsafe.Sizeof(counters{}))%64]byte
 }
 
 // counters is the bookkeeping Algorithm 1 keeps beside the bitmaps a writer
-// updates. A Sketch has one set; a ShardedSketch keeps one per lock stripe
-// and folds them into its Sketch before every read.
+// updates, one set per stripe.
 type counters struct {
 	tuples  int64
-	entries int // live counter entries across all cells
-	peak    int // high-water mark of entries
+	entries int // live counter entries the stripe's writes added, net
+	peak    int // high-water mark of entries; kept by a lone stripe only
 
 	scratch []int64 // top-c selection buffer, reused across Adds
 }
 
-func newCounters(cond imps.Conditions) counters {
-	// The scratch buffer grows on demand for outsized K.
-	return counters{scratch: make([]int64, 0, min(cond.MaxMultiplicity+1, 64))}
+// sketchIDs numbers sketches for Merge's lock order.
+var sketchIDs atomic.Uint64
+
+// NewSketch returns a NIPS/CI sketch with one lock stripe for the given
+// implication conditions.
+func NewSketch(cond imps.Conditions, opts Options) (*Sketch, error) {
+	return NewShardedSketch(cond, opts, 1)
 }
 
-// NewSketch returns a NIPS/CI sketch for the given implication conditions.
-func NewSketch(cond imps.Conditions, opts Options) (*Sketch, error) {
+// NewShardedSketch returns a NIPS/CI sketch whose bitmaps are guarded by
+// the given number of lock stripes. shards must be a power of two no larger
+// than the bitmap count m; shards == 0 selects GOMAXPROCS rounded down to a
+// power of two (capped at m). The result answers every query a same-seed
+// one-stripe sketch would, bit for bit.
+func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*Sketch, error) {
 	if err := cond.Validate(); err != nil {
 		return nil, err
 	}
@@ -105,17 +142,29 @@ func NewSketch(cond imps.Conditions, opts Options) (*Sketch, error) {
 	if err != nil {
 		return nil, err
 	}
+	if shards == 0 {
+		shards = min(1<<(bits.Len(uint(runtime.GOMAXPROCS(0)))-1), opts.Bitmaps) // rounded down to a power of two
+	}
+	if shards < 1 || shards&(shards-1) != 0 || shards > opts.Bitmaps {
+		return nil, fmt.Errorf("core: shard count %d must be a power of two no larger than the bitmap count %d", shards, opts.Bitmaps)
+	}
 	s := &Sketch{
-		cond:     cond,
-		opts:     opts,
-		router:   router,
-		ahash:    xhash.New(opts.Seed),
-		bhash:    xhash.New(xhash.Mix(opts.Seed + 0x9e3779b97f4a7c15)),
-		bms:      make([]bitmap, opts.Bitmaps),
-		counters: newCounters(cond),
+		cond:    cond,
+		opts:    opts,
+		router:  router,
+		ahash:   xhash.New(opts.Seed),
+		bhash:   xhash.New(xhash.Mix(opts.Seed + 0x9e3779b97f4a7c15)),
+		bms:     make([]bitmap, opts.Bitmaps),
+		id:      sketchIDs.Add(1),
+		mask:    uint64(shards - 1),
+		stripes: make([]stripe, shards),
 	}
 	for i := range s.bms {
 		s.bms[i].init()
+	}
+	for i := range s.stripes {
+		// The scratch buffer grows on demand for outsized K.
+		s.stripes[i].scratch = make([]int64, 0, min(cond.MaxMultiplicity+1, 64))
 	}
 	return s, nil
 }
@@ -136,9 +185,12 @@ func (s *Sketch) Conditions() imps.Conditions { return s.cond }
 // Options returns the effective (defaulted) options.
 func (s *Sketch) Options() Options { return s.opts }
 
+// Shards returns the lock stripe count.
+func (s *Sketch) Shards() int { return len(s.stripes) }
+
 // ConfigFingerprint identifies the sketch algorithm and its
-// accuracy-relevant configuration; the seed is excluded (see
-// imps.ConfigFingerprinter).
+// accuracy-relevant configuration; the seed and the stripe count are
+// excluded (see imps.ConfigFingerprinter).
 func (s *Sketch) ConfigFingerprint() string {
 	return fmt.Sprintf("nips(%s|m=%d,F=%d,unbounded=%t,slack=%d)",
 		s.cond, s.opts.Bitmaps, s.opts.FringeSize, s.opts.Unbounded, s.opts.Slack)
@@ -156,17 +208,59 @@ func (s *Sketch) AddIDs(a, b uint64) {
 	s.AddHashed(s.ahash.SumUint64(a), s.bhash.SumUint64(b))
 }
 
-// AddHashed observes a tuple by the 64-bit hashes of its itemsets. Itemsets
-// are identified by their full hash value from here on; a collision merges
-// two itemsets, which perturbs counts with probability ~n²/2^64 — far below
-// the sketch's probabilistic error.
+// AddHashed observes a tuple by the 64-bit hashes of its itemsets, locking
+// only the stripe that guards the tuple's bitmap. Itemsets are identified
+// by their full hash value from here on; a collision merges two itemsets,
+// which perturbs counts with probability ~n²/2^64 — far below the sketch's
+// probabilistic error.
 func (s *Sketch) AddHashed(ah, bh uint64) {
-	s.ingest(&s.counters, ah, bh)
+	st := &s.stripes[ah&s.mask]
+	st.mu.Lock()
+	s.ingest(&st.counters, ah, bh)
+	st.mu.Unlock()
+}
+
+// HashPairKeys implements imps.HashedPartitionedAdder: the sketch's own
+// seeded hashes of a pair, which producers compute without any lock.
+func (s *Sketch) HashPairKeys(a, b string) (ah, bh uint64) {
+	return s.ahash.Sum(a), s.bhash.Sum(b)
+}
+
+// IngestPartitionHashed implements imps.HashedPartitionedAdder. A key's
+// partition is the low bits of its A-hash — the bits that pick its bitmap
+// and its stripe — clamped to the stripe count so that two workers never
+// share a stripe lock. Partition p under 2n splits into {p, p+n} under n,
+// so any power-of-two pool size yields the same per-bitmap order.
+func (s *Sketch) IngestPartitionHashed(ah uint64, n int) int {
+	n = min(n, len(s.stripes))
+	return int(ah & uint64(n-1))
+}
+
+// AddHashedPairs ingests pairs hashed by HashPairKeys, ignoring their keys,
+// and takes each stripe lock at most once for the whole slice.
+func (s *Sketch) AddHashedPairs(pairs []imps.HashedPair) {
+	for si := range s.stripes {
+		st := &s.stripes[si]
+		locked := false
+		for i := range pairs {
+			if int(pairs[i].AH&s.mask) != si {
+				continue
+			}
+			if !locked {
+				st.mu.Lock()
+				locked = true
+			}
+			s.ingest(&st.counters, pairs[i].AH, pairs[i].BH)
+		}
+		if locked {
+			st.mu.Unlock()
+		}
+	}
 }
 
 // ingest routes one tuple to its bitmap and rank, counts it in ct and runs
-// Algorithm 1 there. It writes no Sketch field but that bitmap, so writers
-// with their own counters may run it concurrently on disjoint bitmaps.
+// Algorithm 1 there. It writes no Sketch field but that bitmap, so the
+// holders of distinct stripe locks run it concurrently.
 func (s *Sketch) ingest(ct *counters, ah, bh uint64) {
 	bm, rank := s.router.Route(ah)
 	if rank >= Levels {
@@ -183,18 +277,61 @@ func (s *Sketch) BitmapOf(key []byte) int {
 	return bm
 }
 
+func (s *Sketch) lockAll() {
+	for i := range s.stripes {
+		s.stripes[i].mu.Lock()
+	}
+}
+
+func (s *Sketch) unlockAll() {
+	for i := range s.stripes {
+		s.stripes[i].mu.Unlock()
+	}
+}
+
+// counts sums the stripes' counters; the caller holds every stripe lock. A
+// lone stripe keeps the exact entry high-water mark, while the marks of
+// several stripes do not add up, so peak is then the live entry count.
+func (s *Sketch) counts() (c counters) {
+	for i := range s.stripes {
+		c.tuples += s.stripes[i].tuples
+		c.entries += s.stripes[i].entries
+	}
+	c.peak = c.entries
+	if len(s.stripes) == 1 {
+		c.peak = s.stripes[0].peak
+	}
+	return c
+}
+
+// total is counts under every stripe lock.
+func (s *Sketch) total() counters {
+	s.lockAll()
+	defer s.unlockAll()
+	return s.counts()
+}
+
+// read returns the fold f of the sketch's terms under every stripe lock: a
+// serializable cut that includes every Add that returned before the call.
+func read[T any](s *Sketch, f func(terms) T) T {
+	s.lockAll()
+	defer s.unlockAll()
+	return f(s)
+}
+
 // Tuples returns the number of tuples observed.
-func (s *Sketch) Tuples() int64 { return s.tuples }
+func (s *Sketch) Tuples() int64 { return s.total().tuples }
 
 // MemEntries returns the number of live counter entries (a-support counters
 // plus (a,b) pair counters) across all bitmaps — the footprint measure used
 // in §4.6 and Table 5.
-func (s *Sketch) MemEntries() int { return s.entries }
+func (s *Sketch) MemEntries() int { return s.total().entries }
 
 // PeakMemEntries returns the high-water mark of MemEntries over the
-// sketch's lifetime. A Merge sums the inputs' marks, an upper bound on the
-// peak one sketch fed the union would have recorded.
-func (s *Sketch) PeakMemEntries() int { return s.peak }
+// sketch's lifetime: exact for one stripe, the live entry count for
+// several. A Merge sums the inputs' marks, an upper bound on the peak one
+// sketch fed the union would have recorded.
+func (s *Sketch) PeakMemEntries() int { return s.total().peak }
 
 // ImplicationCount estimates S, the number of distinct A-itemsets implying
 // B.
@@ -211,7 +348,7 @@ func (s *Sketch) PeakMemEntries() int { return s.peak }
 // counts) is kept as CIImplicationCount; its error is proportional to
 // F0^sup(A) instead and therefore explodes for small S/F0 ratios (§4.7.2
 // concedes this). The experiment harness compares both.
-func (s *Sketch) ImplicationCount() float64 { return implicationCount(s) }
+func (s *Sketch) ImplicationCount() float64 { return read(s, implicationCount) }
 
 // ImplicationCountInterval returns an approximate confidence interval
 // around ImplicationCount at z standard errors (z=2 covers roughly 95% in
@@ -224,52 +361,41 @@ func (s *Sketch) ImplicationCount() float64 { return implicationCount(s) }
 // non-degenerate interval — having seen nothing, it cannot rule out small
 // counts.
 func (s *Sketch) ImplicationCountInterval(z float64) (lo, hi float64) {
+	s.lockAll()
+	defer s.unlockAll()
 	return implicationCountInterval(s, z)
 }
 
 // CIImplicationCount is Algorithm 2 (CI): S = F0^sup(A) − ~S, the
 // difference of the two position-based probabilistic counts with bias and
 // small-range corrections applied to both terms, clamped at zero.
-func (s *Sketch) CIImplicationCount() float64 {
-	d := s.SupportedDistinct() - s.NonImplicationCount()
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (s *Sketch) CIImplicationCount() float64 { return read(s, ciImplicationCount) }
 
 // RawImplicationCount is Algorithm 2 with the paper's plain 2^R arithmetic
 // (scaled across bitmaps, no small-range correction); exposed for the
 // estimator ablation.
-func (s *Sketch) RawImplicationCount() float64 {
-	d := fm.RawEstimate(meanR(s, posSupported), len(s.bms)) -
-		fm.RawEstimate(meanR(s, posNonImplication), len(s.bms))
-	if d < 0 {
-		return 0
-	}
-	return d
-}
+func (s *Sketch) RawImplicationCount() float64 { return read(s, rawImplicationCount) }
 
 // NonImplicationCount estimates ~S: distinct A-itemsets that met the
 // support condition but violated multiplicity or top-confidence.
-func (s *Sketch) NonImplicationCount() float64 { return positionCount(s, posNonImplication) }
+func (s *Sketch) NonImplicationCount() float64 { return read(s, nonImplicationCount) }
 
 // SupportedDistinct estimates F0^sup(A): distinct A-itemsets meeting the
 // minimum-support condition (§4.4 — read off the same bitmaps at no extra
 // memory cost).
-func (s *Sketch) SupportedDistinct() float64 { return positionCount(s, posSupported) }
+func (s *Sketch) SupportedDistinct() float64 { return read(s, supportedDistinct) }
 
 // DistinctCount estimates F0(A): all distinct A-itemsets seen, regardless
 // of support (the plain distinct-count statistic the framework
 // generalizes).
-func (s *Sketch) DistinctCount() float64 { return positionCount(s, posHashed) }
+func (s *Sketch) DistinctCount() float64 { return read(s, distinctCount) }
 
 // AvgMultiplicity estimates the mean number of distinct B-partners over
 // implicating itemsets (Table 2's complex-aggregate row) as the sample mean
 // over the tracked supported itemsets — each is currently implying, and the
 // fringe sample is a hash-uniform subset of the implicating population, so
 // the plain mean is unbiased. Returns 0 when nothing qualifies.
-func (s *Sketch) AvgMultiplicity() float64 { return avgMultiplicity(s) }
+func (s *Sketch) AvgMultiplicity() float64 { return read(s, avgMultiplicity) }
 
 // MinEstimable returns the smallest non-implication count the bounded
 // fringe can resolve, 2^−F · F0(A) (§4.3.3); smaller counts are clamped to
@@ -381,6 +507,27 @@ func positionCount(t terms, k position) float64 {
 	return fm.CorrectedEstimate(meanR(t, k), t.bitmaps())
 }
 
+func nonImplicationCount(t terms) float64 { return positionCount(t, posNonImplication) }
+func supportedDistinct(t terms) float64   { return positionCount(t, posSupported) }
+func distinctCount(t terms) float64       { return positionCount(t, posHashed) }
+
+func ciImplicationCount(t terms) float64 {
+	d := supportedDistinct(t) - nonImplicationCount(t)
+	if d < 0 {
+		return 0
+	}
+	return d
+}
+
+func rawImplicationCount(t terms) float64 {
+	d := fm.RawEstimate(meanR(t, posSupported), t.bitmaps()) -
+		fm.RawEstimate(meanR(t, posNonImplication), t.bitmaps())
+	if d < 0 {
+		return 0
+	}
+	return d
+}
+
 // meanR averages one R position over the bitmaps — the
 // stochastic-averaging step of Algorithm 2.
 func meanR(t terms, k position) float64 {
@@ -471,17 +618,27 @@ type FringeStats struct {
 // windows and pooled estimators can recycle sketches instead of allocating
 // new ones.
 func (s *Sketch) Reset() {
+	s.lockAll()
+	defer s.unlockAll()
 	for i := range s.bms {
 		s.bms[i] = bitmap{}
 		s.bms[i].init()
 	}
-	s.tuples = 0
-	s.entries = 0
-	s.peak = 0
+	for i := range s.stripes {
+		st := &s.stripes[i]
+		st.tuples, st.entries, st.peak = 0, 0, 0
+	}
 }
 
 // Fringe returns current fringe occupancy statistics.
 func (s *Sketch) Fringe() FringeStats {
+	s.lockAll()
+	defer s.unlockAll()
+	return s.fringeStats()
+}
+
+// fringeStats is Fringe; the caller holds every stripe lock.
+func (s *Sketch) fringeStats() FringeStats {
 	var st FringeStats
 	for bi := range s.bms {
 		b := &s.bms[bi]
@@ -507,3 +664,4 @@ func (s *Sketch) Fringe() FringeStats {
 
 var _ imps.Estimator = (*Sketch)(nil)
 var _ imps.MultiplicityAverager = (*Sketch)(nil)
+var _ imps.HashedPartitionedAdder = (*Sketch)(nil)

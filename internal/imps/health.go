@@ -17,8 +17,9 @@ type HealthReport struct {
 	// stamped by the engine.
 	Stmt int
 	// Kind is the snapshot-registry name of the leaf estimator ("nips",
-	// "sharded", "exact", "exact-striped", "ilc", "ds"), or "" when the
-	// estimator is not a registered kind; stamped by the engine.
+	// "sharded" for a sketch with several lock stripes, "exact",
+	// "exact-striped", "ilc", "ds"), or "" when the estimator is not a
+	// registered kind; stamped by the engine.
 	Kind string
 	// Query is the statement's normalized query text; stamped by the engine.
 	Query string

@@ -74,11 +74,14 @@ var ErrClosed = errors.New("imps: estimator is closed")
 //
 //   - Every Estimator is at least the serialized class: one partition, the
 //     pair's hashes unused, Add(p.A, p.B) per pair under the statement's
-//     exclusive lock, in arrival order.
+//     exclusive lock, in arrival order. The exact counter, ILC, Distinct
+//     Sampling, sliding windows and the Synchronized wrapper are this class.
 //   - A HashedPartitionedAdder is the partition-safe class: the planner
 //     hashes each key once with the estimator's own functions, buckets pairs
 //     along the estimator's own partitions, and concurrent workers apply
-//     distinct partitions without any statement-level lock.
+//     distinct partitions without any statement-level lock. The NIPS
+//     sketch, at any lock stripe count, and the striped exact counter are
+//     this class; they synchronize internally.
 //
 // In both classes the keys a pair carries may alias a buffer shared by the
 // whole batch (a decoded record region, an assembled-key string), so an
@@ -126,12 +129,12 @@ type HashedPair struct {
 //   - IngestPartitionHashed maps every key to exactly one of n partitions
 //     (n a power of two >= 1), so all tuples of one key land in one
 //     partition. The implementation chooses partitions compatible with its
-//     internal routing: the sharded sketch partitions on the low bits of
-//     the A-hash so that all tuples addressed to one bitmap — where arrival
+//     internal routing: the NIPS sketch partitions on the low bits of the
+//     A-hash so that all tuples addressed to one bitmap — where arrival
 //     order determines overflow kills and fringe push-outs, the only
 //     order-sensitive part of its state — stay in one partition, and caps
-//     n at its stripe count only so that two workers never share a stripe
-//     lock;
+//     n at its lock stripe count only so that two workers never share a
+//     stripe lock;
 //   - any two ingestion schedules that preserve the relative pair order
 //     within each partition leave the estimator in identical (bit-for-bit
 //     marshalled) state, and that state equals per-pair Add in the same

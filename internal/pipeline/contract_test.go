@@ -58,18 +58,19 @@ func TestIngestContract(t *testing.T) {
 		backend  query.Backend
 		sqls     []string
 		marshals bool
+		safe     bool // partition-safe: applied without the statement lock
 	}{
-		{"sketch", named["nips"], plain, true},
-		{"sharded-1", sharded(1), plain, true},
-		{"sharded-4", sharded(4), plain, true},
-		{"counter", named["exact"], plain, true},
-		{"striped", named["exact-striped"], plain, true},
-		{"ilc", named["ilc"], plain, true},
+		{"sketch", named["nips"], plain, true, true},
+		{"sharded-1", sharded(1), plain, true, true},
+		{"sharded-4", sharded(4), plain, true, true},
+		{"counter", named["exact"], plain, true, false},
+		{"striped", named["exact-striped"], plain, true, true},
+		{"ilc", named["ilc"], plain, true, false},
 		{"sticky", func(cond imps.Conditions) (imps.Estimator, error) {
 			return lossy.NewImplicationSticky(cond, 0.02, 0.01, 0.1, 7)
-		}, plain, false},
-		{"ds", named["ds"], plain, true},
-		{"windowed-sketch", named["nips"], windowed, true},
+		}, plain, false, false},
+		{"ds", named["ds"], plain, true, false},
+		{"windowed-sketch", named["nips"], windowed, true, false},
 	}
 	batches := workload(12, 250)
 	schema := testSchema(t)
@@ -103,6 +104,9 @@ func TestIngestContract(t *testing.T) {
 			}
 
 			ref := newEngine()
+			if _, safe := ref.Statements()[0].Estimator().(imps.HashedPartitionedAdder); safe != c.safe {
+				t.Fatalf("partition-safe %t, want %t", safe, c.safe)
+			}
 			for _, ts := range batches {
 				for _, st := range ref.Statements() {
 					addDirect(t, schema, st, ts)

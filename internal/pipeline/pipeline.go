@@ -75,9 +75,9 @@ type Pool struct {
 	parts  int
 	owners []*query.Statement
 	// first is the worker that applies each owner's partition 0; partition
-	// p goes to worker (first+p) % workers. Partition-safe owners start at
-	// 0; serialized owners, whose one partition would otherwise all land on
-	// worker 0, are dealt round-robin.
+	// p goes to worker (first+p) % workers. Owners are dealt round-robin,
+	// so owners with one partition — every serialized one, and a
+	// one-stripe sketch — do not all land on worker 0.
 	first  []int
 	queues []chan *task
 	wg     sync.WaitGroup
@@ -167,20 +167,14 @@ func New(eng *query.Engine, cfg Config) (*Pool, error) {
 		queues:  make([]chan *task, cfg.Workers),
 	}
 	p.free.New = func() any { return &Batch{pool: p} }
-	serialized := 0
 	for _, st := range eng.Statements() {
 		if st.Shared() {
 			// Shared statements alias an owner's estimator; the owner's
 			// tasks feed it exactly once per tuple.
 			continue
 		}
+		p.first = append(p.first, len(p.owners)%p.workers)
 		p.owners = append(p.owners, st)
-		if st.PartitionSafe() {
-			p.first = append(p.first, 0)
-		} else {
-			p.first = append(p.first, serialized%p.workers)
-			serialized++
-		}
 	}
 	for w := range p.queues {
 		p.queues[w] = make(chan *task, cfg.QueueLen)

@@ -52,10 +52,10 @@ func backends(seed uint64) map[string]query.Backend {
 		"exact-striped": func(cond imps.Conditions) (imps.Estimator, error) {
 			return exact.NewStriped(cond, 4)
 		},
-		// Serialized.
 		"nips": func(cond imps.Conditions) (imps.Estimator, error) {
 			return core.NewSketch(cond, core.Options{Seed: seed})
 		},
+		// Serialized.
 		"exact": func(cond imps.Conditions) (imps.Estimator, error) {
 			return exact.NewCounter(cond)
 		},
@@ -270,6 +270,32 @@ func TestPoolCallbacks(t *testing.T) {
 	}
 	if saturated.Load() == 0 {
 		t.Error("OnSaturated never fired despite QueueLen=1")
+	}
+}
+
+// TestPoolDealsOnePartitionOwners: owners whose estimator has one
+// partition — here one-stripe sketches, which are partition-safe — are
+// dealt round-robin over the workers rather than all applying on worker 0.
+func TestPoolDealsOnePartitionOwners(t *testing.T) {
+	eng := query.NewEngine(testSchema(t))
+	for supp := 2; supp <= 5; supp++ {
+		sql := fmt.Sprintf(`SELECT COUNT(DISTINCT Source) FROM s WHERE Source IMPLIES Destination WITH SUPPORT >= %d, MULTIPLICITY <= 2`, supp)
+		if _, err := eng.RegisterSQL(sql, backends(1)["nips"]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var units [2]atomic.Int64
+	pool, err := New(eng, Config{Workers: 2, OnTask: func(w, n int) { units[w].Add(int64(n)) }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ts := range workload(10, 200) {
+		pool.Dispatch(pool.Plan(ts))
+	}
+	pool.Fence()
+	pool.Close()
+	if units[0].Load() == 0 || units[1].Load() == 0 {
+		t.Fatalf("worker units %d and %d: one worker applied every statement", units[0].Load(), units[1].Load())
 	}
 }
 

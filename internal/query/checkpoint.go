@@ -32,10 +32,10 @@ const (
 // statement's backend. It is consulted only for windowed statements — a
 // sliding vector must construct fresh estimators for future origins, and
 // state alone cannot say how — with the statement's normalized query and the
-// snapshot kind of its checkpointed slots ("nips", "sharded", "exact",
-// "exact-striped", "ilc", "ds"). The resolver's backend must produce estimators whose
-// configuration matches the checkpointed ones; UnmarshalEngine verifies
-// this by fingerprint and rejects mismatches.
+// snapshot kind of its first checkpointed slot ("nips", "sharded", "exact",
+// "exact-striped", "ilc", "ds"). The resolver's backend must produce
+// estimators whose configuration matches the checkpointed ones;
+// UnmarshalEngine verifies this by fingerprint and rejects mismatches.
 type BackendResolver func(q Query, kind string) (Backend, error)
 
 // leafEstimator returns an estimator representative of est's capabilities
@@ -51,8 +51,9 @@ func leafEstimator(est imps.Estimator) imps.Estimator {
 }
 
 // EstimatorKind returns the snapshot registry name of the statement's leaf
-// estimator ("nips", "sharded", "exact", "exact-striped", "ilc", "ds"), or
-// "" when the estimator is not a registered kind.
+// estimator ("nips", "sharded" for a sketch with several lock stripes,
+// "exact", "exact-striped", "ilc", "ds"), or "" when the estimator is not a
+// registered kind.
 func (st *Statement) EstimatorKind() string {
 	kind, err := snapshot.Kind(leafEstimator(st.est))
 	if err != nil {
@@ -283,8 +284,6 @@ func unmarshalSliding(d *wire.Decoder, q Query, i int, resolve BackendResolver) 
 		}
 		if kind == "" {
 			kind = k
-		} else if k != kind {
-			return nil, fmt.Errorf("%w: statement %d mixes %s and %s slot estimators", wire.ErrCorrupt, i, kind, k)
 		}
 		slots = append(slots, window.SlotState{Origin: origin, Est: est})
 	}
@@ -306,8 +305,10 @@ func unmarshalSliding(d *wire.Decoder, q Query, i int, resolve BackendResolver) 
 	if err != nil {
 		return nil, fmt.Errorf("query: statement %d: resolved backend rejected the query conditions: %w", i, err)
 	}
-	if err := compareFingerprints(probe, slots[0].Est); err != nil {
-		return nil, fmt.Errorf("query: statement %d: %w", i, err)
+	for _, slot := range slots {
+		if err := compareFingerprints(probe, slot.Est); err != nil {
+			return nil, fmt.Errorf("query: statement %d: %w", i, err)
+		}
 	}
 
 	sliding, err := window.NewSliding(q.Window, q.Every, func() imps.Estimator {
@@ -327,8 +328,11 @@ func unmarshalSliding(d *wire.Decoder, q Query, i int, resolve BackendResolver) 
 }
 
 // compareFingerprints rejects a resolved backend whose estimators are not
-// configured like the checkpointed ones: mixing configurations across the
-// slots of one window would corrupt its counts as the window slides.
+// configured like a checkpointed one: mixing configurations across the
+// slots of one window would corrupt its counts as the window slides. The
+// fingerprint leaves out what does not change an answer, such as a
+// sketch's lock stripe count, so one window may hold a restored slot of
+// one stripe count beside fresh slots of another.
 func compareFingerprints(fresh, restored imps.Estimator) error {
 	ff, ok1 := fresh.(imps.ConfigFingerprinter)
 	rf, ok2 := restored.(imps.ConfigFingerprinter)

@@ -9,6 +9,7 @@ import (
 	"implicate/internal/core"
 	"implicate/internal/imps"
 	"implicate/internal/stream"
+	"implicate/internal/window"
 )
 
 func genTuples(start, n int) []stream.Tuple {
@@ -166,6 +167,52 @@ func TestEngineSnapshotRestoresAcrossShardCounts(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("resumed engine state differs from the uncrashed run")
+	}
+}
+
+// TestEngineSnapshotMixesStripeCounts: a window restored from one-stripe
+// sketch slots keeps them beside the four-stripe slots its resolver builds
+// — the checkpoint kinds "nips" and "sharded" in one window — and the engine
+// checkpoints and restores again in that state, still answering like the
+// uncrashed run.
+func TestEngineSnapshotMixesStripeCounts(t *testing.T) {
+	sketch := func(n int) Backend {
+		return func(cond imps.Conditions) (imps.Estimator, error) {
+			return core.NewShardedSketch(cond, core.Options{Bitmaps: 64, Seed: 9}, n)
+		}
+	}
+	resolve := func(q Query, kind string) (Backend, error) { return sketch(4), nil }
+	const sql = `SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 600 EVERY 60`
+	e := NewEngine(mustSchema(t))
+	st, err := e.RegisterSQL(sql, sketch(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e.ProcessBatch(genTuples(0, 2000))
+	re := e
+	for i, n := range []int{300, 3000} {
+		blob, err := re.MarshalBinary()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if re, err = UnmarshalEngine(blob, mustSchema(t), resolve); err != nil {
+			t.Fatalf("restore %d refused: %v", i, err)
+		}
+		more := genTuples(2000+i*300, n)
+		e.ProcessBatch(more)
+		re.ProcessBatch(more)
+		if got, want := re.Statements()[0].Count(), st.Count(); got != want {
+			t.Fatalf("after restore %d: count %g, want %g", i, got, want)
+		}
+		if i == 0 {
+			stripes := map[int]bool{}
+			for _, slot := range re.Statements()[0].Estimator().(*window.Sliding).Slots() {
+				stripes[slot.Est.(*core.Sketch).Shards()] = true
+			}
+			if !stripes[1] || !stripes[4] {
+				t.Fatalf("window slots have stripe counts %v; the test needs restored and fresh ones", stripes)
+			}
+		}
 	}
 }
 

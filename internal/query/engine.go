@@ -183,13 +183,6 @@ func (st *Statement) ProcessBatch(ts []stream.Tuple) {
 	st.Apply(st.serial.buckets[0])
 }
 
-// PartitionSafe reports the statement's concurrency class: true when its
-// estimator implements imps.HashedPartitionedAdder, so Plan spreads pairs
-// over the estimator's partitions and Apply may run concurrently on
-// distinct ones; false when Plan fills bucket 0 only and Apply serializes
-// on the statement's lock.
-func (st *Statement) PartitionSafe() bool { return st.hashed != nil }
-
 // PlanBuf is the recycled key memory behind Plan for multi-attribute
 // projections; the zero value is ready to use. A PlanBuf serves one Plan
 // call at a time.
@@ -309,22 +302,12 @@ func (st *Statement) Apply(pairs []imps.HashedPair) {
 }
 
 // Exclusive runs f while holding the statement's exclusive lock, blocking
-// serialized-class Apply and Count readers. Callers mutating the bound
-// estimator from outside the ingest path (snapshot merges) use this to
-// coordinate with a concurrent pipeline.
+// serialized-class Apply and Count readers. A partition-safe estimator's
+// Apply takes no statement lock, so f must rely on the estimator's own
+// synchronization to exclude it.
 func (st *Statement) Exclusive(f func()) {
 	st.estMu.Lock()
 	defer st.estMu.Unlock()
-	f()
-}
-
-// ReadLocked runs f while holding the statement's lock shared, as Count
-// does: serialized-class Apply and Exclusive sections wait, other readers
-// do not. Callers reading the bound estimator's state from outside the
-// query path (readouts) use this.
-func (st *Statement) ReadLocked(f func()) {
-	st.estMu.RLock()
-	defer st.estMu.RUnlock()
 	f()
 }
 

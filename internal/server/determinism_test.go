@@ -2,6 +2,7 @@ package server
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -18,10 +19,10 @@ import (
 )
 
 // determinismEngine registers a mixed statement set spanning both
-// concurrency classes: partition-safe (sharded sketch, striped exact)
-// statements fan out across pool workers, serialized ones (plain sketch,
-// exact counter) run on their home worker, and a NOT IMPLIES alias shares
-// the sharded estimator (sharing keys on the backend function pointer, so
+// concurrency classes: partition-safe (four-stripe sketch, striped exact,
+// one-stripe sketch) statements spread across pool workers, the serialized
+// one (exact counter) runs on its home worker, and a NOT IMPLIES alias
+// shares the four-stripe estimator (sharing keys on the backend function pointer, so
 // the alias registers with the identical closure). Conditions differ per
 // statement so none share by accident.
 func determinismEngine(t *testing.T, schema *stream.Schema, seed uint64) *query.Engine {
@@ -296,5 +297,96 @@ func TestServerBlockOnFullOrdering(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Error("engine state diverged from the serial run under blocking backpressure")
+	}
+}
+
+// TestStateRPCsDuringIngest: Merge, Snapshot and Readout pulls of NIPS
+// statements race pipelined ingest, whose workers apply the sketches'
+// buckets without the statement lock, so only the sketches' own stripe
+// locks keep the two apart (run with -race). Statement 0's sketch has four
+// stripes, statement 2's one. Merging an empty same-seed sketch changes no
+// state, so the final engine must be the serial run's, bit for bit.
+func TestStateRPCsDuringIngest(t *testing.T) {
+	schema := testSchema(t)
+	batches := determinismBatches(40, 400)
+	want, _ := serialState(t, schema, 11, batches)
+	srv := startServer(t, Config{Schema: schema, Engine: determinismEngine(t, schema, 11), Workers: 4})
+	ingest := dialClient(t, srv, schema, client.Options{Conns: 1})
+	reader := dialClient(t, srv, schema, client.Options{})
+	boot, err := reader.Boot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	empty := map[int][]byte{}
+	for _, stmt := range []int{0, 2} {
+		cond := srv.Engine().Statements()[stmt].Query().Cond
+		if empty[stmt], err = core.MustSketch(cond, core.Options{Seed: 11}).MarshalBinary(); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	stop := make(chan struct{})
+	rpcs := make(chan error, 1)
+	go func() {
+		defer close(rpcs)
+		for pulls := 0; ; pulls++ {
+			select {
+			case <-stop:
+				if pulls == 0 {
+					rpcs <- errors.New("no state RPC ran during ingest")
+				}
+				return
+			default:
+			}
+			for stmt, blob := range empty {
+				if err := reader.SnapshotMerge(stmt, blob); err != nil {
+					rpcs <- err
+					return
+				}
+				if _, err := reader.Snapshot(stmt); err != nil {
+					rpcs <- err
+					return
+				}
+				if _, err := reader.ReadoutFenced(stmt, boot); err != nil {
+					rpcs <- err
+					return
+				}
+			}
+		}
+	}()
+
+	var pending []*client.PendingIngest
+	total := 0
+	for _, ts := range batches {
+		payload, err := client.EncodeBatch(schema, ts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p, err := ingest.IngestAsync(payload, int64(len(ts)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		pending = append(pending, p)
+		total += len(ts)
+	}
+	for _, p := range pending {
+		if err := p.Wait(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	waitTuples(t, ingest, int64(total))
+	close(stop)
+	if err := <-rpcs; err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.Close(); err != nil {
+		t.Fatal(err)
+	}
+	got, err := srv.Engine().MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Error("engine state after state RPCs during ingest diverged from the serial run")
 	}
 }

@@ -712,13 +712,11 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
 	}
-	// Exclusive on both levels: the tenant lock keeps checkpoint captures
-	// and readers out, the statement lock keeps its home worker out (a
-	// plain sketch is serialized-class, so its ingest runs under that
-	// lock).
+	// The tenant lock keeps checkpoint captures and readers out; the
+	// sketch's own stripe locks keep the workers applying ingest to it out.
 	mergeStart := time.Now()
 	t.Mu.Lock()
-	st.Exclusive(func() { err = dst.Merge(src) })
+	err = dst.Merge(src)
 	t.Mu.Unlock()
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
@@ -731,7 +729,7 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 // handleSnapshot answers a state pull: the statement's estimator marshalled
 // for a downstream SnapshotMerge, plus the engine's applied-tuple count at
 // the capture — the offset a coordinator compares against its journal. The
-// same restrictions as the merge path apply (no shared estimators, plain
+// same restrictions as the merge path apply (no shared estimators, NIPS
 // sketches only), because the reply is meant to round-trip through Merge.
 func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	idx, st, err := statement(f, t, "snapshot")
@@ -745,17 +743,16 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	if !ok {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", idx, kindOf(st)))
 	}
-	// Exclusive on both levels, like the merge path: the tenant lock keeps
-	// checkpoint captures and merges out, the statement lock keeps its home
-	// worker out mid-marshal. Workers do not take the tenant lock, so the
-	// tuple count is a watermark, not a fence — a caller that needs the
-	// snapshot to cover everything it shipped compares Tuples against its
-	// own ledger and re-pulls after the engine catches up (the coordinator's
-	// Flush waits on a leaf's applied count against its journal the same way).
-	var blob []byte
+	// The tenant lock keeps checkpoint captures and merges out, and the
+	// sketch marshals under its own stripe locks, a cut between the
+	// workers' buckets. Workers do not take the tenant lock, so the tuple
+	// count is a watermark, not a fence — a caller that needs the snapshot
+	// to cover everything it shipped compares Tuples against its own ledger
+	// and re-pulls after the engine catches up (the coordinator's Flush
+	// waits on a leaf's applied count against its journal the same way).
 	t.Mu.Lock()
 	res := proto.SnapshotResult{Tuples: t.Engine().Tuples(), Kind: st.EstimatorKind()}
-	st.Exclusive(func() { blob, err = src.MarshalBinary() })
+	blob, err := src.MarshalBinary()
 	t.Mu.Unlock()
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
@@ -766,8 +763,8 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 
 // handleReadout answers a readout pull: one record per bitmap the
 // statement's sketch has observed, plus the engine's applied-tuple count at
-// the capture. It is a read like Query — shared tenant and statement locks,
-// so ingest on other statements and other readers go on — and nothing is
+// the capture. It is a read like Query — a shared tenant lock, and the
+// sketch reads under its own stripe locks — and nothing is
 // merged back, so it answers for a statement aliasing a shared estimator
 // as for the estimator's owner.
 func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
@@ -783,7 +780,7 @@ func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	recs := make([]byte, 0, m*core.ReadoutRecordLen) // at most one record per bitmap
 	t.Mu.RLock()
 	res := proto.ReadoutResult{Tuples: t.Engine().Tuples(), Bitmaps: uint32(m)}
-	st.ReadLocked(func() { recs = src.AppendReadout(recs) })
+	recs = src.AppendReadout(recs)
 	t.Mu.RUnlock()
 	res.Records = recs
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}

@@ -6,10 +6,13 @@
 // restore, which algorithm a blob contains.
 //
 // Kind names are part of the checkpoint format and deliberately match the
-// backend names the impstat CLI exposes: "nips", "sharded", "exact",
-// "exact-striped", "ilc", "ds". Wrapper types (window.Sliding, the concurrency wrappers) are not
-// leaf estimators and are handled by their own layers; Marshal rejects them
-// with a descriptive error rather than producing a partial snapshot.
+// backend names the CLIs expose: "nips", "exact", "exact-striped", "ilc",
+// "ds" — plus "sharded", the kind of a sketch with more than one lock
+// stripe, which earlier builds built from a backend of that name and which
+// a "nips" backend builds today. Wrapper types (window.Sliding, the
+// concurrency wrappers) are not leaf estimators and are handled by their
+// own layers; Marshal rejects them with a descriptive error rather than
+// producing a partial snapshot.
 package snapshot
 
 import (
@@ -30,11 +33,12 @@ const MaxEstimatorBlob = 1 << 30
 // Kind returns the registry name of est's concrete type, or an error when
 // the estimator cannot be checkpointed.
 func Kind(est imps.Estimator) (string, error) {
-	switch est.(type) {
+	switch est := est.(type) {
 	case *core.Sketch:
+		if est.Shards() > 1 {
+			return "sharded", nil
+		}
 		return "nips", nil
-	case *core.ShardedSketch:
-		return "sharded", nil
 	case *exact.Counter:
 		return "exact", nil
 	case *exact.Striped:

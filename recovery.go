@@ -23,7 +23,8 @@ type Checkpoint = checkpoint.Snapshot
 // it is asked once per windowed statement (sliding windows open fresh
 // estimators as the stream advances, so they need a factory, not just
 // state) with the statement's query and the checkpointed estimator kind
-// ("nips", "sharded", "exact", "ilc" or "ds"). The resolved backend's
+// ("nips", "exact", "exact-striped", "ilc" or "ds"; a sketch is "nips" at
+// any stripe count). The resolved backend's
 // configuration must match the checkpoint or the restore fails.
 type BackendResolver = query.BackendResolver
 
@@ -58,12 +59,11 @@ func WriteCheckpoint(path string, c Checkpoint) error { return checkpoint.Write(
 // with an error, never restored into a wrong engine.
 func ReadCheckpoint(path string) (Checkpoint, error) { return checkpoint.Read(path) }
 
-// UnmarshalShardedSketch restores a sharded sketch serialized with
-// ShardedSketch.MarshalBinary — the bytes of the equivalent single Sketch —
-// or with an earlier build's sharded encoding. The shard count is not part
-// of the state: the result has the default count (as NewShardedSketch with
-// shards == 0), estimates identically and keeps streaming from where the
-// original stopped.
-func UnmarshalShardedSketch(data []byte) (*ShardedSketch, error) {
+// UnmarshalShardedSketch restores a sketch serialized with
+// Sketch.MarshalBinary or with an earlier build's sharded encoding. The
+// shard count is not part of the state: the result has the default count
+// (as NewShardedSketch with shards == 0), estimates identically and keeps
+// streaming from where the original stopped.
+func UnmarshalShardedSketch(data []byte) (*Sketch, error) {
 	return core.UnmarshalShardedSketch(data)
 }

@@ -3,21 +3,16 @@ package implicate
 import "sync"
 
 // Synchronized wraps an estimator with a read-write mutex so multiple
-// goroutines can feed and query it concurrently. The underlying estimators
-// are deliberately lock-free single-writer structures — the paper's per-item
-// cost analysis (§4.6) budgets a handful of hash and counter operations per
-// tuple, and an uncontended fast path must not pay for synchronization it
-// does not need — so wrap them only when tuples genuinely arrive from
-// multiple goroutines.
-//
-// Two concurrency wrappers exist and they trade differently:
-//
-//   - Synchronized serializes every Add through one lock. It works for any
-//     estimator (exact, ILC, Distinct Sampling, windows, ...) but caps
-//     ingest throughput at one core, whatever the producer count.
-//   - ShardedSketch partitions a NIPS/CI sketch's bitmaps across
-//     independently locked shards, so producers ingest in parallel. Prefer
-//     it whenever the estimator is the sketch and ingest rate matters.
+// goroutines can feed and query it concurrently. The exact counter, ILC,
+// Distinct Sampling and sliding windows are deliberately lock-free
+// single-writer structures — the paper's per-item cost analysis (§4.6)
+// budgets a handful of hash and counter operations per tuple, and an
+// uncontended fast path must not pay for synchronization it does not need
+// — so wrap them only when tuples genuinely arrive from multiple
+// goroutines. Synchronized serializes every Add through one lock, capping
+// ingest at one core whatever the producer count. The NIPS/CI Sketch and
+// StripedExact need no wrapper: they lock stripes of their own state, so
+// producers ingest in parallel.
 //
 // Query methods (ImplicationCount, Tuples, MemEntries, ...) take only the
 // read lock, so monitoring reads never stall ingestion behind one another;
