@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"implicate"
+	"implicate/cmd/internal/backends"
 	"implicate/internal/telemetry"
 )
 
@@ -61,7 +62,7 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.IntVar(&cfg.udpWindow, "udp-window", 256, "UDP lane per-source reorder window in sequence numbers (with -udp)")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query to serve (repeatable; required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, exact-striped, ilc, ds")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, ilc, ds")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
 	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
 	fs.IntVar(&cfg.dsSize, "ds-size", 1920, "Distinct Sampling entry budget")
@@ -169,26 +170,10 @@ func parseTenants(cfg *config) ([]implicate.TenantConfig, error) {
 	return out, nil
 }
 
-// backendsFor builds the named backend factories the command line selects.
-// The names are impstat's, so either tool resumes the other's checkpoints.
-func backendsFor(cfg *config) map[string]implicate.Backend {
-	return map[string]implicate.Backend{
-		"nips":          implicate.SketchBackend(implicate.Options{Seed: cfg.seed}),
-		"exact":         implicate.ExactBackend(),
-		"exact-striped": implicate.StripedExactBackend(0),
-		"ilc": func(cond implicate.Conditions) (implicate.Estimator, error) {
-			return implicate.NewILC(cond, cfg.ilcEps, cfg.ilcEps)
-		},
-		"ds": func(cond implicate.Conditions) (implicate.Estimator, error) {
-			return implicate.NewDistinctSampling(cond, cfg.dsSize, cfg.dsBound, cfg.seed+7)
-		},
-	}
-}
-
 // buildEngine constructs the engine to serve — fresh from -q, or restored
 // from -resume.
 func buildEngine(cfg *config, schema *implicate.Schema) (*implicate.Engine, error) {
-	factories := backendsFor(cfg)
+	factories := backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)
 	if cfg.resume != "" {
 		snap, err := implicate.ReadCheckpoint(cfg.resume)
 		if err != nil {
@@ -259,7 +244,7 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 		TraceSpans:      cfg.traceSpans,
 		TokenKey:        []byte(cfg.tokenKey),
 		Tenants:         tenants,
-		Backends:        implicate.TenantBackends(backendsFor(cfg)),
+		Backends:        implicate.TenantBackends(backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)),
 		CheckpointDir:   cfg.ckptDir,
 	})
 	if err != nil {

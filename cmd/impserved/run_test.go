@@ -99,8 +99,8 @@ func TestBuildEngineErrors(t *testing.T) {
 }
 
 // TestServeSmoke is the end-to-end smoke path, through the test binary:
-// start a server on loopback with a 4-worker pipeline over the striped
-// exact backend, ingest 100k tuples through the wire protocol, query it,
+// start a server on loopback with a 4-worker pipeline over the exact
+// backend (striped for GOMAXPROCS), ingest 100k tuples through the wire protocol, query it,
 // shut down gracefully, and require the shutdown checkpoint to record every
 // acknowledged tuple.
 func TestServeSmoke(t *testing.T) {
@@ -110,7 +110,7 @@ func TestServeSmoke(t *testing.T) {
 		addr:       "127.0.0.1:0",
 		schema:     "Source, Destination",
 		queries:    queryList{`SELECT COUNT(DISTINCT Source) FROM traffic WHERE Source IMPLIES Destination WITH SUPPORT >= 3, MULTIPLICITY <= 2`},
-		backend:    "exact-striped",
+		backend:    "exact",
 		queue:      16,
 		workers:    4,
 		checkpoint: ckpt,

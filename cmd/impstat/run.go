@@ -8,6 +8,7 @@ import (
 	"text/tabwriter"
 
 	"implicate"
+	"implicate/cmd/internal/backends"
 	"implicate/internal/stream"
 )
 
@@ -30,7 +31,7 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs := flag.NewFlagSet("impstat", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.sql, "q", "", "implication query (required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, exact-striped, ilc, ds, or all")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, ilc, ds, or all")
 	fs.Int64Var(&cfg.interval, "interval", 0, "print counts every N tuples (0: only at the end)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
 	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
@@ -68,23 +69,6 @@ func (cfg *config) validate() error {
 	return nil
 }
 
-// backendsFor builds the named backend factories the command line selects.
-// The names are impserved's, so either tool resumes the other's
-// checkpoints.
-func backendsFor(cfg *config) map[string]implicate.Backend {
-	return map[string]implicate.Backend{
-		"nips":          implicate.SketchBackend(implicate.Options{Seed: cfg.seed}),
-		"exact":         implicate.ExactBackend(),
-		"exact-striped": implicate.StripedExactBackend(0),
-		"ilc": func(cond implicate.Conditions) (implicate.Estimator, error) {
-			return implicate.NewILC(cond, cfg.ilcEps, cfg.ilcEps)
-		},
-		"ds": func(cond implicate.Conditions) (implicate.Estimator, error) {
-			return implicate.NewDistinctSampling(cond, cfg.dsSize, cfg.dsBound, cfg.seed+7)
-		},
-	}
-}
-
 // namedStmt pairs a registered statement with its report label.
 type namedStmt struct {
 	name string
@@ -94,7 +78,7 @@ type namedStmt struct {
 // setup builds the engine — fresh from -q, or restored from -resume — and
 // returns it with the statements to report and the stream offset to skip.
 func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, int64, error) {
-	factories := backendsFor(cfg)
+	factories := backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)
 
 	if cfg.resume != "" {
 		if cfg.sql != "" {
@@ -117,9 +101,14 @@ func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, 
 		}
 		var stmts []namedStmt
 		for _, st := range eng.Statements() {
+			// Label a restored statement with the backend that builds its
+			// kind at every stripe count.
 			name := st.EstimatorKind()
-			if name == "sharded" {
-				name = "nips" // the backend that builds a sketch with several lock stripes
+			switch name {
+			case "sharded":
+				name = "nips"
+			case "exact-striped":
+				name = "exact"
 			}
 			stmts = append(stmts, namedStmt{name: name, st: st})
 		}

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"implicate"
+	"implicate/internal/exact"
 	"implicate/internal/stream"
 )
 
@@ -222,9 +223,9 @@ func TestRunCheckpointAndResume(t *testing.T) {
 }
 
 // TestRunResumeWindowedCheckpoints: impstat resumes windowed checkpoints
-// of the kinds impserved's backends write — the striped exact counter's,
-// and the sketch's at one and at several lock stripes — and finishes with
-// the answer an uninterrupted impstat run of that backend gives.
+// of the kinds impserved's backends write — the exact counter's and the
+// sketch's, each at one and at several lock stripes — and finishes with the
+// answer an uninterrupted impstat run of that backend gives.
 func TestRunResumeWindowedCheckpoints(t *testing.T) {
 	full := longStream(60)
 	sql := `SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 20 EVERY 5`
@@ -233,11 +234,17 @@ func TestRunResumeWindowedCheckpoints(t *testing.T) {
 			return implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, shards)
 		}
 	}
+	exactCounter := func(stripes int) implicate.Backend {
+		return func(cond implicate.Conditions) (implicate.Estimator, error) {
+			return exact.NewStriped(cond, stripes)
+		}
+	}
 	for _, c := range []struct {
 		kind, backend string
 		build         implicate.Backend
 	}{
-		{"exact-striped", "exact-striped", implicate.StripedExactBackend(0)},
+		{"exact", "exact", exactCounter(1)},
+		{"exact-striped", "exact", exactCounter(2)},
 		{"nips", "nips", sketch(1)},
 		{"sharded", "nips", sketch(2)},
 	} {

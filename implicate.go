@@ -86,10 +86,11 @@ func NewShardedSketch(cond Conditions, opts Options, shards int) (*Sketch, error
 type HashedPair = imps.HashedPair
 
 // Exact is the exact hash-table implication counter (ground truth; memory
-// proportional to the number of distinct itemsets).
+// proportional to the number of distinct itemsets). It is safe for
+// concurrent use.
 type Exact = exact.Counter
 
-// NewExact returns an exact counter.
+// NewExact returns an exact counter with one lock stripe.
 func NewExact(cond Conditions) (*Exact, error) { return exact.NewCounter(cond) }
 
 // ILC is Implication Lossy Counting (§5.1), the frequent-itemset baseline.
@@ -185,29 +186,12 @@ func SketchBackend(opts Options) Backend {
 	}
 }
 
-// ExactBackend returns a Backend producing exact counters.
+// ExactBackend returns a Backend producing exact counters striped for
+// GOMAXPROCS, so statements fed from concurrent producers or a multi-worker
+// server pipeline ingest in parallel; every stripe count answers exactly
+// what a one-stripe counter (NewExact) answers.
 func ExactBackend() Backend {
-	return func(cond Conditions) (Estimator, error) { return exact.NewCounter(cond) }
-}
-
-// StripedExact is the lock-striped exact counter: items are routed to
-// independently locked stripes by itemset hash, so concurrent producers (and
-// the pipeline's partitioned ingest) scale across cores while counts stay
-// exact and the marshalled state stays stripe-count independent.
-type StripedExact = exact.Striped
-
-// NewStripedExact returns a lock-striped exact counter. stripes must be a
-// power of two; 0 selects a stripe count matched to GOMAXPROCS.
-func NewStripedExact(cond Conditions, stripes int) (*StripedExact, error) {
-	return exact.NewStriped(cond, stripes)
-}
-
-// StripedExactBackend returns a Backend producing lock-striped exact
-// counters (stripes as in NewStripedExact). Use it instead of ExactBackend
-// when statements are fed from concurrent producers or through a
-// multi-worker server pipeline.
-func StripedExactBackend(stripes int) Backend {
-	return func(cond Conditions) (Estimator, error) { return exact.NewStriped(cond, stripes) }
+	return func(cond Conditions) (Estimator, error) { return exact.NewStriped(cond, 0) }
 }
 
 // Incremental answers "how many new implicating itemsets since t" queries

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"implicate/internal/core"
+	"implicate/internal/exact"
 	"implicate/internal/imps"
 	"implicate/internal/obs"
 	"implicate/internal/proto"
@@ -172,6 +173,25 @@ func TestReadoutRecordLayout(t *testing.T) {
 	}
 }
 
+// exactBytes is the EXCT\x01 encoding of a small exact counter with the
+// given stripe count: one implicating itemset, one excluded and one below
+// the support threshold.
+func exactBytes(t *testing.T, stripes int) []byte {
+	t.Helper()
+	c, err := exact.NewStriped(imps.Conditions{MaxMultiplicity: 1, MinSupport: 2, TopC: 1, MinTopConfidence: 0.5}, stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range [][2]string{{"a1", "b1"}, {"a1", "b1"}, {"a2", "b1"}, {"a2", "b2"}, {"a3", "b1"}} {
+		c.Add(p[0], p[1])
+	}
+	out, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return out
+}
+
 // TestABI pins the bytes of the formats an ingest, a query or an
 // observability RPC crosses: fixed input, golden output, and a request frame
 // for every request type proto declares — a new type fails here until its
@@ -201,6 +221,14 @@ func TestABI(t *testing.T) {
 		}
 		return out
 	}
+	// Conditions K=1 τ=2 c=1 ψ=0.5, five tuples, then three items in key
+	// order: a1 (support 2, partner b1×2), a2 (support 2, excluded), a3
+	// (support 1, partner b1×1).
+	exctGolden := "EXCT\x01" + "\x01\x00\x00\x00" + le64(2) + "\x01\x00\x00\x00" + le64(math.Float64bits(0.5)) + le64(5) +
+		"\x03\x00\x00\x00" +
+		"\x02\x00\x00\x00a1" + le64(2) + "\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00b1" + le64(2) +
+		"\x02\x00\x00\x00a2" + le64(2) + "\x01" +
+		"\x02\x00\x00\x00a3" + le64(1) + "\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00b1" + le64(1)
 	pinned := make(map[proto.Type]bool)
 	request := func(f proto.Frame) []byte {
 		pinned[f.Type] = true
@@ -256,6 +284,8 @@ func TestABI(t *testing.T) {
 				"\x16\x00\x00\x00" + "\x05\x00\x00\x00\x00\x00\x00\x00" + "\x03\x00\x00\x00\x00\x00\x00\x00"},
 		{"SnapshotResult", proto.SnapshotResult{Tuples: 3, Kind: "nips", Sketch: []byte("NIPS\x01")}.Encode(),
 			"\x03\x00\x00\x00\x00\x00\x00\x00" + "\x04\x00\x00\x00nips" + "\x05\x00\x00\x00NIPS\x01"},
+		{"EXCT snapshot, one stripe", exactBytes(t, 1), exctGolden},
+		{"EXCT snapshot, four stripes", exactBytes(t, 4), exctGolden},
 		{"Health dump", obs.EncodeHealth([]imps.HealthReport{{
 			Stmt: 1, Kind: "nips", Query: "q", Shared: true, Tuples: 3, MemEntries: 2, MemBytes: 5,
 			BitmapFill: 0.5, LeftmostZero: 1, FringeTracked: 1, FringePairs: 2, FringeTombstones: 3,

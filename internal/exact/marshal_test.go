@@ -1,10 +1,13 @@
 package exact
 
 import (
+	"encoding/binary"
+	"errors"
 	"strconv"
 	"testing"
 
 	"implicate/internal/imps"
+	"implicate/internal/wire"
 )
 
 func feed(c *Counter, start, n int) {
@@ -92,6 +95,31 @@ func TestUnmarshalCounterRejectsTruncation(t *testing.T) {
 		if _, err := UnmarshalCounter(blob[:n]); err == nil {
 			t.Fatalf("truncation to %d of %d bytes decoded without error", n, len(blob))
 		}
+	}
+}
+
+// TestUnmarshalRejectsTupleMismatch: every Add books one tuple on exactly
+// one itemset's support, so a blob whose tuple count disagrees with the sum
+// of its supports was not written by MarshalBinary, whatever the stripe
+// count it is decoded into.
+func TestUnmarshalRejectsTupleMismatch(t *testing.T) {
+	c := MustCounter(imps.Conditions{MaxMultiplicity: 2, MinSupport: 3, TopC: 1, MinTopConfidence: 0.5})
+	for i := 0; i < 10; i++ {
+		c.Add(strconv.Itoa(i%3), "b")
+	}
+	blob, err := c.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The tuple count follows the magic and the conditions (4+8+4+8 bytes).
+	binary.LittleEndian.PutUint64(blob[len(marshalMagic)+24:], 999)
+	for _, stripes := range []int{1, 4} {
+		if got, err := UnmarshalStriped(blob, stripes); !errors.Is(err, wire.ErrCorrupt) {
+			t.Errorf("stripes=%d: tuple count 999 over supports summing to 10 decoded (%v, err %v)", stripes, got != nil, err)
+		}
+	}
+	if _, err := UnmarshalCounter(blob); !errors.Is(err, wire.ErrCorrupt) {
+		t.Errorf("UnmarshalCounter: err %v, want wire.ErrCorrupt", err)
 	}
 }
 

@@ -16,7 +16,7 @@ func stripedCond() imps.Conditions {
 // stripedWorkload is a small stream with repeated keys, exclusions and
 // re-qualifications, covering every state transition of the counter. The
 // pairs carry the planner's hashes: the stripe router's seed is a constant,
-// so any Striped's HashPairKeys serves every other.
+// so any Counter's HashPairKeys serves every other.
 func stripedWorkload(n int) []imps.HashedPair {
 	hasher, err := NewStriped(stripedCond(), 1)
 	if err != nil {
@@ -31,8 +31,9 @@ func stripedWorkload(n int) []imps.HashedPair {
 	return pairs
 }
 
-// TestStripedMatchesCounter drives the same stream through a serial Counter
-// and Striped counters of several widths; every answer must match exactly.
+// TestStripedMatchesCounter drives the same stream through a one-stripe
+// Counter's Add and through AddHashedPairs at several stripe counts; every
+// answer, the health report and the encoding must match exactly.
 func TestStripedMatchesCounter(t *testing.T) {
 	cond := stripedCond()
 	pairs := stripedWorkload(5000)
@@ -68,6 +69,17 @@ func TestStripedMatchesCounter(t *testing.T) {
 		}
 		if got, want := s.MemEntries(), ref.MemEntries(); got != want {
 			t.Errorf("stripes=%d MemEntries=%v want %v", stripes, got, want)
+		}
+		if got, want := s.Health(), ref.Health(); got != want {
+			t.Errorf("stripes=%d Health=%+v want %+v", stripes, got, want)
+		}
+		if got, want := s.Implicating(), ref.Implicating(); fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("stripes=%d Implicating=%v want %v", stripes, got, want)
+		}
+		got, _ := s.MarshalBinary()
+		want, _ := ref.MarshalBinary()
+		if !bytes.Equal(got, want) {
+			t.Errorf("stripes=%d: encoding differs from the one-stripe counter's", stripes)
 		}
 	}
 }
@@ -214,5 +226,58 @@ func TestStripedInvalidConfig(t *testing.T) {
 	}
 	if n := s.Stripes(); n < 1 || n&(n-1) != 0 {
 		t.Fatalf("default stripe count %d not a power of two", n)
+	}
+}
+
+// TestConcurrentAddAndReads feeds disjoint key sets through Add from several
+// goroutines while others read (run with -race): at one stripe and at
+// several, the counter ends in the serial state, since a key's tuples keep
+// their order within one producer.
+func TestConcurrentAddAndReads(t *testing.T) {
+	cond := stripedCond()
+	pairs := stripedWorkload(8000)
+	ref := MustCounter(cond)
+	for _, p := range pairs {
+		ref.Add(p.A, p.B)
+	}
+	want, _ := ref.MarshalBinary()
+
+	for _, stripes := range []int{1, 4} {
+		c, err := NewStriped(cond, stripes)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const producers = 4
+		var wg, readers sync.WaitGroup
+		stop := make(chan struct{})
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+					_, _, _ = c.ImplicationCount(), c.AvgMultiplicity(), c.Health()
+				}
+			}
+		}()
+		for w := 0; w < producers; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for _, p := range pairs {
+					if int(p.AH%producers) == w {
+						c.Add(p.A, p.B)
+					}
+				}
+			}(w)
+		}
+		wg.Wait()
+		close(stop)
+		readers.Wait()
+		if got, _ := c.MarshalBinary(); !bytes.Equal(got, want) {
+			t.Errorf("stripes=%d: concurrent Add diverged from the serial state", stripes)
+		}
 	}
 }

@@ -112,7 +112,7 @@ type EpsDeltaF0 struct {
 	groups []*BottomK
 }
 
-// NewEpsDeltaF0 returns an (ε, δ) distinct counter.
+// NewEpsDeltaF0 returns an (ε, δ) distinct counter, the §4.7.1 construction.
 func NewEpsDeltaF0(eps, delta float64, seed uint64) (*EpsDeltaF0, error) {
 	if eps <= 0 || eps >= 1 || delta <= 0 || delta >= 1 {
 		return nil, fmt.Errorf("fm: need eps, delta in (0,1); got %g, %g", eps, delta)

@@ -18,8 +18,8 @@ type HealthReport struct {
 	Stmt int
 	// Kind is the snapshot-registry name of the leaf estimator ("nips",
 	// "sharded" for a sketch with several lock stripes, "exact",
-	// "exact-striped", "ilc", "ds"), or "" when the estimator is not a
-	// registered kind; stamped by the engine.
+	// "exact-striped" for an exact counter with several, "ilc", "ds"), or
+	// "" when the estimator is not a registered kind; stamped by the engine.
 	Kind string
 	// Query is the statement's normalized query text; stamped by the engine.
 	Query string

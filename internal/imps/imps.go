@@ -74,14 +74,15 @@ var ErrClosed = errors.New("imps: estimator is closed")
 //
 //   - Every Estimator is at least the serialized class: one partition, the
 //     pair's hashes unused, Add(p.A, p.B) per pair under the statement's
-//     exclusive lock, in arrival order. The exact counter, ILC, Distinct
-//     Sampling, sliding windows and the Synchronized wrapper are this class.
+//     exclusive lock, in arrival order. ILC, Sticky Sampling, Distinct
+//     Sampling — whose state depends on the order of the whole stream, not
+//     per key — sliding windows and the Synchronized wrapper are this class.
 //   - A HashedPartitionedAdder is the partition-safe class: the planner
 //     hashes each key once with the estimator's own functions, buckets pairs
 //     along the estimator's own partitions, and concurrent workers apply
 //     distinct partitions without any statement-level lock. The NIPS
-//     sketch, at any lock stripe count, and the striped exact counter are
-//     this class; they synchronize internally.
+//     sketch and the exact counter, each at any lock stripe count, are this
+//     class; they synchronize internally.
 //
 // In both classes the keys a pair carries may alias a buffer shared by the
 // whole batch (a decoded record region, an assembled-key string), so an

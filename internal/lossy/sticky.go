@@ -122,7 +122,7 @@ type ImplicationSticky struct {
 	pairs      map[string]map[string]int64
 }
 
-// NewImplicationSticky returns the implication extension of Sticky Sampling.
+// NewImplicationSticky returns the implication extension of Sticky Sampling (§5).
 func NewImplicationSticky(cond imps.Conditions, relSupport, eps, delta float64, seed int64) (*ImplicationSticky, error) {
 	if err := cond.Validate(); err != nil {
 		return nil, err

@@ -63,7 +63,7 @@ func TestIngestContract(t *testing.T) {
 		{"sketch", named["nips"], plain, true, true},
 		{"sharded-1", sharded(1), plain, true, true},
 		{"sharded-4", sharded(4), plain, true, true},
-		{"counter", named["exact"], plain, true, false},
+		{"counter", named["exact"], plain, true, true},
 		{"striped", named["exact-striped"], plain, true, true},
 		{"ilc", named["ilc"], plain, true, false},
 		{"sticky", func(cond imps.Conditions) (imps.Estimator, error) {

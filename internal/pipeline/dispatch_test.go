@@ -134,7 +134,7 @@ func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, work
 // Apply, and every combination equals the serial reference.
 func TestDispatchDeterminism(t *testing.T) {
 	batches := workload(24, 300)
-	for _, name := range []string{"sharded", "nips", "exact-striped"} {
+	for _, name := range []string{"sharded", "nips", "exact", "exact-striped"} {
 		base := backends(42)[name]
 		t.Run(name, func(t *testing.T) {
 			var hashedRef [][]byte

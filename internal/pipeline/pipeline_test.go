@@ -55,10 +55,10 @@ func backends(seed uint64) map[string]query.Backend {
 		"nips": func(cond imps.Conditions) (imps.Estimator, error) {
 			return core.NewSketch(cond, core.Options{Seed: seed})
 		},
-		// Serialized.
 		"exact": func(cond imps.Conditions) (imps.Estimator, error) {
 			return exact.NewCounter(cond)
 		},
+		// Serialized.
 		"ilc": func(cond imps.Conditions) (imps.Estimator, error) {
 			return lossy.NewILC(cond, 0.02, 0.02)
 		},

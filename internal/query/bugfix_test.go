@@ -124,7 +124,7 @@ func TestWindowedAvgRequiresAverager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Compile(*q, schema, noAvgBackend); err == nil {
+	if _, err := NewEngine(schema).Register(*q, noAvgBackend); err == nil {
 		t.Fatal("windowed AVG compiled against a backend that cannot average")
 	} else if !strings.Contains(err.Error(), "AVG(MULTIPLICITY") {
 		t.Fatalf("unhelpful rejection: %v", err)

@@ -33,7 +33,8 @@ const (
 // sliding vector must construct fresh estimators for future origins, and
 // state alone cannot say how — with the statement's normalized query and the
 // snapshot kind of its first checkpointed slot ("nips", "sharded", "exact",
-// "exact-striped", "ilc", "ds"). The resolver's backend must produce
+// "exact-striped", "ilc", "ds"; checkpoint.Restore passes "nips" and
+// "exact" for the striped kinds). The resolver's backend must produce
 // estimators whose configuration matches the checkpointed ones;
 // UnmarshalEngine verifies this by fingerprint and rejects mismatches.
 type BackendResolver func(q Query, kind string) (Backend, error)
@@ -52,8 +53,8 @@ func leafEstimator(est imps.Estimator) imps.Estimator {
 
 // EstimatorKind returns the snapshot registry name of the statement's leaf
 // estimator ("nips", "sharded" for a sketch with several lock stripes,
-// "exact", "exact-striped", "ilc", "ds"), or "" when the estimator is not a
-// registered kind.
+// "exact", "exact-striped" for an exact counter with several, "ilc", "ds"),
+// or "" when the estimator is not a registered kind.
 func (st *Statement) EstimatorKind() string {
 	kind, err := snapshot.Kind(leafEstimator(st.est))
 	if err != nil {

@@ -61,27 +61,6 @@ type compiledFilter struct {
 	negate bool
 }
 
-// Compile validates and normalizes q against the schema and binds it to an
-// estimator from the backend. Compound queries (GROUP BY) extend the
-// counted itemset with the grouping attributes; windowed queries wrap the
-// backend in a sliding-origin vector (§3.2).
-func Compile(q Query, schema *stream.Schema, backend Backend) (*Statement, error) {
-	if backend == nil {
-		return nil, fmt.Errorf("query: nil backend")
-	}
-	if err := q.Normalize(schema); err != nil {
-		return nil, err
-	}
-	probe, err := backend(q.Cond)
-	if err != nil {
-		return nil, err
-	}
-	if err := validateMode(q, probe); err != nil {
-		return nil, err
-	}
-	return compileWith(q, schema, backend, probe)
-}
-
 // validateMode checks the query's read mode against a leaf estimator the
 // backend produced. The check runs against the innermost estimator — never
 // against a wrapper whose own AvgMultiplicity method would satisfy the

@@ -130,11 +130,11 @@ func TestCompileErrors(t *testing.T) {
 		{A: []string{"a"}, B: []string{"b"}, Cond: imps.Conditions{MaxMultiplicity: 1, TopC: 1, MinSupport: -2, MinTopConfidence: 1}},
 	}
 	for i, q := range bad {
-		if _, err := Compile(q, schema, exactBackend); err == nil {
+		if _, err := NewEngine(schema).Register(q, exactBackend); err == nil {
 			t.Errorf("bad query %d accepted: %+v", i, q)
 		}
 	}
-	if _, err := Compile(Query{A: []string{"a"}, B: []string{"b"}}, schema, nil); err == nil {
+	if _, err := NewEngine(schema).Register(Query{A: []string{"a"}, B: []string{"b"}}, nil); err == nil {
 		t.Error("nil backend accepted")
 	}
 }

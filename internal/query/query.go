@@ -69,8 +69,8 @@ type Reader interface {
 }
 
 // Read answers mode m off est: what a statement of that mode counts. For
-// AvgMultiplicity est must be an imps.MultiplicityAverager, which Compile
-// checks of every statement's estimator.
+// AvgMultiplicity est must be an imps.MultiplicityAverager, which
+// Engine.Register checks of every statement's estimator.
 func (m Mode) Read(est Reader) float64 {
 	switch m {
 	case CountNonImplications:

@@ -14,14 +14,15 @@ import (
 	"implicate/internal/core"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
+	"implicate/internal/lossy"
 	"implicate/internal/query"
 	"implicate/internal/stream"
 )
 
 // determinismEngine registers a mixed statement set spanning both
-// concurrency classes: partition-safe (four-stripe sketch, striped exact,
-// one-stripe sketch) statements spread across pool workers, the serialized
-// one (exact counter) runs on its home worker, and a NOT IMPLIES alias
+// concurrency classes: partition-safe statements (sketch and exact counter,
+// each at four stripes and at one) spread across pool workers, the
+// serialized one (ILC) runs on its home worker, and a NOT IMPLIES alias
 // shares the four-stripe estimator (sharing keys on the backend function pointer, so
 // the alias registers with the identical closure). Conditions differ per
 // statement so none share by accident.
@@ -43,6 +44,8 @@ func determinismEngine(t *testing.T, schema *stream.Schema, seed uint64) *query.
 			}},
 		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 5, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`,
 			func(cond imps.Conditions) (imps.Estimator, error) { return exact.NewCounter(cond) }},
+		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 6, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`,
+			func(cond imps.Conditions) (imps.Estimator, error) { return lossy.NewILC(cond, 0.02, 0.02) }},
 		{`SELECT COUNT(DISTINCT A) FROM t WHERE A NOT IMPLIES B WITH SUPPORT >= 2, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`, sharded},
 	}
 	eng := query.NewEngine(schema)

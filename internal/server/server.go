@@ -513,20 +513,6 @@ func (s *Server) Telemetry() *telemetry.Set { return s.tel }
 // alone.
 func (s *Server) Engine() *query.Engine { return s.cfg.Engine }
 
-// TenantEngine returns a tenant's engine by name (the default tenant's for
-// tenant.DefaultName). Like Engine, the result must only be used after
-// Close or Kill has returned.
-func (s *Server) TenantEngine(name string) (*query.Engine, bool) {
-	if name == tenant.DefaultName {
-		return s.def.Engine(), true
-	}
-	t, ok := s.reg.Get(name)
-	if !ok {
-		return nil, false
-	}
-	return t.Engine(), true
-}
-
 // Tracer exposes the span ring (nil when Config.TraceSpans was zero) for
 // out-of-band dumps — impserved's SIGQUIT handler reads it.
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }

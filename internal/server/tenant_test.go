@@ -13,6 +13,7 @@ import (
 
 	"implicate/internal/client"
 	"implicate/internal/proto"
+	"implicate/internal/query"
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
 	"implicate/internal/tenant"
@@ -69,11 +70,25 @@ func withAddr(cfg Config) Config {
 	return cfg
 }
 
+// tenantEngine returns a tenant's engine by name (the default tenant's for
+// tenant.DefaultName). Like Server.Engine, the result must only be used
+// after Close or Kill has returned.
+func tenantEngine(s *Server, name string) (*query.Engine, bool) {
+	if name == tenant.DefaultName {
+		return s.def.Engine(), true
+	}
+	t, ok := s.reg.Get(name)
+	if !ok {
+		return nil, false
+	}
+	return t.Engine(), true
+}
+
 // marshalTenant marshals a tenant's engine, for bit-identity comparisons
 // after the server stopped.
 func marshalTenant(t *testing.T, s *Server, name string) []byte {
 	t.Helper()
-	eng, ok := s.TenantEngine(name)
+	eng, ok := tenantEngine(s, name)
 	if !ok {
 		t.Fatalf("tenant %s missing", name)
 	}
@@ -401,7 +416,7 @@ func TestTenantNoisyNeighbor(t *testing.T) {
 	if solo, sh := marshalTenant(t, soloSrv, "globex"), marshalTenant(t, shared, "globex"); string(solo) != string(sh) {
 		t.Fatal("victim engine state differs from its dedicated-server run")
 	}
-	if eng, ok := shared.TenantEngine("acme"); ok && eng.Tuples() != 0 {
+	if eng, ok := tenantEngine(shared, "acme"); ok && eng.Tuples() != 0 {
 		t.Fatalf("noisy tenant applied %d tuples past its quota", eng.Tuples())
 	}
 }
@@ -469,7 +484,7 @@ func TestClientRedialHandshakeChain(t *testing.T) {
 	if err := s2.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if eng, _ := s2.TenantEngine("acme"); eng == nil || eng.Tuples() != 25 {
+	if eng, _ := tenantEngine(s2, "acme"); eng == nil || eng.Tuples() != 25 {
 		t.Fatal("tenant engine did not apply the post-redial batch")
 	}
 	if n := s2.Engine().Tuples(); n != 0 {

@@ -6,13 +6,14 @@
 // restore, which algorithm a blob contains.
 //
 // Kind names are part of the checkpoint format and deliberately match the
-// backend names the CLIs expose: "nips", "exact", "exact-striped", "ilc",
-// "ds" — plus "sharded", the kind of a sketch with more than one lock
-// stripe, which earlier builds built from a backend of that name and which
-// a "nips" backend builds today. Wrapper types (window.Sliding, the
-// concurrency wrappers) are not leaf estimators and are handled by their
-// own layers; Marshal rejects them with a descriptive error rather than
-// producing a partial snapshot.
+// backend names the CLIs expose: "nips", "exact", "ilc", "ds" — plus
+// "sharded" and "exact-striped", the kinds of a sketch and of an exact
+// counter with more than one lock stripe, which earlier builds built from
+// backends of those names and which the "nips" and "exact" backends build
+// today. The kind name is the only stripe-count hint a restore gets.
+// Wrapper types (window.Sliding, the concurrency wrappers) are not leaf
+// estimators and are handled by their own layers; Marshal rejects them
+// with a descriptive error rather than producing a partial snapshot.
 package snapshot
 
 import (
@@ -40,9 +41,10 @@ func Kind(est imps.Estimator) (string, error) {
 		}
 		return "nips", nil
 	case *exact.Counter:
+		if est.Stripes() > 1 {
+			return "exact-striped", nil
+		}
 		return "exact", nil
-	case *exact.Striped:
-		return "exact-striped", nil
 	case *lossy.ILC:
 		return "ilc", nil
 	case *dsample.Sketch:

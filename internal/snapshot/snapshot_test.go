@@ -103,6 +103,57 @@ const legacyShardedPayload = "" +
 	"000000000100000000000000000000000000000001000000000002000000e7abff12b561bf64024765ffbc03a980e801" +
 	"020000000000000000000000"
 
+// legacyStripedPayload is an EXCS\x01 striped exact-counter encoding, the
+// format earlier builds wrote for the "exact-striped" kind (four stripes,
+// testCond, fed stripedStream). Builds still decode it.
+const legacyStripedPayload = "" +
+	"455843530102000000030000000000000001000000000000000000e03f28000000000000000500000002000000613008" +
+	"00000000000000000100000004000000736f6c6f08000000000000000200000061310800000000000000000100000004" +
+	"000000736f6c6f0800000000000000020000006132080000000000000001020000006133080000000000000001020000" +
+	"006134080000000000000001"
+
+// stripedStream is the stream legacyStripedPayload was captured from: five
+// itemsets, two with a single partner, three excluded at multiplicity 3.
+func stripedStream(est imps.Estimator) {
+	for i := 0; i < 40; i++ {
+		b := fmt.Sprintf("b%d", (i*7)%3)
+		if i%5 < 2 {
+			b = "solo"
+		}
+		est.Add(fmt.Sprintf("a%d", i%5), b)
+	}
+}
+
+// TestLegacyStripedPayload: an "exact-striped" checkpoint slot an earlier
+// build wrote restores to the state a one-stripe counter fed the same
+// stream holds, and re-encodes to that counter's bytes.
+func TestLegacyStripedPayload(t *testing.T) {
+	legacy, err := hex.DecodeString(legacyStripedPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	est, kind, err := Unmarshal(frame("exact-striped", legacy))
+	if err != nil || kind != "exact-striped" {
+		t.Fatalf("decode: kind %q, %v", kind, err)
+	}
+	ref := exact.MustCounter(testCond)
+	stripedStream(ref)
+	want, err := ref.MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := est.(*exact.Counter).MarshalBinary()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("legacy payload re-encodes to\n %x\nwant\n %x", got, want)
+	}
+	if !bytes.Equal(got[5:], legacy[5:]) {
+		t.Fatal("EXCT body differs from the EXCS body it was decoded from")
+	}
+}
+
 // frame wraps a raw payload under a kind name, as Marshal does.
 func frame(kind string, payload []byte) []byte {
 	e := wire.NewEncoder(len(payload) + 16)
@@ -127,6 +178,12 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(frame("sharded", legacy))
+	legacy, err = hex.DecodeString(legacyStripedPayload)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(frame("exact-striped", legacy))
+	f.Add(frame("exact", legacy))
 	f.Add(frame("sharded", nil))
 	f.Add([]byte(nil))
 

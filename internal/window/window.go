@@ -67,19 +67,6 @@ func (in *Incremental) Since(m Mark) float64 {
 	return d
 }
 
-// Between returns the incremental implication count between two marks,
-// clamped at zero.
-func Between(m1, m2 Mark) float64 {
-	if m2.Tuples < m1.Tuples {
-		m1, m2 = m2, m1
-	}
-	d := m2.Implications - m1.Implications
-	if d < 0 {
-		return 0
-	}
-	return d
-}
-
 // Sliding answers moving-window implication counts by maintaining
 // estimators with origins spaced Granularity tuples apart and retiring
 // those too old to matter (Figure 2). The window count over the last Width

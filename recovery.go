@@ -23,9 +23,9 @@ type Checkpoint = checkpoint.Snapshot
 // it is asked once per windowed statement (sliding windows open fresh
 // estimators as the stream advances, so they need a factory, not just
 // state) with the statement's query and the checkpointed estimator kind
-// ("nips", "exact", "exact-striped", "ilc" or "ds"; a sketch is "nips" at
-// any stripe count). The resolved backend's
-// configuration must match the checkpoint or the restore fails.
+// ("nips", "exact", "ilc" or "ds"; a sketch is "nips" and an exact counter
+// "exact" at any stripe count). The resolved backend's configuration must
+// match the checkpoint or the restore fails.
 type BackendResolver = query.BackendResolver
 
 // Resumable is a Source that tracks its position in tuples and can skip

@@ -3,15 +3,15 @@ package implicate
 import "sync"
 
 // Synchronized wraps an estimator with a read-write mutex so multiple
-// goroutines can feed and query it concurrently. The exact counter, ILC,
-// Distinct Sampling and sliding windows are deliberately lock-free
-// single-writer structures — the paper's per-item cost analysis (§4.6)
-// budgets a handful of hash and counter operations per tuple, and an
-// uncontended fast path must not pay for synchronization it does not need
-// — so wrap them only when tuples genuinely arrive from multiple
-// goroutines. Synchronized serializes every Add through one lock, capping
-// ingest at one core whatever the producer count. The NIPS/CI Sketch and
-// StripedExact need no wrapper: they lock stripes of their own state, so
+// goroutines can feed and query it concurrently. ILC, Sticky Sampling,
+// Distinct Sampling and sliding windows are unsynchronized single-writer
+// structures — the paper's per-item cost analysis (§4.6) budgets a handful
+// of hash and counter operations per tuple, and their state depends on the
+// order of the whole stream, so no per-key lock could split them — so wrap
+// them only when tuples genuinely arrive from multiple goroutines.
+// Synchronized serializes every Add through one lock, capping ingest at one
+// core whatever the producer count. The NIPS/CI Sketch and the exact
+// counter need no wrapper: they lock stripes of their own state, so
 // producers ingest in parallel.
 //
 // Query methods (ImplicationCount, Tuples, MemEntries, ...) take only the
