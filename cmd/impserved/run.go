@@ -36,9 +36,6 @@ type config struct {
 	queries   queryList
 	backend   string
 	seed      uint64
-	ilcEps    float64
-	dsSize    int
-	dsBound   int
 	queue     int
 	workers   int
 
@@ -62,11 +59,8 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.IntVar(&cfg.udpWindow, "udp-window", 256, "UDP lane per-source reorder window in sequence numbers (with -udp)")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query to serve (repeatable; required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, ilc, ds")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips or exact")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
-	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
-	fs.IntVar(&cfg.dsSize, "ds-size", 1920, "Distinct Sampling entry budget")
-	fs.IntVar(&cfg.dsBound, "ds-bound", 39, "Distinct Sampling per-value bound")
 	fs.IntVar(&cfg.queue, "queue", 64, "ingest queue depth in batches (full queue => backpressure)")
 	fs.IntVar(&cfg.workers, "workers", 0, "pipeline worker pool size (0: GOMAXPROCS); results are identical at any size")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-recovery checkpoints to this file")
@@ -173,7 +167,7 @@ func parseTenants(cfg *config) ([]implicate.TenantConfig, error) {
 // buildEngine constructs the engine to serve — fresh from -q, or restored
 // from -resume.
 func buildEngine(cfg *config, schema *implicate.Schema) (*implicate.Engine, error) {
-	factories := backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)
+	factories := backends.Table(cfg.seed)
 	if cfg.resume != "" {
 		snap, err := implicate.ReadCheckpoint(cfg.resume)
 		if err != nil {
@@ -244,7 +238,7 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 		TraceSpans:      cfg.traceSpans,
 		TokenKey:        []byte(cfg.tokenKey),
 		Tenants:         tenants,
-		Backends:        implicate.TenantBackends(backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)),
+		Backends:        implicate.TenantBackends(backends.Table(cfg.seed)),
 		CheckpointDir:   cfg.ckptDir,
 	})
 	if err != nil {

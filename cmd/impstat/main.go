@@ -8,7 +8,7 @@
 //	impstat -q "..." -checkpoint run.ckpt -every 100000 traffic.tsv
 //	impstat -resume run.ckpt traffic.tsv
 //
-// The -backend flag selects nips (default), exact, ilc, ds, or all; with
+// The -backend flag selects nips (default), exact, or all; with
 // -interval the counts are printed every that many tuples, turning the tool
 // into the §6.2 error-vs-stream-size probe.
 //

@@ -18,9 +18,6 @@ type config struct {
 	backend  string
 	interval int64
 	seed     uint64
-	ilcEps   float64
-	dsSize   int
-	dsBound  int
 
 	checkpoint string
 	every      int64
@@ -31,12 +28,9 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs := flag.NewFlagSet("impstat", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.sql, "q", "", "implication query (required unless -resume)")
-	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, ilc, ds, or all")
+	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips, exact, or all")
 	fs.Int64Var(&cfg.interval, "interval", 0, "print counts every N tuples (0: only at the end)")
 	fs.Uint64Var(&cfg.seed, "seed", 1, "sketch seed")
-	fs.Float64Var(&cfg.ilcEps, "ilc-eps", 0.01, "ILC approximation parameter (and relative support)")
-	fs.IntVar(&cfg.dsSize, "ds-size", 1920, "Distinct Sampling entry budget")
-	fs.IntVar(&cfg.dsBound, "ds-bound", 39, "Distinct Sampling per-value bound")
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-recovery checkpoints to this file")
 	fs.Int64Var(&cfg.every, "every", 0, "checkpoint every N tuples (with -checkpoint; 0: only at the end)")
 	fs.StringVar(&cfg.resume, "resume", "", "restore engine state from this checkpoint file and replay the stream from its offset")
@@ -78,7 +72,7 @@ type namedStmt struct {
 // setup builds the engine — fresh from -q, or restored from -resume — and
 // returns it with the statements to report and the stream offset to skip.
 func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, int64, error) {
-	factories := backends.Table(cfg.seed, cfg.ilcEps, cfg.dsSize, cfg.dsBound)
+	factories := backends.Table(cfg.seed)
 
 	if cfg.resume != "" {
 		if cfg.sql != "" {
@@ -104,11 +98,8 @@ func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, 
 			// Label a restored statement with the backend that builds its
 			// kind at every stripe count.
 			name := st.EstimatorKind()
-			switch name {
-			case "sharded":
+			if name == "sharded" {
 				name = "nips"
-			case "exact-striped":
-				name = "exact"
 			}
 			stmts = append(stmts, namedStmt{name: name, st: st})
 		}
@@ -120,7 +111,7 @@ func setup(cfg *config, schema *stream.Schema) (*implicate.Engine, []namedStmt, 
 	}
 	names := []string{cfg.backend}
 	if cfg.backend == "all" {
-		names = []string{"nips", "exact", "ilc", "ds"}
+		names = []string{"nips", "exact"}
 	}
 	eng := implicate.NewEngine(schema)
 	var stmts []namedStmt

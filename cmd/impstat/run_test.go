@@ -97,9 +97,6 @@ func TestRunAllBackendsWithInterval(t *testing.T) {
 		backend:  "all",
 		interval: 4,
 		seed:     1,
-		ilcEps:   0.01,
-		dsSize:   1920,
-		dsBound:  39,
 	}
 	var out strings.Builder
 	if err := run(cfg, strings.NewReader(testStream), &out); err != nil {
@@ -109,7 +106,7 @@ func TestRunAllBackendsWithInterval(t *testing.T) {
 	if lines != 3 { // at 4, at 8, and the final report
 		t.Fatalf("expected 3 reports, got %d:\n%s", lines, out.String())
 	}
-	for _, name := range []string{"nips=", "exact=", "ilc=", "ds="} {
+	for _, name := range []string{"nips=", "exact="} {
 		if !strings.Contains(out.String(), name) {
 			t.Errorf("output missing backend %s", name)
 		}
@@ -191,7 +188,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 
 	// The uninterrupted reference run.
 	var want strings.Builder
-	if err := run(&config{sql: sql, backend: "all", seed: 1, ilcEps: 0.01, dsSize: 1920, dsBound: 39},
+	if err := run(&config{sql: sql, backend: "all", seed: 1},
 		strings.NewReader(full), &want); err != nil {
 		t.Fatal(err)
 	}
@@ -200,7 +197,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	// the input early), having checkpointed along the way.
 	lines := strings.SplitAfter(full, "\n")
 	killed := strings.Join(lines[:1+25], "")
-	if err := run(&config{sql: sql, backend: "all", seed: 1, ilcEps: 0.01, dsSize: 1920, dsBound: 39,
+	if err := run(&config{sql: sql, backend: "all", seed: 1,
 		checkpoint: ckpt, every: 10}, strings.NewReader(killed), &strings.Builder{}); err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +205,7 @@ func TestRunCheckpointAndResume(t *testing.T) {
 	// Resume over the full stream: -q is gone, the checkpoint carries the
 	// queries; the final report must match the uninterrupted run's.
 	var got strings.Builder
-	if err := run(&config{resume: ckpt, seed: 1, ilcEps: 0.01, dsSize: 1920, dsBound: 39},
+	if err := run(&config{resume: ckpt, seed: 1},
 		strings.NewReader(full), &got); err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +222,9 @@ func TestRunCheckpointAndResume(t *testing.T) {
 // TestRunResumeWindowedCheckpoints: impstat resumes windowed checkpoints
 // of the kinds impserved's backends write — the exact counter's and the
 // sketch's, each at one and at several lock stripes — and finishes with the
-// answer an uninterrupted impstat run of that backend gives.
+// answer an uninterrupted impstat run of that backend gives. An exact
+// counter is "exact" at every stripe count; the row named "exact-striped"
+// after the kind earlier builds wrote for it checks that.
 func TestRunResumeWindowedCheckpoints(t *testing.T) {
 	full := longStream(60)
 	sql := `SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 20 EVERY 5`
@@ -240,15 +239,15 @@ func TestRunResumeWindowedCheckpoints(t *testing.T) {
 		}
 	}
 	for _, c := range []struct {
-		kind, backend string
-		build         implicate.Backend
+		name, kind, backend string
+		build               implicate.Backend
 	}{
-		{"exact", "exact", exactCounter(1)},
-		{"exact-striped", "exact", exactCounter(2)},
-		{"nips", "nips", sketch(1)},
-		{"sharded", "nips", sketch(2)},
+		{"exact", "exact", "exact", exactCounter(1)},
+		{"exact-striped", "exact", "exact", exactCounter(2)},
+		{"nips", "nips", "nips", sketch(1)},
+		{"sharded", "sharded", "nips", sketch(2)},
 	} {
-		t.Run(c.kind, func(t *testing.T) {
+		t.Run(c.name, func(t *testing.T) {
 			schema, err := implicate.NewSchema("Source", "Destination", "Service", "Time")
 			if err != nil {
 				t.Fatal(err)

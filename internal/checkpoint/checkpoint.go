@@ -63,19 +63,15 @@ func Capture(eng *query.Engine, offset int64) (Snapshot, error) {
 
 // Restore rebuilds the engine from a snapshot; see query.UnmarshalEngine
 // for the validation it performs. resolve is asked for backends by name,
-// so a window of sketches resolves as "nips" and a window of exact counters
-// as "exact" whatever its slots' kind: one backend builds each at every
-// stripe count. The caller then skips the source to snap.Offset and resumes
-// consuming.
+// so a window of several-stripe sketches resolves as "nips", the one
+// backend that builds a sketch at every stripe count. The caller then
+// skips the source to snap.Offset and resumes consuming.
 func Restore(snap Snapshot, schema *stream.Schema, resolve query.BackendResolver) (*query.Engine, error) {
 	byName := resolve
 	if resolve != nil {
 		byName = func(q query.Query, kind string) (query.Backend, error) {
-			switch kind {
-			case "sharded":
+			if kind == "sharded" {
 				kind = "nips"
-			case "exact-striped":
-				kind = "exact"
 			}
 			return resolve(q, kind)
 		}

@@ -9,10 +9,8 @@ import (
 	"testing"
 
 	"implicate/internal/core"
-	"implicate/internal/dsample"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
-	"implicate/internal/lossy"
 	"implicate/internal/query"
 	"implicate/internal/stream"
 )
@@ -48,14 +46,6 @@ func exactBackend(cond imps.Conditions) (imps.Estimator, error) {
 	return exact.NewCounter(cond)
 }
 
-func ilcBackend(cond imps.Conditions) (imps.Estimator, error) {
-	return lossy.NewILC(cond, 0.01, 0.005)
-}
-
-func dsBackend(cond imps.Conditions) (imps.Estimator, error) {
-	return dsample.New(cond, 256, 8, 21)
-}
-
 var testQueries = []struct {
 	sql     string
 	backend query.Backend
@@ -65,8 +55,6 @@ var testQueries = []struct {
 	{`SELECT COUNT(DISTINCT Destination) FROM t WHERE Destination IMPLIES Source WITH SUPPORT >= 2, MULTIPLICITY <= 3`, nipsBackend},
 	{`SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Destination WITH SUPPORT >= 2, MULTIPLICITY <= 2 WINDOW 600 EVERY 60`, nipsBackend},
 	{`SELECT COUNT(DISTINCT Service) FROM t WHERE Service IMPLIES Source WITH MULTIPLICITY <= 50, CONFIDENCE >= 0.1 TOP 1`, shardedBackend},
-	{`SELECT COUNT(DISTINCT Source) FROM t WHERE Source IMPLIES Service WITH MULTIPLICITY <= 3, CONFIDENCE >= 0.5 TOP 1`, ilcBackend},
-	{`SELECT COUNT(DISTINCT Destination) FROM t WHERE Destination IMPLIES Service WITH SUPPORT >= 2, MULTIPLICITY <= 3, CONFIDENCE >= 0.5 TOP 1`, dsBackend},
 }
 
 func buildEngine(t *testing.T) *query.Engine {
@@ -84,14 +72,8 @@ func resolver(q query.Query, kind string) (query.Backend, error) {
 	switch kind {
 	case "nips":
 		return nipsBackend, nil
-	case "sharded":
-		return shardedBackend, nil
 	case "exact":
 		return exactBackend, nil
-	case "ilc":
-		return ilcBackend, nil
-	case "ds":
-		return dsBackend, nil
 	}
 	return nil, fmt.Errorf("no backend for kind %q", kind)
 }

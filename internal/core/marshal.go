@@ -128,11 +128,12 @@ func decodeHeader(d *wire.Decoder) (imps.Conditions, Options) {
 
 // UnmarshalSketch decodes a sketch previously encoded with MarshalBinary
 // into a one-stripe sketch.
-func UnmarshalSketch(data []byte) (*Sketch, error) { return unmarshalSketch(data, 1) }
+func UnmarshalSketch(data []byte) (*Sketch, error) { return unmarshalSketch(data, false) }
 
-// unmarshalSketch decodes a NIPS\x01 encoding into a sketch with the given
-// stripe count, booking its counts on stripe 0.
-func unmarshalSketch(data []byte, shards int) (*Sketch, error) {
+// unmarshalSketch decodes a NIPS\x01 encoding into a sketch with one
+// stripe, or with severalShards when several is set, booking its counts on
+// stripe 0.
+func unmarshalSketch(data []byte, several bool) (*Sketch, error) {
 	d := wire.NewDecoder(data)
 	d.Magic(marshalMagic)
 	if d.Err() != nil {
@@ -141,6 +142,10 @@ func unmarshalSketch(data []byte, shards int) (*Sketch, error) {
 	cond, opts := decodeHeader(d)
 	if err := d.Err(); err != nil {
 		return nil, err
+	}
+	shards := 1
+	if several {
+		shards = severalShards(opts.Bitmaps)
 	}
 	s, err := NewShardedSketch(cond, opts, shards)
 	if err != nil {
@@ -229,16 +234,22 @@ func unmarshalSketch(data []byte, shards int) (*Sketch, error) {
 // decode-only: checkpoints outlive the build that wrote them (DESIGN §8).
 const shardedMagic = "NIPS\x02"
 
-// UnmarshalShardedSketch decodes a sketch from its MarshalBinary bytes
-// (NIPS\x01) or from an earlier build's NIPS\x02 encoding. The shard count
-// is not part of the state: the result has NewShardedSketch's default count
-// and continues streaming bit-identically to the original.
+// UnmarshalShardedSketch decodes a sketch with several lock stripes from
+// its MarshalBinary bytes (NIPS\x01) or from an earlier build's NIPS\x02
+// encoding. The result has severalShards stripes and continues streaming
+// bit-identically to the original at any stripe count above one.
 func UnmarshalShardedSketch(data []byte) (*Sketch, error) {
 	if bytes.HasPrefix(data, []byte(shardedMagic)) {
 		return unmarshalNIPS2(data)
 	}
-	return unmarshalSketch(data, 0)
+	return unmarshalSketch(data, true)
 }
+
+// severalShards is the stripe count a sketch of m bitmaps that had several
+// stripes restores at: the default count, but at least two, so that the
+// restored sketch keeps the peak rule of several stripes (see counts) at
+// every GOMAXPROCS.
+func severalShards(m int) int { return min(max(2, procShards()), m) }
 
 // unmarshalNIPS2 decodes the sharded encoding — the global conditions and
 // options, a shard count n, then each shard's length-prefixed NIPS\x01
@@ -254,7 +265,7 @@ func unmarshalNIPS2(data []byte) (*Sketch, error) {
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	sk, err := NewShardedSketch(cond, opts, 0)
+	sk, err := NewShardedSketch(cond, opts, severalShards(opts.Bitmaps))
 	if err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrCorrupt, err)
 	}

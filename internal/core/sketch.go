@@ -143,7 +143,7 @@ func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*Sketch, 
 		return nil, err
 	}
 	if shards == 0 {
-		shards = min(1<<(bits.Len(uint(runtime.GOMAXPROCS(0)))-1), opts.Bitmaps) // rounded down to a power of two
+		shards = min(procShards(), opts.Bitmaps)
 	}
 	if shards < 1 || shards&(shards-1) != 0 || shards > opts.Bitmaps {
 		return nil, fmt.Errorf("core: shard count %d must be a power of two no larger than the bitmap count %d", shards, opts.Bitmaps)
@@ -168,6 +168,9 @@ func NewShardedSketch(cond imps.Conditions, opts Options, shards int) (*Sketch, 
 	}
 	return s, nil
 }
+
+// procShards is GOMAXPROCS rounded down to a power of two.
+func procShards() int { return 1 << (bits.Len(uint(runtime.GOMAXPROCS(0))) - 1) }
 
 // MustSketch is NewSketch for statically known parameters; it panics on
 // error.

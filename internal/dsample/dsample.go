@@ -85,6 +85,16 @@ func Must(cond imps.Conditions, size, t int, seed uint64) *Sketch {
 	return s
 }
 
+// Conditions returns the implication conditions.
+func (s *Sketch) Conditions() imps.Conditions { return s.cond }
+
+// ConfigFingerprint identifies the Distinct Sampling algorithm and its
+// parameters. The seed is included: it is explicit configuration here, not
+// an auto-derived value.
+func (s *Sketch) ConfigFingerprint() string {
+	return fmt.Sprintf("ds(%s|size=%d,t=%d,seed=%d)", s.cond, s.size, s.t, s.hash.Seed())
+}
+
 // Add observes one tuple.
 func (s *Sketch) Add(a, b string) {
 	s.tuples++
@@ -214,3 +224,4 @@ func (s *Sketch) MemEntries() int { return s.entries }
 
 var _ imps.Estimator = (*Sketch)(nil)
 var _ imps.MultiplicityAverager = (*Sketch)(nil)
+var _ imps.ConfigFingerprinter = (*Sketch)(nil)

@@ -8,18 +8,17 @@ package imps
 // instead of discovering them post-hoc from drifted answers.
 //
 // Estimators fill the fields that apply to them and leave the rest zero: a
-// bitmap sketch reports fill and fringe occupancy, a budgeted sampler
-// reports its budget fraction in BitmapFill, an exact counter reports only
-// its footprint. The engine layer stamps the identity fields (Stmt, Kind,
+// bitmap sketch reports fill and fringe occupancy, an exact counter reports
+// only its footprint. The engine layer stamps the identity fields (Stmt, Kind,
 // Query, Shared) when it surfaces a report.
 type HealthReport struct {
 	// Stmt is the statement's registration index (the Query RPC id);
 	// stamped by the engine.
 	Stmt int
-	// Kind is the snapshot-registry name of the leaf estimator ("nips",
-	// "sharded" for a sketch with several lock stripes, "exact",
-	// "exact-striped" for an exact counter with several, "ilc", "ds"), or
-	// "" when the estimator is not a registered kind; stamped by the engine.
+	// Kind is the snapshot-registry name of the leaf estimator ("nips" for
+	// a sketch with one lock stripe, "sharded" for one with several,
+	// "exact" for an exact counter at any count), or "" when the estimator
+	// is not a registered kind; stamped by the engine.
 	Kind string
 	// Query is the statement's normalized query text; stamped by the engine.
 	Query string
@@ -39,8 +38,7 @@ type HealthReport struct {
 
 	// BitmapFill is the saturation of the estimator's bounded structure in
 	// [0,1]: for bitmap sketches, the fraction of cells whose value bit is
-	// set; for the budgeted Distinct Sampler, the fraction of the entry
-	// budget in use. 0 for estimators with no bounded structure.
+	// set. 0 for estimators with no bounded structure.
 	BitmapFill float64
 	// LeftmostZero is the mean leftmost-zero position over the sketch's
 	// bitmaps (the plain-F0 FM reader position R) — the quantity the

@@ -69,6 +69,14 @@ func MustILC(cond imps.Conditions, relSupport, eps float64) *ILC {
 	return c
 }
 
+// Conditions returns the implication conditions.
+func (c *ILC) Conditions() imps.Conditions { return c.cond }
+
+// ConfigFingerprint identifies the ILC algorithm and its parameters.
+func (c *ILC) ConfigFingerprint() string {
+	return fmt.Sprintf("ilc(%s|s=%g,eps=%g)", c.cond, c.relSupport, c.eps)
+}
+
 // Add observes one tuple. Keys are cloned where they are retained: a and b
 // may alias a whole batch buffer (imps.Estimator).
 func (c *ILC) Add(a, b string) {
@@ -234,3 +242,4 @@ func (c *ILC) MemEntries() int {
 
 var _ imps.Estimator = (*ILC)(nil)
 var _ imps.MultiplicityAverager = (*ILC)(nil)
+var _ imps.ConfigFingerprinter = (*ILC)(nil)

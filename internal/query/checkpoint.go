@@ -32,11 +32,12 @@ const (
 // statement's backend. It is consulted only for windowed statements — a
 // sliding vector must construct fresh estimators for future origins, and
 // state alone cannot say how — with the statement's normalized query and the
-// snapshot kind of its first checkpointed slot ("nips", "sharded", "exact",
-// "exact-striped", "ilc", "ds"; checkpoint.Restore passes "nips" and
-// "exact" for the striped kinds). The resolver's backend must produce
-// estimators whose configuration matches the checkpointed ones;
-// UnmarshalEngine verifies this by fingerprint and rejects mismatches.
+// snapshot kind of its first checkpointed slot: "nips" or "sharded" for a
+// sketch at one or at several stripes (checkpoint.Restore passes "nips" for
+// both), "exact" for an exact counter at any count. The resolver's backend
+// must produce estimators whose configuration matches the checkpointed
+// ones; UnmarshalEngine verifies this by fingerprint and rejects
+// mismatches.
 type BackendResolver func(q Query, kind string) (Backend, error)
 
 // leafEstimator returns an estimator representative of est's capabilities
@@ -52,9 +53,9 @@ func leafEstimator(est imps.Estimator) imps.Estimator {
 }
 
 // EstimatorKind returns the snapshot registry name of the statement's leaf
-// estimator ("nips", "sharded" for a sketch with several lock stripes,
-// "exact", "exact-striped" for an exact counter with several, "ilc", "ds"),
-// or "" when the estimator is not a registered kind.
+// estimator ("nips" for a sketch with one lock stripe, "sharded" for one
+// with several, "exact" for an exact counter at any count), or "" when the
+// estimator cannot be checkpointed.
 func (st *Statement) EstimatorKind() string {
 	kind, err := snapshot.Kind(leafEstimator(st.est))
 	if err != nil {

@@ -14,7 +14,6 @@ import (
 	"implicate/internal/core"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
-	"implicate/internal/lossy"
 	"implicate/internal/query"
 	"implicate/internal/stream"
 )
@@ -22,10 +21,11 @@ import (
 // determinismEngine registers a mixed statement set spanning both
 // concurrency classes: partition-safe statements (sketch and exact counter,
 // each at four stripes and at one) spread across pool workers, the
-// serialized one (ILC) runs on its home worker, and a NOT IMPLIES alias
-// shares the four-stripe estimator (sharing keys on the backend function pointer, so
-// the alias registers with the identical closure). Conditions differ per
-// statement so none share by accident.
+// serialized ones (a windowed sketch and a windowed exact counter) run on
+// their home workers, and a NOT IMPLIES alias shares the four-stripe
+// estimator (sharing keys on the backend function pointer, so the alias
+// registers with the identical closure). Conditions differ per statement so
+// none share by accident.
 func determinismEngine(t *testing.T, schema *stream.Schema, seed uint64) *query.Engine {
 	t.Helper()
 	sharded := func(cond imps.Conditions) (imps.Estimator, error) {
@@ -44,8 +44,8 @@ func determinismEngine(t *testing.T, schema *stream.Schema, seed uint64) *query.
 			}},
 		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 5, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`,
 			func(cond imps.Conditions) (imps.Estimator, error) { return exact.NewCounter(cond) }},
-		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 6, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`,
-			func(cond imps.Conditions) (imps.Estimator, error) { return lossy.NewILC(cond, 0.02, 0.02) }},
+		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 6, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1 WINDOW 1500 EVERY 500`, windowBackends["nips"]},
+		{`SELECT COUNT(DISTINCT A) FROM t WHERE A IMPLIES B WITH SUPPORT >= 7, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1 WINDOW 1500 EVERY 500`, windowBackends["exact"]},
 		{`SELECT COUNT(DISTINCT A) FROM t WHERE A NOT IMPLIES B WITH SUPPORT >= 2, MULTIPLICITY <= 2, CONFIDENCE >= 0.8 TOP 1`, sharded},
 	}
 	eng := query.NewEngine(schema)
@@ -58,6 +58,22 @@ func determinismEngine(t *testing.T, schema *stream.Schema, seed uint64) *query.
 		t.Fatal("test setup: NOT IMPLIES statement did not share")
 	}
 	return eng
+}
+
+// windowBackends builds the windowed statements' estimators, and resolves
+// them on restore by kind.
+var windowBackends = map[string]query.Backend{
+	"nips": func(cond imps.Conditions) (imps.Estimator, error) {
+		return core.NewShardedSketch(cond, core.Options{Seed: 5}, 2)
+	},
+	"exact": func(cond imps.Conditions) (imps.Estimator, error) { return exact.NewCounter(cond) },
+}
+
+func windowResolver(q query.Query, kind string) (query.Backend, error) {
+	if b, ok := windowBackends[kind]; ok {
+		return b, nil
+	}
+	return nil, fmt.Errorf("no backend for kind %q", kind)
 }
 
 // determinismBatches builds an ordered batch sequence with enough key
@@ -225,8 +241,7 @@ func TestServerKillRecoverThroughPool(t *testing.T) {
 	if snap.Offset != 2000 {
 		t.Fatalf("surviving checkpoint offset %d, want 2000 (not batch-aligned?)", snap.Offset)
 	}
-	// No windowed statements, so no backend resolver is needed.
-	restored, err := checkpoint.Restore(snap, schema, nil)
+	restored, err := checkpoint.Restore(snap, schema, windowResolver)
 	if err != nil {
 		t.Fatal(err)
 	}

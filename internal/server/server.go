@@ -99,7 +99,8 @@ type Config struct {
 	MaxBatchTuples int
 	// CheckpointPath, when non-empty, makes the server write the default
 	// tenant's checkpoints there — every CheckpointEvery applied tuples and
-	// once on graceful Close.
+	// once on graceful Close. Listen then refuses an engine with a statement
+	// no checkpoint can capture (a library-only baseline's).
 	CheckpointPath string
 	// CheckpointEvery is the applied-tuple interval between periodic
 	// checkpoints (per tenant); zero checkpoints only on Close.
@@ -151,7 +152,8 @@ type Config struct {
 	Backends tenant.Backends
 	// CheckpointDir, when non-empty, holds one checkpoint file per named
 	// tenant (<dir>/<name>.ckpt), written on the same cadence as the
-	// default tenant's and resumed from at create time.
+	// default tenant's and resumed from at create time. A tenant whose
+	// engine no checkpoint can capture is then refused.
 	CheckpointDir string
 
 	// gate, when non-nil, is called by the dispatcher before each batch is
@@ -320,8 +322,15 @@ func Listen(cfg Config) (*Server, error) {
 
 // attach builds a tenant's worker pool and fair-share lane. Called from
 // Listen and (under tenMu) from addTenant, always before the tenant is
-// resolvable by connections.
+// resolvable by connections. A checkpointing tenant with a statement no
+// checkpoint can capture (a library-only baseline's) is refused, naming
+// the statement: it would fail every periodic capture.
 func (s *Server) attach(t *tenant.Tenant) error {
+	for i, st := range t.Engine().Statements() {
+		if t.CheckpointPath() != "" && st.EstimatorKind() == "" {
+			return fmt.Errorf("tenant %s checkpoints, but statement %d (%s) serves an estimator with no checkpoint form", t.Name(), i, st.Query())
+		}
+	}
 	pool, err := pipeline.New(t.Engine(), pipeline.Config{
 		Workers:     s.cfg.Workers,
 		OnApplied:   func(n int) { s.tel.AddTuples(int64(n)); t.NoteApplied(n) },

@@ -7,11 +7,15 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
 	"implicate/internal/client"
+	"implicate/internal/imps"
+	"implicate/internal/lossy"
+	"implicate/internal/obs"
 	"implicate/internal/proto"
 	"implicate/internal/query"
 	"implicate/internal/stream"
@@ -489,5 +493,52 @@ func TestClientRedialHandshakeChain(t *testing.T) {
 	}
 	if n := s2.Engine().Tuples(); n != 0 {
 		t.Fatalf("default engine absorbed %d tuples after redial — auth chain did not re-run", n)
+	}
+}
+
+// TestCheckpointingRefusesBaselines: with checkpointing on, an engine
+// serving a library-only baseline (here ILC), which no checkpoint can
+// capture, is refused up front — for the default tenant at Listen, for a
+// named tenant at Listen and at creation — with an error naming the
+// statement, rather than logging a failed capture at every interval.
+// Without checkpointing the same engine serves.
+func TestCheckpointingRefusesBaselines(t *testing.T) {
+	ilc := func(cond imps.Conditions) (imps.Estimator, error) { return lossy.NewILC(cond, 0.02, 0.02) }
+	wantErr := func(what string, err error) {
+		t.Helper()
+		if err == nil || !strings.Contains(err.Error(), "statement 0 (SELECT") || !strings.Contains(err.Error(), "no checkpoint form") {
+			t.Fatalf("%s: %v; want a refusal naming statement 0", what, err)
+		}
+	}
+	schema := testSchema(t)
+
+	cfg := withAddr(Config{Schema: schema, Engine: testEngine(t, schema, ilc), Workers: 2})
+	s, err := Listen(cfg)
+	if err != nil {
+		t.Fatalf("serving a baseline without checkpoints: %v", err)
+	}
+	s.Close()
+	cfg.Engine = testEngine(t, schema, ilc)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "srv.ckpt")
+	_, err = Listen(cfg)
+	wantErr("default tenant", err)
+
+	ilcTenant := tenantCfg("acme")
+	ilcTenant.Backend = "ilc"
+	cfg = multiTenantConfig(t, ilcTenant)
+	cfg.Backends["ilc"] = ilc
+	cfg.CheckpointDir = t.TempDir()
+	_, err = Listen(withAddr(cfg))
+	wantErr("named tenant at Listen", err)
+
+	cfg.Tenants = nil
+	s, err = Listen(withAddr(cfg))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	wantErr("named tenant at creation", s.CreateTenant(obs.TenantSpec{Name: "globex", Queries: []string{testSQL}, Backend: "ilc"}))
+	if err := s.CreateTenant(obs.TenantSpec{Name: "initech", Queries: []string{testSQL}, Backend: "exact"}); err != nil {
+		t.Fatalf("a checkpointable tenant beside the refused one: %v", err)
 	}
 }

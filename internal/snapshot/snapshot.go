@@ -5,14 +5,20 @@
 // estimators without knowing their concrete types — and can report, on
 // restore, which algorithm a blob contains.
 //
-// Kind names are part of the checkpoint format and deliberately match the
-// backend names the CLIs expose: "nips", "exact", "ilc", "ds" — plus
-// "sharded" and "exact-striped", the kinds of a sketch and of an exact
-// counter with more than one lock stripe, which earlier builds built from
-// backends of those names and which the "nips" and "exact" backends build
-// today. The kind name is the only stripe-count hint a restore gets.
-// Wrapper types (window.Sliding, the concurrency wrappers) are not leaf
-// estimators and are handled by their own layers; Marshal rejects them
+// Kind names are part of the checkpoint format. There are three, two of
+// them the CLIs' backend names. "exact" is an exact.Counter at every
+// lock stripe count: its state and its encoding do not depend on the count,
+// and Unmarshal restores it at the default count. A core.Sketch's count
+// changes one thing in its state, the peak word (see
+// core.Sketch.PeakMemEntries: a high-water mark at one stripe, the live
+// entry count at several), so its kind names that class: "nips" for one
+// stripe, restored at one, and "sharded" for several, restored at two or
+// more (core.UnmarshalShardedSketch). Either way a restored estimator
+// continues bit for bit. Unmarshal still reads "exact-striped", the kind
+// earlier builds wrote for a several-stripe exact counter, and refuses
+// "ilc" and "ds": the §5 baselines are library-only and have no checkpoint
+// form. Wrapper types (window.Sliding, the concurrency wrappers) are not
+// leaf estimators and are handled by their own layers; Marshal rejects them
 // with a descriptive error rather than producing a partial snapshot.
 package snapshot
 
@@ -20,10 +26,8 @@ import (
 	"fmt"
 
 	"implicate/internal/core"
-	"implicate/internal/dsample"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
-	"implicate/internal/lossy"
 	"implicate/internal/wire"
 )
 
@@ -41,14 +45,7 @@ func Kind(est imps.Estimator) (string, error) {
 		}
 		return "nips", nil
 	case *exact.Counter:
-		if est.Stripes() > 1 {
-			return "exact-striped", nil
-		}
 		return "exact", nil
-	case *lossy.ILC:
-		return "ilc", nil
-	case *dsample.Sketch:
-		return "ds", nil
 	}
 	return "", fmt.Errorf("snapshot: estimator %T cannot be checkpointed", est)
 }
@@ -59,11 +56,7 @@ func Marshal(est imps.Estimator) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	m, ok := est.(interface{ MarshalBinary() ([]byte, error) })
-	if !ok {
-		return nil, fmt.Errorf("snapshot: estimator %T has no binary form", est)
-	}
-	payload, err := m.MarshalBinary()
+	payload, err := est.(interface{ MarshalBinary() ([]byte, error) }).MarshalBinary()
 	if err != nil {
 		return nil, err
 	}
@@ -73,9 +66,9 @@ func Marshal(est imps.Estimator) ([]byte, error) {
 	return e.Bytes(), nil
 }
 
-// Unmarshal decodes a framed estimator, returning the estimator and its
-// kind name. Unknown kinds and malformed payloads are errors; Unmarshal
-// never fabricates a partially restored estimator.
+// Unmarshal decodes a framed estimator, returning the estimator and the
+// kind name it marshals under. Unknown kinds and malformed payloads are
+// errors; Unmarshal never fabricates a partially restored estimator.
 func Unmarshal(data []byte) (imps.Estimator, string, error) {
 	d := wire.NewDecoder(data)
 	kind := d.Str(64)
@@ -92,21 +85,18 @@ func Unmarshal(data []byte) (imps.Estimator, string, error) {
 		est, err = core.UnmarshalSketch(payload)
 	case "sharded":
 		est, err = core.UnmarshalShardedSketch(payload)
-	case "exact":
-		est, err = exact.UnmarshalCounter(payload)
-	case "exact-striped":
+	case "exact", "exact-striped":
 		est, err = exact.UnmarshalStriped(payload, 0)
-	case "ilc":
-		est, err = lossy.UnmarshalILC(payload)
-	case "ds":
-		est, err = dsample.UnmarshalSketch(payload)
+	case "ilc", "ds":
+		return nil, "", fmt.Errorf("snapshot: estimator kind %q is a library-only baseline with no checkpoint form", kind)
 	default:
 		return nil, "", fmt.Errorf("%w: unknown estimator kind %q", wire.ErrCorrupt, kind)
 	}
 	if err != nil {
 		return nil, "", fmt.Errorf("decode %s estimator: %w", kind, err)
 	}
-	return est, kind, nil
+	kind, err = Kind(est)
+	return est, kind, err
 }
 
 // Conditions returns the implication conditions a restored estimator was

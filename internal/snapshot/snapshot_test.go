@@ -2,53 +2,60 @@ package snapshot
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
 	"fmt"
 	"testing"
 
 	"implicate/internal/core"
-	"implicate/internal/dsample"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
-	"implicate/internal/lossy"
 	"implicate/internal/wire"
 )
 
 var testCond = imps.Conditions{MaxMultiplicity: 2, MinSupport: 3, TopC: 1, MinTopConfidence: 0.5}
 
+// feed gives est the small stream every registry test uses, its A-itemsets
+// numbered from off.
+func feed(est imps.Estimator, off int) imps.Estimator {
+	for i := 0; i < 600; i++ {
+		b := fmt.Sprintf("b%d", (i*7)%5)
+		if i%23 < 6 {
+			b = "solo"
+		}
+		est.Add(fmt.Sprintf("a%d", off+i%23), b)
+	}
+	return est
+}
+
+// sketchAt and counterAt build the two registered estimators at a given
+// lock stripe count.
+func sketchAt(t testing.TB, stripes int) *core.Sketch {
+	t.Helper()
+	sk, err := core.NewShardedSketch(testCond, core.Options{Bitmaps: 8, Seed: 3}, stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sk
+}
+
+func counterAt(t testing.TB, stripes int) *exact.Counter {
+	t.Helper()
+	c, err := exact.NewStriped(testCond, stripes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return c
+}
+
 // everyKind builds one estimator of each registered kind, fed the same
 // small stream.
 func everyKind(t testing.TB) map[string]imps.Estimator {
-	t.Helper()
-	ests := map[string]imps.Estimator{}
-	add := func(kind string, est imps.Estimator, err error) {
-		if err != nil {
-			t.Fatalf("%s: %v", kind, err)
-		}
-		ests[kind] = est
+	return map[string]imps.Estimator{
+		"nips":    feed(sketchAt(t, 1), 0),
+		"sharded": feed(sketchAt(t, 2), 0),
+		"exact":   feed(counterAt(t, 1), 0),
 	}
-	sk, err := core.NewSketch(testCond, core.Options{Bitmaps: 8, Seed: 3})
-	add("nips", sk, err)
-	ss, err := core.NewShardedSketch(testCond, core.Options{Bitmaps: 8, Seed: 3}, 2)
-	add("sharded", ss, err)
-	ex, err := exact.NewCounter(testCond)
-	add("exact", ex, err)
-	st, err := exact.NewStriped(testCond, 4)
-	add("exact-striped", st, err)
-	ilc, err := lossy.NewILC(testCond, 0.02, 0.02)
-	add("ilc", ilc, err)
-	ds, err := dsample.New(testCond, 64, 8, 5)
-	add("ds", ds, err)
-	for _, est := range ests {
-		for i := 0; i < 600; i++ {
-			b := fmt.Sprintf("b%d", (i*7)%5)
-			if i%23 < 6 {
-				b = "solo"
-			}
-			est.Add(fmt.Sprintf("a%d", i%23), b)
-		}
-	}
-	return ests
 }
 
 // TestRoundTripEveryKind: every registered kind frames, decodes under its
@@ -82,6 +89,119 @@ func TestRoundTripEveryKind(t *testing.T) {
 		}
 		if !bytes.Equal(again, blob) {
 			t.Fatalf("%s: re-marshalling a restored estimator changed the bytes", kind)
+		}
+	}
+}
+
+// peakOffset is where NIPS\x01 keeps its 8-byte entry high-water mark: after
+// the magic (5), the conditions (24), the options (21) and the tuple count
+// (8).
+const peakOffset = 58
+
+// payloadOf unframes a Marshal result, checking its kind.
+func payloadOf(t *testing.T, blob []byte, kind string) []byte {
+	t.Helper()
+	d := wire.NewDecoder(blob)
+	got := d.Str(64)
+	payload := d.Blob(MaxEstimatorBlob)
+	if err := d.Done(); err != nil || got != kind {
+		t.Fatalf("frame kind %q, %v; want %q", got, err, kind)
+	}
+	return payload
+}
+
+// TestKindAtEveryStripeCount: fed the same stream, an exact counter
+// marshals to the same "exact" bytes at one and at four stripes, and a
+// sketch to the same "sharded" bytes at two and at four. A one-stripe
+// sketch is "nips", and its payload differs from theirs in the peak word
+// alone: the entry high-water mark one stripe keeps, where several report
+// the live entry count.
+func TestKindAtEveryStripeCount(t *testing.T) {
+	one, err := Marshal(feed(counterAt(t, 1), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	four, err := Marshal(feed(counterAt(t, 4), 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(one, four) {
+		t.Fatal("an exact counter marshals differently at one and four stripes")
+	}
+	payloadOf(t, one, "exact")
+
+	var want []byte
+	for _, n := range []int{2, 4} {
+		blob, err := Marshal(feed(sketchAt(t, n), 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = blob
+		} else if !bytes.Equal(blob, want) {
+			t.Fatalf("a sketch marshals differently at %d stripes and at two", n)
+		}
+	}
+	sk := feed(sketchAt(t, 1), 0).(*core.Sketch)
+	if sk.PeakMemEntries() <= sk.MemEntries() {
+		t.Fatal("the stream must retire entries, or the peak word shows nothing")
+	}
+	blob, err := Marshal(sk)
+	if err != nil {
+		t.Fatal(err)
+	}
+	payload, several := payloadOf(t, blob, "nips"), payloadOf(t, want, "sharded")
+	if peak := binary.LittleEndian.Uint64(payload[peakOffset:]); peak != uint64(sk.PeakMemEntries()) {
+		t.Fatalf("one stripe: peak word %d, PeakMemEntries %d", peak, sk.PeakMemEntries())
+	}
+	if peak := binary.LittleEndian.Uint64(several[peakOffset:]); peak != uint64(sk.MemEntries()) {
+		t.Fatalf("several stripes: peak word %d, want the live entry count %d", peak, sk.MemEntries())
+	}
+	copy(payload[peakOffset:peakOffset+8], several[peakOffset:])
+	if !bytes.Equal(payload, several) {
+		t.Fatal("one and several stripes marshal a sketch differently outside the peak word")
+	}
+}
+
+// TestRestoreContinuesBitForBit: at every stripe count, and at any
+// GOMAXPROCS, a restored estimator fed the rest of the stream marshals to
+// the bytes of the one that was never marshalled. A "nips" sketch restores
+// at one stripe, so it keeps its high-water mark; a "sharded" one at two or
+// more.
+func TestRestoreContinuesBitForBit(t *testing.T) {
+	for _, c := range []struct {
+		kind    string
+		stripes int
+		est     imps.Estimator
+	}{
+		{"nips", 1, sketchAt(t, 1)},
+		{"sharded", 2, sketchAt(t, 2)},
+		{"sharded", 4, sketchAt(t, 4)},
+		{"exact", 1, counterAt(t, 1)},
+		{"exact", 4, counterAt(t, 4)},
+	} {
+		live := feed(c.est, 0)
+		blob, err := Marshal(live)
+		if err != nil {
+			t.Fatal(err)
+		}
+		restored, kind, err := Unmarshal(blob)
+		if err != nil || kind != c.kind {
+			t.Fatalf("%s: restored as %q, %v", c.kind, kind, err)
+		}
+		if sk, ok := restored.(*core.Sketch); ok && (sk.Shards() > 1) != (kind == "sharded") {
+			t.Fatalf("%s: restored at %d stripes", kind, sk.Shards())
+		}
+		want, err := Marshal(feed(live, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Marshal(feed(restored, 40))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s at %d stripes: the restored estimator continues differently", kind, c.stripes)
 		}
 	}
 }
@@ -125,15 +245,16 @@ func stripedStream(est imps.Estimator) {
 }
 
 // TestLegacyStripedPayload: an "exact-striped" checkpoint slot an earlier
-// build wrote restores to the state a one-stripe counter fed the same
-// stream holds, and re-encodes to that counter's bytes.
+// build wrote restores, under the "exact" kind, to the state a one-stripe
+// counter fed the same stream holds, and re-encodes to that counter's
+// bytes.
 func TestLegacyStripedPayload(t *testing.T) {
 	legacy, err := hex.DecodeString(legacyStripedPayload)
 	if err != nil {
 		t.Fatal(err)
 	}
 	est, kind, err := Unmarshal(frame("exact-striped", legacy))
-	if err != nil || kind != "exact-striped" {
+	if err != nil || kind != "exact" {
 		t.Fatalf("decode: kind %q, %v", kind, err)
 	}
 	ref := exact.MustCounter(testCond)
@@ -173,6 +294,13 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 		}
 		f.Add(blob)
 	}
+	for _, est := range []imps.Estimator{feed(sketchAt(f, 4), 0), feed(counterAt(f, 4), 0)} {
+		blob, err := Marshal(est)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(blob)
+	}
 	legacy, err := hex.DecodeString(legacyShardedPayload)
 	if err != nil {
 		f.Fatal(err)
@@ -185,6 +313,8 @@ func FuzzSnapshotUnmarshal(f *testing.F) {
 	f.Add(frame("exact-striped", legacy))
 	f.Add(frame("exact", legacy))
 	f.Add(frame("sharded", nil))
+	f.Add(frame("ilc", nil))
+	f.Add(frame("ds", nil))
 	f.Add([]byte(nil))
 
 	f.Fuzz(func(t *testing.T, data []byte) {

@@ -23,9 +23,10 @@ type Checkpoint = checkpoint.Snapshot
 // it is asked once per windowed statement (sliding windows open fresh
 // estimators as the stream advances, so they need a factory, not just
 // state) with the statement's query and the checkpointed estimator kind
-// ("nips", "exact", "ilc" or "ds"; a sketch is "nips" and an exact counter
-// "exact" at any stripe count). The resolved backend's configuration must
-// match the checkpoint or the restore fails.
+// ("nips" for a sketch, whatever its stripe count, "exact" for an exact
+// counter; ILC and Distinct Sampling are library-only and have no
+// checkpoint form). The resolved backend's configuration must match the
+// checkpoint or the restore fails.
 type BackendResolver = query.BackendResolver
 
 // Resumable is a Source that tracks its position in tuples and can skip
@@ -59,11 +60,12 @@ func WriteCheckpoint(path string, c Checkpoint) error { return checkpoint.Write(
 // with an error, never restored into a wrong engine.
 func ReadCheckpoint(path string) (Checkpoint, error) { return checkpoint.Read(path) }
 
-// UnmarshalShardedSketch restores a sketch serialized with
-// Sketch.MarshalBinary or with an earlier build's sharded encoding. The
-// shard count is not part of the state: the result has the default count
-// (as NewShardedSketch with shards == 0), estimates identically and keeps
-// streaming from where the original stopped.
+// UnmarshalShardedSketch restores a sketch with several lock stripes,
+// serialized with Sketch.MarshalBinary or with an earlier build's sharded
+// encoding. The result has the default count (as NewShardedSketch with
+// shards == 0), but at least two, estimates identically and keeps streaming
+// from where the original stopped; UnmarshalSketch restores a one-stripe
+// sketch.
 func UnmarshalShardedSketch(data []byte) (*Sketch, error) {
 	return core.UnmarshalShardedSketch(data)
 }
