@@ -74,9 +74,6 @@ func main() {
 	go func() {
 		a := <-ready
 		line := "listening on " + a.server
-		if a.udp != "" {
-			line += ", udp ingest on " + a.udp
-		}
 		if a.admin != "" {
 			line += ", admin on http://" + a.admin
 		}

@@ -29,15 +29,13 @@ func (q *queryList) Set(v string) error {
 
 // config carries the parsed command line.
 type config struct {
-	addr      string
-	udp       string
-	udpWindow int
-	schema    string
-	queries   queryList
-	backend   string
-	seed      uint64
-	queue     int
-	workers   int
+	addr    string
+	schema  string
+	queries queryList
+	backend string
+	seed    uint64
+	queue   int
+	workers int
 
 	checkpoint string
 	every      int64
@@ -55,8 +53,6 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs := flag.NewFlagSet("impserved", flag.ContinueOnError)
 	cfg := &config{}
 	fs.StringVar(&cfg.addr, "addr", ":7171", "TCP listen address")
-	fs.StringVar(&cfg.udp, "udp", "", "UDP ingest lane listen address (at-most-once datagram batches); empty: off")
-	fs.IntVar(&cfg.udpWindow, "udp-window", 256, "UDP lane per-source reorder window in sequence numbers (with -udp)")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query to serve (repeatable; required unless -resume)")
 	fs.StringVar(&cfg.backend, "backend", "nips", "estimator backend: nips or exact")
@@ -91,12 +87,6 @@ func (cfg *config) validate() error {
 	}
 	if cfg.queue < 1 {
 		return fmt.Errorf("-queue must be >= 1, got %d", cfg.queue)
-	}
-	// A window below 1 would wrap negative through the lane's uint64
-	// conversion and disable the reorder bound entirely; refuse it here the
-	// same way the server config does.
-	if cfg.udp != "" && cfg.udpWindow < 1 {
-		return fmt.Errorf("-udp-window must be >= 1, got %d", cfg.udpWindow)
 	}
 	if cfg.workers < 0 {
 		return fmt.Errorf("-workers must be >= 0, got %d", cfg.workers)
@@ -198,7 +188,6 @@ func buildEngine(cfg *config, schema *implicate.Schema) (*implicate.Engine, erro
 // addrs carries the bound listen addresses serve reports on ready.
 type addrs struct {
 	server string
-	udp    string // empty when -udp is off
 	admin  string // empty when -admin is off
 }
 
@@ -227,8 +216,6 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 	}
 	srv, err := implicate.Serve(implicate.ServerConfig{
 		Addr:            cfg.addr,
-		UDPAddr:         cfg.udp,
-		UDPWindow:       cfg.udpWindow,
 		Schema:          schema,
 		Engine:          eng,
 		QueueDepth:      cfg.queue,
@@ -272,7 +259,7 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 			}
 		}()
 	}
-	ready <- addrs{server: srv.Addr(), udp: srv.UDPAddr(), admin: adminAddr(admin)}
+	ready <- addrs{server: srv.Addr(), admin: adminAddr(admin)}
 	<-stop
 	if err := srv.Close(); err != nil {
 		return err
@@ -310,9 +297,6 @@ func printSummary(out io.Writer, eng *implicate.Engine, sn implicate.ServerStats
 	}
 	fmt.Fprintf(out, "tuples=%d batches=%d rejected=%d merges=%d queue-high-water=%d\n",
 		sn.TuplesIngested, sn.Batches, sn.BatchesRejected, sn.Merges, sn.QueueHighWater)
-	if sn.UDPDatagrams > 0 || sn.UDPDups > 0 || sn.UDPDrops > 0 {
-		fmt.Fprintf(out, "udp: datagrams=%d dups=%d drops=%d\n", sn.UDPDatagrams, sn.UDPDups, sn.UDPDrops)
-	}
 	if len(sn.Workers) > 0 {
 		fmt.Fprintf(out, "pool: %d workers, %d saturated dispatches\n", len(sn.Workers), sn.PoolSaturation)
 		for w, ws := range sn.Workers {

@@ -51,9 +51,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"negative every", config{schema: "A,B", queries: queryList{"x"}, queue: 1, every: -1, checkpoint: "f"}, "-every"},
 		{"zero queue", config{schema: "A,B", queries: queryList{"x"}, queue: 0}, "-queue"},
 		{"negative workers", config{schema: "A,B", queries: queryList{"x"}, queue: 1, workers: -2}, "-workers"},
-		{"negative udp window", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udp: ":0", udpWindow: -1}, "-udp-window"},
-		{"zero udp window", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udp: ":0", udpWindow: 0}, "-udp-window"},
-		{"udp window without udp ok", config{schema: "A,B", queries: queryList{"x"}, queue: 1, udpWindow: -1}, ""},
 		{"resume with q", config{schema: "A,B", resume: ckpt, queries: queryList{"x"}, queue: 1}, "drop -q"},
 		{"resume missing file", config{schema: "A,B", resume: filepath.Join(dir, "nope.ckpt"), queue: 1}, "cannot resume"},
 		{"plain ok", config{schema: "A,B", queries: queryList{"x"}, queue: 64}, ""},

@@ -207,10 +207,6 @@ func TestABI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	datagram, err := proto.AppendDatagram(nil, proto.Datagram{Source: 5, Seq: 1, Payload: batch})
-	if err != nil {
-		t.Fatal(err)
-	}
 	// A default-config server's Stats reply after one 1µs ingest.
 	var quiet telemetry.Set
 	quiet.Observe(telemetry.RPCIngest, time.Microsecond)
@@ -267,8 +263,6 @@ func TestABI(t *testing.T) {
 			"\x0e\x00\x00\x00" + "\x01\x05" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
 		{"TTrace frame", request(proto.Frame{Type: proto.TTrace, ID: 9}),
 			"\x0e\x00\x00\x00" + "\x01\x06" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
-		{"TUDPAck frame", request(proto.Frame{Type: proto.TUDPAck, ID: 9, Payload: proto.UDPAckReq{Source: 5}.Encode()}),
-			"\x16\x00\x00\x00" + "\x01\x07" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\xc0\x4d\x09\xe4" + le64(5)},
 		{"TSnapshot frame", request(proto.Frame{Type: proto.TSnapshot, ID: 9, Payload: proto.StmtReq{Stmt: 1}.Encode()}),
 			"\x12\x00\x00\x00" + "\x01\x08" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xe1\x22\x95" + "\x01\x00\x00\x00"},
 		{"TCluster frame", request(proto.Frame{Type: proto.TCluster, ID: 9}),
@@ -306,8 +300,6 @@ func TestABI(t *testing.T) {
 			"IMPT\x06" + strings.Repeat(le64(0), 9) + "\x00\x00\x00\x00" + "\x0a\x00\x00\x00" + "\x32\x00\x00\x00" +
 				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 9*50) +
 				"\x00\x00\x00\x00" + strings.Repeat(le64(0), 5)},
-		{"UDP datagram", datagram, "\x01\x01" + le64(5) + le64(1) + "\xea\xc0\x6a\xc3" + string(batch)},
-		{"UDPAck reply", proto.UDPAck{Cum: 4, Applied: 3, Dups: 2, Drops: 1}.Encode(), le64(4) + le64(3) + le64(2) + le64(1)},
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)

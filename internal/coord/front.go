@@ -223,13 +223,6 @@ func (fe *Frontend) handle(f proto.Frame) proto.Frame {
 			payload = obs.EncodeFleetTrace(fe.co.FleetTrace())
 		}
 		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
-	case proto.TUDPAck:
-		// No UDP lane at this tier; the zero watermark is the protocol's
-		// "lane disabled" answer.
-		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.UDPAck{}.Encode()}
-		if _, err := proto.DecodeUDPAckReq(f.Payload); err != nil {
-			resp = proto.ErrorFrame(f.ID, err.Error())
-		}
 	default:
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
 	}

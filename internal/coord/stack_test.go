@@ -151,7 +151,10 @@ var roleRefusals = map[string]map[proto.Type]string{
 
 // TestRoleMatrix sends one well-formed frame of every request type proto
 // declares to a leaf server and to a coordinator front-end, and checks each
-// role answers it or refuses it as roleRefusals says.
+// role answers it or refuses it as roleRefusals says. Every undeclared
+// request number below TOK — the reserved 0x07 among them — must get a
+// TError from each role, and the connection must then still answer a
+// well-formed TQuery.
 func TestRoleMatrix(t *testing.T) {
 	schema := fleetSchema(t)
 	fl := newFleet(t, schema)
@@ -179,17 +182,30 @@ func TestRoleMatrix(t *testing.T) {
 		proto.TStats:    nil,
 		proto.THealth:   nil,
 		proto.TTrace:    nil,
-		proto.TUDPAck:   proto.UDPAckReq{Source: 1}.Encode(),
 		proto.TSnapshot: stmt0,
 		proto.TCluster:  nil,
 		proto.TBoot:     nil,
 		proto.TAuth:     proto.AuthReq{Tenant: tenant.DefaultName}.Encode(),
 		proto.TReadout:  stmt0,
 	}
+	if reserved := proto.Type(0x07); !strings.HasPrefix(reserved.String(), "Type(") {
+		t.Errorf("reserved request number 0x07 is declared as %s", reserved)
+	}
 	for i := range int(proto.TOK) {
 		typ := proto.Type(i)
 		if strings.HasPrefix(typ.String(), "Type(") {
-			continue // undeclared
+			for role, addr := range roles {
+				replies := exchange(t, addr,
+					proto.Frame{Type: typ, ID: uint64(i), Payload: stmt0},
+					proto.Frame{Type: proto.TQuery, ID: uint64(i) + 0x100, Payload: stmt0})
+				if replies[0].Type != proto.TError {
+					t.Errorf("%s answers undeclared %s with %s, want %s", role, typ, replies[0].Type, proto.TError)
+				}
+				if replies[1].Type != proto.TResult {
+					t.Errorf("%s answers a query after undeclared %s with %s, want %s", role, typ, replies[1].Type, proto.TResult)
+				}
+			}
+			continue
 		}
 		payload, ok := requests[typ]
 		if !ok {
@@ -197,7 +213,7 @@ func TestRoleMatrix(t *testing.T) {
 			continue
 		}
 		for role, addr := range roles {
-			reply := exchange(t, addr, proto.Frame{Type: typ, ID: uint64(i), Payload: payload})
+			reply := exchange(t, addr, proto.Frame{Type: typ, ID: uint64(i), Payload: payload})[0]
 			reason, refused := roleRefusals[role][typ]
 			switch {
 			case refused && reply.Type != proto.TError:
@@ -210,8 +226,9 @@ func TestRoleMatrix(t *testing.T) {
 	}
 }
 
-// exchange sends f on a fresh connection to addr and returns the reply.
-func exchange(t *testing.T, addr string, f proto.Frame) proto.Frame {
+// exchange sends each frame in turn on one fresh connection to addr, waits
+// for its reply before sending the next, and returns the replies.
+func exchange(t *testing.T, addr string, frames ...proto.Frame) []proto.Frame {
 	t.Helper()
 	c, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -221,15 +238,21 @@ func exchange(t *testing.T, addr string, f proto.Frame) proto.Frame {
 	if err := c.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
 		t.Fatal(err)
 	}
-	if err := proto.WriteFrame(c, f); err != nil {
-		t.Fatal(err)
+	fr := proto.NewFrameReader(c)
+	replies := make([]proto.Frame, len(frames))
+	for i, f := range frames {
+		if err := proto.WriteFrame(c, f); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := fr.Next()
+		if err != nil {
+			t.Fatalf("%s: %v", f.Type, err)
+		}
+		if reply.ID != f.ID {
+			t.Fatalf("%s: reply id %d, want %d", f.Type, reply.ID, f.ID)
+		}
+		reply.Payload = append([]byte(nil), reply.Payload...)
+		replies[i] = reply
 	}
-	reply, err := proto.NewFrameReader(c).Next()
-	if err != nil {
-		t.Fatalf("%s: %v", f.Type, err)
-	}
-	if reply.ID != f.ID {
-		t.Fatalf("%s: reply id %d, want %d", f.Type, reply.ID, f.ID)
-	}
-	return reply
+	return replies
 }

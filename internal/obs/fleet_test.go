@@ -200,7 +200,7 @@ func TestFleetRollupSkipsForeignLeafSnapshot(t *testing.T) {
 
 	// An older build's quiet snapshot, hand-built: version byte 3, nine
 	// counters, an empty worker block and this build's RPC histograms, with
-	// none of the tenant, fine-grained UDP or shard blocks.
+	// none of the tenant or shard blocks.
 	e := wire.NewEncoder(4096)
 	e.Raw([]byte{'I', 'M', 'P', 'T', 3})
 	e.I64(999)

@@ -28,15 +28,6 @@ func WriteMetrics(w io.Writer, sn telemetry.Snapshot, health []imps.HealthReport
 	mw.gauge("imps_queue_high_water", "Deepest the ingest queue has been.", float64(sn.QueueHighWater))
 	mw.counter("imps_pool_saturation_total", "Dispatches that found a pipeline worker queue full and blocked.", sn.PoolSaturation)
 
-	mw.counter("imps_udp_datagrams_total", "Valid UDP ingest datagrams received.", sn.UDPDatagrams)
-	mw.counter("imps_udp_applied_total", "UDP ingest batches applied to the engine.", sn.UDPApplied)
-	mw.counter("imps_udp_duplicates_total", "UDP datagrams dropped as duplicates.", sn.UDPDups)
-	mw.counter("imps_udp_drops_total", "UDP datagrams dropped for any non-duplicate reason.", sn.UDPDrops)
-	mw.counter("imps_udp_window_drops_total", "UDP datagrams dropped beyond the reorder window.", sn.UDPWindowDrops)
-	mw.counter("imps_udp_decode_drops_total", "In-window UDP datagrams whose payload failed to decode.", sn.UDPDecodeDrops)
-	mw.counter("imps_udp_reorders_total", "Out-of-order UDP datagrams parked in the reorder window.", sn.UDPReorders)
-	mw.counter("imps_udp_crc_failures_total", "UDP datagrams rejected before sequencing (truncated, version-skewed or bad checksum).", sn.UDPCRCFailures)
-
 	mw.help("imps_worker_tasks_total", "Pipeline tasks applied, per worker.", "counter")
 	for i, ws := range sn.Workers {
 		mw.series("imps_worker_tasks_total", fmt.Sprintf(`worker="%d"`, i), float64(ws.Tasks))

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"sync"
 )
 
 // The zero-allocation frame path (DESIGN.md §11). Allocating a fresh
@@ -19,12 +18,9 @@ import (
 // The price is an ownership rule: a Frame returned by Next aliases the
 // reader's internal buffer and is valid only until the following Next
 // call. A handler that must keep payload bytes past that point copies them
-// out — RetainPayload is the pooled escape hatch, paired with
-// ReleasePayload when the copy is done (the server's UDP reorder window is
-// the canonical user) — or, when it knows before the read, reads the frame
-// with NextInto into a buffer it owns, which costs no copy beyond Next's
-// own (the coordinator front-end hands ingest frames to its ingest
-// goroutine so).
+// out or, when it knows before the read, reads the frame with NextInto into
+// a buffer it owns, which costs no copy beyond Next's own (the coordinator
+// front-end hands ingest frames to its ingest goroutine so).
 
 // readerBufSize is FrameReader's bufio size. 64 KiB batches read syscalls
 // across several typical ingest frames without holding a large buffer per
@@ -50,8 +46,7 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Next reads and validates one frame. The returned frame's payload aliases
 // the reader's internal buffer: it is valid only until the next call to
-// Next. Use RetainPayload (or an explicit copy) for payloads that must
-// survive longer. A clean io.EOF at a frame boundary is io.EOF; anything
+// Next. Copy payloads that must survive longer. A clean io.EOF at a frame boundary is io.EOF; anything
 // else wraps ErrMalformed and the stream must be dropped.
 func (fr *FrameReader) Next() (Frame, error) {
 	f, buf, err := fr.NextInto(fr.buf)
@@ -119,46 +114,6 @@ func parseFrameBody(buf []byte) (Frame, error) {
 		f.Payload = f.Payload[traceContextLen:]
 	}
 	return f, nil
-}
-
-// payloadPool recycles retained payload copies. Buffers are pooled as
-// *[]byte so Put does not allocate a fresh interface box per release.
-var payloadPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// RetainPayload copies p into a pooled buffer and returns the copy. It is
-// the escape hatch for frames that must outlive their FrameReader's next
-// read: the caller owns the returned slice exclusively until it hands it
-// back through ReleasePayload. Releasing is optional — an unreleased
-// buffer is ordinary garbage — but releasing lets the backing array be
-// reused instead of reallocated.
-func RetainPayload(p []byte) []byte {
-	bp := payloadPool.Get().(*[]byte)
-	b := *bp
-	if cap(b) < len(p) {
-		b = make([]byte, len(p))
-	}
-	b = b[:len(p)]
-	copy(b, p)
-	// The box goes back empty so no pooled entry ever aliases a buffer a
-	// caller still owns; the backing array returns via ReleasePayload.
-	*bp = nil
-	payloadPool.Put(bp)
-	return b
-}
-
-// ReleasePayload returns a RetainPayload buffer's backing array to the
-// pool. The caller must not touch b afterwards. Buffers from other sources
-// are accepted too (they simply join the pool), so callers can release
-// unconditionally.
-func ReleasePayload(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	bp := payloadPool.Get().(*[]byte)
-	if cap(b) > cap(*bp) {
-		*bp = b[:0]
-	}
-	payloadPool.Put(bp)
 }
 
 // AppendFrameFunc appends one frame whose payload is produced by fn

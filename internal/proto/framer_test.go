@@ -112,10 +112,9 @@ func FuzzFrameReaderEquivalence(f *testing.F) {
 	})
 }
 
-// TestRetainPayloadSurvivesNextRead pins the aliasing contract: a payload
-// returned by Next is clobbered by the following Next, and RetainPayload is
-// the escape hatch that keeps the bytes stable.
-func TestRetainPayloadSurvivesNextRead(t *testing.T) {
+// TestNextClobbersPreviousPayload pins the aliasing contract: a payload
+// returned by Next is clobbered by the following Next.
+func TestNextClobbersPreviousPayload(t *testing.T) {
 	var buf bytes.Buffer
 	first := bytes.Repeat([]byte{0xAA}, 64)
 	second := bytes.Repeat([]byte{0xBB}, 64)
@@ -130,19 +129,17 @@ func TestRetainPayloadSurvivesNextRead(t *testing.T) {
 		t.Fatal(err)
 	}
 	alias := f1.Payload
-	retained := RetainPayload(f1.Payload)
+	if !bytes.Equal(alias, first) {
+		t.Fatalf("first payload %x, want %x", alias, first)
+	}
 	if _, err := fr.Next(); err != nil {
 		t.Fatal(err)
 	}
 	// The alias view now shows the second frame's bytes (same backing
-	// array); the retained copy still shows the first.
+	// array).
 	if !bytes.Equal(alias, second) {
 		t.Fatalf("expected the aliased payload to be overwritten by the next read")
 	}
-	if !bytes.Equal(retained, first) {
-		t.Fatalf("retained payload changed under the next read")
-	}
-	ReleasePayload(retained)
 }
 
 // TestFramePathZeroAlloc asserts the steady-state contract directly: zero

@@ -104,11 +104,9 @@ const (
 	// IMPF encoding, node labels empty on a leaf); an untraced server
 	// answers with an empty dump.
 	TTrace Type = 0x06
-	// TUDPAck asks for the cumulative state of one UDP ingest source: the
-	// datagram lane's acknowledgements travel over the TCP control
-	// connection as ordinary request/response polls, so the request/reply
-	// protocol stays strictly client-initiated.
-	TUDPAck Type = 0x07
+	// 0x07 is reserved: it was the ack poll of a retired datagram ingest
+	// lane. It is never reused, so a request from an older peer is refused
+	// rather than misread.
 	// TSnapshot asks for one statement's marshalled estimator state — the
 	// pull direction of the §2 aggregation tree, which a coordinator uses
 	// to fan a merge in from its leaves (coord.go).
@@ -177,7 +175,7 @@ type typeInfo struct {
 }
 
 // types is the type table, indexed by Type; an undeclared type's row is
-// zero.
+// zero. 0x07 is reserved (see the constants) and must stay undeclared.
 var types = [256]typeInfo{
 	TIngest:   {name: "IngestBatch", rpc: telemetry.RPCIngest, observed: true},
 	TQuery:    {name: "Query", idempotent: true, rpc: telemetry.RPCQuery, observed: true},
@@ -185,7 +183,6 @@ var types = [256]typeInfo{
 	TStats:    {name: "Stats", idempotent: true, rpc: telemetry.RPCStats, observed: true},
 	THealth:   {name: "Health", idempotent: true, rpc: telemetry.RPCHealth, observed: true},
 	TTrace:    {name: "Trace", idempotent: true, rpc: telemetry.RPCTrace, observed: true},
-	TUDPAck:   {name: "UDPAck", idempotent: true, rpc: telemetry.RPCUDPAck, observed: true},
 	TSnapshot: {name: "Snapshot", idempotent: true, rpc: telemetry.RPCSnapshot, observed: true},
 	TCluster:  {name: "Cluster", idempotent: true},
 	TBoot:     {name: "Boot", idempotent: true, rpc: telemetry.RPCBoot, observed: true},

@@ -116,8 +116,21 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 		w.Write(proto.Frame{Type: proto.TQuota, ID: id, Payload: proto.Quota{Msg: q.Msg, RetryAfter: q.RetryAfter}.Encode()})
 		return
 	}
-	s.planInto(t, b, tuples, link)
-	if !s.enqueue(t, b, s.cfg.BlockOnFull) {
+	// Plan on this goroutine — filters, projections, partition hashing
+	// (once, forwarded to the estimators) — into the leased batch's
+	// recycled buffers. The link (zero when the frame carried no trace
+	// context) parents the plan span and rides the batch to parent its
+	// dispatch and apply spans downstream.
+	var planStart time.Time
+	if s.tracer != nil {
+		planStart = time.Now()
+		b.SetLink(link)
+	}
+	t.Pool.PlanInto(b, tuples)
+	if s.tracer != nil {
+		s.tracer.SpanLinked(link, obs.SpanPlan, -1, n, planStart)
+	}
+	if !s.enqueue(t, b) {
 		b.Release()
 		if t.Lane.Closed() {
 			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
@@ -158,38 +171,17 @@ func (s *Server) decodeBatch(ar *stream.RecordArena, payload []byte) ([]stream.T
 	return ar.DecodeBinaryRecords(payload[n:], s.arity, s.cfg.MaxBatchTuples)
 }
 
-// planInto runs the pure planning stage — filters, projections, partition
-// hashing (once, forwarded to the estimators) — on the caller's goroutine
-// against the tenant's pool, into the leased batch's recycled buffers.
-// Connection readers and the UDP lane both call it; the dispatcher never
-// does. The link (zero when the inbound frame carried no trace context)
-// parents the plan span here and rides the batch to parent its dispatch
-// and apply spans downstream.
-func (s *Server) planInto(t *tenant.Tenant, b *pipeline.Batch, tuples []stream.Tuple, link obs.Link) *pipeline.Batch {
-	var planStart time.Time
-	if s.tracer != nil {
-		planStart = time.Now()
-		b.SetLink(link)
-	}
-	t.Pool.PlanInto(b, tuples)
-	if s.tracer != nil {
-		s.tracer.SpanLinked(link, obs.SpanPlan, -1, int64(len(tuples)), planStart)
-	}
-	return b
-}
-
 // enqueue offers a planned batch to the tenant's lane and records an
-// admitted batch in the tenant and server counters. With block set it waits
-// for lane room, holding up this tenant's producers only: under
-// BlockOnFull pipelined frames are then never refused or reordered by a
-// re-send, and the UDP lane's socket buffer absorbs the wait. The wait
-// always ends, because the dispatcher keeps draining, shutdown included.
-// Without block a full lane refuses at once. False means the batch was not
-// admitted and still belongs to the caller.
-func (s *Server) enqueue(t *tenant.Tenant, b *pipeline.Batch, block bool) bool {
+// admitted batch in the tenant and server counters. Under
+// Config.BlockOnFull it waits for lane room, holding up this tenant's
+// producers only, so pipelined frames are never refused or reordered by a
+// re-send. The wait always ends, because the dispatcher keeps draining,
+// shutdown included. Otherwise a full lane refuses at once. False means the
+// batch was not admitted and still belongs to the caller.
+func (s *Server) enqueue(t *tenant.Tenant, b *pipeline.Batch) bool {
 	var depth int
 	var ok bool
-	if block {
+	if s.cfg.BlockOnFull {
 		depth, ok = t.Lane.Enqueue(b)
 	} else {
 		depth, ok = t.Lane.TryEnqueue(b)

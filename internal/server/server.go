@@ -32,11 +32,6 @@
 // admission with proto.TQuota before planning or enqueueing, so a refused
 // batch leaves no partial engine state and no neighbor pays for it.
 //
-// An optional UDP ingest lane (udp.go, Config.UDPAddr) accepts
-// sequence-numbered datagram batches for fire-and-forget producers, with
-// cumulative acknowledgement polls over TCP; the lane feeds the default
-// tenant. See internal/proto's udp.go for the lane's exact semantics.
-//
 // Reads never stall ingestion: Query and Stats answer under the tenant's
 // read lock (plus the per-statement read locks of query.Statement.Count),
 // while workers keep applying batches; only merges and checkpoint captures
@@ -120,14 +115,6 @@ type Config struct {
 	// prefer. The wait is per tenant: a blocked lane never stalls another
 	// tenant's dispatch.
 	BlockOnFull bool
-	// UDPAddr, when non-empty, opens the UDP ingest lane on that address
-	// (e.g. "127.0.0.1:0"). Empty disables the lane; TUDPAck polls then
-	// answer with zero watermarks. The lane feeds the default tenant.
-	UDPAddr string
-	// UDPWindow is the UDP lane's per-source reorder window in sequence
-	// numbers: a datagram more than this far ahead of the cumulative
-	// watermark is dropped. Default 256.
-	UDPWindow int
 	// Logf, when non-nil, receives diagnostic messages (failed periodic
 	// checkpoints, dropped connections, tenant lifecycle).
 	Logf func(format string, args ...any)
@@ -174,9 +161,6 @@ func (c Config) withDefaults() Config {
 	if c.RetryAfter == 0 {
 		c.RetryAfter = 20 * time.Millisecond
 	}
-	if c.UDPWindow == 0 {
-		c.UDPWindow = 256
-	}
 	if c.Logf == nil {
 		c.Logf = func(string, ...any) {}
 	}
@@ -189,7 +173,6 @@ type Server struct {
 	ln     net.Listener
 	tel    *telemetry.Set
 	tracer *obs.Tracer // nil when tracing is disabled; nil-safe to record on
-	udp    *udpLane    // nil when Config.UDPAddr is empty
 
 	// hdr is the canonical binary-stream header for cfg.Schema; an ingest
 	// payload with this exact prefix has a verified schema (fast path in
@@ -203,8 +186,7 @@ type Server struct {
 	boot uint64
 
 	// def is the implicit default tenant wrapping Config.Engine — what
-	// every connection serves until a TAuth frame pins it elsewhere, and
-	// what the UDP lane always feeds. It lives outside the registry (its
+	// every connection serves until a TAuth frame pins it elsewhere. It lives outside the registry (its
 	// name is reserved) and carries no quotas.
 	def *tenant.Tenant
 	// reg resolves named tenants and verifies their connect tokens.
@@ -263,12 +245,6 @@ func Listen(cfg Config) (*Server, error) {
 	if len(cfg.Tenants) > 0 && len(cfg.Backends) == 0 {
 		return nil, fmt.Errorf("server: tenants declared without backends")
 	}
-	// A non-positive window would wrap to ~2^64 in the lane's uint64
-	// arithmetic and disable the reorder bound entirely; reject it here
-	// rather than trusting newUDPLane's conversion.
-	if cfg.UDPAddr != "" && cfg.UDPWindow < 1 {
-		return nil, fmt.Errorf("server: udp window %d must be >= 1", cfg.UDPWindow)
-	}
 	s := &Server{
 		cfg:   cfg,
 		tel:   &telemetry.Set{},
@@ -307,15 +283,6 @@ func Listen(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: %w", err)
 	}
 	s.ln = ln
-	if cfg.UDPAddr != "" {
-		lane, err := newUDPLane(s, cfg.UDPAddr, cfg.UDPWindow)
-		if err != nil {
-			ln.Close()
-			s.teardownPools()
-			return nil, fmt.Errorf("server: %w", err)
-		}
-		s.udp = lane
-	}
 	go s.acceptLoop()
 	return s, nil
 }
@@ -505,15 +472,6 @@ func (s *Server) teardownPools() {
 // Addr returns the bound listen address (useful with ":0").
 func (s *Server) Addr() string { return s.ln.Addr().String() }
 
-// UDPAddr returns the UDP ingest lane's bound address, or "" when the
-// lane is disabled.
-func (s *Server) UDPAddr() string {
-	if s.udp == nil {
-		return ""
-	}
-	return s.udp.pc.LocalAddr().String()
-}
-
 // Telemetry exposes the live counter set.
 func (s *Server) Telemetry() *telemetry.Set { return s.tel }
 
@@ -598,8 +556,6 @@ func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 			dump[i].Span = spans[i]
 		}
 		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeFleetTrace(dump)}
-	case proto.TUDPAck:
-		resp = s.handleUDPAck(f)
 	case proto.TSnapshot:
 		resp = s.handleSnapshot(f, cs.tenant)
 	case proto.TReadout:
@@ -799,33 +755,12 @@ func (s *Server) handleHealth(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
 }
 
-// handleUDPAck answers a cumulative-acknowledgement poll for one UDP
-// source. A server without the lane — or a source it has never heard from —
-// answers with the zero watermark, so pollers need not know the server's
-// configuration.
-func (s *Server) handleUDPAck(f proto.Frame) proto.Frame {
-	req, err := proto.DecodeUDPAckReq(f.Payload)
-	if err != nil {
-		return proto.ErrorFrame(f.ID, err.Error())
-	}
-	var ack proto.UDPAck
-	if s.udp != nil {
-		ack = s.udp.ack(req.Source)
-	}
-	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: ack.Encode()}
-}
-
-// shutdown runs the shared teardown: stop accepting, stop the UDP lane,
-// unblock connection readers, drain every lane through its pool, stop the
-// dispatcher and the pools. The lane stops before the fair dispatcher
-// closes: its reader may be blocked enqueueing, and the dispatcher keeps
-// draining until every producer is gone.
+// shutdown runs the shared teardown: stop accepting, unblock connection
+// readers, drain every lane through its pool, stop the dispatcher and the
+// pools.
 func (s *Server) shutdown(grace time.Duration) {
 	s.draining.Store(true)
 	s.ln.Close()
-	if s.udp != nil {
-		s.udp.close()
-	}
 	s.connMu.Lock()
 	deadline := time.Now().Add(grace)
 	for c := range s.conns {
@@ -869,9 +804,6 @@ func (s *Server) Kill() {
 		s.killed.Store(true)
 		s.draining.Store(true)
 		s.ln.Close()
-		if s.udp != nil {
-			s.udp.close()
-		}
 		s.connMu.Lock()
 		for c := range s.conns {
 			c.Close()

@@ -61,7 +61,7 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 	if _, err := DecodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 5, 7, 0xff} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 8, 0xff} {
 		other := append([]byte(nil), good...)
 		other[len(snapshotMagic)-1] = v
 		if _, err := DecodeSnapshot(other); err == nil {
@@ -69,35 +69,53 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 		}
 	}
 
-	// encode writes a snapshot whose RPC list has nrpc entries, every other
-	// field well-formed and empty.
-	encode := func(nrpc int) []byte {
-		e := wire.NewEncoder(64 + nrpc*HistBuckets*8)
-		e.Raw([]byte(snapshotMagic))
-		for i := 0; i < 9; i++ {
-			e.I64(0)
-		}
-		e.U32(0) // no workers
-		e.U32(uint32(nrpc))
-		e.U32(HistBuckets)
-		for r := 0; r < nrpc; r++ {
-			for b := 0; b < HistBuckets; b++ {
-				e.U64(0)
-			}
-		}
-		e.U32(0) // no tenants
-		for i := 0; i < 5; i++ {
-			e.I64(0)
-		}
-		return e.Bytes()
-	}
-	if _, err := DecodeSnapshot(encode(int(NumRPCs))); err != nil {
+	if _, err := DecodeSnapshot(encodeEmpty(snapshotMagic, 6, int(NumRPCs), 0)); err != nil {
 		t.Fatalf("this build's RPC count refused: %v", err)
 	}
 	for _, n := range []int{0, 1, int(NumRPCs) - 1, int(NumRPCs) + 1} {
-		if _, err := DecodeSnapshot(encode(n)); err == nil {
+		if _, err := DecodeSnapshot(encodeEmpty(snapshotMagic, 6, n, 0)); err == nil {
 			t.Errorf("snapshot with %d RPCs accepted (want exactly %d)", n, NumRPCs)
 		}
+	}
+}
+
+// encodeEmpty writes a snapshot under magic with head leading counters, an
+// RPC list of nrpc histograms and tail trailing counters, every field
+// well-formed and empty. This build's layout is (snapshotMagic, 6,
+// NumRPCs, 0).
+func encodeEmpty(magic string, head, nrpc, tail int) []byte {
+	e := wire.NewEncoder(64 + nrpc*HistBuckets*8)
+	e.Raw([]byte(magic))
+	for i := 0; i < head; i++ {
+		e.I64(0)
+	}
+	e.U32(0) // no workers
+	e.U32(uint32(nrpc))
+	e.U32(HistBuckets)
+	for r := 0; r < nrpc; r++ {
+		for b := 0; b < HistBuckets; b++ {
+			e.U64(0)
+		}
+	}
+	e.U32(0) // no tenants
+	for i := 0; i < tail; i++ {
+		e.I64(0)
+	}
+	return e.Bytes()
+}
+
+// TestDecodeSnapshotRefusesIMPT6 pins the retirement of the previous
+// format: an IMPT\x06 blob (nine leading counters, ten histograms, five
+// trailing counters) is refused, and so is its layout relabelled with this
+// build's magic.
+func TestDecodeSnapshotRefusesIMPT6(t *testing.T) {
+	old := encodeEmpty("IMPT\x06", 9, 10, 5)
+	if _, err := DecodeSnapshot(old); err == nil {
+		t.Fatal("IMPT\\x06 snapshot accepted")
+	}
+	relabelled := append([]byte(snapshotMagic), old[len(snapshotMagic):]...)
+	if _, err := DecodeSnapshot(relabelled); err == nil {
+		t.Fatal("IMPT\\x06 layout accepted under this build's magic")
 	}
 }
 

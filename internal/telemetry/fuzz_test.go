@@ -23,7 +23,6 @@ func FuzzDecodeSnapshot(f *testing.F) {
 	// count guards.
 	var busy Set
 	busy.AddTuples(1 << 20)
-	busy.AddUDPReorder()
 	busy.ConfigureWorkers(2)
 	busy.AddWorkerTask(1, 64)
 	full := busy.Snapshot()

@@ -6,7 +6,7 @@
 // consistent-enough copy for the Stats RPC, which ships it in the
 // internal/wire encoding.
 //
-// The snapshot has one wire format, magic "IMPT\x06", because a coordinator
+// The snapshot has one wire format, magic "IMPT\x07", because a coordinator
 // and its leaves are deployed from one build. A peer whose Stats reply does
 // not decode — another build's format, another RPC list — is treated like
 // an unreachable one (the coordinator's fleet roll-up skips it) rather than
@@ -35,7 +35,6 @@ const (
 	RPCStats
 	RPCHealth
 	RPCTrace
-	RPCUDPAck
 	RPCSnapshot
 	RPCBoot
 	RPCAuth
@@ -57,8 +56,6 @@ func (r RPC) String() string {
 		return "Health"
 	case RPCTrace:
 		return "Trace"
-	case RPCUDPAck:
-		return "UDPAck"
 	case RPCSnapshot:
 		return "Snapshot"
 	case RPCBoot:
@@ -84,18 +81,6 @@ type Set struct {
 	merges          atomic.Int64
 	queueHighWater  atomic.Int64
 	poolSaturation  atomic.Int64
-	udpDatagrams    atomic.Int64
-	udpDups         atomic.Int64
-	udpDrops        atomic.Int64
-	// The fine-grained UDP lane attribution: udpDrops stays the aggregate
-	// (its wire position and meaning are fixed), these say why. Window,
-	// decode and CRC drops partition the aggregate's causes; applied and
-	// reorders are independent lane events.
-	udpApplied     atomic.Int64
-	udpWindowDrops atomic.Int64
-	udpDecodeDrops atomic.Int64
-	udpReorders    atomic.Int64
-	udpCRCFailures atomic.Int64
 	// workers is published atomically so a Snapshot or a straggling worker
 	// update racing a ConfigureWorkers reads a coherent (old or new) block,
 	// never a torn slice header.
@@ -151,35 +136,6 @@ func (s *Set) AddRejectedBatch() { s.batchesRejected.Add(1) }
 // AddMerge records one sketch merged in.
 func (s *Set) AddMerge() { s.merges.Add(1) }
 
-// AddUDPDatagram records one valid UDP ingest datagram received.
-func (s *Set) AddUDPDatagram() { s.udpDatagrams.Add(1) }
-
-// AddUDPDup records one UDP datagram dropped as a duplicate.
-func (s *Set) AddUDPDup() { s.udpDups.Add(1) }
-
-// AddUDPDrop records one UDP datagram dropped for any non-duplicate
-// reason: malformed, beyond the reorder window, or refused while draining.
-func (s *Set) AddUDPDrop() { s.udpDrops.Add(1) }
-
-// AddUDPApplied records one UDP ingest batch applied to the engine.
-func (s *Set) AddUDPApplied() { s.udpApplied.Add(1) }
-
-// AddUDPWindowDrop records one datagram dropped because its sequence
-// number lies beyond the per-source reorder window.
-func (s *Set) AddUDPWindowDrop() { s.udpWindowDrops.Add(1) }
-
-// AddUDPDecodeDrop records one in-window datagram whose batch payload
-// failed to decode (the sequence still advances — see the lane's apply).
-func (s *Set) AddUDPDecodeDrop() { s.udpDecodeDrops.Add(1) }
-
-// AddUDPReorder records one out-of-order datagram parked in the reorder
-// window to await its predecessors.
-func (s *Set) AddUDPReorder() { s.udpReorders.Add(1) }
-
-// AddUDPCRCFailure records one datagram rejected before sequencing:
-// truncated, version-skewed, or failing its checksum.
-func (s *Set) AddUDPCRCFailure() { s.udpCRCFailures.Add(1) }
-
 // ObserveQueueDepth folds one ingest-queue depth sample into the high-water
 // mark.
 func (s *Set) ObserveQueueDepth(depth int) {
@@ -224,14 +180,6 @@ func (s *Set) Snapshot() Snapshot {
 	sn.Merges = s.merges.Load()
 	sn.QueueHighWater = s.queueHighWater.Load()
 	sn.PoolSaturation = s.poolSaturation.Load()
-	sn.UDPDatagrams = s.udpDatagrams.Load()
-	sn.UDPDups = s.udpDups.Load()
-	sn.UDPDrops = s.udpDrops.Load()
-	sn.UDPApplied = s.udpApplied.Load()
-	sn.UDPWindowDrops = s.udpWindowDrops.Load()
-	sn.UDPDecodeDrops = s.udpDecodeDrops.Load()
-	sn.UDPReorders = s.udpReorders.Load()
-	sn.UDPCRCFailures = s.udpCRCFailures.Load()
 	if wp := s.workers.Load(); wp != nil && len(*wp) > 0 {
 		w := *wp
 		sn.Workers = make([]WorkerStats, len(w))
@@ -338,28 +286,6 @@ type Snapshot struct {
 	// full and blocked — sustained growth means the pool, not the ingest
 	// queue, is the bottleneck.
 	PoolSaturation int64
-	// UDPDatagrams counts valid UDP ingest datagrams received (whether
-	// applied, buffered or dropped as duplicates).
-	UDPDatagrams int64
-	// UDPDups counts UDP datagrams dropped as duplicates — already applied
-	// or already buffered in the reorder window.
-	UDPDups int64
-	// UDPDrops counts UDP datagrams dropped for any other reason:
-	// malformed, beyond the reorder window, or refused while draining.
-	UDPDrops int64
-	// UDPApplied counts UDP ingest batches applied to the engine.
-	UDPApplied int64
-	// UDPWindowDrops counts datagrams dropped beyond the reorder window.
-	UDPWindowDrops int64
-	// UDPDecodeDrops counts in-window datagrams whose payload failed to
-	// decode as a batch.
-	UDPDecodeDrops int64
-	// UDPReorders counts out-of-order datagrams parked in the reorder
-	// window.
-	UDPReorders int64
-	// UDPCRCFailures counts datagrams rejected before sequencing —
-	// truncated, version-skewed or failing their checksum.
-	UDPCRCFailures int64
 	// Workers holds per-pipeline-worker counters, one entry per worker; nil
 	// when the server configured no pool.
 	Workers []WorkerStats
@@ -403,7 +329,7 @@ type WorkerStats struct {
 
 // snapshotMagic heads every encoded snapshot; see the package doc for why
 // there is exactly one.
-const snapshotMagic = "IMPT\x06"
+const snapshotMagic = "IMPT\x07"
 
 // Encode serializes the snapshot for the Stats RPC. Every block is written,
 // empty or not, so the encoding is canonical: a decoded snapshot re-encodes
@@ -417,9 +343,6 @@ func (sn Snapshot) Encode() []byte {
 	e.I64(sn.Merges)
 	e.I64(sn.QueueHighWater)
 	e.I64(sn.PoolSaturation)
-	e.I64(sn.UDPDatagrams)
-	e.I64(sn.UDPDups)
-	e.I64(sn.UDPDrops)
 	e.U32(uint32(len(sn.Workers)))
 	for _, w := range sn.Workers {
 		e.I64(w.Tasks)
@@ -444,11 +367,6 @@ func (sn Snapshot) Encode() []byte {
 		e.I64(t.MemBudget)
 		e.I64(t.QueueHighWater)
 	}
-	e.I64(sn.UDPApplied)
-	e.I64(sn.UDPWindowDrops)
-	e.I64(sn.UDPDecodeDrops)
-	e.I64(sn.UDPReorders)
-	e.I64(sn.UDPCRCFailures)
 	return e.Bytes()
 }
 
@@ -466,9 +384,6 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	sn.Merges = d.I64()
 	sn.QueueHighWater = d.I64()
 	sn.PoolSaturation = d.I64()
-	sn.UDPDatagrams = d.I64()
-	sn.UDPDups = d.I64()
-	sn.UDPDrops = d.I64()
 	// The worker count is the sender's pool size — data, not geometry: any
 	// count round-trips.
 	nworkers := d.Count(16)
@@ -508,18 +423,10 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			}
 		}
 	}
-	sn.UDPApplied = d.I64()
-	sn.UDPWindowDrops = d.I64()
-	sn.UDPDecodeDrops = d.I64()
-	sn.UDPReorders = d.I64()
-	sn.UDPCRCFailures = d.I64()
 	if err := d.Done(); err != nil {
 		return Snapshot{}, fmt.Errorf("telemetry: %w", err)
 	}
-	if sn.TuplesIngested < 0 || sn.Batches < 0 || sn.BatchesRejected < 0 || sn.Merges < 0 || sn.QueueHighWater < 0 || sn.PoolSaturation < 0 || sn.UDPDatagrams < 0 || sn.UDPDups < 0 || sn.UDPDrops < 0 {
-		return Snapshot{}, fmt.Errorf("%w: negative counter", wire.ErrCorrupt)
-	}
-	if sn.UDPApplied < 0 || sn.UDPWindowDrops < 0 || sn.UDPDecodeDrops < 0 || sn.UDPReorders < 0 || sn.UDPCRCFailures < 0 {
+	if sn.TuplesIngested < 0 || sn.Batches < 0 || sn.BatchesRejected < 0 || sn.Merges < 0 || sn.QueueHighWater < 0 || sn.PoolSaturation < 0 {
 		return Snapshot{}, fmt.Errorf("%w: negative counter", wire.ErrCorrupt)
 	}
 	for _, w := range sn.Workers {

@@ -259,17 +259,12 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: fine-grained UDP counters round-trip, alone and
-// beside tenants.
+// TestSnapshotRoundTrip: counters round-trip, alone and beside tenants.
 func TestSnapshotRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
-	s.AddUDPApplied()
-	s.AddUDPWindowDrop()
-	s.AddUDPDecodeDrop()
-	s.AddUDPReorder()
-	s.AddUDPReorder()
-	s.AddUDPCRCFailure()
+	s.AddMerge()
+	s.AddRejectedBatch()
 	want := s.Snapshot()
 	got, err := DecodeSnapshot(want.Encode())
 	if err != nil {
@@ -278,8 +273,8 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, want) {
 		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
 	}
-	if got.UDPReorders != 2 || got.UDPApplied != 1 || got.UDPCRCFailures != 1 {
-		t.Fatalf("fine-grained UDP counters %+v", got)
+	if got.TuplesIngested != 11 || got.Merges != 1 || got.BatchesRejected != 1 {
+		t.Fatalf("counters %+v", got)
 	}
 
 	// Tenants ride along.

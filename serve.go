@@ -221,12 +221,6 @@ func ServeCoordinator(co *Coordinator, addr string) (*CoordinatorFrontend, error
 	return coord.Serve(co, addr)
 }
 
-// ErrUDPDataDropped is reported by the UDP ingest lane's Flush when
-// batches that were delivered and consumed could not be decoded and
-// applied by the server — loss that retransmission cannot repair. The
-// wrapped error carries the dropped-batch count; unwrap with errors.Is.
-var ErrUDPDataDropped = client.ErrUDPDataDropped
-
 // Leaf liveness states reported in LeafStatus.State.
 const (
 	LeafUp         = proto.LeafUp         // serving and routed to
