@@ -297,9 +297,9 @@ func TestABI(t *testing.T) {
 			"IMPF\x01" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00coord" + le64(1) + "\x06" + "\x02\x00\x00\x00" +
 				le64(3) + le64(4) + le64(5) + le64(6) + le64(0) + le64(7)},
 		{"Telemetry snapshot", quiet.Snapshot().Encode(),
-			"IMPT\x06" + strings.Repeat(le64(0), 9) + "\x00\x00\x00\x00" + "\x0a\x00\x00\x00" + "\x32\x00\x00\x00" +
-				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 9*50) +
-				"\x00\x00\x00\x00" + strings.Repeat(le64(0), 5)},
+			"IMPT\x07" + strings.Repeat(le64(0), 6) + "\x00\x00\x00\x00" + "\x09\x00\x00\x00" + "\x32\x00\x00\x00" +
+				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 8*50) +
+				"\x00\x00\x00\x00"},
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)
