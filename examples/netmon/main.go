@@ -12,6 +12,7 @@ package main
 import (
 	"fmt"
 	"log"
+	"math/bits"
 	"runtime"
 	"sync"
 	"time"
@@ -92,12 +93,14 @@ func main() {
 		flashStart, sliding.MemEntries(), sliding.Estimators())
 
 	// Forensic pass: after the trigger, re-analyze the attack segment of the
-	// recorded capture on all cores at once. Producers split the segment,
-	// hash their own tuples outside any lock, and feed one Sketch striped for
-	// GOMAXPROCS in batches; each batch touches each stripe's lock at most
-	// once, so the pass scales with the cores instead of serializing on one
-	// lock.
-	workers := runtime.GOMAXPROCS(0)
+	// recorded capture on all cores at once. Producers hash the segment in
+	// parallel outside any lock, then each feeds one Sketch striped for
+	// GOMAXPROCS with its own partition of the A keys, in capture order and
+	// in batches; each batch touches each stripe's lock at most once, so the
+	// pass scales with the cores instead of serializing on one lock, and
+	// the estimate is the one a one-stripe Sketch reads after the same
+	// segment in capture order.
+	workers := 1 << (bits.Len(uint(runtime.GOMAXPROCS(0))) - 1) // partitions come in powers of two
 	ss, err := implicate.NewShardedSketch(cond, implicate.Options{Seed: 1}, 0)
 	if err != nil {
 		log.Fatal(err)
@@ -108,27 +111,48 @@ func main() {
 	var wg sync.WaitGroup
 	per := (len(segment) + workers - 1) / workers
 	for off := 0; off < len(segment); off += per {
-		end := off + per
-		if end > len(segment) {
-			end = len(segment)
-		}
 		wg.Add(1)
 		go func(part []implicate.HashedPair) {
 			defer wg.Done()
-			for len(part) > 0 {
-				n := min(batch, len(part))
-				for i := range part[:n] {
-					part[i].AH, part[i].BH = ss.HashPairKeys(part[i].A, part[i].B)
-				}
-				ss.AddHashedPairs(part[:n])
-				part = part[n:]
+			for i := range part {
+				part[i].AH, part[i].BH = ss.HashPairKeys(part[i].A, part[i].B)
 			}
-		}(segment[off:end])
+		}(segment[off:min(off+per, len(segment))])
+	}
+	wg.Wait()
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			own := make([]implicate.HashedPair, 0, batch)
+			for _, p := range segment {
+				if ss.IngestPartitionHashed(p.AH, workers) != w {
+					continue
+				}
+				if own = append(own, p); len(own) == batch {
+					ss.AddHashedPairs(own)
+					own = own[:0]
+				}
+			}
+			ss.AddHashedPairs(own)
+		}()
 	}
 	wg.Wait()
 	elapsed := time.Since(start)
-	fmt.Printf("netmon: forensic replay of the attack window: %d tuples across %d producers (%d shards) in %v (%.1fM tuples/s)\n",
+	fmt.Printf("netmon: forensic replay of the attack window: %d tuples across %d producers (%d stripes) in %v (%.1fM tuples/s)\n",
 		len(segment), workers, ss.Shards(), elapsed.Round(time.Millisecond),
 		float64(len(segment))/elapsed.Seconds()/1e6)
-	fmt.Printf("netmon: sources hammering ≤3 destinations during the attack ≈ %.1f\n", ss.ImplicationCount())
+
+	ref, err := implicate.NewSketch(cond, implicate.Options{Seed: 1})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, p := range segment {
+		ref.Add(p.A, p.B)
+	}
+	got, want := ss.ImplicationCount(), ref.ImplicationCount()
+	if got != want {
+		log.Fatalf("netmon: forensic estimate %.1f differs from the one-stripe sketch's %.1f", got, want)
+	}
+	fmt.Printf("netmon: sources hammering ≤3 destinations during the attack ≈ %.1f (equal to a one-stripe sketch fed in capture order)\n", got)
 }
