@@ -137,9 +137,10 @@ func (f *Fair) Close() {
 }
 
 // TryEnqueue admits a planned batch if the lane has room, reporting false
-// (a Busy reply) when it does not or when the lane is closed. On success the batch belongs to the dispatcher — the
-// caller must not touch it again. The returned depth is the batch's own
-// deterministic queue-depth sample for the high-water telemetry.
+// (a Busy reply) when it does not or when the lane is closed. On success
+// the batch belongs to the dispatcher — the caller must not touch it again.
+// The returned depth is the batch's own deterministic queue-depth sample
+// for the high-water telemetry.
 func (l *Lane) TryEnqueue(b *Batch) (depth int, ok bool) {
 	f := l.f
 	f.mu.Lock()

@@ -46,8 +46,9 @@ func NewFrameReader(r io.Reader) *FrameReader {
 
 // Next reads and validates one frame. The returned frame's payload aliases
 // the reader's internal buffer: it is valid only until the next call to
-// Next. Copy payloads that must survive longer. A clean io.EOF at a frame boundary is io.EOF; anything
-// else wraps ErrMalformed and the stream must be dropped.
+// Next. Copy payloads that must survive longer. A clean io.EOF at a frame
+// boundary is io.EOF; anything else wraps ErrMalformed and the stream must
+// be dropped.
 func (fr *FrameReader) Next() (Frame, error) {
 	f, buf, err := fr.NextInto(fr.buf)
 	fr.buf = buf

@@ -186,8 +186,9 @@ type Server struct {
 	boot uint64
 
 	// def is the implicit default tenant wrapping Config.Engine — what
-	// every connection serves until a TAuth frame pins it elsewhere. It lives outside the registry (its
-	// name is reserved) and carries no quotas.
+	// every connection serves until a TAuth frame pins it elsewhere. It
+	// lives outside the registry (its name is reserved) and carries no
+	// quotas.
 	def *tenant.Tenant
 	// reg resolves named tenants and verifies their connect tokens.
 	reg *tenant.Registry
