@@ -58,9 +58,10 @@ type Config struct {
 	Statements []string
 	// Leaves is the fleet, in route-table order. Names must be unique.
 	Leaves []LeafSpec
-	// FlushTuples is the per-leaf batch size: routed tuples are staged
-	// until a leaf's buffer holds this many, then journaled and delivered
-	// as one batch. Default 512.
+	// FlushTuples is the most tuples one journal entry carries: a leaf's
+	// journal tail is sealed into an entry when it holds this many, or
+	// sooner, whenever the leaf's feeder has nothing else to send. It must
+	// not exceed the leaves' MaxBatchTuples. Default 512.
 	FlushTuples int
 	// ProbeEvery is the health-probe period per leaf. Default 50ms.
 	ProbeEvery time.Duration
@@ -130,17 +131,16 @@ func (c Config) withDefaults() Config {
 // coordinator memory.
 const maxPendingBatches = 64
 
-// staged is one leaf's batch in the making: a complete wire-format stream
-// (header, then the records routed here so far) that is journaled as-is
-// once it holds FlushTuples tuples.
-type staged struct {
-	buf []byte // reused across batches; the journal keeps an exact-size copy
-	n   int64  // tuples in buf
+// share is one leaf's part of the batch being routed: its records in
+// stream order, and the offset in recs at which each one ends.
+type share struct {
+	recs []byte
+	ends []int
 }
 
-// Coordinator fronts a leaf fleet. Create with New. Ingest and Flush
-// serialize on one lock; Query, Snapshot and Status are safe concurrently
-// with ingest.
+// Coordinator fronts a leaf fleet. Create with New. Ingest calls serialize
+// on one lock; Flush, Query, Snapshot and Status are safe concurrently with
+// ingest.
 type Coordinator struct {
 	cfg     Config
 	queries []query.Query // parsed and normalized statement templates
@@ -157,12 +157,12 @@ type Coordinator struct {
 	hdr   []byte // stream.BinaryHeader(cfg.Schema): every ingest payload and journal entry starts with it
 	arity int
 
-	// mu guards the staging buffers and the router scratch on the ingest
-	// path.
-	mu    sync.Mutex
-	stage []staged // per-leaf, not yet journaled
-	key   []byte
-	spans []stream.Span
+	// mu serializes ingest and guards the router scratch: the route key,
+	// the record's value spans and every leaf's share of the batch.
+	mu     sync.Mutex
+	key    []byte
+	spans  []stream.Span
+	shares []share
 
 	stop      chan struct{}
 	wg        sync.WaitGroup
@@ -215,7 +215,7 @@ func New(cfg Config) (*Coordinator, error) {
 		}
 		co.queries = append(co.queries, *q)
 	}
-	co.initStaging()
+	co.initIngest()
 	for i, spec := range cfg.Leaves {
 		lf, err := newLeaf(co, i, spec)
 		if err != nil {
@@ -266,21 +266,18 @@ func (co *Coordinator) route() (*routeTable, error) {
 	return newRouteTable(co.cfg.Schema, attrs, sk, names)
 }
 
-// initStaging sizes the ingest-path state from cfg.Schema and cfg.Leaves.
-func (co *Coordinator) initStaging() {
+// initIngest sizes the ingest-path state from cfg.Schema and cfg.Leaves.
+func (co *Coordinator) initIngest() {
 	co.hdr = stream.BinaryHeader(co.cfg.Schema)
 	co.arity = co.cfg.Schema.Len()
 	co.spans = make([]stream.Span, co.arity)
-	co.stage = make([]staged, len(co.cfg.Leaves))
-	for i := range co.stage {
-		co.stage[i].buf = append([]byte(nil), co.hdr...)
-	}
+	co.shares = make([]share, len(co.cfg.Leaves))
 }
 
-// Ingest routes a batch of tuples into the per-leaf staging buffers,
-// journaling each buffer as it fills. The whole batch is checked first: one
-// tuple of the wrong arity, or with the reserved key separator in a value,
-// refuses all of it before anything is routed or counted. Ingest blocks
+// Ingest routes a batch of tuples into the leaves' journal tails (see
+// ingestEncoded). The whole batch is checked first: one tuple of the wrong
+// arity, or with the reserved key separator in a value, refuses all of it
+// before anything is routed or counted. Ingest blocks
 // while a destination leaf's pending journal is full (maxPendingBatches);
 // it returns an error if the coordinator closes or that leaf turns out
 // unrecoverable while it waits. The tuples are copied, not retained.
@@ -296,8 +293,9 @@ func (co *Coordinator) Ingest(tuples []stream.Tuple) error {
 // ingestEncoded routes a batch in its wire encoding (the front-end's path,
 // and Ingest's once it has encoded the tuples): the header is compared, the
 // whole record region validated, then each record's bytes are routed and
-// copied into its leaf's staging buffer without ever becoming a
-// stream.Tuple. It returns the number of tuples routed.
+// copied into its leaf's share without ever becoming a stream.Tuple, and
+// every share goes into its leaf's journal tail in one append. It returns
+// the number of tuples routed.
 func (co *Coordinator) ingestEncoded(payload []byte) (int64, error) {
 	if !bytes.HasPrefix(payload, co.hdr) {
 		return 0, fmt.Errorf("batch header does not match the coordinator schema %v", co.cfg.Schema.Names())
@@ -314,67 +312,44 @@ func (co *Coordinator) ingestEncoded(payload []byte) (int64, error) {
 	for off := 0; off < len(recs); {
 		end := stream.RecordSpans(recs, off, co.spans)
 		co.key = co.rt.proj.AppendKeySpans(co.key[:0], recs, co.spans)
-		idx := co.rt.leafOf(co.key)
-		co.stage[idx].buf = append(co.stage[idx].buf, recs[off:end]...)
-		if err := co.stagedLocked(idx); err != nil {
-			return 0, err
-		}
+		sh := &co.shares[co.rt.leafOf(co.key)]
+		sh.recs = append(sh.recs, recs[off:end]...)
+		sh.ends = append(sh.ends, len(sh.recs))
 		off = end
+	}
+	for i, lf := range co.leaves {
+		sh := &co.shares[i]
+		if err == nil && len(sh.ends) > 0 {
+			err = lf.append(sh.recs, sh.ends)
+		}
+		sh.recs, sh.ends = sh.recs[:0], sh.ends[:0]
+	}
+	if err != nil {
+		return 0, err
 	}
 	return int64(n), nil
 }
 
-// stagedLocked accounts for one record just appended to leaf idx's staging
-// buffer, journaling the buffer when it reaches FlushTuples. Must hold
-// co.mu.
-func (co *Coordinator) stagedLocked(idx int) error {
-	st := &co.stage[idx]
-	if st.n++; st.n < int64(co.cfg.FlushTuples) {
-		return nil
-	}
-	return co.journalLocked(idx)
-}
-
-// journalLocked hands leaf idx's staged batch to the leaf's journal as an
-// exact-size copy (journal entries are retained; they carry no slack) and
-// resets the staging buffer to the bare header. Must hold co.mu.
-func (co *Coordinator) journalLocked(idx int) error {
-	st := &co.stage[idx]
-	if st.n == 0 {
-		return nil
-	}
-	payload := make([]byte, len(st.buf))
-	copy(payload, st.buf)
-	if err := co.leaves[idx].append(payload, st.n); err != nil {
-		return err
-	}
-	st.buf, st.n = st.buf[:len(co.hdr)], 0
-	return nil
-}
-
-// Flush journals every staged tuple and blocks until the whole fleet has
-// applied everything routed to it — acknowledgements only confirm
-// journaling, so this is the one call after which a merge fan-in reflects
-// every ingested tuple. The journaling step waits on the pending bound like
-// Ingest does; DrainTimeout bounds the drain after it.
+// Flush blocks until every leaf has applied everything routed to it, the
+// point after which a read covers every acknowledged tuple. It only
+// drains: the feeders deliver every journal entry and tail unprompted.
+// DrainTimeout bounds it.
 func (co *Coordinator) Flush() error {
-	co.mu.Lock()
-	for idx := range co.stage {
-		if err := co.journalLocked(idx); err != nil {
-			co.mu.Unlock()
-			return err
-		}
-	}
-	co.mu.Unlock()
 	deadline := time.Now().Add(co.cfg.DrainTimeout)
+	return co.eachLeaf(func(_ int, lf *leaf) error { return lf.drain(deadline) })
+}
+
+// eachLeaf runs fn for every leaf concurrently and returns the first error
+// in leaf order.
+func (co *Coordinator) eachLeaf(fn func(i int, lf *leaf) error) error {
 	errs := make([]error, len(co.leaves))
 	var wg sync.WaitGroup
 	for i, lf := range co.leaves {
 		wg.Add(1)
-		go func(i int, lf *leaf) {
+		go func() {
 			defer wg.Done()
-			errs[i] = lf.drain(deadline)
-		}(i, lf)
+			errs[i] = fn(i, lf)
+		}()
 	}
 	wg.Wait()
 	for _, err := range errs {
@@ -394,20 +369,12 @@ func pullAll[T any](co *Coordinator, stmt int, read func(cl *client.Client, stmt
 	}
 	deadline := time.Now().Add(co.cfg.DrainTimeout)
 	results := make([]T, len(co.leaves))
-	errs := make([]error, len(co.leaves))
-	var wg sync.WaitGroup
-	for i, lf := range co.leaves {
-		wg.Add(1)
-		go func(i int, lf *leaf) {
-			defer wg.Done()
-			results[i], errs[i] = pull(lf, stmt, deadline, read)
-		}(i, lf)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
+	err := co.eachLeaf(func(i int, lf *leaf) (err error) {
+		results[i], err = pull(lf, stmt, deadline, read)
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return results, nil
 }
@@ -496,8 +463,10 @@ func (co *Coordinator) state(stmt int) (fleetState, int, int64, error) {
 
 // Query answers statement stmt from the fleet state: the count under the
 // statement's own read mode, and the fleet-wide applied-tuple total. The
-// answer is a live point-in-time read; call Flush first when it must cover
-// everything ingested.
+// answer is a live point-in-time read. An acknowledged tuple shows in it
+// once its leaf has applied it, within one delivery round trip of the ack
+// on an up leaf; call Flush first when the answer must cover everything
+// acknowledged.
 func (co *Coordinator) Query(stmt int) (proto.QueryResult, error) {
 	est, _, tuples, err := co.state(stmt)
 	if err != nil {
@@ -645,27 +614,20 @@ func (co *Coordinator) FleetTrace() []obs.FleetSpan {
 // not sticky-fatal, passing the admitted client. Used by the observability
 // fan-outs, which tolerate skipped leaves.
 func (co *Coordinator) eachUpLeaf(fn func(i int, lf *leaf, cl *client.Client)) {
-	var wg sync.WaitGroup
-	for i, lf := range co.leaves {
+	co.eachLeaf(func(i int, lf *leaf) error {
 		lf.mu.Lock()
 		cl, up := lf.cl, lf.state == leafUp && lf.fatal == nil && !lf.closed
 		lf.mu.Unlock()
-		if !up {
-			continue
-		}
-		wg.Add(1)
-		go func(i int, lf *leaf, cl *client.Client) {
-			defer wg.Done()
+		if up {
 			fn(i, lf, cl)
-		}(i, lf, cl)
-	}
-	wg.Wait()
+		}
+		return nil
+	})
 }
 
 // Close stops the probers and feeders and closes every leaf client; an
-// Ingest blocked on a full pending journal returns an error. Staged tuples
-// not yet journaled and journaled batches not yet delivered are NOT flushed
-// — call Flush first for a clean handoff.
+// Ingest blocked on a full pending journal returns an error. Tuples not yet
+// delivered are NOT delivered — call Flush first for a clean handoff.
 func (co *Coordinator) Close() error {
 	co.closeOnce.Do(func() {
 		close(co.stop)

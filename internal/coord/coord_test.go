@@ -81,10 +81,6 @@ type fleet struct {
 	// period.
 	probeEvery time.Duration
 
-	// flushTuples, when positive, replaces the coordinator's FlushTuples of
-	// 100.
-	flushTuples int
-
 	// shards, when positive, gives every leaf sketch that many lock
 	// stripes.
 	shards int
@@ -225,15 +221,11 @@ func newCoordinator(t *testing.T, fl *fleet, specs []LeafSpec) *Coordinator {
 	if fl.probeEvery > 0 {
 		probeEvery = fl.probeEvery
 	}
-	flushTuples := 100
-	if fl.flushTuples > 0 {
-		flushTuples = fl.flushTuples
-	}
 	co, err := New(Config{
 		Schema:        fl.schema,
 		Statements:    fl.statements(),
 		Leaves:        specs,
-		FlushTuples:   flushTuples,
+		FlushTuples:   100,
 		ProbeEvery:    probeEvery,
 		ProbeTimeout:  250 * time.Millisecond,
 		ProbeFails:    2,
@@ -416,6 +408,64 @@ func TestFrontendServesWireProtocol(t *testing.T) {
 	}
 	if err := cl.Ping(time.Second); err != nil {
 		t.Errorf("ping through the front-end: %v", err)
+	}
+}
+
+// TestIdleQueryCoversAcks is the read contract's visibility bound. On an
+// idle coordinator at the default batch size, each leaf's feeder seals the
+// acknowledged tuples into one entry and delivers it, so a wire Query covers
+// all of them after that one round trip, with no Flush. When routed tuples
+// waited in a staging buffer for a full batch instead, the same 30 tuples
+// read as 0 for as long as anyone polled.
+func TestIdleQueryCoversAcks(t *testing.T) {
+	schema := fleetSchema(t)
+	fl := newFleet(t, schema)
+	t.Cleanup(fl.closeAll)
+	co, err := New(Config{
+		Schema:        schema,
+		Statements:    fleetSQL,
+		Leaves:        []LeafSpec{{Name: "leaf0", Addr: fl.start("leaf0")}, {Name: "leaf1", Addr: fl.start("leaf1")}},
+		ClientOptions: client.Options{Conns: 1},
+		Logf:          t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { co.Close() })
+	fe, err := Serve(co, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fe.Close() })
+	cl, err := client.Dial(fe.Addr(), schema, client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { cl.Close() })
+
+	const n = 30
+	if err := cl.IngestBatch(fleetTuples(n)); err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	for {
+		q, err := cl.Query(0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if q.Tuples == n {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("Query reads %d of %d acknowledged tuples after %v", q.Tuples, n, time.Since(start))
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("%d acknowledged tuples visible after %v", n, time.Since(start))
+	for _, row := range co.FleetTelemetry() {
+		if row.JournalTuples == 0 || row.JournalEntries != 1 {
+			t.Errorf("%s: %d tuples in %d entries, want some tuples in one entry, one delivery", row.Name, row.JournalTuples, row.JournalEntries)
+		}
 	}
 }
 

@@ -22,11 +22,12 @@ import (
 
 // offlineCoordinator builds a coordinator with no network behind it: the
 // real route table — over the bitmaps of a fleetSeed sketch, what a fleet
-// of f.backend leaves reports — and staging state, leaves that journal but
+// of f.backend leaves reports — and ingest state, leaves that journal but
 // have no feeder. Everything up to and including the journal runs as in
 // production, which is all the ingest path's byte-level tests need; what is
-// journaled simply stays pending, so a test may journal at most
-// maxPendingBatches entries per leaf before Ingest blocks.
+// journaled simply stays pending, and only a full tail is sealed, so a test
+// may journal at most maxPendingBatches entries per leaf before Ingest
+// blocks.
 func offlineCoordinator(t testing.TB, schema *stream.Schema, leaves, flush int) *Coordinator {
 	t.Helper()
 	cfg := Config{Schema: schema, Statements: fleetSQL, FlushTuples: flush}
@@ -41,7 +42,7 @@ func offlineCoordinator(t testing.TB, schema *stream.Schema, leaves, flush int) 
 		t.Fatal(err)
 	}
 	co.rt = rt
-	co.initStaging()
+	co.initIngest()
 	for i, name := range names {
 		lf := &leaf{co: co, name: name, idx: i}
 		lf.cond = sync.NewCond(&lf.mu)
@@ -51,16 +52,15 @@ func offlineCoordinator(t testing.TB, schema *stream.Schema, leaves, flush int) 
 	return co
 }
 
-// journalStaged journals every partly filled staging buffer — the first
-// half of Flush, without the drain an offline leaf cannot answer.
-func journalStaged(t testing.TB, co *Coordinator) {
-	t.Helper()
-	co.mu.Lock()
-	defer co.mu.Unlock()
-	for idx := range co.stage {
-		if err := co.journalLocked(idx); err != nil {
-			t.Fatal(err)
+// sealTails seals every leaf's non-empty journal tail, as an idle feeder
+// would; an offline leaf has none.
+func sealTails(co *Coordinator) {
+	for _, lf := range co.leaves {
+		lf.mu.Lock()
+		if lf.tailN > 0 {
+			lf.sealLocked()
 		}
+		lf.mu.Unlock()
 	}
 }
 
@@ -162,7 +162,7 @@ func TestJournalBytesMatchCodec(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			co := offlineCoordinator(t, schema, leaves, flush)
 			enter(co)
-			journalStaged(t, co)
+			sealTails(co)
 			for i, got := range journalPayloads(co) {
 				if len(got) != len(wantPayloads[i]) {
 					t.Fatalf("leaf %d: %d journal entries, want %d", i, len(got), len(wantPayloads[i]))
@@ -386,7 +386,7 @@ func TestPendingJournalBounded(t *testing.T) {
 }
 
 // routedBatch is FlushTuples tuples that all route to leaf idx: one Ingest
-// of it onto an empty staging buffer journals exactly one entry there.
+// of it onto an empty journal tail seals exactly one entry there.
 func routedBatch(co *Coordinator, idx int) []stream.Tuple {
 	var batch []stream.Tuple
 	for i := 0; len(batch) < co.cfg.FlushTuples; i++ {
@@ -504,10 +504,11 @@ func TestBlockedIngestWakes(t *testing.T) {
 }
 
 // TestFrontendIngestAllocs pins the coordinator side of one 1000-tuple
-// ingest frame — validate, route, stage, journal, ack — in the spirit of
-// pipeline's TestArenaPathAllocs: the budget is the journal's exact-size
-// entry copies (one per FlushTuples routed) and amortized journal-slice
-// growth; the ack is encoded in place into the connection writer's buffer.
+// ingest frame — validate, route, append to the tails, seal, ack — in the
+// spirit of pipeline's TestArenaPathAllocs: the budget is the journal's
+// exact-size entry copies (one per FlushTuples routed) and amortized
+// journal-slice growth; the ack is encoded in place into the connection
+// writer's buffer.
 // A per-tuple allocation overshoots it a hundredfold.
 func TestFrontendIngestAllocs(t *testing.T) {
 	if raceflag.Enabled {
@@ -550,7 +551,7 @@ func (s *okSink) Write(p []byte) (int, error) {
 // FuzzFrontendIngest feeds arbitrary record regions to the front-end. The
 // oracle is the decoded path: DecodeBinaryRecords, the writer's tuple
 // check, Ingest(tuples). Either both refuse and the coordinator is
-// untouched, or both accept and stage and journal identical bytes.
+// untouched, or both accept and journal identical bytes.
 func FuzzFrontendIngest(f *testing.F) {
 	schema, err := stream.NewSchema("A", "B")
 	if err != nil {
@@ -598,8 +599,8 @@ func FuzzFrontendIngest(f *testing.F) {
 			if resp.Type != proto.TError {
 				t.Fatalf("front-end answered %s to a region the codec refuses (%v)", resp.Type, oracleErr)
 			}
-			for i, st := range wire.stage {
-				if st.n != 0 || !bytes.Equal(st.buf, hdr) || len(wire.leaves[i].journal) != 0 {
+			for i, lf := range wire.leaves {
+				if lf.tailN != 0 || len(lf.tail) != 0 || len(lf.journal) != 0 {
 					t.Fatalf("refused batch changed leaf %d's state", i)
 				}
 			}
@@ -619,8 +620,8 @@ func FuzzFrontendIngest(f *testing.F) {
 		if err := decoded.Ingest(tuples); err != nil {
 			t.Fatal(err)
 		}
-		journalStaged(t, wire)
-		journalStaged(t, decoded)
+		sealTails(wire)
+		sealTails(decoded)
 		got, want := journalPayloads(wire), journalPayloads(decoded)
 		for i := range want {
 			if len(got[i]) != len(want[i]) {
@@ -636,8 +637,9 @@ func FuzzFrontendIngest(f *testing.F) {
 }
 
 // BenchmarkCoordRoute is the coordinator side of one 1000-record wire batch
-// on the offline harness — validate, route on the bitmap index, stage,
-// journal — with the journal discarded after every batch so nothing blocks.
+// on the offline harness — validate, route on the bitmap index, append to
+// the tails, seal — with the journal discarded after every batch so
+// nothing blocks.
 func BenchmarkCoordRoute(b *testing.B) {
 	schema, err := stream.NewSchema("A", "B")
 	if err != nil {

@@ -2,9 +2,10 @@
 // them in order, the prober that watches liveness, and the recovery
 // sequence that re-admits a crashed leaf.
 //
-// The journal is the coordinator's replay log: every batch routed to a leaf
-// is appended with its cumulative tuple offset before it is sent, and is
-// never re-sent out of order. Because the leaf's engine only ever receives
+// The journal is the coordinator's replay log. Routed records collect in
+// its open tail, which is sealed into an entry — a batch with its
+// cumulative tuple offset — before it is sent, and no entry is ever re-sent
+// out of order. Because the leaf's engine only ever receives
 // whole journal batches, every offset the leaf can checkpoint at — the
 // server checkpoints between dispatched batches — lands exactly on a
 // journal entry boundary. Recovery exploits that: restart the leaf from its
@@ -74,9 +75,11 @@ type leaf struct {
 	cl        *client.Client
 	boot      uint64 // admitted server incarnation; every send is fenced to it
 	journal   []entry
-	journaled int64 // tuples routed here == last entry's off+n
-	acked     int64 // tuples the current incarnation acknowledged as enqueued
-	nextSend  int   // journal index the feeder delivers next
+	tail      []byte // records routed here since the last seal, in order
+	tailN     int64  // tuples in tail
+	journaled int64  // tuples routed here, tail included
+	acked     int64  // tuples the current incarnation acknowledged as enqueued
+	nextSend  int    // journal index the feeder delivers next
 	state     leafState
 	epoch     uint64 // completed recoveries
 	downs     int64  // up→down transitions (probe failures, send ambiguity, restarts)
@@ -106,28 +109,52 @@ func newLeaf(co *Coordinator, idx int, spec LeafSpec) (*leaf, error) {
 	return lf, nil
 }
 
-// append journals one encoded batch and wakes the feeder, first waiting
-// until fewer than maxPendingBatches entries are pending — the feeder wakes
-// it after every delivery. It refuses, journaling nothing, once the
-// coordinator is closed or the leaf is sticky-fatal: nothing appended then
-// would ever be delivered. The payload must not be modified afterwards —
-// retransmission reads it uncopied.
-func (lf *leaf) append(payload []byte, n int64) error {
+// append adds one batch's share of records for this leaf (record i ends
+// at ends[i] in recs) to the journal tail, and wakes the feeder, which
+// seals the tail whenever it has nothing else to send. Whenever the tail
+// holds FlushTuples tuples, append seals it itself, first waiting until
+// fewer than maxPendingBatches entries are pending — the feeder wakes it
+// after every delivery — so no entry carries more than FlushTuples. It
+// refuses once the coordinator is closed or the leaf is sticky-fatal:
+// nothing appended then would ever be delivered.
+func (lf *leaf) append(recs []byte, ends []int) error {
+	flush := int64(lf.co.cfg.FlushTuples)
 	lf.mu.Lock()
 	defer lf.mu.Unlock()
-	for !lf.closed && lf.fatal == nil && len(lf.journal)-lf.nextSend >= maxPendingBatches {
-		lf.cond.Wait()
+	defer lf.cond.Broadcast()
+	for start := 0; len(ends) > 0 || lf.tailN >= flush; {
+		for !lf.closed && lf.fatal == nil && lf.tailN >= flush && len(lf.journal)-lf.nextSend >= maxPendingBatches {
+			lf.cond.Wait()
+		}
+		if lf.fatal != nil {
+			return lf.fatal
+		}
+		if lf.closed {
+			return fmt.Errorf("coord: leaf %s: coordinator closed", lf.name)
+		}
+		if lf.tailN >= flush {
+			lf.sealLocked() // unless the idle feeder sealed it while append waited
+			continue
+		}
+		k := min(int64(len(ends)), flush-lf.tailN)
+		lf.tail = append(lf.tail, recs[start:ends[k-1]]...)
+		lf.tailN += k
+		lf.journaled += k
+		start, ends = ends[k-1], ends[k:]
 	}
-	if lf.fatal != nil {
-		return lf.fatal
-	}
-	if lf.closed {
-		return fmt.Errorf("coord: leaf %s: coordinator closed", lf.name)
-	}
-	lf.journal = append(lf.journal, entry{payload: payload, n: n, off: lf.journaled})
-	lf.journaled += n
-	lf.cond.Broadcast()
 	return nil
+}
+
+// sealLocked closes the tail into a journal entry: the header plus the
+// tail's records, in an exact-size copy because entries are retained, and
+// never modified afterwards, because retransmission reads them uncopied.
+// It wakes the feeder and any blocked append. Must hold lf.mu.
+func (lf *leaf) sealLocked() {
+	payload := make([]byte, len(lf.co.hdr)+len(lf.tail))
+	copy(payload[copy(payload, lf.co.hdr):], lf.tail)
+	lf.journal = append(lf.journal, entry{payload: payload, n: lf.tailN, off: lf.journaled - lf.tailN})
+	lf.tail, lf.tailN = lf.tail[:0], 0
+	lf.cond.Broadcast()
 }
 
 // markDown flags a live leaf for recovery and wakes the feeder to run it.
@@ -143,13 +170,15 @@ func (lf *leaf) markDown() {
 
 // run is the feeder goroutine: deliver journal entries in order, one
 // in-flight batch at a time, and run recovery whenever the leaf is down.
-// Strictly sequential delivery is what makes the leaf's tuple order a pure
-// function of the journal — and so of the route function and source order.
+// With every entry delivered it seals the tail and sends that, so a batch
+// grows only while the one before it is in flight. Strictly sequential
+// delivery is what makes the leaf's tuple order a pure function of the
+// journal — and so of the route function and source order.
 func (lf *leaf) run() {
 	defer lf.co.wg.Done()
 	for {
 		lf.mu.Lock()
-		for !lf.closed && (lf.fatal != nil || (lf.state == leafUp && lf.nextSend == len(lf.journal))) {
+		for !lf.closed && (lf.fatal != nil || (lf.state == leafUp && lf.deliveredLocked())) {
 			lf.cond.Wait()
 		}
 		if lf.closed {
@@ -160,6 +189,9 @@ func (lf *leaf) run() {
 			lf.mu.Unlock()
 			lf.recover()
 			continue
+		}
+		if lf.nextSend == len(lf.journal) {
+			lf.sealLocked()
 		}
 		e := lf.journal[lf.nextSend]
 		cl, boot := lf.cl, lf.boot
@@ -376,7 +408,7 @@ func (lf *leaf) settledTuples(cl *client.Client, boot uint64) (int64, error) {
 // boundaryIndex locates the journal entry that starts at cumulative offset
 // tuples — the resume point after a recovery. Must hold lf.mu.
 func (lf *leaf) boundaryIndex(tuples int64) (int, bool) {
-	if tuples == lf.journaled {
+	if tuples == lf.journaled-lf.tailN {
 		return len(lf.journal), true
 	}
 	i := sort.Search(len(lf.journal), func(i int) bool { return lf.journal[i].off >= tuples })
@@ -386,13 +418,18 @@ func (lf *leaf) boundaryIndex(tuples int64) (int, bool) {
 	return 0, false
 }
 
-// drain blocks until every journaled batch is acknowledged AND applied by
-// the leaf — Flush's quiesce point, after which a query reads everything
-// journaled, since ingest acknowledgements only confirm enqueueing.
+// deliveredLocked reports whether the leaf acknowledged everything routed
+// to it: every entry, and an empty tail. Must hold lf.mu.
+func (lf *leaf) deliveredLocked() bool { return lf.nextSend == len(lf.journal) && lf.tailN == 0 }
+
+// drain blocks until everything routed to the leaf is acknowledged AND
+// applied by it — Flush's quiesce point, after which a query reads
+// everything journaled, since ingest acknowledgements only confirm
+// enqueueing.
 func (lf *leaf) drain(deadline time.Time) error {
 	for {
 		lf.mu.Lock()
-		fatal, sent, state, cl, boot := lf.fatal, lf.nextSend == len(lf.journal), lf.state, lf.cl, lf.boot
+		fatal, sent, state, cl, boot := lf.fatal, lf.deliveredLocked(), lf.state, lf.cl, lf.boot
 		lf.mu.Unlock()
 		if fatal != nil {
 			return fatal
@@ -407,7 +444,7 @@ func (lf *leaf) drain(deadline time.Time) error {
 				// Compare against the journal as it stands NOW — appends may
 				// have raced the poll, and the journal only grows.
 				lf.mu.Lock()
-				journaled, sentNow := lf.journaled, lf.nextSend == len(lf.journal)
+				journaled, sentNow := lf.journaled, lf.deliveredLocked()
 				lf.mu.Unlock()
 				if q.Tuples == journaled && sentNow {
 					return nil

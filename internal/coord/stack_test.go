@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net"
+	"os"
 	"strings"
 	"testing"
 	"time"
@@ -22,14 +23,19 @@ import (
 // front-ends, each child over two leaves. The root reads a child exactly as
 // it reads a leaf — Readout for a query, Snapshot for the merged state — so
 // every read mode the root answers, its readout, and its merged snapshot
-// are one sketch's bit for bit.
-//
-// The children run with FlushTuples 1. A coordinator journals a leaf's
-// staged tuples only once FlushTuples of them accumulate, and no frame asks
-// it to journal early, so with a larger batch size the root's Flush could
-// not drain through a child. Making staged tuples visible through a child
-// without that is a separate change; this test covers the tree's reads.
-func TestThreeTierFleet(t *testing.T) {
+// are one sketch's bit for bit. Every node runs the harness's batch size,
+// so the root's Flush drains through its children.
+func TestThreeTierFleet(t *testing.T) { threeTierFleet(t, "") }
+
+// TestThreeTierKillAndRecover is TestThreeTierFleet with a grandchild killed
+// two thirds of the way into the stream, once it has checkpointed: its child
+// coordinator restarts it from that checkpoint and replays its journal, and
+// every read at the root is still one sketch's, bit for bit.
+func TestThreeTierKillAndRecover(t *testing.T) { threeTierFleet(t, "left0") }
+
+// threeTierFleet runs the 3-tier tree over one stream, killing the leaf
+// named victim (none when empty) mid-stream, and checks the root's reads.
+func threeTierFleet(t *testing.T, victim string) {
 	d := gen.MustDatasetOne(gen.DatasetOneConfig{CardA: 200, Count: 80, C: 2, Support: 20, Seed: 5})
 	c := d.Conditions
 	with := fmt.Sprintf("WITH SUPPORT >= %d, MULTIPLICITY <= %d, CONFIDENCE >= %g TOP %d", c.MinSupport, c.MaxMultiplicity, c.MinTopConfidence, c.TopC)
@@ -40,11 +46,15 @@ func TestThreeTierFleet(t *testing.T) {
 		"SELECT AVG(MULTIPLICITY(A)) FROM t WHERE A IMPLIES B " + with,
 		"SELECT COUNT(DISTINCT A) FROM t",
 	}
-	fl.flushTuples = 1
 	t.Cleanup(fl.closeAll)
 	var children []LeafSpec
+	var left *Coordinator
 	for _, name := range []string{"left", "right"} {
-		fe, err := Serve(startCoordinator(t, fl, 2, name), "127.0.0.1:0")
+		child := startCoordinator(t, fl, 2, name)
+		if name == "left" {
+			left = child
+		}
+		fe, err := Serve(child, "127.0.0.1:0")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,15 +97,30 @@ func TestThreeTierFleet(t *testing.T) {
 		tuples[i] = stream.Tuple{fmt.Sprintf("a%d", p.A), fmt.Sprintf("b%d", p.B)}
 	}
 	const chunk = 500
+	killAt := 2 * len(tuples) / 3
 	for off := 0; off < len(tuples); off += chunk {
 		batch := tuples[off:min(off+chunk, len(tuples))]
 		if err := cl.IngestBatch(batch); err != nil {
 			t.Fatal(err)
 		}
 		one.ProcessBatch(batch)
+		if victim != "" && off <= killAt && killAt < off+len(batch) {
+			for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+				if _, err := os.Stat(fl.ckptPath(victim)); err == nil {
+					break
+				}
+				if time.Now().After(deadline) {
+					t.Fatalf("%s never checkpointed", victim)
+				}
+			}
+			fl.kill(victim)
+		}
 	}
 	if err := root.Flush(); err != nil {
 		t.Fatal(err)
+	}
+	if st := left.Status().Leaves[0]; victim != "" && (st.State != proto.LeafUp || st.Epoch < 1) {
+		t.Errorf("killed grandchild status = state %d epoch %d, want up with epoch >= 1", st.State, st.Epoch)
 	}
 
 	for stmt, st := range one.Statements() {
