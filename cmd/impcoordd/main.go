@@ -31,9 +31,9 @@
 // the journal from that boundary — the recovered fleet's answers are
 // bit-identical to a fleet that never crashed.
 //
-// On SIGINT/SIGTERM the coordinator stops accepting, flushes the journal
-// into the fleet, and prints the final statement answers and membership
-// view.
+// On SIGINT/SIGTERM the coordinator stops accepting, waits until the fleet
+// has applied everything it acknowledged, and prints the final statement
+// answers and membership view.
 package main
 
 import (
@@ -63,7 +63,7 @@ func main() {
 	signal.Notify(sigs, os.Interrupt, syscall.SIGTERM)
 	go func() {
 		s := <-sigs
-		log.Printf("received %v, flushing the fleet", s)
+		log.Printf("received %v, draining the fleet", s)
 		close(stop)
 	}()
 

@@ -49,11 +49,11 @@ func TestFleetObsSmoke(t *testing.T) {
 	}()
 
 	cfg := &config{
-		listen:  "127.0.0.1:0",
-		admin:   "127.0.0.1:0",
-		leaves:  strings.Join(leafFlag, ","),
-		schema:  "A, B",
-		queries: smokeSQL, flush: 1,
+		listen:     "127.0.0.1:0",
+		admin:      "127.0.0.1:0",
+		leaves:     strings.Join(leafFlag, ","),
+		schema:     "A, B",
+		queries:    smokeSQL,
 		probeEvery: 10 * time.Millisecond, probeTimeout: 250 * time.Millisecond,
 		probeFails: 2, drainTimeout: 30 * time.Second,
 		traceSpans: 4096,

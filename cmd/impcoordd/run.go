@@ -32,8 +32,6 @@ type config struct {
 	schema  string
 	queries queryList
 
-	flush int
-
 	probeEvery   time.Duration
 	probeTimeout time.Duration
 	probeFails   int
@@ -52,11 +50,10 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.StringVar(&cfg.leaves, "leaves", "", "fleet members as name=addr,name=addr (required); names are stable routing identities")
 	fs.StringVar(&cfg.schema, "schema", "", "comma-separated stream attribute names (required)")
 	fs.Var(&cfg.queries, "q", "implication query the fleet serves (repeatable; required); must match the leaves' registration order")
-	fs.IntVar(&cfg.flush, "flush", 512, "per-leaf batch size in tuples: routed tuples buffer until a leaf has this many")
 	fs.DurationVar(&cfg.probeEvery, "probe-every", 50*time.Millisecond, "health-probe period per leaf")
 	fs.DurationVar(&cfg.probeTimeout, "probe-timeout", time.Second, "health-probe round-trip bound")
 	fs.IntVar(&cfg.probeFails, "probe-fails", 3, "consecutive probe failures before a leaf is marked down")
-	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on a fleet flush's drain and on a query's wait for a recovering leaf")
+	fs.DurationVar(&cfg.drainTimeout, "drain-timeout", 30*time.Second, "bound on the shutdown drain and on a query's wait for a recovering leaf")
 	fs.StringVar(&cfg.admin, "admin", "", "fleet admin HTTP address (/metrics, /healthz, /fleet, /trace, pprof); empty disables")
 	fs.IntVar(&cfg.traceSpans, "trace-spans", 0, "span ring capacity for cross-node tracing; 0 disables; leaves must be trace-aware builds")
 	if err := fs.Parse(args); err != nil {
@@ -109,9 +106,6 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("-leaves: %w", err)
 	}
 	cfg.leafSpecs = specs
-	if cfg.flush < 1 {
-		return fmt.Errorf("-flush must be >= 1, got %d", cfg.flush)
-	}
 	if cfg.probeFails < 1 {
 		return fmt.Errorf("-probe-fails must be >= 1, got %d", cfg.probeFails)
 	}
@@ -131,7 +125,7 @@ type coordAddrs struct {
 	admin string
 }
 
-// serve runs the coordinator until stop closes, then flushes the fleet and
+// serve runs the coordinator until stop closes, then drains the fleet and
 // prints the final answers and membership to out. The bound addresses are
 // sent on ready.
 func serve(cfg *config, ready chan<- coordAddrs, stop <-chan struct{}, out io.Writer) error {
@@ -147,7 +141,6 @@ func serve(cfg *config, ready chan<- coordAddrs, stop <-chan struct{}, out io.Wr
 		Schema:       schema,
 		Statements:   cfg.queries,
 		Leaves:       cfg.leafSpecs,
-		FlushTuples:  cfg.flush,
 		ProbeEvery:   cfg.probeEvery,
 		ProbeTimeout: cfg.probeTimeout,
 		ProbeFails:   cfg.probeFails,
@@ -191,7 +184,7 @@ func serve(cfg *config, ready chan<- coordAddrs, stop <-chan struct{}, out io.Wr
 	if admin != nil {
 		admin.Close()
 	}
-	// Producers are cut; push every buffered tuple into the fleet so the
+	// Producers are cut; wait until the fleet applied everything, so the
 	// final answers cover everything acknowledged.
 	if err := co.Flush(); err != nil {
 		co.Close()

@@ -52,7 +52,7 @@ func TestValidateFlagCombinations(t *testing.T) {
 	base := func() config {
 		return config{
 			listen: ":0", leaves: "a=1:1,b=2:2", schema: "A,B", queries: queryList{"x"},
-			flush: 512, probeEvery: time.Millisecond,
+			probeEvery:   time.Millisecond,
 			probeTimeout: time.Millisecond, probeFails: 1, drainTimeout: time.Second,
 		}
 	}
@@ -66,7 +66,6 @@ func TestValidateFlagCombinations(t *testing.T) {
 		{"missing query", func(c *config) { c.queries = nil }, "-q"},
 		{"missing leaves", func(c *config) { c.leaves = "" }, "-leaves"},
 		{"bad leaves", func(c *config) { c.leaves = "justanaddr" }, "name=addr"},
-		{"zero flush", func(c *config) { c.flush = 0 }, "-flush"},
 		{"zero probe fails", func(c *config) { c.probeFails = 0 }, "-probe-fails"},
 		{"zero probe period", func(c *config) { c.probeEvery = 0 }, "positive"},
 	}
@@ -183,14 +182,10 @@ func TestClusterSmoke(t *testing.T) {
 	}()
 
 	cfg := &config{
-		listen: "127.0.0.1:0",
-		leaves: strings.Join(leafFlag, ","),
-		schema: "A, B",
-		// flush=1 journals every routed tuple immediately, so the fleet-wide
-		// applied count observable through Query reaches the ingested total
-		// without an explicit flush RPC (the wire has none; Flush runs at
-		// shutdown).
-		queries: smokeSQL, flush: 1,
+		listen:     "127.0.0.1:0",
+		leaves:     strings.Join(leafFlag, ","),
+		schema:     "A, B",
+		queries:    smokeSQL,
 		probeEvery: 10 * time.Millisecond, probeTimeout: 250 * time.Millisecond,
 		probeFails: 2, drainTimeout: 30 * time.Second,
 	}
@@ -267,9 +262,9 @@ func TestClusterSmoke(t *testing.T) {
 		}
 	}
 
-	// Quiesce: every routed tuple is journaled (flush=1), so the fleet-wide
-	// applied total reaching the ingested total means every leaf applied
-	// everything — including the recovered victim's replay.
+	// Quiesce: the feeders deliver every acknowledged tuple unprompted, so
+	// the fleet-wide applied total reaching the ingested total means every
+	// leaf applied everything — including the recovered victim's replay.
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		res, err := cl.Query(0)
