@@ -225,6 +225,19 @@ func TestABI(t *testing.T) {
 		"\x02\x00\x00\x00a1" + le64(2) + "\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00b1" + le64(2) +
 		"\x02\x00\x00\x00a2" + le64(2) + "\x01" +
 		"\x02\x00\x00\x00a3" + le64(1) + "\x00" + "\x01\x00\x00\x00" + "\x02\x00\x00\x00b1" + le64(1)
+	// One RPC span per telemetry.RPC, in order. An RPC span's Arg is the
+	// RPC's index, so renumbering telemetry.RPC renumbers these bytes.
+	rpcs := []telemetry.RPC{telemetry.RPCIngest, telemetry.RPCQuery, telemetry.RPCMerge, telemetry.RPCStats,
+		telemetry.RPCHealth, telemetry.RPCTrace, telemetry.RPCSnapshot, telemetry.RPCBoot, telemetry.RPCAuth}
+	if len(rpcs) != int(telemetry.NumRPCs) {
+		t.Errorf("%d RPCs listed, telemetry declares %d: pin every RPC's span", len(rpcs), telemetry.NumRPCs)
+	}
+	var rpcSpans []obs.FleetSpan
+	rpcSpanGolden := "IMPF\x01" + "\x09\x00\x00\x00"
+	for i, r := range rpcs {
+		rpcSpans = append(rpcSpans, obs.FleetSpan{Span: obs.Span{Seq: 1, Kind: obs.SpanRPC, Arg: int32(r)}})
+		rpcSpanGolden += "\x00\x00\x00\x00" + le64(1) + "\x05" + string([]byte{byte(i), 0, 0, 0}) + strings.Repeat(le64(0), 6)
+	}
 	pinned := make(map[proto.Type]bool)
 	request := func(f proto.Frame) []byte {
 		pinned[f.Type] = true
@@ -296,6 +309,7 @@ func TestABI(t *testing.T) {
 		}}}),
 			"IMPF\x01" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00coord" + le64(1) + "\x06" + "\x02\x00\x00\x00" +
 				le64(3) + le64(4) + le64(5) + le64(6) + le64(0) + le64(7)},
+		{"RPC spans, Arg 0-8", obs.EncodeFleetTrace(rpcSpans), rpcSpanGolden},
 		{"Telemetry snapshot", quiet.Snapshot().Encode(),
 			"IMPT\x07" + strings.Repeat(le64(0), 6) + "\x00\x00\x00\x00" + "\x09\x00\x00\x00" + "\x32\x00\x00\x00" +
 				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 8*50) +
