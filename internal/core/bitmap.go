@@ -183,14 +183,16 @@ func (s *Sketch) kill(ct *counters, b *bitmap, i int) {
 // non-implication reader below this position forever (the reader's cells
 // must be monotone). This is the source of the 2^−F·F0 estimation floor
 // the paper derives. The supported bit, however, follows the evidence: it
-// is only set when the cell actually witnessed a supported itemset (or a
-// doomed or excluded one, which reached support by construction), so
-// fringe floats do not fabricate F0^sup out of under-supported itemsets.
+// is only set when the cell actually witnessed a supported itemset (or an
+// excluded one, which reached support by construction), so fringe floats
+// do not fabricate F0^sup out of under-supported itemsets. A doomed
+// itemset is no such witness: it is tracked only until its support
+// reaches τ, when it is excluded, so while doomed its σ is below τ.
 func (s *Sketch) pushOut(ct *counters, b *bitmap, i int) {
 	c := b.cells[i]
 	if c != nil && len(c.items) > 0 {
 		b.value[i] = true
-		if c.nSupported > 0 || c.nDoomed > 0 || c.nExcluded > 0 {
+		if c.nSupported > 0 || c.nExcluded > 0 {
 			b.supped[i] = true
 		}
 	}

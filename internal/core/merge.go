@@ -111,7 +111,7 @@ func (s *Sketch) mergeBitmap(ct *counters, dst, src *bitmap) {
 			// any support evidence either side gathered before dropping the
 			// tracking (transient support-only state included).
 			for _, c := range []*cell{dst.cells[i], src.cells[i]} {
-				if c != nil && (c.nSupported > 0 || c.nDoomed > 0 || c.nExcluded > 0) {
+				if c != nil && (c.nSupported > 0 || c.nExcluded > 0) {
 					dst.supped[i] = true
 				}
 			}
