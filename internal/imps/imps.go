@@ -74,9 +74,9 @@ var ErrClosed = errors.New("imps: estimator is closed")
 //
 //   - Every Estimator is at least the serialized class: one partition, the
 //     pair's hashes unused, Add(p.A, p.B) per pair under the statement's
-//     exclusive lock, in arrival order. ILC, Sticky Sampling, Distinct
-//     Sampling — whose state depends on the order of the whole stream, not
-//     per key — sliding windows and the Synchronized wrapper are this class.
+//     exclusive lock, in arrival order. ILC and Distinct Sampling — whose
+//     state depends on the order of the whole stream, not per key — sliding
+//     windows and the Synchronized wrapper are this class.
 //   - A HashedPartitionedAdder is the partition-safe class: the planner
 //     hashes each key once with the estimator's own functions, buckets pairs
 //     along the estimator's own partitions, and concurrent workers apply

@@ -1,11 +1,10 @@
-// Package lossy implements the frequent-itemset baselines of §5: the Lossy
-// Counting and Sticky Sampling algorithms of Manku & Motwani (VLDB 2002)
-// and the paper's implication extensions of both — ILC (Implication Lossy
-// Counting, §5.1) and implication sticky sampling. The paper extends these
-// algorithms to show they cannot answer implication-count queries: their
-// minimum support is inherently relative to the stream length, so the
-// cumulative effect of small implications is lost as the stream grows, and
-// dirty entries accumulate without bound (§5.1.1).
+// Package lossy implements the frequent-itemset baseline of §5: the Lossy
+// Counting algorithm of Manku & Motwani (VLDB 2002) and the paper's
+// implication extension of it, ILC (Implication Lossy Counting, §5.1). The
+// paper extends this algorithm to show it cannot answer implication-count
+// queries: its minimum support is inherently relative to the stream length,
+// so the cumulative effect of small implications is lost as the stream
+// grows, and dirty entries accumulate without bound (§5.1.1).
 package lossy
 
 import (

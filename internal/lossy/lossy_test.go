@@ -186,92 +186,6 @@ func TestILCDirtyEntriesPinned(t *testing.T) {
 	}
 }
 
-func TestStickyValidation(t *testing.T) {
-	if _, err := NewSticky(0.01, 0.1, 0.1, 1); err == nil {
-		t.Error("s < eps accepted")
-	}
-	if _, err := NewSticky(0.1, 0.01, 0, 1); err == nil {
-		t.Error("delta=0 accepted")
-	}
-	if _, err := NewSticky(0.1, 0.01, 0.1, 1); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestStickyFindsHeavyHitters checks the basic guarantee on a skewed stream.
-func TestStickyFindsHeavyHitters(t *testing.T) {
-	const s, eps, delta = 0.05, 0.01, 0.01
-	st := MustSticky(s, eps, delta, 11)
-	truth := map[string]int64{}
-	var n int64
-	rng := rand.New(rand.NewSource(5))
-	for i := 0; i < 100000; i++ {
-		var item string
-		switch r := rng.Float64(); {
-		case r < 0.3:
-			item = "hot1"
-		case r < 0.5:
-			item = "hot2"
-		default:
-			item = fmt.Sprintf("cold%d", rng.Intn(10000))
-		}
-		truth[item]++
-		n++
-		st.Add(item)
-	}
-	reported := map[string]bool{}
-	for _, it := range st.Frequent(s) {
-		reported[it] = true
-	}
-	if !reported["hot1"] || !reported["hot2"] {
-		t.Fatalf("missed heavy hitters: %v", st.Frequent(s))
-	}
-	for it := range reported {
-		if float64(truth[it]) < (s-2*eps)*float64(n) {
-			t.Errorf("false positive %s (count %d)", it, truth[it])
-		}
-	}
-	// Memory stays around 2/ε·log(1/(sδ)) regardless of stream length.
-	if st.Entries() > 4000 {
-		t.Fatalf("entries %d far above the expected bound", st.Entries())
-	}
-}
-
-// TestImplicationStickySmoke exercises the implication extension end to end.
-func TestImplicationStickySmoke(t *testing.T) {
-	cond := imps.Conditions{MaxMultiplicity: 1, MinSupport: 1, TopC: 1, MinTopConfidence: 0.9}
-	iss, err := NewImplicationSticky(cond, 0.05, 0.01, 0.01, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(17))
-	for i := 0; i < 20000; i++ {
-		switch r := rng.Float64(); {
-		case r < 0.3:
-			iss.Add("H", "p")
-		case r < 0.5:
-			iss.Add("V", fmt.Sprintf("q%d", i%2))
-		default:
-			iss.Add(fmt.Sprintf("c%d", rng.Intn(5000)), "x")
-		}
-	}
-	if got := iss.ImplicationCount(); got != 1 {
-		t.Fatalf("ImplicationCount = %v, want 1 (H)", got)
-	}
-	if iss.NonImplicationCount() < 1 {
-		t.Fatal("violator V not marked dirty")
-	}
-	if iss.Tuples() != 20000 {
-		t.Fatalf("Tuples = %d", iss.Tuples())
-	}
-	if iss.MemEntries() <= 0 {
-		t.Fatal("MemEntries not positive")
-	}
-	if iss.SupportedDistinct() < 2 {
-		t.Fatalf("SupportedDistinct = %v", iss.SupportedDistinct())
-	}
-}
-
 func TestILCAccessors(t *testing.T) {
 	cond := imps.Conditions{MaxMultiplicity: 2, MinSupport: 1, TopC: 1, MinTopConfidence: 0.6}
 	ilc := MustILC(cond, 0.05, 0.01)
@@ -300,22 +214,6 @@ func TestILCAccessors(t *testing.T) {
 	}
 }
 
-func TestStickyAccessors(t *testing.T) {
-	st := MustSticky(0.1, 0.01, 0.1, 2)
-	for i := 0; i < 500; i++ {
-		st.Add("hot")
-	}
-	if st.N() != 500 {
-		t.Fatalf("N = %d", st.N())
-	}
-	if st.Count("hot") == 0 {
-		t.Fatal("hot item not tracked")
-	}
-	if st.Count("cold") != 0 {
-		t.Fatal("phantom count")
-	}
-}
-
 func TestLossyCountAbsent(t *testing.T) {
 	c := MustCounter(0.1)
 	if c.Count("nope") != 0 {
@@ -324,15 +222,5 @@ func TestLossyCountAbsent(t *testing.T) {
 	c.Add("x")
 	if c.Count("x") != 1 {
 		t.Fatalf("Count(x) = %d", c.Count("x"))
-	}
-}
-
-func TestImplicationStickyValidation(t *testing.T) {
-	cond := imps.Conditions{MaxMultiplicity: 1, MinSupport: 1, TopC: 1, MinTopConfidence: 0.9}
-	if _, err := NewImplicationSticky(imps.Conditions{}, 0.1, 0.01, 0.1, 1); err == nil {
-		t.Error("zero conditions accepted")
-	}
-	if _, err := NewImplicationSticky(cond, 0.001, 0.01, 0.1, 1); err == nil {
-		t.Error("relSupport < eps accepted")
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"implicate/internal/core"
 	"implicate/internal/imps"
-	"implicate/internal/lossy"
 	"implicate/internal/query"
 	"implicate/internal/stream"
 )
@@ -38,7 +37,7 @@ func addDirect(t *testing.T, schema *stream.Schema, st *query.Statement, ts []st
 // Add, Engine.Process, Engine.ProcessBatch, and the pool behind a fair lane
 // at workers {1,2,4} all leave the engine in the same state —
 // identical marshalled bytes, or for the library-only baselines, which have
-// no checkpoint form (ILC, Sticky, Distinct Sampling), identical answers to
+// no checkpoint form (ILC, Distinct Sampling), identical answers to
 // every read. The statements cover a filter,
 // a single-attribute projection and a two-attribute one.
 func TestIngestContract(t *testing.T) {
@@ -67,9 +66,6 @@ func TestIngestContract(t *testing.T) {
 		{"counter", named["exact"], plain, true, true},
 		{"striped", named["exact-striped"], plain, true, true},
 		{"ilc", named["ilc"], plain, false, false},
-		{"sticky", func(cond imps.Conditions) (imps.Estimator, error) {
-			return lossy.NewImplicationSticky(cond, 0.02, 0.01, 0.1, 7)
-		}, plain, false, false},
 		{"ds", named["ds"], plain, false, false},
 		{"windowed-sketch", named["nips"], windowed, true, false},
 	}

@@ -3,9 +3,9 @@ package implicate
 import "sync"
 
 // Synchronized wraps an estimator with a read-write mutex so multiple
-// goroutines can feed and query it concurrently. ILC, Sticky Sampling,
-// Distinct Sampling and sliding windows are unsynchronized single-writer
-// structures — the paper's per-item cost analysis (§4.6) budgets a handful
+// goroutines can feed and query it concurrently. ILC, Distinct Sampling
+// and sliding windows are unsynchronized single-writer structures — the
+// paper's per-item cost analysis (§4.6) budgets a handful
 // of hash and counter operations per tuple, and their state depends on the
 // order of the whole stream, so no per-key lock could split them — so wrap
 // them only when tuples genuinely arrive from multiple goroutines.
