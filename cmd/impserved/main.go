@@ -10,17 +10,6 @@
 //	impserved -addr :7171 -schema Source,Destination -q "..." \
 //	    -checkpoint node.ckpt -every 100000
 //	impserved -addr :7171 -schema Source,Destination -resume node.ckpt
-//	impserved -addr :7171 -schema Source,Destination -q "..." \
-//	    -tenants acme:3,globex -token-key SECRET -ckpt-dir /var/lib/imps
-//
-// With -tenants, each named tenant gets its own engine, statement
-// registry and checkpoint lineage (<dir>/<tenant>.ckpt under -ckpt-dir),
-// and ingest is drained fair-share by weight. Sessions pin to a tenant by
-// presenting its connect token (printed at startup when -token-key is
-// set); unauthenticated sessions serve the implicit default tenant, so
-// existing producers keep working unchanged. The admin endpoint can
-// create and drop tenants at runtime (POST /tenants, DELETE
-// /tenants/{name}).
 //
 // The ingest queue is bounded (-queue); when it is full the server refuses
 // batches with explicit backpressure replies that well-behaved clients

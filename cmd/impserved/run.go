@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"os/signal"
-	"strconv"
 	"strings"
 	"syscall"
 	"time"
@@ -41,10 +40,6 @@ type config struct {
 	every      int64
 	resume     string
 
-	tenants  string
-	tokenKey string
-	ckptDir  string
-
 	admin      string
 	traceSpans int
 }
@@ -62,9 +57,6 @@ func parseFlags(args []string) (*config, []string, error) {
 	fs.StringVar(&cfg.checkpoint, "checkpoint", "", "write crash-recovery checkpoints to this file")
 	fs.Int64Var(&cfg.every, "every", 0, "checkpoint every N applied tuples (with -checkpoint; 0: only on shutdown)")
 	fs.StringVar(&cfg.resume, "resume", "", "restore engine state from this checkpoint file")
-	fs.StringVar(&cfg.tenants, "tenants", "", "comma-separated named tenants to serve, each NAME[:WEIGHT] (all share -q and -backend); empty: single-tenant")
-	fs.StringVar(&cfg.tokenKey, "token-key", "", "HMAC key signing tenant connect tokens (with -tenants); empty: tokens not checked")
-	fs.StringVar(&cfg.ckptDir, "ckpt-dir", "", "directory for per-tenant checkpoint files <dir>/<tenant>.ckpt (with -tenants)")
 	fs.StringVar(&cfg.admin, "admin", "", "HTTP admin listen address (/metrics, /healthz, /trace, pprof); empty: off. Unauthenticated — bind to loopback")
 	fs.IntVar(&cfg.traceSpans, "trace-spans", 0, "event-tracer ring capacity in spans (4096 is conventional); 0: tracing off")
 	if err := fs.Parse(args); err != nil {
@@ -94,21 +86,6 @@ func (cfg *config) validate() error {
 	if cfg.traceSpans < 0 {
 		return fmt.Errorf("-trace-spans must be >= 0, got %d", cfg.traceSpans)
 	}
-	if cfg.tenants == "" {
-		if cfg.tokenKey != "" {
-			return fmt.Errorf("-token-key has no effect without -tenants")
-		}
-		if cfg.ckptDir != "" {
-			return fmt.Errorf("-ckpt-dir has no effect without -tenants")
-		}
-	} else {
-		if cfg.resume != "" {
-			return fmt.Errorf("-tenants cannot be combined with -resume; named tenants resume from -ckpt-dir")
-		}
-		if _, err := parseTenants(cfg); err != nil {
-			return err
-		}
-	}
 	if cfg.resume != "" {
 		if len(cfg.queries) > 0 {
 			return fmt.Errorf("-resume restores the queries from the checkpoint; drop -q")
@@ -120,38 +97,6 @@ func (cfg *config) validate() error {
 		return fmt.Errorf("missing -q query (or -resume CHECKPOINT)")
 	}
 	return nil
-}
-
-// parseTenants expands -tenants: comma-separated NAME[:WEIGHT] specs, each
-// tenant serving the shared -q statements on the shared -backend. Richer
-// per-tenant shapes (own queries, quotas, budgets) arrive at runtime via
-// the admin endpoint's POST /tenants.
-func parseTenants(cfg *config) ([]implicate.TenantConfig, error) {
-	var out []implicate.TenantConfig
-	for _, spec := range strings.Split(cfg.tenants, ",") {
-		spec = strings.TrimSpace(spec)
-		if spec == "" {
-			continue
-		}
-		name, weight := spec, 0
-		if i := strings.IndexByte(spec, ':'); i >= 0 {
-			w, err := strconv.Atoi(spec[i+1:])
-			if err != nil || w < 1 {
-				return nil, fmt.Errorf("-tenants: bad weight in %q (want NAME[:WEIGHT])", spec)
-			}
-			name, weight = spec[:i], w
-		}
-		out = append(out, implicate.TenantConfig{
-			Name:    name,
-			Queries: cfg.queries,
-			Backend: cfg.backend,
-			Weight:  weight,
-		})
-	}
-	if len(out) == 0 {
-		return nil, fmt.Errorf("-tenants: no tenant names in %q", cfg.tenants)
-	}
-	return out, nil
 }
 
 // buildEngine constructs the engine to serve — fresh from -q, or restored
@@ -208,12 +153,6 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 	if err != nil {
 		return err
 	}
-	var tenants []implicate.TenantConfig
-	if cfg.tenants != "" {
-		if tenants, err = parseTenants(cfg); err != nil {
-			return err
-		}
-	}
 	srv, err := implicate.Serve(implicate.ServerConfig{
 		Addr:            cfg.addr,
 		Schema:          schema,
@@ -223,21 +162,9 @@ func serve(cfg *config, ready chan<- addrs, stop <-chan struct{}, out io.Writer)
 		CheckpointPath:  cfg.checkpoint,
 		CheckpointEvery: cfg.every,
 		TraceSpans:      cfg.traceSpans,
-		TokenKey:        []byte(cfg.tokenKey),
-		Tenants:         tenants,
-		Backends:        implicate.TenantBackends(backends.Table(cfg.seed)),
-		CheckpointDir:   cfg.ckptDir,
 	})
 	if err != nil {
 		return err
-	}
-	if cfg.tokenKey != "" {
-		// Connect tokens are derived, not stored; print them once so the
-		// operator can hand them to producers. The key itself never leaves
-		// the flag.
-		for _, tc := range tenants {
-			fmt.Fprintf(out, "tenant %s token %s\n", tc.Name, implicate.TenantToken([]byte(cfg.tokenKey), tc.Name))
-		}
 	}
 	var admin *implicate.AdminServer
 	if cfg.admin != "" {

@@ -138,29 +138,6 @@ func render(w io.Writer, addr string, prev *frame, cur frame) {
 			h.Quantile(0.50).Round(time.Microsecond), h.Quantile(0.99).Round(time.Microsecond))
 	}
 
-	if len(sn.Tenants) > 0 {
-		fmt.Fprintf(w, "\n%-16s %10s %10s %8s %6s %6s %9s %8s\n",
-			"tenant", "tuples", "batches", "rejected", "quota", "weight", "mem", "queue-hw")
-		for i := range sn.Tenants {
-			ts := &sn.Tenants[i]
-			mem := sizeOf(ts.MemBytes)
-			if ts.MemBudget > 0 {
-				mem += "/" + sizeOf(ts.MemBudget)
-			}
-			var dTen int64
-			if prev != nil {
-				for j := range prev.stats.Tenants {
-					if prev.stats.Tenants[j].Name == ts.Name {
-						dTen = ts.Tuples - prev.stats.Tenants[j].Tuples
-					}
-				}
-			}
-			fmt.Fprintf(w, "%-16s %10s %10d %8d %6d %6d %9s %8d\n",
-				ts.Name, fmt.Sprintf("%d (%s)", ts.Tuples, rate(dTen, dt)),
-				ts.Batches, ts.Rejected, ts.QuotaRefusals, ts.Weight, mem, ts.QueueHighWater)
-		}
-	}
-
 	if len(sn.Workers) > 0 {
 		var total int64
 		for _, ws := range sn.Workers {

@@ -18,21 +18,14 @@
 //     (proto.Type.Idempotent): the reads are, SnapshotMerge is not (merging
 //     twice double-counts) and is never retried on ambiguous failures.
 //
-// Every dial runs a handshake chain before the connection joins the pool:
-// a boot step (proto.TBoot) that records the server incarnation's nonce on
-// the connection, then — for DialTenant clients — an auth step
-// (proto.TAuth) that pins the session to its tenant. Because the chain
-// runs on EVERY dial, a transparent mid-stream redial of a dead pool slot
-// re-establishes the whole session: it can never silently fall back to the
-// default tenant. The fenced variants (IngestFenced, QueryFenced,
+// Every dial runs a boot handshake (proto.TBoot) before the connection
+// joins the pool, recording the server incarnation's nonce on the
+// connection — on the eager first dial and on every transparent redial of
+// a dead pool slot alike. The fenced variants (IngestFenced, QueryFenced,
 // SnapshotFenced, ReadoutFenced) compare the boot nonce before writing
 // anything, so a stateful feeder can guarantee its requests never reach a
 // server that silently restarted from an older checkpoint behind the
 // redial; see ErrIncarnation.
-//
-// A quota refusal (proto.TQuota, multi-tenant servers) is terminal for the
-// call: the batch was refused at admission with no partial state anywhere,
-// and the client does not retry it — see ErrQuota.
 package client
 
 import (
@@ -62,28 +55,6 @@ type RemoteError struct {
 }
 
 func (e *RemoteError) Error() string { return "client: server: " + e.Msg }
-
-// ErrQuota matches (errors.Is) an ingest refusal by the session tenant's
-// admission quota. Unlike backpressure, it is NOT absorbed with retries:
-// the refusal is the tenant's own budget speaking, not transient load, and
-// re-sending on the server's schedule is the caller's policy decision. The
-// concrete error is a *QuotaRefusal carrying the server's retry hint.
-var ErrQuota = errors.New("client: tenant quota exceeded")
-
-// QuotaRefusal is the concrete error behind ErrQuota: the server's
-// admission refusal for one batch. The batch was never planned or
-// enqueued — no partial engine state exists. RetryAfter is the server's
-// hint; zero means retrying cannot help until tenant state changes (a
-// memory ceiling, not a rate).
-type QuotaRefusal struct {
-	Msg        string
-	RetryAfter time.Duration
-}
-
-func (e *QuotaRefusal) Error() string { return "client: quota: " + e.Msg }
-
-// Is makes errors.Is(err, ErrQuota) match.
-func (e *QuotaRefusal) Is(target error) bool { return target == ErrQuota }
 
 // Options tune a client. The zero value is usable.
 type Options struct {
@@ -135,10 +106,6 @@ type Client struct {
 	addr   string
 	schema *stream.Schema
 	opt    Options
-	// tenant/token, when tenant is non-empty, add the auth step to every
-	// dial's handshake chain (DialTenant sets them).
-	tenant string
-	token  string
 
 	mu     sync.Mutex
 	conns  []*conn
@@ -148,27 +115,13 @@ type Client struct {
 
 // Dial connects to addr. schema is required for IngestBatch and may be nil
 // for query/merge/stats-only clients. The first connection is established
-// eagerly so configuration errors surface here. The session serves the
-// server's implicit default tenant; see DialTenant for namespaced
-// sessions.
+// eagerly so configuration errors surface here.
 func Dial(addr string, schema *stream.Schema, opt Options) (*Client, error) {
-	return DialTenant(addr, schema, "", "", opt)
-}
-
-// DialTenant connects like Dial and pins every pooled connection to the
-// named tenant: the dial handshake chain runs a TAuth step after the boot
-// step, presenting token (minted by the server operator from the shared
-// key). The chain runs on every dial — the eager first connection here AND
-// every transparent redial of a dead pool slot — so a connection the pool
-// hands out is always authenticated; a mid-stream redial can never
-// silently serve the default tenant. An empty tenantName skips the auth
-// step entirely (plain Dial).
-func DialTenant(addr string, schema *stream.Schema, tenantName, token string, opt Options) (*Client, error) {
 	opt = opt.withDefaults()
 	if opt.Conns < 1 {
 		return nil, fmt.Errorf("client: pool size %d must be >= 1", opt.Conns)
 	}
-	cl := &Client{addr: addr, schema: schema, opt: opt, tenant: tenantName, token: token, conns: make([]*conn, opt.Conns)}
+	cl := &Client{addr: addr, schema: schema, opt: opt, conns: make([]*conn, opt.Conns)}
 	c, err := cl.dial()
 	if err != nil {
 		return nil, err
@@ -191,10 +144,9 @@ func (cl *Client) Close() error {
 	return nil
 }
 
-// dial establishes one connection and runs the full handshake chain on it
-// before any caller sees it. Each step is a round trip; a step failure
-// kills the connection, so the pool never holds a half-established
-// session.
+// dial establishes one connection and runs the boot handshake on it before
+// any caller sees it; a failed handshake kills the connection, so the pool
+// never holds a half-established session.
 func (cl *Client) dial() (*conn, error) {
 	nc, err := net.DialTimeout("tcp", cl.addr, cl.opt.DialTimeout)
 	if err != nil {
@@ -203,11 +155,9 @@ func (cl *Client) dial() (*conn, error) {
 	c := &conn{nc: nc, pending: make(map[uint64]chan proto.Frame)}
 	c.w = proto.NewWriter(nc, func(err error) { c.close(fmt.Errorf("client: write: %w", err)) })
 	go c.readLoop()
-	for _, step := range []func(*conn) error{cl.bootStep, cl.authStep} {
-		if err := step(c); err != nil {
-			c.close(err)
-			return nil, err
-		}
+	if err := cl.bootStep(c); err != nil {
+		c.close(err)
+		return nil, err
 	}
 	return c, nil
 }
@@ -230,31 +180,6 @@ func (cl *Client) bootStep(c *conn) error {
 	}
 	c.boot = boot.Nonce
 	return nil
-}
-
-// authStep pins a fresh connection to the client's tenant — a no-op for
-// plain Dial sessions. Running inside the dial chain (not once at Dial) is
-// what makes the pool's redials safe: every connection authenticates
-// before it carries a single request.
-func (cl *Client) authStep(c *conn) error {
-	if cl.tenant == "" {
-		return nil
-	}
-	f, err := c.roundTrip(proto.TAuth, proto.AuthReq{Tenant: cl.tenant, Token: cl.token}.Encode(), proto.TraceContext{}, cl.opt.DialTimeout)
-	if err != nil {
-		return fmt.Errorf("client: auth handshake: %w", err)
-	}
-	switch f.Type {
-	case proto.TOK:
-		return nil
-	case proto.TError:
-		msg, derr := proto.DecodeError(f.Payload)
-		if derr != nil {
-			return derr
-		}
-		return fmt.Errorf("client: auth handshake: %s", msg)
-	}
-	return fmt.Errorf("client: unexpected %s reply to auth handshake", f.Type)
 }
 
 // getConn returns a live pooled connection, dialing a replacement for a
@@ -433,12 +358,6 @@ func (cl *Client) ingestReply(f proto.Frame, n int64, attempt int) (done bool, e
 		}
 		cl.backoff(attempt, busy.RetryAfter)
 		return false, nil
-	case proto.TQuota:
-		q, err := proto.DecodeQuota(f.Payload)
-		if err != nil {
-			return true, err
-		}
-		return true, &QuotaRefusal{Msg: q.Msg, RetryAfter: q.RetryAfter}
 	case proto.TError:
 		return true, remoteError(f)
 	}

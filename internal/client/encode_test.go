@@ -282,8 +282,6 @@ func TestABI(t *testing.T) {
 			"\x0e\x00\x00\x00" + "\x01\x09" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
 		{"TBoot frame", request(proto.Frame{Type: proto.TBoot, ID: 9}),
 			"\x0e\x00\x00\x00" + "\x01\x0a" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x00\x00\x00\x00"},
-		{"TAuth frame", request(proto.Frame{Type: proto.TAuth, ID: 9, Payload: proto.AuthReq{Tenant: "acme", Token: "tok"}.Encode()}),
-			"\x1d\x00\x00\x00" + "\x01\x0b" + "\x09\x00\x00\x00\x00\x00\x00\x00" + "\x7f\xa4\x3d\xd5" + "\x04\x00\x00\x00acme" + "\x03\x00\x00\x00tok"},
 		{"ClusterStatus", proto.ClusterStatus{VirtualPartitions: 64, Leaves: []proto.LeafStatus{
 			{Addr: "h:1", State: proto.LeafDown, Epoch: 2, Parts: 22, Journaled: 5, Acked: 3},
 		}}.Encode(),

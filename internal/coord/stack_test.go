@@ -15,7 +15,6 @@ import (
 	"implicate/internal/gen"
 	"implicate/internal/proto"
 	"implicate/internal/stream"
-	"implicate/internal/tenant"
 )
 
 // TestThreeTierFleet is the paper's §2 tree one level deeper, all of it
@@ -170,14 +169,13 @@ var roleRefusals = map[string]map[proto.Type]string{
 	},
 	"coordinator": {
 		proto.TMerge: "the fleet's state lives in its leaves, so a pushed sketch has nowhere to go; pull with Snapshot instead",
-		proto.TAuth:  "a coordinator serves one tenant: it has no multi-tenant routing",
 	},
 }
 
 // TestRoleMatrix sends one well-formed frame of every request type proto
 // declares to a leaf server and to a coordinator front-end, and checks each
 // role answers it or refuses it as roleRefusals says. Every undeclared
-// request number below TOK — the reserved 0x07 among them — must get a
+// request number below TOK — the reserved 0x07 and 0x0b among them — must get a
 // TError from each role, and the connection must then still answer a
 // well-formed TQuery.
 func TestRoleMatrix(t *testing.T) {
@@ -210,11 +208,12 @@ func TestRoleMatrix(t *testing.T) {
 		proto.TSnapshot: stmt0,
 		proto.TCluster:  nil,
 		proto.TBoot:     nil,
-		proto.TAuth:     proto.AuthReq{Tenant: tenant.DefaultName}.Encode(),
 		proto.TReadout:  stmt0,
 	}
-	if reserved := proto.Type(0x07); !strings.HasPrefix(reserved.String(), "Type(") {
-		t.Errorf("reserved request number 0x07 is declared as %s", reserved)
+	for _, reserved := range []proto.Type{0x07, 0x0b} {
+		if !strings.HasPrefix(reserved.String(), "Type(") {
+			t.Errorf("reserved request number %#02x is declared as %s", uint8(reserved), reserved)
+		}
 	}
 	for i := range int(proto.TOK) {
 		typ := proto.Type(i)

@@ -2,7 +2,6 @@ package obs
 
 import (
 	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -20,30 +19,6 @@ type AdminState interface {
 	StatsSnapshot() telemetry.Snapshot
 	HealthReports() []imps.HealthReport
 	TraceSpans() []Span
-}
-
-// TenantSpec is the JSON body of POST /tenants — the wire shape of a
-// tenant declaration. It mirrors tenant.Config field for field; obs cannot
-// import internal/tenant (the dependency runs server → obs), so the server
-// does the conversion.
-type TenantSpec struct {
-	Name      string   `json:"name"`
-	Queries   []string `json:"queries"`
-	Backend   string   `json:"backend"`
-	MemBudget int64    `json:"mem_budget,omitempty"`
-	Rate      float64  `json:"rate,omitempty"`
-	Burst     float64  `json:"burst,omitempty"`
-	Weight    int      `json:"weight,omitempty"`
-	QueueLen  int      `json:"queue_len,omitempty"`
-}
-
-// TenantAdmin is the optional tenant-lifecycle surface of an AdminState.
-// When the state implements it, NewAdminMux registers POST /tenants and
-// DELETE /tenants/{name}, and /healthz lists per-tenant health lines.
-type TenantAdmin interface {
-	CreateTenant(spec TenantSpec) error
-	DropTenant(name string) error
-	TenantStats() []telemetry.TenantStats
 }
 
 // jsonSpan is a span rendered for the /trace dump: kind named, times
@@ -101,8 +76,7 @@ func adminMux(spans func() []FleetSpan) *http.ServeMux {
 }
 
 // NewAdminMux returns the impserved admin handler: Prometheus-text
-// /metrics, a trivial /healthz, tenant lifecycle routes when st manages
-// tenants, and the shared /trace and pprof skeleton.
+// /metrics, a trivial /healthz, and the shared /trace and pprof skeleton.
 func NewAdminMux(st AdminState) *http.ServeMux {
 	mux := adminMux(func() []FleetSpan {
 		// A single node's spans carry no node label.
@@ -119,43 +93,10 @@ func NewAdminMux(st AdminState) *http.ServeMux {
 		// WriteMetrics just stops early.
 		_ = WriteMetrics(w, st.StatsSnapshot(), st.HealthReports())
 	})
-	ta, _ := st.(TenantAdmin)
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 		_, _ = w.Write([]byte("ok\n"))
-		if ta == nil {
-			return
-		}
-		// Single-tenant servers answer exactly "ok\n" (probes and tests pin
-		// that); one line per tenant follows only when tenants exist.
-		for _, ts := range ta.TenantStats() {
-			fmt.Fprintf(w, "tenant %s tuples=%d batches=%d rejected=%d quota_refusals=%d mem=%d/%d queue_hw=%d\n",
-				ts.Name, ts.Tuples, ts.Batches, ts.Rejected, ts.QuotaRefusals, ts.MemBytes, ts.MemBudget, ts.QueueHighWater)
-		}
 	})
-	if ta != nil {
-		mux.HandleFunc("POST /tenants", func(w http.ResponseWriter, r *http.Request) {
-			var spec TenantSpec
-			if err := json.NewDecoder(r.Body).Decode(&spec); err != nil {
-				http.Error(w, err.Error(), http.StatusBadRequest)
-				return
-			}
-			if err := ta.CreateTenant(spec); err != nil {
-				http.Error(w, err.Error(), http.StatusConflict)
-				return
-			}
-			w.WriteHeader(http.StatusCreated)
-			fmt.Fprintf(w, "created %s\n", spec.Name)
-		})
-		mux.HandleFunc("DELETE /tenants/{name}", func(w http.ResponseWriter, r *http.Request) {
-			name := r.PathValue("name")
-			if err := ta.DropTenant(name); err != nil {
-				http.Error(w, err.Error(), http.StatusNotFound)
-				return
-			}
-			fmt.Fprintf(w, "dropped %s\n", name)
-		})
-	}
 	return mux
 }
 
@@ -177,9 +118,8 @@ func listen(addr string, h http.Handler) (*AdminServer, error) {
 }
 
 // ListenAdmin binds addr and serves the admin mux for st in a background
-// goroutine. The admin endpoint is unauthenticated (and, when st
-// implements TenantAdmin, carries tenant lifecycle routes) — bind it to
-// loopback or an operations network, never the ingest address.
+// goroutine. The admin endpoint is unauthenticated — bind it to loopback
+// or an operations network, never the ingest address.
 func ListenAdmin(addr string, st AdminState) (*AdminServer, error) {
 	return listen(addr, NewAdminMux(st))
 }

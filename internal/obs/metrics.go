@@ -53,38 +53,6 @@ func WriteMetrics(w io.Writer, sn telemetry.Snapshot, health []imps.HealthReport
 		}
 	}
 
-	if len(sn.Tenants) > 0 {
-		tenantGauges := []struct {
-			name, help string
-			typ        string
-			value      func(t *telemetry.TenantStats) float64
-		}{
-			{"imps_tenant_tuples_total", "Tuples applied, per tenant.", "counter",
-				func(t *telemetry.TenantStats) float64 { return float64(t.Tuples) }},
-			{"imps_tenant_batches_total", "Batches admitted to the tenant's lane.", "counter",
-				func(t *telemetry.TenantStats) float64 { return float64(t.Batches) }},
-			{"imps_tenant_batches_rejected_total", "Batches refused with a backpressure reply, per tenant.", "counter",
-				func(t *telemetry.TenantStats) float64 { return float64(t.Rejected) }},
-			{"imps_tenant_quota_refusals_total", "Batches refused at admission by the tenant's quota.", "counter",
-				func(t *telemetry.TenantStats) float64 { return float64(t.QuotaRefusals) }},
-			{"imps_tenant_mem_bytes", "Tenant's self-assessed estimator memory.", "gauge",
-				func(t *telemetry.TenantStats) float64 { return float64(t.MemBytes) }},
-			{"imps_tenant_mem_budget_bytes", "Tenant's declared memory ceiling (0: unlimited).", "gauge",
-				func(t *telemetry.TenantStats) float64 { return float64(t.MemBudget) }},
-			{"imps_tenant_weight", "Tenant's fair-share dispatch weight.", "gauge",
-				func(t *telemetry.TenantStats) float64 { return float64(t.Weight) }},
-			{"imps_tenant_queue_high_water", "Deepest the tenant's ingest lane has been.", "gauge",
-				func(t *telemetry.TenantStats) float64 { return float64(t.QueueHighWater) }},
-		}
-		for _, g := range tenantGauges {
-			mw.help(g.name, g.help, g.typ)
-			for i := range sn.Tenants {
-				t := &sn.Tenants[i]
-				mw.series(g.name, fmt.Sprintf(`tenant="%s"`, escapeLabel(t.Name)), g.value(t))
-			}
-		}
-	}
-
 	stmtGauges := []struct {
 		name, help string
 		typ        string
@@ -166,7 +134,7 @@ func formatValue(v float64) string {
 // format: backslash, double quote and newline are the three characters a
 // quoted label value cannot carry literally. Everything in this repo's own
 // label vocabulary is already clean — this guards values that originate
-// outside it (tenant names, estimator kinds, leaf names).
+// outside it (estimator kinds, leaf names).
 func escapeLabel(s string) string {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c == '\\' || c == '"' || c == '\n' {

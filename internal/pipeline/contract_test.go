@@ -34,8 +34,8 @@ func addDirect(t *testing.T, schema *stream.Schema, st *query.Statement, ts []st
 }
 
 // TestIngestContract is the one-path contract over every backend: per-tuple
-// Add, Engine.Process, Engine.ProcessBatch, and the pool behind a fair lane
-// at workers {1,2,4} all leave the engine in the same state —
+// Add, Engine.Process, Engine.ProcessBatch, and the pool behind the ingest
+// queue at workers {1,2,4} all leave the engine in the same state —
 // identical marshalled bytes, or for the library-only baselines, which have
 // no checkpoint form (ILC, Distinct Sampling), identical answers to
 // every read. The statements cover a filter,
@@ -132,7 +132,7 @@ func TestIngestContract(t *testing.T) {
 
 			for _, workers := range []int{1, 2, 4} {
 				eng := newEngine()
-				feedFair(t, eng, batches, workers)
+				feedQueue(t, eng, batches, workers)
 				if !bytes.Equal(state(eng), want) {
 					t.Errorf("pool workers=%d diverged from per-tuple Add", workers)
 				}

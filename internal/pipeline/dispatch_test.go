@@ -3,13 +3,9 @@ package pipeline
 import (
 	"bytes"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"implicate/internal/imps"
-	"implicate/internal/obs"
 	"implicate/internal/query"
 	"implicate/internal/snapshot"
 	"implicate/internal/stream"
@@ -97,40 +93,38 @@ func runDirect(t *testing.T, backend query.Backend, batches [][]stream.Tuple, wo
 	return blobs
 }
 
-// feedFair drives batches through a Fair lane over a pool of the given
+// feedQueue drives batches through a Queue over a pool of the given
 // size, and returns once all are applied.
-func feedFair(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers int) {
+func feedQueue(t *testing.T, eng *query.Engine, batches [][]stream.Tuple, workers int) {
 	t.Helper()
 	pool, err := New(eng, Config{Workers: workers})
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := NewFair()
-	l := f.AddLane(1, 8, pool, nil)
+	q := NewQueue(pool, 8, nil, nil)
 	for _, ts := range batches {
-		if _, ok := l.Enqueue(pool.Plan(ts)); !ok {
-			t.Fatal("lane refused an enqueue")
+		if _, ok := q.Enqueue(pool.Plan(ts)); !ok {
+			t.Fatal("queue refused an enqueue")
 		}
 	}
-	f.RemoveLane(l)
-	f.Close()
+	q.Close()
 	pool.Fence()
 	pool.Close()
 }
 
-// runFair feeds the property suite through feedFair and returns the
+// runQueue feeds the property suite through feedQueue and returns the
 // per-statement state blobs.
-func runFair(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers int) [][]byte {
+func runQueue(t *testing.T, backend query.Backend, batches [][]stream.Tuple, workers int) [][]byte {
 	t.Helper()
 	eng := query.NewEngine(testSchema(t))
 	registerPropSuite(t, eng, backend)
-	feedFair(t, eng, batches, workers)
+	feedQueue(t, eng, batches, workers)
 	return estBlobs(t, eng)
 }
 
 // TestDispatchDeterminism is the dispatch property test: for every
 // partition-safe backend, engine state is bit-identical across
-// {Pool.Dispatch, fair lane} × workers {1,2,4,8} × {hashed, generic}
+// {Pool.Dispatch, ingest queue} × workers {1,2,4,8} × {hashed, generic}
 // Apply, and every combination equals the serial reference.
 func TestDispatchDeterminism(t *testing.T) {
 	batches := workload(24, 300)
@@ -161,84 +155,11 @@ func TestDispatchDeterminism(t *testing.T) {
 					if got := runDirect(t, backend, batches, workers); !blobsEqual(got, want) {
 						t.Errorf("%s: Pool.Dispatch state diverged from serial", label)
 					}
-					if got := runFair(t, backend, batches, workers); !blobsEqual(got, want) {
-						t.Errorf("%s: fair-lane state diverged from serial", label)
+					if got := runQueue(t, backend, batches, workers); !blobsEqual(got, want) {
+						t.Errorf("%s: queued state diverged from serial", label)
 					}
 				}
 			}
 		})
-	}
-}
-
-// TestDispatchMultiTenant checks that DRR interleaving across lanes never
-// leaks into per-tenant state: two lanes with unequal weights, fed
-// concurrently, each finish bit-identical to their own serial reference.
-// Lane 1 fences its pool after every batch from its after hook — the
-// server's periodic-checkpoint shape.
-func TestDispatchMultiTenant(t *testing.T) {
-	batches := workload(30, 200)
-	backend := backends(9)["sharded"]
-	serial := query.NewEngine(testSchema(t))
-	registerPropSuite(t, serial, backend)
-	for _, ts := range batches {
-		serial.ProcessBatch(ts)
-	}
-	want, err := serial.MarshalBinary()
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewFair()
-	engines := make([]*query.Engine, 2)
-	pools := make([]*Pool, 2)
-	lanes := make([]*Lane, 2)
-	var fences atomic.Int64
-	for i := range engines {
-		engines[i] = query.NewEngine(testSchema(t))
-		registerPropSuite(t, engines[i], backend)
-		pool, err := New(engines[i], Config{Workers: 4})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools[i] = pool
-		var after func(obs.Link, int, time.Time)
-		if i == 1 {
-			after = func(obs.Link, int, time.Time) {
-				pool.Fence()
-				fences.Add(1)
-			}
-		}
-		lanes[i] = f.AddLane(1+2*i, 4, pool, after)
-	}
-	var wg sync.WaitGroup
-	for i := range lanes {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			for _, ts := range batches {
-				if _, ok := lanes[i].Enqueue(pools[i].Plan(ts)); !ok {
-					t.Error("lane refused an enqueue")
-					return
-				}
-			}
-		}(i)
-	}
-	wg.Wait()
-	for i := range lanes {
-		f.RemoveLane(lanes[i])
-	}
-	f.Close()
-	if n := fences.Load(); n != int64(len(batches)) {
-		t.Errorf("after hook fenced %d times, want %d", n, len(batches))
-	}
-	for i := range engines {
-		pools[i].Fence()
-		got, err := engines[i].MarshalBinary()
-		if err != nil {
-			t.Fatal(err)
-		}
-		pools[i].Close()
-		if !bytes.Equal(got, want) {
-			t.Errorf("lane %d: state diverged from serial", i)
-		}
 	}
 }

@@ -1,6 +1,6 @@
 // Package proto is the wire protocol of the serving layer: length-prefixed
 // binary frames over TCP carrying the requests of the ingest/query server
-// and the coordinator (types 0x01–0x0c) and their responses (0x10–0x14).
+// and the coordinator (types 0x01–0x0c) and their responses (0x10–0x13).
 // The type table (types, below the Type constants) is the one place a
 // message type is declared: its name, whether a client may retry it, and
 // the telemetry histogram it is observed in.
@@ -122,14 +122,8 @@ const (
 	// against a server that silently restarted from an older checkpoint —
 	// see client.IngestFenced.
 	TBoot Type = 0x0a
-	// TAuth establishes a tenant session: the payload names a tenant and
-	// carries its HMAC connect-token, and a TOK reply pins the connection to
-	// that tenant for its remaining life — every later request on the
-	// connection reads and writes that tenant's engine. A connection that
-	// never sends TAuth serves the default tenant, which is how servers
-	// without configured tenants stay wire-compatible with older clients.
-	// A pinned connection rejects a second TAuth (sessions do not migrate).
-	TAuth Type = 0x0b
+	// 0x0b is reserved: it was the session request of retired multi-tenant
+	// serving, and is never reused.
 	// TReadout asks for one statement's readout: a small fixed-size record
 	// per bitmap the statement's sketch has observed, the terms every
 	// estimator read folds over (core.Readout). It is the fleet query path
@@ -150,13 +144,8 @@ const (
 	// Every rejected batch is reported this way — the server never drops
 	// an acknowledged batch and never silently drops an unacknowledged one.
 	TBusy Type = 0x13
-	// TQuota is the admission-control refusal: the batch would exceed the
-	// connection's tenant quota (ingest rate or memory budget) and was NOT
-	// enqueued — no partial state was created. Unlike TBusy, which signals a
-	// transient full queue, TQuota signals a policy limit: the payload names
-	// the quota hit and hints when capacity may return. Neighbour tenants
-	// are unaffected, which is the reply's whole point.
-	TQuota Type = 0x14
+	// 0x14 is reserved: it was the quota refusal of retired multi-tenant
+	// serving, and is never reused.
 )
 
 // typeInfo is one message type's row of the type table: every fact about a
@@ -175,7 +164,8 @@ type typeInfo struct {
 }
 
 // types is the type table, indexed by Type; an undeclared type's row is
-// zero. 0x07 is reserved (see the constants) and must stay undeclared.
+// zero. 0x07, 0x0b and 0x14 are reserved (see the constants) and must stay
+// undeclared.
 var types = [256]typeInfo{
 	TIngest:   {name: "IngestBatch", rpc: telemetry.RPCIngest, observed: true},
 	TQuery:    {name: "Query", idempotent: true, rpc: telemetry.RPCQuery, observed: true},
@@ -186,7 +176,6 @@ var types = [256]typeInfo{
 	TSnapshot: {name: "Snapshot", idempotent: true, rpc: telemetry.RPCSnapshot, observed: true},
 	TCluster:  {name: "Cluster", idempotent: true},
 	TBoot:     {name: "Boot", idempotent: true, rpc: telemetry.RPCBoot, observed: true},
-	TAuth:     {name: "Auth", rpc: telemetry.RPCAuth, observed: true},
 	// A readout is a query's read, shipped for the caller to fold: it is
 	// observed as one, so the telemetry format has no RPC of its own.
 	TReadout: {name: "Readout", idempotent: true, rpc: telemetry.RPCQuery, observed: true},
@@ -194,7 +183,6 @@ var types = [256]typeInfo{
 	TResult:  {name: "Result"},
 	TError:   {name: "Error"},
 	TBusy:    {name: "Busy"},
-	TQuota:   {name: "Quota"},
 }
 
 // String names the message type for error reports.
@@ -404,73 +392,6 @@ func DecodeBoot(data []byte) (Boot, error) {
 		return Boot{}, fmt.Errorf("proto: boot reply: %w", err)
 	}
 	return b, nil
-}
-
-// maxTenantLen bounds a tenant name on the wire; maxTokenLen bounds the
-// connect-token (a hex HMAC-SHA256 is 64 bytes, leave headroom for other
-// token schemes).
-const (
-	maxTenantLen = 256
-	maxTokenLen  = 1024
-)
-
-// AuthReq is the TAuth request payload: the tenant to pin the connection to
-// and its connect-token (tenant.Token's HMAC, or empty against a server
-// running without a token key).
-type AuthReq struct {
-	Tenant string
-	Token  string
-}
-
-// Encode serializes the request payload.
-func (a AuthReq) Encode() []byte {
-	e := wire.NewEncoder(8 + len(a.Tenant) + len(a.Token))
-	e.Str(a.Tenant)
-	e.Str(a.Token)
-	return e.Bytes()
-}
-
-// DecodeAuthReq parses a TAuth payload.
-func DecodeAuthReq(data []byte) (AuthReq, error) {
-	d := wire.NewDecoder(data)
-	a := AuthReq{Tenant: d.Str(maxTenantLen), Token: d.Str(maxTokenLen)}
-	if err := d.Done(); err != nil {
-		return AuthReq{}, fmt.Errorf("proto: auth request: %w", err)
-	}
-	return a, nil
-}
-
-// Quota is the admission-control refusal payload: which quota the batch hit
-// and a hint for when capacity may return (zero when the limit is not
-// time-based, e.g. a memory budget).
-type Quota struct {
-	Msg        string
-	RetryAfter time.Duration
-}
-
-// Encode serializes the refusal payload (millisecond resolution, like Busy).
-func (q Quota) Encode() []byte {
-	ms := q.RetryAfter.Milliseconds()
-	if ms < 0 {
-		ms = 0
-	}
-	if ms > 1<<31 {
-		ms = 1 << 31
-	}
-	e := wire.NewEncoder(8 + len(q.Msg))
-	e.U32(uint32(ms))
-	e.Str(q.Msg)
-	return e.Bytes()
-}
-
-// DecodeQuota parses a TQuota payload.
-func DecodeQuota(data []byte) (Quota, error) {
-	d := wire.NewDecoder(data)
-	q := Quota{RetryAfter: time.Duration(d.U32()) * time.Millisecond, Msg: d.Str(maxErrorLen)}
-	if err := d.Done(); err != nil {
-		return Quota{}, fmt.Errorf("proto: quota reply: %w", err)
-	}
-	return q, nil
 }
 
 // Busy is the backpressure reply payload: the suggested delay before the

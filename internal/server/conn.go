@@ -20,18 +20,7 @@ import (
 	"implicate/internal/proto"
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
-	"implicate/internal/tenant"
 )
-
-// connState is the per-connection session: which tenant requests resolve
-// against, and whether a TAuth frame has pinned it. Only the reader
-// goroutine touches it, so it needs no lock. Every connection starts on
-// the implicit default tenant — a client that never authenticates sees
-// exactly the single-tenant server.
-type connState struct {
-	tenant *tenant.Tenant
-	authed bool
-}
 
 func (s *Server) serveConn(c net.Conn) {
 	defer s.connWG.Done()
@@ -43,7 +32,6 @@ func (s *Server) serveConn(c net.Conn) {
 		}
 	})
 	defer w.Close()
-	cs := &connState{tenant: s.def}
 	fr := proto.NewFrameReader(c)
 	for {
 		f, err := fr.Next()
@@ -56,10 +44,10 @@ func (s *Server) serveConn(c net.Conn) {
 		// f.Payload aliases the FrameReader's buffer: every handler below
 		// finishes with it (or copies out of it) before the next Next call.
 		if f.Type == proto.TIngest {
-			s.handleIngestFast(f, cs, w)
+			s.handleIngestFast(f, w)
 			continue
 		}
-		if w.Write(s.handle(f, cs)) != nil {
+		if w.Write(s.handle(f)) != nil {
 			// A handler produced a payload no frame can carry (a write
 			// error fails this too, and the fail hook has closed c).
 			w.Write(proto.ErrorFrame(f.ID, "reply exceeds the frame size limit"))
@@ -68,19 +56,19 @@ func (s *Server) serveConn(c net.Conn) {
 }
 
 // handleIngestFast is the reader-side ingest path: lease a recycled batch
-// from the tenant's pool, decode straight from the frame buffer into its
+// from the pool, decode straight from the frame buffer into its
 // arena, plan on this goroutine, enqueue, and queue the reply on the
 // connection's writer. In steady state the only per-frame allocation left
 // is the batch's record string (which the decoded keys alias); every other
 // buffer — tuples, partition buckets, tasks — is the leased batch's warm
 // memory, returned to the pool when the batch's last statement applies.
-func (s *Server) handleIngestFast(f proto.Frame, cs *connState, w *proto.Writer) {
+func (s *Server) handleIngestFast(f proto.Frame, w *proto.Writer) {
 	start := time.Now()
 	// The inbound trace context (zero on untraced frames) parents every
 	// span this batch produces — plan, dispatch, apply, and the RPC span —
 	// so a coordinator's delivery span adopts the whole leaf-side story.
 	link := obs.Link{Trace: f.TC.Trace, Parent: f.TC.Parent}
-	b := cs.tenant.Pool.NewBatch()
+	b := s.pool.NewBatch()
 	tuples, err := s.decodeBatch(b.Arena(), f.Payload)
 	switch {
 	case err != nil:
@@ -90,7 +78,7 @@ func (s *Server) handleIngestFast(f proto.Frame, cs *connState, w *proto.Writer)
 		b.Release()
 		w.Write(proto.ErrorFrame(f.ID, "ingest: server is shutting down"))
 	default:
-		s.admitIngest(w, cs.tenant, f.ID, b, tuples, link, start)
+		s.admitIngest(w, f.ID, b, tuples, link)
 	}
 	// One clock read serves both the latency histogram and the RPC span,
 	// mirroring the control-plane handler.
@@ -99,23 +87,16 @@ func (s *Server) handleIngestFast(f proto.Frame, cs *connState, w *proto.Writer)
 	s.tracer.RecordLinked(link, obs.SpanRPC, int(telemetry.RPCIngest), 0, start, dur)
 }
 
-// admitIngest runs the tenant admission sequence for one decoded batch and
-// queues its reply: quota check first (a refusal is a TQuota reply carrying
-// the retry hint, charged before planning so no partial state exists
-// anywhere), then plan, then the lane offer — blocking or busy-refusing per
-// Config.BlockOnFull. Every refusal path releases the leased batch; a
-// successful enqueue transfers ownership to the dispatcher, so nothing here
-// touches b after the lane accepts it. Acks and busy replies are encoded in
-// place into the writer's buffer. Reply errors are not checked here: a
-// failed writer has already closed the connection through its fail hook,
-// which ends the reader.
-func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pipeline.Batch, tuples []stream.Tuple, link obs.Link, now time.Time) {
+// admitIngest plans one decoded batch and offers it to the queue —
+// blocking or busy-refusing per Config.BlockOnFull — then queues its reply.
+// Every refusal path releases the leased batch; a successful enqueue
+// transfers ownership to the dispatcher, so nothing here touches b after
+// the queue accepts it. Acks and busy replies are encoded in place into the
+// writer's buffer. Reply errors are not checked here: a failed writer has
+// already closed the connection through its fail hook, which ends the
+// reader.
+func (s *Server) admitIngest(w *proto.Writer, id uint64, b *pipeline.Batch, tuples []stream.Tuple, link obs.Link) {
 	n := int64(len(tuples))
-	if q := t.Admit(len(tuples), now); q != nil {
-		b.Release()
-		w.Write(proto.Frame{Type: proto.TQuota, ID: id, Payload: proto.Quota{Msg: q.Msg, RetryAfter: q.RetryAfter}.Encode()})
-		return
-	}
 	// Plan on this goroutine — filters, projections, partition hashing
 	// (once, forwarded to the estimators) — into the leased batch's
 	// recycled buffers. The link (zero when the frame carried no trace
@@ -126,17 +107,16 @@ func (s *Server) admitIngest(w *proto.Writer, t *tenant.Tenant, id uint64, b *pi
 		planStart = time.Now()
 		b.SetLink(link)
 	}
-	t.Pool.PlanInto(b, tuples)
+	s.pool.PlanInto(b, tuples)
 	if s.tracer != nil {
 		s.tracer.SpanLinked(link, obs.SpanPlan, -1, n, planStart)
 	}
-	if !s.enqueue(t, b) {
+	if !s.enqueue(b) {
 		b.Release()
-		if t.Lane.Closed() {
-			w.Write(proto.ErrorFrame(id, "ingest: tenant dropped or server shutting down"))
+		if s.queue.Closed() {
+			w.Write(proto.ErrorFrame(id, "ingest: server is shutting down"))
 			return
 		}
-		t.AddRejected()
 		s.tel.AddRejectedBatch()
 		w.WriteFunc(proto.TBusy, id, proto.Busy{RetryAfter: s.cfg.RetryAfter}.AppendTo)
 		return
@@ -171,23 +151,21 @@ func (s *Server) decodeBatch(ar *stream.RecordArena, payload []byte) ([]stream.T
 	return ar.DecodeBinaryRecords(payload[n:], s.arity, s.cfg.MaxBatchTuples)
 }
 
-// enqueue offers a planned batch to the tenant's lane and records an
-// admitted batch in the tenant and server counters. Under
-// Config.BlockOnFull it waits for lane room, holding up this tenant's
-// producers only, so pipelined frames are never refused or reordered by a
-// re-send. The wait always ends, because the dispatcher keeps draining,
-// shutdown included. Otherwise a full lane refuses at once. False means the
-// batch was not admitted and still belongs to the caller.
-func (s *Server) enqueue(t *tenant.Tenant, b *pipeline.Batch) bool {
+// enqueue offers a planned batch to the queue and records an admitted
+// batch in the server counters. Under Config.BlockOnFull it waits for
+// queue room, so pipelined frames are never refused or reordered by a
+// re-send; the wait always ends, because the dispatcher keeps draining,
+// shutdown included. Otherwise a full queue refuses at once. False means
+// the batch was not admitted and still belongs to the caller.
+func (s *Server) enqueue(b *pipeline.Batch) bool {
 	var depth int
 	var ok bool
 	if s.cfg.BlockOnFull {
-		depth, ok = t.Lane.Enqueue(b)
+		depth, ok = s.queue.Enqueue(b)
 	} else {
-		depth, ok = t.Lane.TryEnqueue(b)
+		depth, ok = s.queue.TryEnqueue(b)
 	}
 	if ok {
-		t.AddBatch()
 		s.tel.AddBatch()
 		s.tel.ObserveQueueDepth(depth)
 	}

@@ -67,8 +67,8 @@ func TestServerHealthAndTrace(t *testing.T) {
 		if i > 0 && spans[i-1].Seq >= sp.Seq {
 			t.Fatalf("spans out of order: %d then %d", spans[i-1].Seq, sp.Seq)
 		}
-		if sp.Kind == obs.SpanApply && (sp.Arg < 0 || int(sp.Arg) >= srv.def.Pool.Workers()) {
-			t.Fatalf("apply span attributes worker %d of %d", sp.Arg, srv.def.Pool.Workers())
+		if sp.Kind == obs.SpanApply && (sp.Arg < 0 || int(sp.Arg) >= srv.pool.Workers()) {
+			t.Fatalf("apply span attributes worker %d of %d", sp.Arg, srv.pool.Workers())
 		}
 	}
 	// Three ingested batches must have left plan, dispatch and apply spans;

@@ -1,45 +1,32 @@
 // Package server is the network face of the query engine: a TCP server
-// speaking internal/proto that feeds one or more engines from remote
-// producers and answers implication queries, sketch merges and telemetry
-// reads.
+// speaking internal/proto that feeds one engine from remote producers and
+// answers implication queries, sketch merges and telemetry reads.
 //
 // Architecture: one accept loop, one reader and one writer goroutine per
-// connection, one fair-share dispatcher, and a pipeline worker pool per
-// tenant (internal/pipeline). Connection readers decode AND plan ingest
-// batches — filters, projections and partition hashing run concurrently
-// per connection — and hand the planned batches to their tenant's bounded
-// lane; the dispatcher drains the lanes deficit-round-robin and feeds each
-// tenant's pool in lane-arrival order, which is all the ordering the
-// engine's estimators need for bit-identical-to-serial results (DESIGN.md
-// §10). Replies flow through the per-connection proto.Writer, which
-// coalesces pending acks into single writes (conn.go). When a lane is full
-// the batch is refused with an explicit backpressure reply (proto.TBusy)
-// and NOT enqueued — the client retries. (Pipelined producers that need
-// strict per-connection ordering set Config.BlockOnFull instead: the reader
-// then blocks for lane room, so no batch is ever refused and re-sent out of
-// order.) An acknowledged batch is never dropped: graceful shutdown drains
-// every lane through its pool before the final checkpoints are written.
+// connection, one bounded ingest queue drained by one dispatcher goroutine,
+// and one pipeline worker pool (internal/pipeline). Connection readers
+// decode AND plan ingest batches — filters, projections and partition
+// hashing run concurrently per connection — and hand the planned batches to
+// the queue; the dispatcher feeds the pool in queue-arrival order, which is
+// all the ordering the engine's estimators need for bit-identical-to-serial
+// results (DESIGN.md §7). Replies flow through the per-connection
+// proto.Writer, which coalesces pending acks into single writes (conn.go).
+// When the queue is full the batch is refused with an explicit
+// backpressure reply (proto.TBusy) and NOT enqueued — the client retries.
+// (Pipelined producers that need strict per-connection ordering set
+// Config.BlockOnFull instead: the reader then blocks for queue room, so no
+// batch is ever refused and re-sent out of order.) An acknowledged batch is
+// never dropped: graceful shutdown drains the queue through the pool
+// before the final checkpoint is written.
 //
-// Multi-tenancy (DESIGN.md §13): every server carries an implicit default
-// tenant wrapping Config.Engine — exactly the single-tenant behavior older
-// clients see, no TAuth required. Named tenants (Config.Tenants, or the
-// admin endpoint's POST /tenants) each own an engine, statement registry,
-// checkpoint lineage (<CheckpointDir>/<name>.ckpt) and counters. A
-// connection serves the default tenant until a TAuth frame pins it to a
-// namespace — HMAC-SHA256 connect tokens, verified against Config.TokenKey
-// — and every request after the pin resolves against that tenant alone.
-// Per-tenant ingest quotas (token-bucket rate, memory ceiling) refuse at
-// admission with proto.TQuota before planning or enqueueing, so a refused
-// batch leaves no partial engine state and no neighbor pays for it.
-//
-// Reads never stall ingestion: Query and Stats answer under the tenant's
+// Reads never stall ingestion: Query and Stats answer under the server's
 // read lock (plus the per-statement read locks of query.Statement.Count),
 // while workers keep applying batches; only merges and checkpoint captures
-// take a tenant's write lock, and captures first fence that tenant's pool
-// so no task is in flight.
+// take the write lock, and captures first fence the pool so no task is in
+// flight.
 //
 // Durability composes with the network path exactly as with file streams
-// (DESIGN.md §8): each tenant checkpoints its engine every CheckpointEvery
+// (DESIGN.md §8): the server checkpoints its engine every CheckpointEvery
 // applied tuples and once more on graceful shutdown. The checkpoint offset
 // is the engine's applied-tuple count; a producer recovering a crashed
 // server replays its tuple sequence from that offset. Acknowledgements
@@ -50,11 +37,11 @@ import (
 	"fmt"
 	"net"
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"implicate/internal/checkpoint"
 	"implicate/internal/core"
 	"implicate/internal/imps"
 	"implicate/internal/obs"
@@ -63,7 +50,6 @@ import (
 	"implicate/internal/query"
 	"implicate/internal/stream"
 	"implicate/internal/telemetry"
-	"implicate/internal/tenant"
 )
 
 // drainGrace is how long connection readers may keep serving requests after
@@ -79,44 +65,42 @@ type Config struct {
 	Addr string
 	// Schema is the stream schema ingest batches must match.
 	Schema *stream.Schema
-	// Engine answers the default tenant's queries and receives its tuples.
+	// Engine answers the server's queries and receives its tuples.
 	Engine *query.Engine
-	// QueueDepth bounds each tenant's ingest lane in batches (unless the
-	// tenant's own QueueLen overrides it); a full lane refuses further
-	// batches with backpressure replies. Default 64.
+	// QueueDepth bounds the ingest queue in batches; a full queue refuses
+	// further batches with backpressure replies (or, under BlockOnFull,
+	// holds their readers). Default 64.
 	QueueDepth int
-	// Workers is the per-tenant pipeline worker pool size batches are
-	// fanned out to. Zero selects GOMAXPROCS. Whatever the pool size,
-	// results are bit-identical to a single-worker run.
+	// Workers is the pipeline worker pool size batches are fanned out to.
+	// Zero selects GOMAXPROCS. Whatever the pool size, results are
+	// bit-identical to a single-worker run.
 	Workers int
 	// MaxBatchTuples bounds one ingest batch; larger batches are rejected
 	// as errors. Default 65536.
 	MaxBatchTuples int
-	// CheckpointPath, when non-empty, makes the server write the default
-	// tenant's checkpoints there — every CheckpointEvery applied tuples and
-	// once on graceful Close. Listen then refuses an engine with a statement
+	// CheckpointPath, when non-empty, makes the server write the engine's
+	// checkpoints there — every CheckpointEvery applied tuples and once on
+	// graceful Close. Listen then refuses an engine with a statement
 	// no checkpoint can capture (a library-only baseline's).
 	CheckpointPath string
 	// CheckpointEvery is the applied-tuple interval between periodic
-	// checkpoints (per tenant); zero checkpoints only on Close.
+	// checkpoints; zero checkpoints only on Close.
 	CheckpointEvery int64
 	// RetryAfter is the delay hint carried in backpressure replies.
 	// Default 20ms.
 	RetryAfter time.Duration
 	// BlockOnFull switches ingest backpressure from busy-refusal to
-	// blocking: when the tenant's lane is full the connection reader waits
-	// for room instead of replying TBusy, so backpressure propagates
-	// through TCP flow control. Pipelined producers that depend on
-	// per-connection ordering need this — a busy-refused batch is re-sent
-	// behind its already-pipelined successors, which reorders the stream
-	// even though acknowledgements confirm enqueueing (the lane can be full
-	// of batches that were already acked). The default (false) keeps
-	// explicit TBusy replies, which synchronous request/response producers
-	// prefer. The wait is per tenant: a blocked lane never stalls another
-	// tenant's dispatch.
+	// blocking: when the queue is full the connection reader waits for room
+	// instead of replying TBusy, so backpressure propagates through TCP
+	// flow control. Pipelined producers that depend on per-connection
+	// ordering need this — a busy-refused batch is re-sent behind its
+	// already-pipelined successors, which reorders the stream even though
+	// acknowledgements confirm enqueueing (the queue can be full of batches
+	// that were already acked). The default (false) keeps explicit TBusy
+	// replies, which synchronous request/response producers prefer.
 	BlockOnFull bool
 	// Logf, when non-nil, receives diagnostic messages (failed periodic
-	// checkpoints, dropped connections, tenant lifecycle).
+	// checkpoints, dropped connections).
 	Logf func(format string, args ...any)
 	// TraceSpans, when positive, enables the event tracer with a ring
 	// holding that many spans (obs.DefaultSpans is the conventional size).
@@ -125,26 +109,8 @@ type Config struct {
 	// dump.
 	TraceSpans int
 
-	// TokenKey is the HMAC-SHA256 key connect tokens are verified against
-	// (tenant.Token mints them). Empty disables verification: any token
-	// authenticates an existing tenant, for deployments that gate access at
-	// the network layer.
-	TokenKey []byte
-	// Tenants declares named tenants to create (or resume from
-	// CheckpointDir) at Listen. Requires Backends.
-	Tenants []tenant.Config
-	// Backends maps estimator kind names to factories for tenant creation
-	// and checkpoint resume. Required when Tenants is non-empty or tenants
-	// are created through the admin endpoint.
-	Backends tenant.Backends
-	// CheckpointDir, when non-empty, holds one checkpoint file per named
-	// tenant (<dir>/<name>.ckpt), written on the same cadence as the
-	// default tenant's and resumed from at create time. A tenant whose
-	// engine no checkpoint can capture is then refused.
-	CheckpointDir string
-
 	// gate, when non-nil, is called by the dispatcher before each batch is
-	// handed to a pool — a test hook for making queue states deterministic.
+	// handed to the pool — a test hook for making queue states deterministic.
 	gate func()
 }
 
@@ -185,23 +151,21 @@ type Server struct {
 	// a silent restart-from-checkpoint (see proto.TBoot).
 	boot uint64
 
-	// def is the implicit default tenant wrapping Config.Engine — what
-	// every connection serves until a TAuth frame pins it elsewhere. It
-	// lives outside the registry (its name is reserved) and carries no
-	// quotas.
-	def *tenant.Tenant
-	// reg resolves named tenants and verifies their connect tokens.
-	reg *tenant.Registry
-	// fair is the deficit-round-robin dispatcher draining every tenant's
-	// lane; its goroutine is the sole caller of Dispatch/Fence on live
-	// pools, preserving the per-pool ordering contract.
-	fair *pipeline.Fair
-	// tenMu serializes tenant lifecycle: create, drop, and shutdown's pool
-	// teardown. Never held on the request path.
-	tenMu sync.Mutex
-	// laneSeq numbers named tenants' lanes for dispatch spans; the default
-	// tenant keeps the single-tenant span arg (-1).
-	laneSeq atomic.Int64
+	// stmts caches the engine's statements, which are registered before
+	// Listen and never change while the server runs.
+	stmts []*query.Statement
+	// mu is the read/write coordination point: queries and stats hold it
+	// shared, merges and checkpoint captures exclusive. Workers never take
+	// it.
+	mu sync.RWMutex
+	// pool applies the dispatched batches; queue holds admitted batches for
+	// its dispatcher goroutine, the sole caller of Dispatch/Fence on the
+	// live pool, which preserves the pool's ordering contract.
+	pool  *pipeline.Pool
+	queue *pipeline.Queue
+	// periodic drives the checkpoint cadence; the capture runs under mu.
+	// Zero-valued when checkpointing is off.
+	periodic checkpoint.Periodic
 
 	connMu sync.Mutex
 	conns  map[net.Conn]struct{}
@@ -243,13 +207,10 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.TraceSpans < 0 {
 		return nil, fmt.Errorf("server: trace span capacity %d must be >= 0", cfg.TraceSpans)
 	}
-	if len(cfg.Tenants) > 0 && len(cfg.Backends) == 0 {
-		return nil, fmt.Errorf("server: tenants declared without backends")
-	}
 	s := &Server{
 		cfg:   cfg,
 		tel:   &telemetry.Set{},
-		reg:   tenant.NewRegistry(cfg.TokenKey),
+		stmts: cfg.Engine.Statements(),
 		conns: make(map[net.Conn]struct{}),
 		hdr:   stream.BinaryHeader(cfg.Schema),
 		arity: cfg.Schema.Len(),
@@ -263,21 +224,29 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.TraceSpans > 0 {
 		s.tracer = obs.NewTracer(cfg.TraceSpans)
 	}
-	s.fair = pipeline.NewFair()
-	if cfg.gate != nil {
-		s.fair.SetGate(cfg.gate)
-	}
-	s.def = tenant.Wrap(tenant.DefaultName, cfg.Engine, cfg.CheckpointPath, cfg.CheckpointEvery)
-	if err := s.attach(s.def); err != nil {
-		s.fair.Close()
-		return nil, fmt.Errorf("server: %w", err)
-	}
-	for _, tc := range cfg.Tenants {
-		if err := s.addTenant(tc); err != nil {
-			s.teardownPools()
-			return nil, fmt.Errorf("server: %w", err)
+	// A statement no checkpoint can capture (a library-only baseline's)
+	// would fail every periodic capture, so a checkpointing server refuses
+	// it up front, naming the statement.
+	for i, st := range s.stmts {
+		if cfg.CheckpointPath != "" && st.EstimatorKind() == "" {
+			return nil, fmt.Errorf("server: checkpointing is on, but statement %d (%s) serves an estimator with no checkpoint form", i, st.Query())
 		}
 	}
+	if cfg.CheckpointPath != "" {
+		s.periodic = checkpoint.Periodic{Path: cfg.CheckpointPath, Every: cfg.CheckpointEvery}
+		s.periodic.SkipTo(cfg.Engine.Tuples())
+	}
+	s.pool, err = pipeline.New(cfg.Engine, pipeline.Config{
+		Workers:     cfg.Workers,
+		OnApplied:   func(n int) { s.tel.AddTuples(int64(n)) },
+		OnTask:      s.tel.AddWorkerTask,
+		OnSaturated: s.tel.AddPoolSaturation,
+		Tracer:      s.tracer,
+	})
+	if err != nil {
+		return nil, fmt.Errorf("server: %w", err)
+	}
+	s.queue = pipeline.NewQueue(s.pool, cfg.QueueDepth, s.afterDispatch(), cfg.gate)
 	ln, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
 		s.teardownPools()
@@ -288,60 +257,25 @@ func Listen(cfg Config) (*Server, error) {
 	return s, nil
 }
 
-// attach builds a tenant's worker pool and fair-share lane. Called from
-// Listen and (under tenMu) from addTenant, always before the tenant is
-// resolvable by connections. A checkpointing tenant with a statement no
-// checkpoint can capture (a library-only baseline's) is refused, naming
-// the statement: it would fail every periodic capture.
-func (s *Server) attach(t *tenant.Tenant) error {
-	for i, st := range t.Engine().Statements() {
-		if t.CheckpointPath() != "" && st.EstimatorKind() == "" {
-			return fmt.Errorf("tenant %s checkpoints, but statement %d (%s) serves an estimator with no checkpoint form", t.Name(), i, st.Query())
-		}
+// afterDispatch builds the post-dispatch hook: the dispatch span and the
+// periodic-checkpoint cadence, both running in the dispatcher goroutine
+// (the only legal place to fence the pool). Nil when neither applies, so
+// the plain fast path takes no per-batch clock reads. The hook receives the
+// batch's tuple count rather than the batch: the pool may have recycled the
+// batch by the time the hook runs.
+func (s *Server) afterDispatch() func(link obs.Link, tuples int, start time.Time) {
+	every := s.periodic.Every
+	if s.periodic.Path == "" {
+		every = 0
 	}
-	pool, err := pipeline.New(t.Engine(), pipeline.Config{
-		Workers:     s.cfg.Workers,
-		OnApplied:   func(n int) { s.tel.AddTuples(int64(n)); t.NoteApplied(n) },
-		OnTask:      s.tel.AddWorkerTask,
-		OnSaturated: s.tel.AddPoolSaturation,
-		Tracer:      s.tracer,
-	})
-	if err != nil {
-		return err
-	}
-	qlen := t.QueueLen()
-	if qlen == 0 {
-		qlen = s.cfg.QueueDepth
-	}
-	t.Pool = pool
-	t.Lane = s.fair.AddLane(t.Weight(), qlen, pool, s.afterDispatch(t))
-	return nil
-}
-
-// afterDispatch builds the tenant's post-dispatch hook: the dispatch span
-// and the periodic-checkpoint cadence, both running in the dispatcher
-// goroutine (the only legal place to fence the tenant's pool). Nil when
-// neither applies, so the plain fast path takes no per-batch clock reads.
-// The hook receives the batch's tuple count rather than the batch: the
-// pool may have recycled the batch by the time the hook runs.
-func (s *Server) afterDispatch(t *tenant.Tenant) func(link obs.Link, tuples int, start time.Time) {
-	every := t.CheckpointEvery()
 	if s.tracer == nil && every <= 0 {
 		return nil
-	}
-	// The default tenant keeps the single-tenant span args; named tenants
-	// are numbered so their dispatch and checkpoint spans are attributable.
-	laneID := -1
-	ckptID := len(t.Statements())
-	if t != s.def {
-		laneID = int(s.laneSeq.Add(1))
-		ckptID = laneID
 	}
 	var sinceCkpt int64
 	return func(link obs.Link, tuples int, start time.Time) {
 		n := int64(tuples)
 		if s.tracer != nil {
-			s.tracer.SpanLinked(link, obs.SpanDispatch, laneID, n, start)
+			s.tracer.SpanLinked(link, obs.SpanDispatch, -1, n, start)
 		}
 		if every <= 0 {
 			return
@@ -350,19 +284,20 @@ func (s *Server) afterDispatch(t *tenant.Tenant) func(link obs.Link, tuples int,
 		if sinceCkpt < every {
 			return
 		}
-		// Capture point: fence the tenant's pool so every dispatched tuple
-		// is applied, then capture under its exclusive lock so no merge
-		// mutates an estimator while it marshals. Other tenants' lanes keep
-		// dispatching only after this returns — the price of a single
-		// dispatcher — but the capture is per-tenant state only.
+		// Capture point: fence the pool so every dispatched tuple is
+		// applied, then capture under the exclusive lock so no merge
+		// mutates an estimator while it marshals.
 		ckptStart := time.Now()
-		t.Pool.Fence()
-		wrote, err := t.MaybeCheckpoint()
+		s.pool.Fence()
+		eng := s.cfg.Engine
+		s.mu.Lock()
+		wrote, err := s.periodic.Maybe(eng, eng.Tuples())
+		s.mu.Unlock()
 		if err != nil {
-			s.cfg.Logf("server: periodic checkpoint (%s): %v", t.Name(), err)
+			s.cfg.Logf("server: periodic checkpoint: %v", err)
 		}
 		if wrote {
-			s.tracer.Span(obs.SpanCheckpoint, ckptID, t.Engine().Tuples(), ckptStart)
+			s.tracer.Span(obs.SpanCheckpoint, len(s.stmts), eng.Tuples(), ckptStart)
 		}
 		if wrote || err != nil {
 			sinceCkpt = 0
@@ -370,104 +305,13 @@ func (s *Server) afterDispatch(t *tenant.Tenant) func(link obs.Link, tuples int,
 	}
 }
 
-// addTenant builds, attaches and registers one named tenant. Callers hold
-// tenMu (or are Listen, before any other goroutine exists).
-func (s *Server) addTenant(cfg tenant.Config) error {
-	t, resumed, err := tenant.New(cfg, s.cfg.Schema, s.cfg.Backends, s.cfg.CheckpointDir, s.cfg.CheckpointEvery)
-	if err != nil {
-		return err
-	}
-	if err := s.attach(t); err != nil {
-		return err
-	}
-	if err := s.reg.Add(t); err != nil {
-		s.fair.RemoveLane(t.Lane)
-		t.Pool.Close()
-		return err
-	}
-	if resumed {
-		s.cfg.Logf("server: tenant %s resumed from %s at offset %d", cfg.Name, t.CheckpointPath(), t.Engine().Tuples())
-	}
-	return nil
-}
-
-// CreateTenant implements obs.TenantAdmin: the admin endpoint's POST
-// /tenants. Safe while the server serves — other tenants never pause.
-func (s *Server) CreateTenant(spec obs.TenantSpec) error {
-	s.tenMu.Lock()
-	defer s.tenMu.Unlock()
-	if s.draining.Load() {
-		return fmt.Errorf("server is shutting down")
-	}
-	if len(s.cfg.Backends) == 0 {
-		return fmt.Errorf("server has no backends configured for tenant creation")
-	}
-	return s.addTenant(tenant.Config{
-		Name:      spec.Name,
-		Queries:   spec.Queries,
-		Backend:   spec.Backend,
-		MemBudget: spec.MemBudget,
-		Rate:      spec.Rate,
-		Burst:     spec.Burst,
-		Weight:    spec.Weight,
-		QueueLen:  spec.QueueLen,
-	})
-}
-
-// DropTenant implements obs.TenantAdmin: unregister the tenant (new
-// sessions stop resolving it), drain what its lane already admitted, write
-// its final checkpoint, and release its pool. Connections still pinned to
-// it get refusals from then on; other tenants never pause.
-func (s *Server) DropTenant(name string) error {
-	s.tenMu.Lock()
-	defer s.tenMu.Unlock()
-	if s.draining.Load() {
-		return fmt.Errorf("server is shutting down")
-	}
-	t, ok := s.reg.Remove(name)
-	if !ok {
-		return fmt.Errorf("tenant %q: not found", name)
-	}
-	s.fair.RemoveLane(t.Lane)
-	// RemoveLane returned: the dispatcher will never touch this pool again,
-	// so fencing and closing it from here is the dispatcher role handed
-	// over.
-	t.Pool.Fence()
-	err := t.FinalCheckpoint()
-	t.Pool.Close()
-	return err
-}
-
-// TenantStats implements obs.TenantAdmin: per-tenant counters for the
-// admin endpoint, nil on single-tenant servers.
-func (s *Server) TenantStats() []telemetry.TenantStats { return s.snapshot().Tenants }
-
-// snapshot freezes the telemetry set, appending per-tenant rows when named
-// tenants exist.
-func (s *Server) snapshot() telemetry.Snapshot {
-	sn := s.tel.Snapshot()
-	if s.reg.Len() > 0 {
-		ts := []telemetry.TenantStats{s.def.Stats()}
-		for _, t := range s.reg.List() {
-			ts = append(ts, t.Stats())
-		}
-		sort.Slice(ts, func(i, j int) bool { return ts[i].Name < ts[j].Name })
-		sn.Tenants = ts
-	}
-	return sn
-}
-
-// teardownPools stops the fair dispatcher and closes every tenant pool —
-// the shared tail of shutdown, Kill and failed Listen. Pool.Close drains
-// the worker queues, so every dispatched batch is applied when it returns.
+// teardownPools stops the dispatcher and closes the pool — the shared tail
+// of shutdown and Kill. Queue.Close dispatches what was admitted and
+// Pool.Close drains the worker queues, so every admitted batch is applied
+// when it returns.
 func (s *Server) teardownPools() {
-	s.fair.Close()
-	s.tenMu.Lock()
-	s.def.Pool.Close()
-	for _, t := range s.reg.List() {
-		t.Pool.Close()
-	}
-	s.tenMu.Unlock()
+	s.queue.Close()
+	s.pool.Close()
 }
 
 // Addr returns the bound listen address (useful with ":0").
@@ -476,7 +320,7 @@ func (s *Server) Addr() string { return s.ln.Addr().String() }
 // Telemetry exposes the live counter set.
 func (s *Server) Telemetry() *telemetry.Set { return s.tel }
 
-// Engine returns the default tenant's engine. It must only be used after
+// Engine returns the server's engine. It must only be used after
 // Close or Kill has returned — while the server runs, the engine is its
 // alone.
 func (s *Server) Engine() *query.Engine { return s.cfg.Engine }
@@ -486,18 +330,18 @@ func (s *Server) Engine() *query.Engine { return s.cfg.Engine }
 func (s *Server) Tracer() *obs.Tracer { return s.tracer }
 
 // StatsSnapshot implements obs.AdminState: the live telemetry snapshot the
-// admin endpoint's /metrics renders, tenant rows included.
+// admin endpoint's /metrics renders.
 func (s *Server) StatsSnapshot() telemetry.Snapshot {
-	return s.snapshot()
+	return s.tel.Snapshot()
 }
 
-// HealthReports implements obs.AdminState: the default engine's
-// per-statement estimator health, read under the tenant's shared lock so
-// merges and checkpoint captures never race the walk.
+// HealthReports implements obs.AdminState: the engine's per-statement
+// estimator health, read under the shared lock so merges and checkpoint
+// captures never race the walk.
 func (s *Server) HealthReports() []imps.HealthReport {
-	s.def.Mu.RLock()
-	defer s.def.Mu.RUnlock()
-	return s.def.Engine().HealthReports()
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.cfg.Engine.HealthReports()
 }
 
 // TraceSpans implements obs.AdminState: the current span ring contents
@@ -530,22 +374,22 @@ func (s *Server) dropConn(c net.Conn) {
 	c.Close()
 }
 
-// handle dispatches one control-plane request frame against the
-// connection's pinned tenant and builds the response frame. Ingest frames
+// handle dispatches one control-plane request frame and builds the
+// response frame. Ingest frames
 // never reach it — the connection reader short-circuits them through
 // handleIngestFast (conn.go).
-func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
+func (s *Server) handle(f proto.Frame) proto.Frame {
 	start := time.Now()
 	var resp proto.Frame
 	switch f.Type {
 	case proto.TQuery:
-		resp = s.handleQuery(f, cs.tenant)
+		resp = s.handleQuery(f)
 	case proto.TMerge:
-		resp = s.handleMerge(f, cs.tenant)
+		resp = s.handleMerge(f)
 	case proto.TStats:
-		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: s.snapshot().Encode()}
+		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: s.tel.Snapshot().Encode()}
 	case proto.THealth:
-		resp = s.handleHealth(f, cs.tenant)
+		resp = s.handleHealth(f)
 	case proto.TTrace:
 		// No lock: the tracer is its own synchronization, and a disabled
 		// tracer encodes as an empty dump rather than an error so pollers
@@ -558,13 +402,11 @@ func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 		}
 		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: obs.EncodeFleetTrace(dump)}
 	case proto.TSnapshot:
-		resp = s.handleSnapshot(f, cs.tenant)
+		resp = s.handleSnapshot(f)
 	case proto.TReadout:
-		resp = s.handleReadout(f, cs.tenant)
+		resp = s.handleReadout(f)
 	case proto.TBoot:
 		resp = proto.Frame{Type: proto.TResult, ID: f.ID, Payload: proto.Boot{Nonce: s.boot}.Encode()}
-	case proto.TAuth:
-		resp = s.handleAuth(f, cs)
 	default:
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("unsupported request type %s", f.Type))
 	}
@@ -578,78 +420,46 @@ func (s *Server) handle(f proto.Frame, cs *connState) proto.Frame {
 	return resp
 }
 
-// handleAuth pins the connection to a tenant. A session authenticates at
-// most once — re-pinning mid-stream would let one connection's pipelined
-// batches straddle two engines, so a second TAuth is an error. The default
-// tenant may be named explicitly (token still verified when a key is set);
-// connections that never send TAuth serve it implicitly, which is the
-// whole backward-compatibility story.
-func (s *Server) handleAuth(f proto.Frame, cs *connState) proto.Frame {
-	req, err := proto.DecodeAuthReq(f.Payload)
-	if err != nil {
-		return proto.ErrorFrame(f.ID, err.Error())
-	}
-	if cs.authed {
-		return proto.ErrorFrame(f.ID, "auth: session already pinned to a tenant")
-	}
-	var t *tenant.Tenant
-	if req.Tenant == tenant.DefaultName {
-		if !tenant.VerifyToken(s.cfg.TokenKey, req.Tenant, req.Token) {
-			return proto.ErrorFrame(f.ID, fmt.Sprintf("tenant %q: unknown tenant or bad token", req.Tenant))
-		}
-		t = s.def
-	} else {
-		t, err = s.reg.Authenticate(req.Tenant, req.Token)
-		if err != nil {
-			return proto.ErrorFrame(f.ID, err.Error())
-		}
-	}
-	cs.tenant = t
-	cs.authed = true
-	return proto.Frame{Type: proto.TOK, ID: f.ID}
-}
-
 // statement is the step the Query, Snapshot and Readout handlers start
-// with: decode the frame's StmtReq and look its index up in the tenant.
-func statement(f proto.Frame, t *tenant.Tenant, op string) (uint32, *query.Statement, error) {
+// with: decode the frame's StmtReq and look its index up.
+func (s *Server) statement(f proto.Frame, op string) (uint32, *query.Statement, error) {
 	req, err := proto.DecodeStmtReq(f.Payload)
 	if err != nil {
 		return 0, nil, err
 	}
-	st, err := lookup(t, op, req.Stmt)
+	st, err := s.lookup(op, req.Stmt)
 	return req.Stmt, st, err
 }
 
-// lookup bounds-checks a request's statement index against the tenant's
+// lookup bounds-checks a request's statement index against the engine's
 // statements; op names the handler in the error.
-func lookup(t *tenant.Tenant, op string, idx uint32) (*query.Statement, error) {
-	stmts := t.Statements()
-	if int(idx) >= len(stmts) {
-		return nil, fmt.Errorf("%s: no statement %d (tenant has %d)", op, idx, len(stmts))
+func (s *Server) lookup(op string, idx uint32) (*query.Statement, error) {
+	if int(idx) >= len(s.stmts) {
+		return nil, fmt.Errorf("%s: no statement %d (server has %d)", op, idx, len(s.stmts))
 	}
-	return stmts[idx], nil
+	return s.stmts[idx], nil
 }
 
-func (s *Server) handleQuery(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	_, st, err := statement(f, t, "query")
+func (s *Server) handleQuery(f proto.Frame) proto.Frame {
+	_, st, err := s.statement(f, "query")
 	if err != nil {
 		return proto.ErrorFrame(f.ID, err.Error())
 	}
 	// Shared lock: reads proceed against a live pool. Count takes the
 	// statement's own read lock, so a serialized-class statement is read
 	// between its batches; partition-safe estimators snapshot internally.
-	t.Mu.RLock()
-	res := proto.QueryResult{Count: st.Count(), Tuples: t.Engine().Tuples()}
-	t.Mu.RUnlock()
+	s.mu.RLock()
+	res := proto.QueryResult{Count: st.Count(), Tuples: s.cfg.Engine.Tuples()}
+	s.mu.RUnlock()
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
 }
 
-func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
+func (s *Server) handleMerge(f proto.Frame) proto.Frame {
 	req, err := proto.DecodeMergeReq(f.Payload)
 	if err != nil {
 		return proto.ErrorFrame(f.ID, err.Error())
 	}
-	st, err := lookup(t, "merge", req.Stmt)
+	st, err := s.lookup("merge", req.Stmt)
 	if err != nil {
 		return proto.ErrorFrame(f.ID, err.Error())
 	}
@@ -664,12 +474,12 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
 	}
-	// The tenant lock keeps checkpoint captures and readers out; the
+	// The server lock keeps checkpoint captures and readers out; the
 	// sketch's own stripe locks keep the workers applying ingest to it out.
 	mergeStart := time.Now()
-	t.Mu.Lock()
+	s.mu.Lock()
 	err = dst.Merge(src)
-	t.Mu.Unlock()
+	s.mu.Unlock()
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("merge: %v", err))
 	}
@@ -683,8 +493,8 @@ func (s *Server) handleMerge(f proto.Frame, t *tenant.Tenant) proto.Frame {
 // the capture — the offset a coordinator compares against its journal. The
 // same restrictions as the merge path apply (no shared estimators, NIPS
 // sketches only), because the reply is meant to round-trip through Merge.
-func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	idx, st, err := statement(f, t, "snapshot")
+func (s *Server) handleSnapshot(f proto.Frame) proto.Frame {
+	idx, st, err := s.statement(f, "snapshot")
 	if err != nil {
 		return proto.ErrorFrame(f.ID, err.Error())
 	}
@@ -695,17 +505,17 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	if !ok {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: statement %d estimator (%s) does not support state pulls", idx, kindOf(st)))
 	}
-	// The tenant lock keeps checkpoint captures and merges out, and the
+	// The server lock keeps checkpoint captures and merges out, and the
 	// sketch marshals under its own stripe locks, a cut between the
-	// workers' buckets. Workers do not take the tenant lock, so the tuple
+	// workers' buckets. Workers do not take the server lock, so the tuple
 	// count is a watermark, not a fence — a caller that needs the snapshot
 	// to cover everything it shipped compares Tuples against its own ledger
 	// and re-pulls after the engine catches up (the coordinator's Flush
 	// waits on a leaf's applied count against its journal the same way).
-	t.Mu.Lock()
-	res := proto.SnapshotResult{Tuples: t.Engine().Tuples(), Kind: st.EstimatorKind()}
+	s.mu.Lock()
+	res := proto.SnapshotResult{Tuples: s.cfg.Engine.Tuples(), Kind: st.EstimatorKind()}
 	blob, err := src.MarshalBinary()
-	t.Mu.Unlock()
+	s.mu.Unlock()
 	if err != nil {
 		return proto.ErrorFrame(f.ID, fmt.Sprintf("snapshot: %v", err))
 	}
@@ -715,12 +525,12 @@ func (s *Server) handleSnapshot(f proto.Frame, t *tenant.Tenant) proto.Frame {
 
 // handleReadout answers a readout pull: one record per bitmap the
 // statement's sketch has observed, plus the engine's applied-tuple count at
-// the capture. It is a read like Query — a shared tenant lock, and the
+// the capture. It is a read like Query — a shared server lock, and the
 // sketch reads under its own stripe locks — and nothing is
 // merged back, so it answers for a statement aliasing a shared estimator
 // as for the estimator's owner.
-func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	idx, st, err := statement(f, t, "readout")
+func (s *Server) handleReadout(f proto.Frame) proto.Frame {
+	idx, st, err := s.statement(f, "readout")
 	if err != nil {
 		return proto.ErrorFrame(f.ID, err.Error())
 	}
@@ -730,10 +540,10 @@ func (s *Server) handleReadout(f proto.Frame, t *tenant.Tenant) proto.Frame {
 	}
 	m := src.Options().Bitmaps
 	recs := make([]byte, 0, m*core.ReadoutRecordLen) // at most one record per bitmap
-	t.Mu.RLock()
-	res := proto.ReadoutResult{Tuples: t.Engine().Tuples(), Bitmaps: uint32(m)}
+	s.mu.RLock()
+	res := proto.ReadoutResult{Tuples: s.cfg.Engine.Tuples(), Bitmaps: uint32(m)}
 	recs = src.AppendReadout(recs)
-	t.Mu.RUnlock()
+	s.mu.RUnlock()
 	res.Records = recs
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: res.Encode()}
 }
@@ -745,20 +555,17 @@ func kindOf(st *query.Statement) string {
 	return fmt.Sprintf("%T", st.Estimator())
 }
 
-// handleHealth answers with the pinned tenant's per-statement health
-// reports. The shared lock keeps merges and checkpoint captures out; each
-// statement's Health takes its own read lock below, the same path Query
-// walks.
-func (s *Server) handleHealth(f proto.Frame, t *tenant.Tenant) proto.Frame {
-	t.Mu.RLock()
-	payload := obs.EncodeHealth(t.Engine().HealthReports())
-	t.Mu.RUnlock()
+// handleHealth answers with the engine's per-statement health reports. The
+// shared lock keeps merges and checkpoint captures out; each statement's
+// Health takes its own read lock below, the same path Query walks.
+func (s *Server) handleHealth(f proto.Frame) proto.Frame {
+	payload := obs.EncodeHealth(s.HealthReports())
 	return proto.Frame{Type: proto.TResult, ID: f.ID, Payload: payload}
 }
 
 // shutdown runs the shared teardown: stop accepting, unblock connection
-// readers, drain every lane through its pool, stop the dispatcher and the
-// pools.
+// readers, drain the queue through the pool, stop the dispatcher and the
+// pool.
 func (s *Server) shutdown(grace time.Duration) {
 	s.draining.Store(true)
 	s.ln.Close()
@@ -769,36 +576,40 @@ func (s *Server) shutdown(grace time.Duration) {
 	}
 	s.connMu.Unlock()
 	s.connWG.Wait()
-	s.teardownPools() // fair.Close drains the lanes; Pool.Close applies the rest
+	s.teardownPools()
 }
 
 // Close shuts the server down gracefully: the listener closes, connection
 // readers finish their in-flight requests (within a short grace window),
-// every tenant's lane is drained through its engine, and — when
-// checkpointing is configured — final checkpoints are written for the
-// default tenant and every named tenant. Every batch acknowledged before
-// Close is applied before its tenant's final checkpoint.
+// the queue is drained through the engine, and — when checkpointing is
+// configured — a final checkpoint is written. Every batch acknowledged
+// before Close is applied before the final checkpoint.
 func (s *Server) Close() error {
 	s.closeOnce.Do(func() {
 		s.shutdown(drainGrace)
+		if s.periodic.Path == "" {
+			return
+		}
 		ckptStart := time.Now()
-		if err := s.def.FinalCheckpoint(); err != nil {
+		eng := s.cfg.Engine
+		s.mu.Lock()
+		snap, err := checkpoint.Capture(eng, eng.Tuples())
+		if err == nil {
+			err = checkpoint.Write(s.periodic.Path, snap)
+		}
+		s.mu.Unlock()
+		if err != nil {
 			s.closeErr = err
-		} else if s.cfg.CheckpointPath != "" {
-			s.tracer.Span(obs.SpanCheckpoint, len(s.def.Statements()), s.def.Engine().Tuples(), ckptStart)
+			return
 		}
-		for _, t := range s.reg.List() {
-			if err := t.FinalCheckpoint(); err != nil && s.closeErr == nil {
-				s.closeErr = err
-			}
-		}
+		s.tracer.Span(obs.SpanCheckpoint, len(s.stmts), eng.Tuples(), ckptStart)
 	})
 	return s.closeErr
 }
 
 // Kill tears the server down abruptly — connections are cut mid-request and
 // no final checkpoint is written, simulating a crash. Only previously
-// written periodic checkpoints survive; the engines must be considered
+// written periodic checkpoints survive; the engine must be considered
 // lost.
 func (s *Server) Kill() {
 	s.closeOnce.Do(func() {
@@ -817,4 +628,3 @@ func (s *Server) Kill() {
 
 var _ imps.Estimator = (*core.Sketch)(nil) // the merge path's contract
 var _ obs.AdminState = (*Server)(nil)      // the admin endpoint's contract
-var _ obs.TenantAdmin = (*Server)(nil)     // the admin endpoint's tenant CRUD

@@ -17,6 +17,7 @@ import (
 	"implicate/internal/core"
 	"implicate/internal/exact"
 	"implicate/internal/imps"
+	"implicate/internal/lossy"
 	"implicate/internal/proto"
 	"implicate/internal/query"
 	"implicate/internal/stream"
@@ -550,6 +551,28 @@ func TestListenValidation(t *testing.T) {
 	}
 	if _, err := Listen(Config{Addr: "127.0.0.1:99999", Schema: schema, Engine: eng}); err == nil {
 		t.Error("unusable listen address accepted")
+	}
+}
+
+// TestCheckpointingRefusesBaselines: with checkpointing on, an engine
+// serving a library-only baseline (here ILC), which no checkpoint can
+// capture, is refused up front at Listen with an error naming the
+// statement, rather than logging a failed capture at every interval.
+// Without checkpointing the same engine serves.
+func TestCheckpointingRefusesBaselines(t *testing.T) {
+	ilc := func(cond imps.Conditions) (imps.Estimator, error) { return lossy.NewILC(cond, 0.02, 0.02) }
+	schema := testSchema(t)
+	cfg := Config{Addr: "127.0.0.1:0", Schema: schema, Engine: testEngine(t, schema, ilc), Workers: 2}
+	s, err := Listen(cfg)
+	if err != nil {
+		t.Fatalf("serving a baseline without checkpoints: %v", err)
+	}
+	s.Close()
+	cfg.Engine = testEngine(t, schema, ilc)
+	cfg.CheckpointPath = filepath.Join(t.TempDir(), "srv.ckpt")
+	_, err = Listen(cfg)
+	if err == nil || !strings.Contains(err.Error(), "statement 0 (SELECT") || !strings.Contains(err.Error(), "no checkpoint form") {
+		t.Fatalf("checkpointing a baseline: %v; want a refusal naming statement 0", err)
 	}
 }
 

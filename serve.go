@@ -8,7 +8,6 @@ import (
 	"implicate/internal/proto"
 	"implicate/internal/server"
 	"implicate/internal/telemetry"
-	"implicate/internal/tenant"
 )
 
 // Serving layer (DESIGN.md §9): the paper's §2 deployment is distributed —
@@ -22,7 +21,7 @@ import (
 // Trace (the server's span ring). Dial returns a pooled, pipelining
 // client. The cmd/impserved command wraps Serve for standalone deployment,
 // and ServeAdmin adds the HTTP admin endpoint (/metrics, /healthz,
-// /trace, tenant CRUD, pprof) described in DESIGN.md §10.
+// /trace, pprof) described in DESIGN.md §10.
 
 // Server is a running ingest/query server; see Serve.
 type Server = server.Server
@@ -71,52 +70,6 @@ type AdminServer = obs.AdminServer
 // was never enqueued; retrying later is safe.
 var ErrBackpressure = client.ErrBackpressure
 
-// TenantConfig declares one named tenant of a multi-tenant server
-// (DESIGN.md §13): its namespace, the queries its engine serves, the
-// backend that builds their estimators, and its quotas (ingest rate,
-// memory budget) and fair-share dispatch weight. Set ServerConfig.Tenants
-// (plus Backends and, optionally, TokenKey and CheckpointDir) to serve
-// tenants; a server with none behaves exactly as before.
-type TenantConfig = tenant.Config
-
-// TenantBackends maps backend names to factories, resolving
-// TenantConfig.Backend. The names are the server operator's vocabulary —
-// what POST /tenants and -tenants specs may reference.
-type TenantBackends = tenant.Backends
-
-// TenantStats is one tenant's row in a ServerStats snapshot: applied
-// tuples, admitted and refused batches, quota refusals, memory use against
-// budget, weight, and lane high-water mark.
-type TenantStats = telemetry.TenantStats
-
-// ErrQuota matches (via errors.Is) the refusal Client.IngestBatch returns
-// when the server's admission control rejected the batch at the tenant's
-// quota. Unlike backpressure, a quota refusal is not retried by the
-// client: the batch touched no engine state, and the *QuotaRefusal in the
-// chain carries the server's RetryAfter hint for rate quotas.
-var ErrQuota = client.ErrQuota
-
-// QuotaRefusal is the concrete quota error; unwrap with errors.As for the
-// server's message and retry hint.
-type QuotaRefusal = client.QuotaRefusal
-
-// DefaultTenant is the implicit namespace every unauthenticated session
-// serves — the entire experience of a single-tenant server.
-const DefaultTenant = tenant.DefaultName
-
-// TenantToken derives the connect token for name under the server's token
-// key — the credential DialTenant presents. Distribute tokens, not the
-// key.
-func TenantToken(key []byte, name string) string { return tenant.Token(key, name) }
-
-// DialTenant connects like Dial and then pins every pooled connection to
-// the named tenant by authenticating with its connect token — including
-// connections transparently redialed after a failure mid-stream. An empty
-// tenant name skips authentication and serves the default tenant.
-func DialTenant(addr string, schema *Schema, tenantName, token string, opt ClientOptions) (*Client, error) {
-	return client.DialTenant(addr, schema, tenantName, token, opt)
-}
-
 // Serve starts an ingest/query server for cfg.Engine on cfg.Addr. The
 // engine must have its statements registered already and belongs to the
 // server until Close returns. Close drains the ingest queue and, when
@@ -134,11 +87,9 @@ func Dial(addr string, schema *Schema, opt ClientOptions) (*Client, error) {
 }
 
 // ServeAdmin starts the HTTP admin endpoint for a running server:
-// Prometheus-text /metrics, /healthz (with per-tenant health lines on
-// multi-tenant servers), a JSON /trace span dump, tenant lifecycle routes
-// (POST /tenants, DELETE /tenants/{name}), and the pprof suite under
-// /debug/pprof/. The endpoint is unauthenticated — bind it to loopback or
-// an operations network, never the ingest address.
+// Prometheus-text /metrics, /healthz, a JSON /trace span dump, and the
+// pprof suite under /debug/pprof/. The endpoint is unauthenticated — bind
+// it to loopback or an operations network, never the ingest address.
 // Close the returned AdminServer before (or after) closing srv; the two
 // are independent.
 func ServeAdmin(addr string, srv *Server) (*AdminServer, error) {
