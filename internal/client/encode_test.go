@@ -228,12 +228,12 @@ func TestABI(t *testing.T) {
 	// One RPC span per telemetry.RPC, in order. An RPC span's Arg is the
 	// RPC's index, so renumbering telemetry.RPC renumbers these bytes.
 	rpcs := []telemetry.RPC{telemetry.RPCIngest, telemetry.RPCQuery, telemetry.RPCMerge, telemetry.RPCStats,
-		telemetry.RPCHealth, telemetry.RPCTrace, telemetry.RPCSnapshot, telemetry.RPCBoot, telemetry.RPCAuth}
+		telemetry.RPCHealth, telemetry.RPCTrace, telemetry.RPCSnapshot, telemetry.RPCBoot}
 	if len(rpcs) != int(telemetry.NumRPCs) {
 		t.Errorf("%d RPCs listed, telemetry declares %d: pin every RPC's span", len(rpcs), telemetry.NumRPCs)
 	}
 	var rpcSpans []obs.FleetSpan
-	rpcSpanGolden := "IMPF\x01" + "\x09\x00\x00\x00"
+	rpcSpanGolden := "IMPF\x01" + "\x08\x00\x00\x00"
 	for i, r := range rpcs {
 		rpcSpans = append(rpcSpans, obs.FleetSpan{Span: obs.Span{Seq: 1, Kind: obs.SpanRPC, Arg: int32(r)}})
 		rpcSpanGolden += "\x00\x00\x00\x00" + le64(1) + "\x05" + string([]byte{byte(i), 0, 0, 0}) + strings.Repeat(le64(0), 6)
@@ -307,11 +307,10 @@ func TestABI(t *testing.T) {
 		}}}),
 			"IMPF\x01" + "\x01\x00\x00\x00" + "\x05\x00\x00\x00coord" + le64(1) + "\x06" + "\x02\x00\x00\x00" +
 				le64(3) + le64(4) + le64(5) + le64(6) + le64(0) + le64(7)},
-		{"RPC spans, Arg 0-8", obs.EncodeFleetTrace(rpcSpans), rpcSpanGolden},
+		{"RPC spans, Arg 0-7", obs.EncodeFleetTrace(rpcSpans), rpcSpanGolden},
 		{"Telemetry snapshot", quiet.Snapshot().Encode(),
-			"IMPT\x07" + strings.Repeat(le64(0), 6) + "\x00\x00\x00\x00" + "\x09\x00\x00\x00" + "\x32\x00\x00\x00" +
-				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 8*50) +
-				"\x00\x00\x00\x00"},
+			"IMPT\x08" + strings.Repeat(le64(0), 6) + "\x00\x00\x00\x00" + "\x08\x00\x00\x00" + "\x32\x00\x00\x00" +
+				strings.Repeat(le64(0), 10) + le64(1) + strings.Repeat(le64(0), 39) + strings.Repeat(le64(0), 7*50)},
 	} {
 		if string(tc.got) != tc.want {
 			t.Errorf("%s:\n got %q\nwant %q", tc.name, tc.got, tc.want)

@@ -61,7 +61,7 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 	if _, err := DecodeSnapshot(good); err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 8, 0xff} {
+	for _, v := range []byte{0, 1, 2, 3, 4, 5, 6, 7, 9, 0xff} {
 		other := append([]byte(nil), good...)
 		other[len(snapshotMagic)-1] = v
 		if _, err := DecodeSnapshot(other); err == nil {
@@ -80,7 +80,7 @@ func TestDecodeSnapshotRejectsOtherBuilds(t *testing.T) {
 }
 
 // encodeEmpty writes a snapshot under magic with head leading counters, an
-// RPC list of nrpc histograms and tail trailing counters, every field
+// RPC list of nrpc histograms and tail trailing zero bytes, every field
 // well-formed and empty. This build's layout is (snapshotMagic, 6,
 // NumRPCs, 0).
 func encodeEmpty(magic string, head, nrpc, tail int) []byte {
@@ -97,25 +97,30 @@ func encodeEmpty(magic string, head, nrpc, tail int) []byte {
 			e.U64(0)
 		}
 	}
-	e.U32(0) // no tenants
-	for i := 0; i < tail; i++ {
-		e.I64(0)
-	}
+	e.Raw(make([]byte, tail))
 	return e.Bytes()
 }
 
 // TestDecodeSnapshotRefusesIMPT6 pins the retirement of the previous
-// format: an IMPT\x06 blob (nine leading counters, ten histograms, five
-// trailing counters) is refused, and so is its layout relabelled with this
-// build's magic.
+// formats: an IMPT\x06 blob (nine leading counters, ten histograms, an
+// empty tenant block and five trailing counters) and an IMPT\x07 blob (six
+// leading counters, nine histograms and an empty tenant block) are refused,
+// and so is either layout relabelled with this build's magic.
 func TestDecodeSnapshotRefusesIMPT6(t *testing.T) {
-	old := encodeEmpty("IMPT\x06", 9, 10, 5)
-	if _, err := DecodeSnapshot(old); err == nil {
-		t.Fatal("IMPT\\x06 snapshot accepted")
-	}
-	relabelled := append([]byte(snapshotMagic), old[len(snapshotMagic):]...)
-	if _, err := DecodeSnapshot(relabelled); err == nil {
-		t.Fatal("IMPT\\x06 layout accepted under this build's magic")
+	for _, old := range []struct {
+		name string
+		blob []byte
+	}{
+		{"IMPT\\x06", encodeEmpty("IMPT\x06", 9, 10, 4+5*8)},
+		{"IMPT\\x07", encodeEmpty("IMPT\x07", 6, 9, 4)},
+	} {
+		if _, err := DecodeSnapshot(old.blob); err == nil {
+			t.Errorf("%s snapshot accepted", old.name)
+		}
+		relabelled := append([]byte(snapshotMagic), old.blob[len(snapshotMagic):]...)
+		if _, err := DecodeSnapshot(relabelled); err == nil {
+			t.Errorf("%s layout accepted under this build's magic", old.name)
+		}
 	}
 }
 

@@ -6,7 +6,7 @@
 // consistent-enough copy for the Stats RPC, which ships it in the
 // internal/wire encoding.
 //
-// The snapshot has one wire format, magic "IMPT\x07", because a coordinator
+// The snapshot has one wire format, magic "IMPT\x08", because a coordinator
 // and its leaves are deployed from one build. A peer whose Stats reply does
 // not decode — another build's format, another RPC list — is treated like
 // an unreachable one (the coordinator's fleet roll-up skips it) rather than
@@ -37,7 +37,6 @@ const (
 	RPCTrace
 	RPCSnapshot
 	RPCBoot
-	RPCAuth
 	NumRPCs
 )
 
@@ -60,8 +59,6 @@ func (r RPC) String() string {
 		return "Snapshot"
 	case RPCBoot:
 		return "Boot"
-	case RPCAuth:
-		return "Auth"
 	}
 	return fmt.Sprintf("RPC(%d)", uint8(r))
 }
@@ -291,32 +288,6 @@ type Snapshot struct {
 	Workers []WorkerStats
 	// Latency holds one histogram per RPC, indexed by the RPC constants.
 	Latency [NumRPCs]Histogram
-	// Tenants holds per-tenant counters, one entry per registered tenant,
-	// sorted by name. Nil on single-tenant servers.
-	Tenants []TenantStats
-}
-
-// TenantStats is one tenant's frozen counters.
-type TenantStats struct {
-	// Name is the tenant's namespace.
-	Name string
-	// Weight is the tenant's fair-share dispatch weight.
-	Weight int64
-	// Tuples counts tuples applied to the tenant's engine.
-	Tuples int64
-	// Batches counts batches accepted into the tenant's lane.
-	Batches int64
-	// Rejected counts batches refused with a backpressure (Busy) reply.
-	Rejected int64
-	// QuotaRefusals counts batches refused with a Quota reply — over the
-	// ingest rate or memory budget, never enqueued.
-	QuotaRefusals int64
-	// MemBytes is the tenant's last-assessed estimator memory footprint.
-	MemBytes int64
-	// MemBudget is the tenant's configured memory ceiling; 0 is unlimited.
-	MemBudget int64
-	// QueueHighWater is the deepest the tenant's lane has been.
-	QueueHighWater int64
 }
 
 // WorkerStats is one pipeline worker's frozen counters.
@@ -329,7 +300,7 @@ type WorkerStats struct {
 
 // snapshotMagic heads every encoded snapshot; see the package doc for why
 // there is exactly one.
-const snapshotMagic = "IMPT\x07"
+const snapshotMagic = "IMPT\x08"
 
 // Encode serializes the snapshot for the Stats RPC. Every block is written,
 // empty or not, so the encoding is canonical: a decoded snapshot re-encodes
@@ -354,18 +325,6 @@ func (sn Snapshot) Encode() []byte {
 		for b := 0; b < HistBuckets; b++ {
 			e.U64(sn.Latency[r].Counts[b])
 		}
-	}
-	e.U32(uint32(len(sn.Tenants)))
-	for _, t := range sn.Tenants {
-		e.Str(t.Name)
-		e.I64(t.Weight)
-		e.I64(t.Tuples)
-		e.I64(t.Batches)
-		e.I64(t.Rejected)
-		e.I64(t.QuotaRefusals)
-		e.I64(t.MemBytes)
-		e.I64(t.MemBudget)
-		e.I64(t.QueueHighWater)
 	}
 	return e.Bytes()
 }
@@ -404,25 +363,6 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 			sn.Latency[r].Counts[b] = d.U64()
 		}
 	}
-	// 68 is the smallest possible tenant row: empty-name length prefix plus
-	// eight i64 counters.
-	ntenants := d.Count(68)
-	if d.Err() == nil && ntenants > 0 {
-		sn.Tenants = make([]TenantStats, ntenants)
-		for i := 0; i < ntenants && d.Err() == nil; i++ {
-			sn.Tenants[i] = TenantStats{
-				Name:           d.Str(256),
-				Weight:         d.I64(),
-				Tuples:         d.I64(),
-				Batches:        d.I64(),
-				Rejected:       d.I64(),
-				QuotaRefusals:  d.I64(),
-				MemBytes:       d.I64(),
-				MemBudget:      d.I64(),
-				QueueHighWater: d.I64(),
-			}
-		}
-	}
 	if err := d.Done(); err != nil {
 		return Snapshot{}, fmt.Errorf("telemetry: %w", err)
 	}
@@ -432,12 +372,6 @@ func DecodeSnapshot(data []byte) (Snapshot, error) {
 	for _, w := range sn.Workers {
 		if w.Tasks < 0 || w.Units < 0 {
 			return Snapshot{}, fmt.Errorf("%w: negative worker counter", wire.ErrCorrupt)
-		}
-	}
-	for _, t := range sn.Tenants {
-		if t.Weight < 0 || t.Tuples < 0 || t.Batches < 0 || t.Rejected < 0 ||
-			t.QuotaRefusals < 0 || t.MemBytes < 0 || t.MemBudget < 0 || t.QueueHighWater < 0 {
-			return Snapshot{}, fmt.Errorf("%w: negative tenant counter", wire.ErrCorrupt)
 		}
 	}
 	return sn, nil

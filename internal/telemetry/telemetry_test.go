@@ -139,31 +139,6 @@ func TestSnapshotRoundTripNoWorkers(t *testing.T) {
 	}
 }
 
-// TestSnapshotTenantRoundTrip: a snapshot carrying tenants round-trips them.
-func TestSnapshotTenantRoundTrip(t *testing.T) {
-	var s Set
-	s.AddTuples(9)
-	want := s.Snapshot()
-	want.Tenants = []TenantStats{
-		{Name: "acme", Weight: 3, Tuples: 100, Batches: 4, Rejected: 1, QuotaRefusals: 2, MemBytes: 1 << 20, MemBudget: 1 << 22, QueueHighWater: 7},
-		{Name: "zeta", Weight: 1, Tuples: 5},
-	}
-	got, err := DecodeSnapshot(want.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, want)
-	}
-
-	// Negative tenant counter is corruption.
-	bad := want
-	bad.Tenants = []TenantStats{{Name: "x", Tuples: -1}}
-	if _, err := DecodeSnapshot(bad.Encode()); err == nil || !strings.Contains(err.Error(), "negative tenant") {
-		t.Errorf("negative tenant counter accepted: %v", err)
-	}
-}
-
 func TestDecodeSnapshotRejectsCorruption(t *testing.T) {
 	good := (&Set{}).Snapshot().Encode()
 
@@ -259,7 +234,7 @@ func TestRPCStrings(t *testing.T) {
 	}
 }
 
-// TestSnapshotRoundTrip: counters round-trip, alone and beside tenants.
+// TestSnapshotRoundTrip: counters round-trip.
 func TestSnapshotRoundTrip(t *testing.T) {
 	var s Set
 	s.AddTuples(11)
@@ -275,16 +250,5 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if got.TuplesIngested != 11 || got.Merges != 1 || got.BatchesRejected != 1 {
 		t.Fatalf("counters %+v", got)
-	}
-
-	// Tenants ride along.
-	withTenants := want
-	withTenants.Tenants = []TenantStats{{Name: "acme", Weight: 2, Tuples: 6}}
-	got2, err := DecodeSnapshot(withTenants.Encode())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got2, withTenants) {
-		t.Fatalf("tenants round trip mismatch:\n got %+v\nwant %+v", got2, withTenants)
 	}
 }
