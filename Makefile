@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet fmt-check test benchmark-test test-race race fuzz bench loc examples experiments paper clean
+.PHONY: all build vet fmt-check test benchmark-test test-race race fuzz bench ab loc examples experiments paper clean
 
 all: build vet test
 
@@ -45,6 +45,15 @@ fuzz:
 
 bench:
 	$(GO) test -bench=. -benchmem ./...
+
+# Same-seed A/B pairs of the repo benchmark, PARENT's tree against the
+# working tree, with a verdict per workload and end-to-end metric
+# (scripts/ab.sh). WORKLOADS empty runs all four.
+PARENT ?= HEAD
+PAIRS ?= 10
+WORKLOADS ?=
+ab:
+	bash scripts/ab.sh --pairs $(PAIRS) $(PARENT) $(WORKLOADS)
 
 # Non-test Go lines per package (cmd/x, examples/x, internal/x, the root
 # package) and in total, excluding the benchmark module. The total is the
