@@ -224,15 +224,15 @@ func Listen(cfg Config) (*Server, error) {
 	if cfg.TraceSpans > 0 {
 		s.tracer = obs.NewTracer(cfg.TraceSpans)
 	}
-	// A statement no checkpoint can capture (a library-only baseline's)
-	// would fail every periodic capture, so a checkpointing server refuses
-	// it up front, naming the statement.
-	for i, st := range s.stmts {
-		if cfg.CheckpointPath != "" && st.EstimatorKind() == "" {
-			return nil, fmt.Errorf("server: checkpointing is on, but statement %d (%s) serves an estimator with no checkpoint form", i, st.Query())
-		}
-	}
 	if cfg.CheckpointPath != "" {
+		// A statement no checkpoint can capture (a library-only baseline's)
+		// would fail every periodic capture, so a checkpointing server
+		// refuses it up front, naming the statement.
+		for i, st := range s.stmts {
+			if st.EstimatorKind() == "" {
+				return nil, fmt.Errorf("server: checkpointing is on, but statement %d (%s) serves an estimator with no checkpoint form", i, st.Query())
+			}
+		}
 		s.periodic = checkpoint.Periodic{Path: cfg.CheckpointPath, Every: cfg.CheckpointEvery}
 		s.periodic.SkipTo(cfg.Engine.Tuples())
 	}
@@ -264,10 +264,7 @@ func Listen(cfg Config) (*Server, error) {
 // batch's tuple count rather than the batch: the pool may have recycled the
 // batch by the time the hook runs.
 func (s *Server) afterDispatch() func(link obs.Link, tuples int, start time.Time) {
-	every := s.periodic.Every
-	if s.periodic.Path == "" {
-		every = 0
-	}
+	every := s.periodic.Every // zero when checkpointing is off
 	if s.tracer == nil && every <= 0 {
 		return nil
 	}
