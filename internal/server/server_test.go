@@ -507,6 +507,71 @@ func TestServerKillSkipsFinalCheckpoint(t *testing.T) {
 	}
 }
 
+// TestClientRedialHandshakeChain kills the server under a pooled client and
+// rebinds a fresh one on the same address: the client's redial re-runs the
+// boot handshake, and a mid-stream ingest on the redialed connection lands
+// on the new server's engine.
+func TestClientRedialHandshakeChain(t *testing.T) {
+	schema := testSchema(t)
+	s1, err := Listen(Config{Addr: "127.0.0.1:0", Schema: schema, Engine: testEngine(t, schema, exactBackend())})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := s1.Addr()
+	cl, err := client.Dial(addr, schema, client.Options{Conns: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if err := cl.IngestBatch(makeTuples(30, 5)); err != nil {
+		t.Fatal(err)
+	}
+	waitTuples(t, cl, 30)
+
+	s1.Kill()
+	cfg2 := Config{Addr: addr, Schema: schema, Engine: testEngine(t, schema, exactBackend())}
+	var s2 *Server
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		s2, err = Listen(cfg2)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("rebinding %s: %v", addr, err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+
+	// The pooled connection is dead; Query's idempotent retry forces the
+	// redial (and with it the handshake) against the new server.
+	var res proto.QueryResult
+	deadline = time.Now().Add(5 * time.Second)
+	for {
+		res, err = cl.Query(0)
+		if err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("pool never recovered: %v", err)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	if res.Tuples != 0 {
+		t.Fatalf("fresh server reports %d tuples", res.Tuples)
+	}
+	if err := cl.IngestBatch(makeTuples(25, 5)); err != nil {
+		t.Fatal(err)
+	}
+	waitTuples(t, cl, 25)
+	if err := s2.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := s2.Engine().Tuples(); n != 25 {
+		t.Fatalf("new server's engine applied %d tuples after redial, want 25", n)
+	}
+}
+
 func TestServerRefusesIngestWhileDraining(t *testing.T) {
 	schema := testSchema(t)
 	srv := startServer(t, Config{Schema: schema, Engine: testEngine(t, schema, exactBackend())})
