@@ -232,9 +232,9 @@ func (p *Pool) PlanInto(b *Batch, ts []stream.Tuple) *Batch {
 
 // Release hands an acquired batch back to the pool's free list without
 // dispatching it — the admission-failure path (decode error after acquire,
-// quota refusal, busy lane, shutdown). Never call it on a dispatched
-// batch: dispatching transfers ownership, and the pool releases the batch
-// itself when the last statement applies.
+// busy queue, shutdown). Never call it on a dispatched batch: dispatching
+// transfers ownership, and the pool releases the batch itself when the last
+// statement applies.
 func (b *Batch) Release() { b.release() }
 
 // release zeroes the batch's task headers — so a pooled batch pins neither

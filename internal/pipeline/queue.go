@@ -31,8 +31,6 @@ type Queue struct {
 	closed bool
 	done   chan struct{}
 
-	highWater int64
-
 	// after, when set, runs in the dispatcher goroutine right after each
 	// batch is dispatched, with the batch's inbound trace link, its tuple
 	// count and the clock read taken just before the dispatch — the legal
@@ -98,13 +96,9 @@ func (q *Queue) Enqueue(b *Batch) (depth int, ok bool) {
 	return q.push(b), true
 }
 
-// push appends under q.mu, folds the depth into the high-water mark, wakes
-// the dispatcher and returns the depth.
+// push appends under q.mu, wakes the dispatcher and returns the depth.
 func (q *Queue) push(b *Batch) int {
 	q.q = append(q.q, b)
-	if d := int64(len(q.q)); d > q.highWater {
-		q.highWater = d
-	}
 	q.work.Broadcast()
 	return len(q.q)
 }
@@ -115,13 +109,6 @@ func (q *Queue) Closed() bool {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	return q.closed
-}
-
-// HighWater returns the deepest the queue has been.
-func (q *Queue) HighWater() int64 {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.highWater
 }
 
 // loop is the dispatcher. Each wake-up pops head batches while their tuple

@@ -59,9 +59,6 @@ func TestFairLaneOrderAndBounds(t *testing.T) {
 		}
 	}
 	mu.Unlock()
-	if q.HighWater() == 0 {
-		t.Fatal("high-water mark never advanced")
-	}
 	if !q.Closed() {
 		t.Fatal("closed queue reports open")
 	}
