@@ -50,10 +50,9 @@ bench:
 # working tree, with a verdict per workload and end-to-end metric
 # (scripts/ab.sh). WORKLOADS empty runs all four.
 PARENT ?= HEAD
-PAIRS ?= 10
 WORKLOADS ?=
 ab:
-	bash scripts/ab.sh --pairs $(PAIRS) $(PARENT) $(WORKLOADS)
+	bash scripts/ab.sh $(PARENT) $(WORKLOADS)
 
 # Non-test Go lines per package (cmd/x, examples/x, internal/x, the root
 # package) and in total, excluding the benchmark module. The total is the

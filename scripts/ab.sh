@@ -16,25 +16,26 @@
 #   SAME        none of these
 #
 # Usage:
-#   scripts/ab.sh [--pairs N] [--seconds S] [--seed K] PARENT_REV [WORKLOAD...]
-#   scripts/ab.sh --aa [--pairs N] [--seconds S] [--seed K] [WORKLOAD...]
+#   scripts/ab.sh [--pairs N] [--seconds S] PARENT_REV [WORKLOAD...]
+#   scripts/ab.sh --aa [--pairs N] [--seconds S] [WORKLOAD...]
 #
 # --aa runs the working tree against itself, a check of the verdict: over
 # ten pairs it should read neither BETTER nor WORSE (one pair has no spread,
 # so any difference reads BETTER there). Workloads default to every one in
-# BENCHMARK.json. Needs bash, git, jq, awk and Go. Run nothing else on the
-# machine meanwhile: the numbers move with load.
+# BENCHMARK.json. Every run uses the benchmark's seed 1. Needs bash, git,
+# jq, awk and Go. Run nothing else on the machine meanwhile: the numbers
+# move with load.
 set -euo pipefail
 
-pairs=10 seconds=15 seed=1 aa=0
+pairs=10 seconds=15 aa=0
+readonly seed=1
 args=()
 while [ $# -gt 0 ]; do
 	case "$1" in
 	--pairs) pairs="$2"; shift 2 ;;
 	--seconds) seconds="$2"; shift 2 ;;
-	--seed) seed="$2"; shift 2 ;;
 	--aa) aa=1; shift ;;
-	-h|--help) sed -n '2,26p' "$0"; exit 0 ;;
+	-h|--help) sed -n '2,27p' "$0"; exit 0 ;;
 	--*) echo "ab.sh: unknown flag $1" >&2; exit 2 ;;
 	*) args+=("$1"); shift ;;
 	esac
@@ -50,7 +51,7 @@ if [ "$aa" = 1 ]; then
 	parent="$root"
 	label="working tree (A/A)"
 else
-	[ "${#args[@]}" -ge 1 ] || { echo "usage: scripts/ab.sh [--pairs N] [--seconds S] [--seed K] PARENT_REV [WORKLOAD...]" >&2; exit 2; }
+	[ "${#args[@]}" -ge 1 ] || { echo "usage: scripts/ab.sh [--pairs N] [--seconds S] PARENT_REV [WORKLOAD...]" >&2; exit 2; }
 	rev="${args[0]}"
 	args=("${args[@]:1}")
 	parent="$tmp/parent"
